@@ -23,6 +23,7 @@ __all__ = [
     "REFUTED",
     "NOT_APPLICABLE",
     "BOUND_IDS",
+    "BOUND_ALIASES",
     "BoundQuery",
     "FeasibilityVerdict",
     "BoundResult",
@@ -44,6 +45,16 @@ NOT_APPLICABLE = "not-applicable"
 
 # evaluation order is alphabetical so reports are deterministic
 BOUND_IDS = ("a", "elias", "griesmer", "hamming", "levenshtein", "plotkin", "singleton")
+
+# single-letter names: CLI shorthand, and the competitor blocks of table1
+BOUND_ALIASES = {
+    "g": "griesmer",
+    "h": "hamming",
+    "l": "levenshtein",
+    "e": "elias",
+    "p": "plotkin",
+    "s": "singleton",
+}
 
 
 def _check_query(n: int, d: int, q: int) -> None:

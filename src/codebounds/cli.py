@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bounds import BOUND_IDS, bound_a_check, best_upper_k
+from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
 from .exactmath import VARIANTS, VARIANT_WEIGHT
 from .golden import BLOCKS, COMPETITOR_NAME, DOCUMENTED_ALLOWANCES, diff_table1
 from .oracle import (
@@ -22,15 +22,6 @@ from .oracle import (
 )
 
 __all__ = ["main", "entry"]
-
-_ALIASES = {
-    "g": "griesmer",
-    "h": "hamming",
-    "l": "levenshtein",
-    "e": "elias",
-    "p": "plotkin",
-    "s": "singleton",
-}
 
 
 def _parse_bounds(text: str) -> list[str]:
@@ -45,7 +36,7 @@ def _parse_bounds(text: str) -> list[str]:
                 if b not in out:
                     out.append(b)
             continue
-        tok = _ALIASES.get(tok, tok)
+        tok = BOUND_ALIASES.get(tok, tok)
         if tok not in BOUND_IDS:
             raise ValueError(f"unknown bound {tok!r}; choose from {', '.join(BOUND_IDS)} or 'all'")
         if tok not in out:

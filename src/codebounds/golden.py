@@ -22,14 +22,17 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .bounds import (
+from .bounds import BOUND_ALIASES, best_upper_k
+
+# Not called here, but bench/tracer.py wraps these names on this module when
+# it installs its spans, so they stay importable from it.
+from .bounds import (  # noqa: F401
     bound_a_max_k,
     elias_max_size,
     griesmer_max_k,
     hamming_max_size,
     levenshtein_max_size,
 )
-from .exactmath import VARIANT_WEIGHT, floor_log_q
 
 __all__ = [
     "TableRow",
@@ -125,18 +128,12 @@ def load_table1() -> list[TableRow]:
 def recompute_row(row: TableRow) -> tuple[int, int]:
     """Re-derive (k_competitor, k_A) for one row with the default settings
     (weight variant, ceiling-form Griesmer)."""
-    q, n, d = row.q, row.n, row.d
-    if row.block == "g":
-        competitor = griesmer_max_k(n, d, q)
-    elif row.block == "h":
-        competitor = floor_log_q(hamming_max_size(n, d, q), q)
-    elif row.block == "l":
-        competitor = floor_log_q(levenshtein_max_size(n, d, q), q)
-    elif row.block == "e":
-        competitor = floor_log_q(elias_max_size(n, d, q)[0], q)
-    else:
+    if row.block not in BLOCKS:
         raise ValueError(f"unknown block {row.block!r}")
-    return competitor, bound_a_max_k(n, d, q, VARIANT_WEIGHT)
+    competitor = BOUND_ALIASES[row.block]
+    results, _ = best_upper_k(row.n, row.d, row.q, [competitor, "a"])
+    k_max = {r.bound_id: r.k_max for r in results}
+    return k_max[competitor], k_max["a"]
 
 
 def diff_table1(blocks: Optional[set[str]] = None) -> DiffReport:

@@ -26,20 +26,17 @@ floored minimum over all verified candidates, never exceeding the trivial
 q**n.  Every returned value is therefore a sound upper bound regardless of
 which degrees happen to verify.
 
-For n above _EXHAUSTIVE_N the degree scan stops once the bound has not
-improved for a few verified degrees in a row (the minimum sits at the first
-verified degrees in practice); below it the scan is exhaustive.  Results are
-deterministic either way.
+The kernel is accumulated degree by degree as integer numerators over one
+running common denominator, with K_c(d - 1) read from the same Krawtchouk row
+table as the kernel values.  For every n the degree scan stops once _PATIENCE
+candidate degrees in a row have failed to improve the bound; the minimum sits
+at the first verified degrees in practice.
 """
 
-from fractions import Fraction
 from math import comb, lcm
-
-from .exactmath import _poly_binomial
 
 __all__ = ["levenshtein_max_size"]
 
-_EXHAUSTIVE_N = 120
 _PATIENCE = 3
 
 
@@ -70,13 +67,6 @@ class _KrawtchoukRows:
         return self._rows[i]
 
 
-def _kraw_at(m: int, q: int, i: int, y: int) -> int:
-    return sum(
-        (-1) ** j * _poly_binomial(y, j) * _poly_binomial(m - y, i - j) * (q - 1) ** (i - j)
-        for j in range(i + 1)
-    )
-
-
 def _branch_min(
     n: int,
     d: int,
@@ -85,28 +75,27 @@ def _branch_min(
     factor: list[int],
     weights: list[int],
     big_rows: _KrawtchoukRows,
-    exhaustive: bool,
 ) -> int | None:
     """Minimum verified bound for one branch (kernel system on m)."""
     if m < 1:
         return None
     qn = q ** n
-    pts = [x - 1 for x in range(n + 1)]
-    rows = _KrawtchoukRows(m, q, pts)
-    kernel = [Fraction(0)] * (n + 1)
+    # the points are x - 1 for x = 0..n, so column d holds K_c(d - 1)
+    rows = _KrawtchoukRows(m, q, [x - 1 for x in range(n + 1)])
+    # the kernel is T = num / den; f only enters through signs and the ratio
+    # f(0) / f_0, so num, a positive multiple of T, stands in for it
+    num = [0] * (n + 1)
+    den = 1
     best: int | None = None
     seen_since_improved = 0
     for c in range(0, m + 1):
-        kd = _kraw_at(m, q, c, d - 1)
-        norm = comb(m, c) * (q - 1) ** c
         row = rows.row(c)
-        for x in range(n + 1):
-            kernel[x] += Fraction(row[x] * kd, norm)
-        scale = 1
-        for t in kernel:
-            scale = lcm(scale, t.denominator)
-        tvals = [int(t * scale) for t in kernel]
-        f = [factor[x] * tvals[x] * tvals[x] for x in range(n + 1)]
+        norm = comb(m, c) * (q - 1) ** c
+        common = lcm(den, norm)
+        widen, step = common // den, common // norm * row[d]
+        num = [v * widen + r * step for v, r in zip(num, row)]
+        den = common
+        f = [factor[x] * num[x] * num[x] for x in range(n + 1)]
         if f[0] <= 0:
             continue
         g = [weights[x] * f[x] for x in range(n + 1)]
@@ -117,7 +106,7 @@ def _branch_min(
         if best is not None and value >= best:
             # cannot improve the minimum, so feasibility need not be checked
             seen_since_improved += 1
-            if not exhaustive and seen_since_improved >= _PATIENCE:
+            if seen_since_improved >= _PATIENCE:
                 break
             continue
         # deg f <= 2c + 2, and expansions over the n + 1 points are complete
@@ -150,16 +139,15 @@ def levenshtein_max_size(n: int, d: int, q: int) -> int:
         return trivial
     weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
     big_rows = _KrawtchoukRows(n, q, list(range(n + 1)))
-    exhaustive = n <= _EXHAUSTIVE_N
     odd = _branch_min(
         n, d, q, n - 1,
         [d - x for x in range(n + 1)],
-        weights, big_rows, exhaustive,
+        weights, big_rows,
     )
     even = _branch_min(
         n, d, q, n - 2,
         [(d - x) * (n - x) for x in range(n + 1)],
-        weights, big_rows, exhaustive,
+        weights, big_rows,
     )
     candidates = [v for v in (odd, even, trivial) if v is not None]
     return min(candidates)

@@ -287,16 +287,12 @@ def _best_d_vectorized(n: int, k: int, q: int) -> tuple[int, int]:
 
 def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Best achievable minimum distance over all standard-form (n, k) codes."""
-    if not _is_prime(q):
-        raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    _linear_count_within(n, k, q, budget)
-    return _best_d_vectorized(n, k, q)[0]
+    return best_linear_d_witness(n, k, q, budget)[0]
 
 
 def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, StandardFormGenerator]:
-    """Like best_linear_d, but also return one generator attaining the optimum."""
+    """Best achievable minimum distance over all standard-form (n, k) codes,
+    with the first generator (in enumeration order) that attains it."""
     if not _is_prime(q):
         raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
     if not 1 <= k < n:

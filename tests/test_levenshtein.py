@@ -1,9 +1,13 @@
 """Kernel-polynomial bound: reference dimensions, soundness floors, internals."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from codebounds.exactmath import floor_log_q, krawtchouk
-from codebounds.levenshtein import _KrawtchoukRows, _kraw_at, levenshtein_max_size
+from codebounds.levenshtein import _KrawtchoukRows, levenshtein_max_size
 from codebounds.oracle import best_linear_d
 
 
@@ -54,9 +58,21 @@ def test_recurrence_table_matches_direct_formula():
         for i in range(m + 1):
             row = table.row(i)
             for idx, y in enumerate(pts):
-                assert row[idx] == _kraw_at(m, q, i, y), (m, q, i, y)
-                if y >= 0:
-                    assert row[idx] == krawtchouk(m, q, i, y)
+                assert row[idx] == krawtchouk(m, q, i, y), (m, q, i, y)
+
+
+def test_values_match_pinned_digests():
+    r"""Every bound for q in {2, 3, 5}, n in 3..40 and n = 120, all d, against
+    digests recorded with the earlier exhaustive degree scan.  The file was
+    made from the repository root with
+
+    PYTHONPATH=src python -c 'import hashlib, json; from codebounds.levenshtein import levenshtein_max_size as L; print(json.dumps({f"{q}/{n}": hashlib.sha256("\n".join(str(L(n, d, q)) for d in range(1, n + 1)).encode()).hexdigest() for q in (2, 3, 5) for n in [*range(3, 41), 120]}, indent=1))' > tests/data/levenshtein_pin.json
+    """
+    pinned = json.loads((Path(__file__).parent / "data" / "levenshtein_pin.json").read_text())
+    for key, expected in pinned.items():
+        q, n = map(int, key.split("/"))
+        values = "\n".join(str(levenshtein_max_size(n, d, q)) for d in range(1, n + 1))
+        assert hashlib.sha256(values.encode()).hexdigest() == expected, key
 
 
 def test_invalid_queries_rejected():
