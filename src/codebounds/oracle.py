@@ -9,11 +9,20 @@ message prefixes to tails of weight >= d - i.
 Enumerations are deterministic (tails in ascending mixed-radix order) and
 guarded by an explicit budget; a sweep that would exceed it raises rather
 than silently truncating, so soundness claims never rest on a partial scan.
-The alphabet must be prime here (vector-space arithmetic mod q); the bound
-formulas themselves do not care.
+The budget must be at least 1.  The alphabet must be prime here
+(vector-space arithmetic mod q); the bound formulas themselves do not care.
+
+The refutation cross-check searches without building a code per candidate.
+Its linear phase computes the best distance and its first witness once per
+(n, k, q), and every refuted d reuses them.  Its nonlinear phase is a
+complete depth-first search over prefix-to-tail assignments that skips only
+the partial assignments already holding a pair closer than d; it finds the
+same first code, in enumeration order, as scanning every systematic code.
+Both phases run under the same budget guards as the enumerations.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -87,10 +96,14 @@ def _check_compatible(u: Word, v: Word) -> None:
         raise ValueError("words have mismatched length or alphabet")
 
 
+def _symbol_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(u, v) if a != b)
+
+
 def hamming_distance(u: Word, v: Word) -> int:
     """Number of coordinates where u and v differ."""
     _check_compatible(u, v)
-    return sum(1 for a, b in zip(u.symbols, v.symbols) if a != b)
+    return _symbol_distance(u.symbols, v.symbols)
 
 
 def weight(u: Word) -> int:
@@ -163,8 +176,7 @@ def min_distance(code: Code) -> int:
     for a in range(len(ws)):
         sa = ws[a].symbols
         for b in range(a + 1, len(ws)):
-            sb = ws[b].symbols
-            dist = sum(1 for x, y in zip(sa, sb) if x != y)
+            dist = _symbol_distance(sa, ws[b].symbols)
             if dist < best:
                 best = dist
     return best
@@ -216,13 +228,26 @@ def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _within_budget(exponent: int, q: int, budget: int) -> bool:
+    """Whether q**exponent codes fit in the budget."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    return exponent <= floor_log_q(budget, q)
+
+
 def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
     exponent = k * (n - k)
-    if exponent > floor_log_q(budget, q):
+    if not _within_budget(exponent, q, budget):
         raise EnumerationBudgetError(
             f"enumerating q**(k(n-k)) = {q}**{exponent} standard-form codes exceeds the budget of {budget}"
         )
     return q ** exponent
+
+
+def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
+    """Whether all (q**(n-k))**(q**k) = q**((n-k) q**k) systematic codes fit
+    in the budget."""
+    return _within_budget((n - k) * q ** k, q, budget)
 
 
 def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
@@ -244,44 +269,52 @@ def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BU
     return gen()
 
 
+@cache
 def _best_d_vectorized(n: int, k: int, q: int) -> tuple[int, int]:
     """Exhaustive max-over-tails of the minimum nonzero codeword weight,
     returning (best distance, index of the first attaining tail matrix).
 
-    Works column-wise: a tail contributes weight through each of its m
-    columns independently, so one (messages x possible-columns) nonzero table
-    covers every code; per tail it only remains to gather and add.
+    A pure function of (n, k, q), computed once per process.  Works
+    column-wise: a tail adds weight through each of its m columns
+    independently, so one (messages x possible-columns) nonzero table covers
+    every code.  The weights of every tuple of the trailing columns are built
+    once by broadcasting; each outer step adds the nonzero vector of one
+    choice of the leading columns and takes the minimum over messages.  No
+    array exceeds (messages x chunk).  Tail matrices are indexed row-major,
+    so among the attaining column tuples the witness is the one with the
+    smallest row-major index.
     """
     m = n - k
     qk = q ** k
-    total = q ** (k * m)
     msgs = np.array([msg for msg in _all_messages(k, q) if any(msg)], dtype=np.int64)
     msg_w = np.count_nonzero(msgs, axis=1).astype(np.uint8)
     cols = np.array(_all_messages(k, q), dtype=np.int64)  # column c has index sum c_r q**(k-1-r)
     nonzero = ((msgs @ cols.T) % q != 0).astype(np.uint8)  # (messages, qk)
     chunk = max(256, min(1 << 15, 50_000_000 // (msgs.shape[0] + 1)))
+    inner = m
+    while qk ** inner > chunk:
+        inner -= 1
+    # a column's entries, placed at their row-major positions in a one-column tail
+    spread = cols @ np.array([q ** ((k - 1 - r) * m) for r in range(k)], dtype=np.int64)
+    # weights and row-major index parts of every tuple of the last `inner` columns
+    wts = msg_w[:, None]
+    inner_idx = np.zeros(1, dtype=np.int64)
+    for _ in range(inner):
+        wts = (wts[:, :, None] + nonzero[:, None, :]).reshape(msgs.shape[0], -1)
+        inner_idx = (inner_idx[:, None] * q + spread[None, :]).reshape(-1)
     best_d = 0
     best_idx = 0
-    row_place = [q ** (k - 1 - r) for r in range(k)]
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        rem = np.arange(start, stop, dtype=np.int64)
-        col_idx = np.zeros((m, stop - start), dtype=np.int64)
-        # digits come off least-significant first: position p = r*m + j
-        for p in range(k * m - 1, -1, -1):
-            digit = rem % q
-            rem //= q
-            col_idx[p % m] += digit * row_place[p // m]
-        wts = np.repeat(msg_w[:, None], stop - start, axis=1)
-        for j in range(m):
-            wts += nonzero[:, col_idx[j]]
-        code_min = wts.min(axis=0)
-        local = int(code_min.argmax())
-        if int(code_min[local]) > best_d:
-            best_d = int(code_min[local])
-            best_idx = start + local
-        start = stop
+    for lead in product(range(qk), repeat=m - inner):
+        lead_idx = 0
+        for c in lead:
+            lead_idx = lead_idx * q + int(spread[c])
+        code_min = (wts + nonzero[:, list(lead)].sum(axis=1, dtype=np.uint8)[:, None]).min(axis=0)
+        step_d = int(code_min.max())
+        if step_d < best_d:
+            continue
+        step_idx = lead_idx * q ** inner + int(inner_idx[code_min == step_d].min())
+        if step_d > best_d or step_idx < best_idx:
+            best_d, best_idx = step_d, step_idx
     return best_d, best_idx
 
 
@@ -312,9 +345,7 @@ def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     m = n - k
-    prefix_count = q ** k
-    exponent = m * prefix_count  # (q**m) ** (q**k) = q ** (m q**k)
-    if exponent > floor_log_q(budget, q):
+    if not _nonlinear_within(n, k, q, budget):
         raise EnumerationBudgetError(
             f"enumerating (q**{m})**(q**{k}) systematic codes exceeds the budget of {budget}"
         )
@@ -322,11 +353,46 @@ def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT
     tails = _all_messages(m, q)
 
     def gen() -> Iterator[Code]:
-        for assignment in product(tails, repeat=prefix_count):
+        for assignment in product(tails, repeat=len(prefixes)):
             words = tuple(Word(p + t, q) for p, t in zip(prefixes, assignment))
             yield Code(q, n, words, systematic_k=k)
 
     return gen()
+
+
+def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[Code]:
+    """The first code of enumerate_systematic_nonlinear(n, k, q) with minimum
+    distance >= d, or None when there is none.
+
+    Depth-first search assigning tails to prefixes in enumeration order,
+    each prefix trying tails in ascending order.  The distance of two words
+    is the prefix distance plus the tail distance, so a partial assignment
+    holding a pair a < b with P[a][b] + T[t_a][t_b] < d has no completion
+    reaching d; only those are skipped, so the search is complete.  No budget
+    check here: callers guard it like the enumeration.
+    """
+    prefixes = _all_messages(k, q)
+    tails = _all_messages(n - k, q)
+    pdist = [[_symbol_distance(u, v) for v in prefixes] for u in prefixes]
+    tdist = [[_symbol_distance(u, v) for v in tails] for u in tails]
+    chosen: list[int] = []
+
+    def extend(b: int) -> bool:
+        if b == len(prefixes):
+            return True
+        need = [(tdist[t], d - pdist[a][b]) for a, t in enumerate(chosen)]
+        for t in range(len(tails)):
+            if all(row[t] >= lo for row, lo in need):
+                chosen.append(t)
+                if extend(b + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    words = tuple(Word(p + tails[t], q) for p, t in zip(prefixes, chosen))
+    return Code(q, n, words, systematic_k=k)
 
 
 def translate_code(code: Code, t: Word) -> Code:
@@ -397,10 +463,12 @@ def refutation_crosscheck(
 ) -> str | Code:
     """Exhaustively confirm a refutation: no systematic code can reach d.
 
-    Requires bound_a_check(n, k, d, q, variant) to be a refutation.  Sweeps
+    Requires bound_a_check(n, k, d, q, variant) to be a refutation.  Searches
     all standard-form linear codes (and all nonlinear systematic codes when
     the budget allows) and returns "confirmed" if none attains minimum
-    distance >= d, else the contradicting code.
+    distance >= d, else a contradicting code: the witness of
+    best_linear_d_witness, or failing that the first nonlinear code in
+    enumeration order.
     """
     verdict = bound_a_check(n, k, d, q, variant)
     if not verdict.refuted:
@@ -408,9 +476,8 @@ def refutation_crosscheck(
     best, gen = best_linear_d_witness(n, k, q, budget=budget)
     if best >= d:
         return gen.code()
-    m = n - k
-    if m * q ** k <= floor_log_q(budget, q):
-        for code in enumerate_systematic_nonlinear(n, k, q, budget=budget):
-            if min_distance(code) >= d:
-                return code
+    if _nonlinear_within(n, k, q, budget):
+        code = _first_nonlinear_code(n, k, d, q)
+        if code is not None:
+            return code
     return CONFIRMED

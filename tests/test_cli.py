@@ -142,3 +142,29 @@ class TestOracleCommands:
         rc, _, err = run(capsys, "oracle", "best-d", "--q", "2", "--n", "30", "--k", "15")
         assert rc == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "best-d", "--q", "2", "--n", "7", "--k", "4"),
+        ("oracle", "refute-check", "--q", "2", "--n-max", "5", "--k-max", "3", "--d-max", "3"),
+    ])
+    def test_budget_zero_exits_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--budget", "0")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: budget must be at least 1, got 0\n"
+
+    def test_literal_contradiction_output(self, capsys):
+        # the literal variant refutes k = 3 at (n=5, d=3, q=5), where a
+        # [5,3,3]_5 Reed-Solomon code exists; output recorded before the
+        # oracle searches were rewritten
+        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "5", "--n-max", "5",
+                         "--k-max", "3", "--d-max", "5", "--variant-a", "literal")
+        assert rc == 1
+        assert out == (
+            "(n=4, k=3, d=3) refuted: confirmed\n"
+            "(n=4, k=3, d=4) refuted: confirmed\n"
+            "(n=5, k=3, d=3) refuted: CONTRADICTION, oracle found a code with distance >= 3\n"
+            "(n=5, k=3, d=4) refuted: confirmed\n"
+            "(n=5, k=3, d=5) refuted: confirmed\n"
+            "5 refutations cross-checked, 1 contradictions\n"
+        )

@@ -1,8 +1,9 @@
 """Oracle: words, codes, enumerations, and the proof-mechanics checks."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
+import numpy as np
 import pytest
 from conftest import random_systematic_code
 
@@ -23,6 +24,7 @@ from codebounds.oracle import (
     verify_injection_property,
     weight,
 )
+from codebounds.oracle import _first_nonlinear_code
 
 HAMMING_TAIL = ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
@@ -168,6 +170,25 @@ class TestBestLinearD:
         assert d == 3
         assert min_distance(gen.code()) == 3
 
+    def test_witness_is_first_optimal_code_in_enumeration_order(self):
+        for q, n_hi in ((2, 6), (3, 5)):
+            for n in range(2, n_hi + 1):
+                for k in range(1, n):
+                    d, gen = best_linear_d_witness(n, k, q)
+                    first = next(c for c in enumerate_linear_systematic(n, k, q)
+                                 if min_distance(c) == d)
+                    assert gen.tail == _tail_matrix(first), (n, k, q)
+
+    @pytest.mark.parametrize("n,k,q", [(7, 5, 3), (8, 2, 3)])
+    def test_column_search_matches_decoding_every_tail(self, n, k, q):
+        # both cases take several outer steps of the column search, one with
+        # a single leading column and one with two
+        d, gen = best_linear_d_witness(n, k, q)
+        ref_d, ref_idx = _best_d_by_decoding(n, k, q)
+        assert d == ref_d
+        flat = [e for row in gen.tail for e in row]
+        assert sum(e * q ** p for p, e in enumerate(reversed(flat))) == ref_idx
+
 
 class TestTranslate:
     def test_zero_translation_is_identity(self):
@@ -248,6 +269,78 @@ class TestRefutationCrosscheck:
     def test_budget_propagates(self):
         with pytest.raises(EnumerationBudgetError):
             refutation_crosscheck(20, 16, 4, 2)
+
+    def test_budget_below_one_rejected(self):
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                refutation_crosscheck(4, 3, 3, 2, budget=budget)
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                enumerate_linear_systematic(4, 2, 2, budget=budget)
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                enumerate_systematic_nonlinear(3, 2, 2, budget=budget)
+
+
+def _best_d_by_decoding(n, k, q):
+    """Reference for the linear search: decode every tail matrix from its
+    row-major index and weigh every nonzero codeword directly.  Returns
+    (best distance, first attaining index)."""
+    m = n - k
+    msgs = np.array(list(product(range(q), repeat=k))[1:], dtype=np.int64)
+    msg_w = np.count_nonzero(msgs, axis=1)
+    place = q ** np.arange(k * m - 1, -1, -1, dtype=np.int64)
+    total = q ** (k * m)
+    chunk = max(1, 2_000_000 // (len(msgs) * m))
+    best = (0, 0)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        tails = (idx[:, None] // place % q).reshape(-1, k, m)
+        wts = msg_w + np.count_nonzero((msgs @ tails) % q, axis=2)
+        code_min = wts.min(axis=1)
+        i = int(code_min.argmax())
+        if code_min[i] > best[0]:
+            best = (int(code_min[i]), start + i)
+    return best
+
+
+def _tail_matrix(code):
+    """The tail matrix of a standard-form linear code: row r is the tail of
+    the codeword whose prefix is the r-th unit vector."""
+    k = code.systematic_k
+    tails = {w.symbols[:k]: w.symbols[k:] for w in code.words}
+    return tuple(tails[tuple(int(c == r) for c in range(k))] for r in range(k))
+
+
+def _first_nonlinear_codes(n, k, q):
+    """d -> first code of the nonlinear enumeration with minimum distance
+    >= d, for every d in 1..n that some code reaches; one pass.  The keys
+    are always 1..len(first), so a code matters only if it reaches the next."""
+    first = {}
+    for code in enumerate_systematic_nonlinear(n, k, q):
+        if _reaches_distance(code, len(first) + 1):
+            for d in range(len(first) + 1, min_distance(code) + 1):
+                first[d] = code
+            if len(first) == n:
+                break
+    return first
+
+
+def test_nonlinear_search_matches_enumeration():
+    cases = [(n, k, 2) for n in range(2, 6) for k in range(1, n)]
+    cases += [(n, 1, 3) for n in range(2, 5)]
+    found = missing = 0
+    for n, k, q in cases:
+        expected = _first_nonlinear_codes(n, k, q)
+        for d in range(1, n + 1):
+            code = _first_nonlinear_code(n, k, d, q)
+            if d in expected:
+                found += 1
+                assert code is not None, (n, k, q, d)
+                assert code.words == expected[d].words, (n, k, q, d)
+                assert code.systematic_k == k
+            else:
+                missing += 1
+                assert code is None, (n, k, q, d)
+    assert found and missing
 
 
 def _reaches_distance(code, d):
