@@ -12,7 +12,6 @@ from .bounds import (
     FEASIBLE,
     NOT_APPLICABLE,
     REFUTED,
-    BoundQuery,
     BoundResult,
     FeasibilityVerdict,
     best_upper_k,

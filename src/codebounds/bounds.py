@@ -5,14 +5,13 @@ code of minimum distance >= d by counting: vectors of weight i in the message
 block must map injectively to tails of weight >= d - i, so for every i with
 1 <= i <= (d-1)//2 the count C(k, i)(q-1)**i cannot exceed the tail mass.
 Classical comparison bounds (Griesmer, Singleton, Hamming, Plotkin, Elias,
-Levenshtein) are implemented alongside it, all in exact integer or rational
-arithmetic.
+Levenshtein) are implemented alongside it, all in exact integer arithmetic:
+every rational cap is a ratio of integers floored with one integer division.
 
 Everything here is stateless and pure; table sweeps may call in parallel.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .exactmath import VARIANT_WEIGHT, VARIANTS, floor_log_q, sphere_volume
@@ -24,7 +23,6 @@ __all__ = [
     "NOT_APPLICABLE",
     "BOUND_IDS",
     "BOUND_ALIASES",
-    "BoundQuery",
     "FeasibilityVerdict",
     "BoundResult",
     "bound_a_check",
@@ -64,21 +62,6 @@ def _check_query(n: int, d: int, q: int) -> None:
         raise ValueError(f"length must be positive, got n={n}")
     if not 1 <= d <= n:
         raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """One (n, d, q) question, with the tail-mass variant used by bound A."""
-
-    n: int
-    d: int
-    q: int
-    variant_a: str = VARIANT_WEIGHT
-
-    def __post_init__(self) -> None:
-        _check_query(self.n, self.d, self.q)
-        if self.variant_a not in VARIANTS:
-            raise ValueError(f"variant_a must be one of {VARIANTS}, got {self.variant_a!r}")
 
 
 @dataclass(frozen=True)
@@ -237,13 +220,15 @@ def hamming_max_size(n: int, d: int, q: int) -> int:
 
 
 def plotkin_max_size(n: int, d: int, q: int) -> Optional[int]:
-    """floor(d / (d - (1 - 1/q) n)) when d exceeds (1 - 1/q) n, else None."""
+    """floor(d / (d - (1 - 1/q) n)) when d exceeds (1 - 1/q) n, else None.
+
+    Scaled by q: floor(qd / (qd - (q-1)n)), applicable iff qd > (q-1)n.
+    """
     _check_query(n, d, q)
-    theta_n = Fraction((q - 1) * n, q)
-    if d <= theta_n:
+    excess = q * d - (q - 1) * n
+    if excess <= 0:
         return None
-    value = Fraction(d) / (d - theta_n)
-    return value.numerator // value.denominator
+    return q * d // excess
 
 
 def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
@@ -253,26 +238,26 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     the cap is (rd / (w**2 - 2rw + rd)) * q**n / V_q(n, w); the minimum over w
     is returned together with the smallest w attaining it.  w = 0 is always
     admissible, so the bound always applies.
+
+    Scaled by q, with a = (q-1)n = qr: the cap is
+    a*d*q**n / ((q*w*w - 2*a*w + a*d) * V_q(n, w)) for q*w <= a, and w is
+    admissible when q*w*w - 2*a*w + a*d > 0.
     """
     _check_query(n, d, q)
-    r = Fraction((q - 1) * n, q)
-    rd = r * d
-    qn = q ** n
+    a = (q - 1) * n
+    ad_qn = a * d * q ** n
     volume = 0
     term = 1  # C(n, w)(q-1)**w at current w
     best: Optional[int] = None
     best_w = 0
     w = 0
-    while w <= r:
-        if w == 0:
-            volume = 1
-        else:
+    while q * w <= a:
+        if w:
             term = term * (n - w + 1) * (q - 1) // w
-            volume += term
-        denom = Fraction(w * w) - 2 * r * w + rd
+        volume += term
+        denom = q * w * w - 2 * a * w + a * d
         if denom > 0:
-            value = rd / denom * Fraction(qn, volume)
-            floored = value.numerator // value.denominator
+            floored = ad_qn // (denom * volume)
             if best is None or floored < best:
                 best = floored
                 best_w = w

@@ -1,8 +1,8 @@
 """Exact counting primitives shared by every bound.
 
-All counts are plain Python integers (arbitrary precision), all rationals are
-``fractions.Fraction``; nothing here ever touches floating point, so results
-stay bit-exact for lengths in the hundreds where q**n has thousands of bits.
+All values are plain Python integers (arbitrary precision); nothing here ever
+touches floating point, so results stay bit-exact for lengths in the hundreds
+where q**n has thousands of bits.
 
 Every function is a pure function of its arguments and safe to call from any
 number of threads.

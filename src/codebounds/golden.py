@@ -82,10 +82,6 @@ class DiffReport:
     mismatches: list[Mismatch] = field(default_factory=list)
     documented_allowances: list[Mismatch] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.mismatches and not self.documented_allowances
-
     def passes(self, allow_documented: bool) -> bool:
         if self.mismatches:
             return False

@@ -26,14 +26,19 @@ floored minimum over all verified candidates, never exceeding the trivial
 q**n.  Every returned value is therefore a sound upper bound regardless of
 which degrees happen to verify.
 
-The kernel is accumulated degree by degree as integer numerators over one
-running common denominator, with K_c(d - 1) read from the same Krawtchouk row
-table as the kernel values.  For every n the degree scan stops once _PATIENCE
-candidate degrees in a row have failed to improve the bound; the minimum sits
-at the first verified degrees in practice.
+Each query builds one Krawtchouk table, the rows K_i(x) on n at x = 0..n.
+It serves the coefficient checks, and the kernel rows of both branches, on
+n - 1 and n - 2 at x - 1, are derived from it by two exact identities (see
+_KrawtchoukRows.adjacent), so no other recurrence is run.  The kernel is
+accumulated degree by degree as integer numerators over one running common
+denominator, with K_c(d - 1) read from the same kernel row.  For every n the
+degree scan stops once _PATIENCE candidate degrees in a row have failed to
+improve the bound; the minimum sits at the first verified degrees in practice.
 """
 
+from collections.abc import Iterator
 from math import comb, lcm
+from operator import mul
 
 __all__ = ["levenshtein_max_size"]
 
@@ -41,30 +46,44 @@ _PATIENCE = 3
 
 
 class _KrawtchoukRows:
-    """Lazy table of K_i(y) for the scheme on m symbols-length, at fixed
-    integer points (polynomial extension, so negative points are fine)."""
+    """Lazy table of K_i(x) for the scheme of length n, at x = 0..n, with the
+    rows of the two adjacent schemes derived from it."""
 
-    def __init__(self, m: int, q: int, points: list[int]):
-        self.m = m
+    def __init__(self, n: int, q: int):
+        self.n = n
         self.q = q
-        self.points = points
-        self._rows = [[1] * len(points)]
+        self._rows = [[1] * (n + 1), [n * (q - 1) - q * x for x in range(n + 1)]]
 
     def row(self, i: int) -> list[int]:
-        m, q, pts = self.m, self.q, self.points
+        n, q = self.n, self.q
         while len(self._rows) <= i:
             r = len(self._rows)
-            if r == 1:
-                self._rows.append([m * (q - 1) - q * y for y in pts])
-                continue
             prev, cur = self._rows[r - 2], self._rows[r - 1]
             i0 = r - 1
-            nxt = []
-            for idx, y in enumerate(pts):
-                num = (i0 + (q - 1) * (m - i0) - q * y) * cur[idx] - (q - 1) * (m - i0 + 1) * prev[idx]
-                nxt.append(num // r)
-            self._rows.append(nxt)
+            self._rows.append([
+                ((i0 + (q - 1) * (n - i0) - q * x) * cur[x] - (q - 1) * (n - i0 + 1) * prev[x]) // r
+                for x in range(n + 1)
+            ])
         return self._rows[i]
+
+    def adjacent(self, m: int) -> Iterator[list[int]]:
+        """Yield K_c(x - 1) for the scheme of length m = n - 1 or n - 2, at
+        x = 0..n, for c = 0..m.
+
+        With sum_c K_c(x) z**c = (1 + (q-1)z)**(n-x) (1-z)**x, dividing by
+        1 - z moves (n, x) to (n - 1, x - 1), and dividing that by
+        1 + (q-1)z moves it on to (n - 2, x - 1):
+            odd_c = odd_{c-1} + K_c(x),       odd_c = K_c(x - 1) on n - 1,
+            even_c = odd_c - (q-1) even_{c-1},  even_c = K_c(x - 1) on n - 2.
+        """
+        odd = even = [0] * (self.n + 1)
+        for c in range(m + 1):
+            odd = [o + k for o, k in zip(odd, self.row(c))]
+            if m == self.n - 1:
+                yield odd
+            else:
+                even = [o - (self.q - 1) * e for o, e in zip(odd, even)]
+                yield even
 
 
 def _branch_min(
@@ -74,22 +93,18 @@ def _branch_min(
     m: int,
     factor: list[int],
     weights: list[int],
-    big_rows: _KrawtchoukRows,
+    rows: _KrawtchoukRows,
 ) -> int | None:
     """Minimum verified bound for one branch (kernel system on m)."""
-    if m < 1:
-        return None
     qn = q ** n
-    # the points are x - 1 for x = 0..n, so column d holds K_c(d - 1)
-    rows = _KrawtchoukRows(m, q, [x - 1 for x in range(n + 1)])
     # the kernel is T = num / den; f only enters through signs and the ratio
     # f(0) / f_0, so num, a positive multiple of T, stands in for it
     num = [0] * (n + 1)
     den = 1
     best: int | None = None
     seen_since_improved = 0
-    for c in range(0, m + 1):
-        row = rows.row(c)
+    # column x of a kernel row holds K_c(x - 1), so column d holds K_c(d - 1)
+    for c, row in enumerate(rows.adjacent(m)):
         norm = comb(m, c) * (q - 1) ** c
         common = lcm(den, norm)
         widen, step = common // den, common // norm * row[d]
@@ -111,17 +126,7 @@ def _branch_min(
             continue
         # deg f <= 2c + 2, and expansions over the n + 1 points are complete
         # at degree n, so higher coefficients are identically zero
-        i_hi = min(2 * c + 2, n)
-        bad = False
-        for i in range(1, i_hi + 1):
-            ki = big_rows.row(i)
-            acc = 0
-            for x in range(n + 1):
-                acc += g[x] * ki[x]
-            if acc < 0:
-                bad = True
-                break
-        if bad:
+        if any(sum(map(mul, g, rows.row(i))) < 0 for i in range(1, min(2 * c + 2, n) + 1)):
             continue
         best = value
         seen_since_improved = 0
@@ -138,16 +143,16 @@ def levenshtein_max_size(n: int, d: int, q: int) -> int:
     if n < 3 or d == 1:
         return trivial
     weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
-    big_rows = _KrawtchoukRows(n, q, list(range(n + 1)))
+    rows = _KrawtchoukRows(n, q)
     odd = _branch_min(
         n, d, q, n - 1,
         [d - x for x in range(n + 1)],
-        weights, big_rows,
+        weights, rows,
     )
     even = _branch_min(
         n, d, q, n - 2,
         [(d - x) * (n - x) for x in range(n + 1)],
-        weights, big_rows,
+        weights, rows,
     )
     candidates = [v for v in (odd, even, trivial) if v is not None]
     return min(candidates)

@@ -18,7 +18,8 @@ Its linear phase computes the best distance and its first witness once per
 complete depth-first search over prefix-to-tail assignments that skips only
 the partial assignments already holding a pair closer than d; it finds the
 same first code, in enumeration order, as scanning every systematic code.
-Both phases run under the same budget guards as the enumerations.
+Both phases run under the same budget guards as the enumerations, and the
+linear phase also counts the entries of its message-by-column table.
 """
 
 from dataclasses import dataclass, field
@@ -279,10 +280,11 @@ def _best_d_vectorized(n: int, k: int, q: int) -> tuple[int, int]:
     independently, so one (messages x possible-columns) nonzero table covers
     every code.  The weights of every tuple of the trailing columns are built
     once by broadcasting; each outer step adds the nonzero vector of one
-    choice of the leading columns and takes the minimum over messages.  No
-    array exceeds (messages x chunk).  Tail matrices are indexed row-major,
-    so among the attaining column tuples the witness is the one with the
-    smallest row-major index.
+    choice of the leading columns and takes the minimum over messages.  The
+    nonzero table has (q**k - 1) x q**k entries, which best_linear_d_witness
+    counts against the budget; no other array exceeds (messages x chunk).
+    Tail matrices are indexed row-major, so among the attaining column tuples
+    the witness is the one with the smallest row-major index.
     """
     m = n - k
     qk = q ** k
@@ -325,12 +327,20 @@ def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, StandardFormGenerator]:
     """Best achievable minimum distance over all standard-form (n, k) codes,
-    with the first generator (in enumeration order) that attains it."""
+    with the first generator (in enumeration order) that attains it.
+
+    Besides the codes, the search holds one entry per nonzero message and
+    column, (q**k - 1) x q**k in all, and that count must fit in the budget too.
+    """
     if not _is_prime(q):
         raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     _linear_count_within(n, k, q, budget)
+    if (q ** k - 1) * q ** k > budget:
+        raise EnumerationBudgetError(
+            f"the search's {q ** k - 1} x {q ** k} message-by-column table exceeds the budget of {budget}"
+        )
     m = n - k
     d, idx = _best_d_vectorized(n, k, q)
     flat = _digits(idx, q, k * m)

@@ -9,7 +9,6 @@ from codebounds.bounds import (
     FEASIBLE,
     NOT_APPLICABLE,
     REFUTED,
-    BoundQuery,
     best_upper_k,
     bound_a_check,
     bound_a_max_k,
@@ -189,6 +188,19 @@ class TestPlotkin:
     def test_not_applicable_below_threshold(self):
         assert plotkin_max_size(10, 3, 2) is None
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_matches_fraction_reference(self, q):
+        # the textbook form, with theta = 1 - 1/q as an exact rational
+        for n in range(1, 31):
+            theta_n = Fraction((q - 1) * n, q)
+            for d in range(1, n + 1):
+                if d <= theta_n:
+                    expected = None
+                else:
+                    value = d / (d - theta_n)
+                    expected = value.numerator // value.denominator
+                assert plotkin_max_size(n, d, q) == expected, (n, d, q)
+
 
 class TestElias:
     def test_hand_derived_anchor(self):
@@ -207,19 +219,26 @@ class TestElias:
 
     @pytest.mark.parametrize("n,d,q", [
         (7, 3, 2), (12, 3, 2), (16, 3, 5), (30, 5, 3), (47, 7, 2), (54, 50, 5),
+        # the cap at the reported w is an integer here, so the floor is exact
+        (7, 4, 2), (11, 4, 3),
     ])
     def test_witness_is_admissible_and_optimal(self, n, d, q):
-        size, w = elias_max_size(n, d, q)
+        # the textbook form, with r = (1 - 1/q)n as an exact rational
         r = Fraction((q - 1) * n, q)
+
+        def floored_cap(w):
+            value = r * d / (w * w - 2 * r * w + r * d) * Fraction(q ** n, sphere_volume(n, w, q))
+            return value.numerator // value.denominator
+
+        size, w = elias_max_size(n, d, q)
         assert 0 <= w <= r
         assert Fraction(w * w) - 2 * r * w + r * d > 0
+        assert size == floored_cap(w)
         # no admissible w does strictly better than the reported one
         for w2 in range(0, int(r) + 1):
-            denom = Fraction(w2 * w2) - 2 * r * w2 + r * d
-            if denom <= 0:
+            if Fraction(w2 * w2) - 2 * r * w2 + r * d <= 0:
                 continue
-            value = r * d / denom * Fraction(q ** n, sphere_volume(n, w2, q))
-            assert value.numerator // value.denominator >= size
+            assert floored_cap(w2) >= size
 
 
 class TestBestUpperK:
@@ -258,17 +277,6 @@ class TestBestUpperK:
     def test_unknown_bound_rejected(self):
         with pytest.raises(ValueError):
             best_upper_k(10, 3, 2, ["nope"])
-
-
-class TestBoundQuery:
-    def test_validation(self):
-        BoundQuery(10, 3, 2)
-        with pytest.raises(ValueError):
-            BoundQuery(10, 11, 2)
-        with pytest.raises(ValueError):
-            BoundQuery(10, 3, 1)
-        with pytest.raises(ValueError):
-            BoundQuery(10, 3, 2, variant_a="other")
 
 
 class TestMonotonicity:

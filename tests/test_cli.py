@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from codebounds import oracle
 from codebounds.cli import main
 
 
@@ -141,6 +142,19 @@ class TestOracleCommands:
     def test_budget_exceeded_exits_2(self, capsys):
         rc, _, err = run(capsys, "oracle", "best-d", "--q", "2", "--n", "30", "--k", "15")
         assert rc == 2
+        assert "budget" in err
+
+    def test_search_table_over_budget_exits_2(self, capsys, monkeypatch):
+        # 3**10 codes fit the default budget, but the search's 59 048 x 59 049
+        # message-by-column table (about 26 GiB as int64) does not; the search
+        # is replaced so that a missing guard fails here instead of allocating
+        def search(*args):
+            raise AssertionError("search ran past the budget guard")
+
+        monkeypatch.setattr(oracle, "_best_d_vectorized", search)
+        rc, out, err = run(capsys, "oracle", "best-d", "--q", "3", "--n", "11", "--k", "10")
+        assert rc == 2
+        assert out == ""
         assert "budget" in err
 
     @pytest.mark.parametrize("argv", [

@@ -51,14 +51,17 @@ def test_deterministic():
 
 
 def test_recurrence_table_matches_direct_formula():
-    # including the x = -1 column used by the shifted kernels
-    for m, q in [(7, 2), (6, 3), (5, 5)]:
-        pts = list(range(-1, m + 1))
-        table = _KrawtchoukRows(m, q, pts)
-        for i in range(m + 1):
-            row = table.row(i)
-            for idx, y in enumerate(pts):
-                assert row[idx] == krawtchouk(m, q, i, y), (m, q, i, y)
+    # the table on n at x = 0..n, and the adjacent rows on n - 1 and n - 2
+    # at x - 1, the x - 1 = -1 column included
+    for n, q in [(8, 2), (7, 3), (6, 5)]:
+        table = _KrawtchoukRows(n, q)
+        for i in range(n + 1):
+            assert table.row(i) == [krawtchouk(n, q, i, x) for x in range(n + 1)], (n, q, i)
+        for m in (n - 1, n - 2):
+            rows = list(table.adjacent(m))
+            assert len(rows) == m + 1
+            for c, row in enumerate(rows):
+                assert row == [krawtchouk(m, q, c, x - 1) for x in range(n + 1)], (n, q, m, c)
 
 
 def test_values_match_pinned_digests():
