@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
+from .bounds import BOUND_ALIASES, BOUND_IDS, _check_query, bound_a_check, best_upper_k
 from .exactmath import VARIANTS, VARIANT_WEIGHT
 from .golden import BLOCKS, COMPETITOR_NAME, DOCUMENTED_ALLOWANCES, diff_table1
 from .oracle import (
@@ -95,6 +95,8 @@ def _table_rows(args: argparse.Namespace, bounds: list[str]):
         d_lo = d_hi = args.d
     else:
         raise ValueError("table needs --d or --d-range")
+    # q and the smallest n are checked even when every cell has d > n
+    _check_query(n_lo, 1, args.q)
     for n in range(n_lo, n_hi + 1):
         for d in range(d_lo, d_hi + 1):
             if d > n:

@@ -22,18 +22,19 @@ weight w(x) = C(n, x)(q-1)**x:
 Both shapes make f(j) <= 0 on d..n automatic, so only the coefficient signs
 need checking; that check is performed exactly (big integers throughout), and
 a candidate degree is used only after it passes.  The reported bound is the
-floored minimum over all verified candidates, never exceeding the trivial
-q**n.  Every returned value is therefore a sound upper bound regardless of
-which degrees happen to verify.
+floored minimum over the verified candidates scanned, never exceeding the
+trivial q**n.  Every returned value is therefore a sound upper bound
+regardless of which degrees happen to verify.
 
 Each query builds one Krawtchouk table, the rows K_i(x) on n at x = 0..n.
 It serves the coefficient checks, and the kernel rows of both branches, on
 n - 1 and n - 2 at x - 1, are derived from it by two exact identities (see
 _KrawtchoukRows.adjacent), so no other recurrence is run.  The kernel is
 accumulated degree by degree as integer numerators over one running common
-denominator, with K_c(d - 1) read from the same kernel row.  For every n the
-degree scan stops once _PATIENCE candidate degrees in a row have failed to
-improve the bound; the minimum sits at the first verified degrees in practice.
+denominator, with K_c(d - 1) read from the same kernel row.  Each branch
+scans degrees upward and stops at the first candidate whose bound is not
+below the best verified one; candidates before the first verified degree are
+all checked.
 """
 
 from collections.abc import Iterator
@@ -41,8 +42,6 @@ from math import comb, lcm
 from operator import mul
 
 __all__ = ["levenshtein_max_size"]
-
-_PATIENCE = 3
 
 
 class _KrawtchoukRows:
@@ -86,23 +85,16 @@ class _KrawtchoukRows:
                 yield even
 
 
-def _branch_min(
-    n: int,
-    d: int,
-    q: int,
-    m: int,
-    factor: list[int],
-    weights: list[int],
-    rows: _KrawtchoukRows,
-) -> int | None:
-    """Minimum verified bound for one branch (kernel system on m)."""
+def _branch_min(rows: _KrawtchoukRows, m: int, d: int, wf: list[int]) -> int | None:
+    """Minimum verified bound for one branch: kernel system on m, and wf the
+    weights times the branch factor f(x) / T(x)**2."""
+    n, q = rows.n, rows.q
     qn = q ** n
     # the kernel is T = num / den; f only enters through signs and the ratio
     # f(0) / f_0, so num, a positive multiple of T, stands in for it
     num = [0] * (n + 1)
     den = 1
     best: int | None = None
-    seen_since_improved = 0
     # column x of a kernel row holds K_c(x - 1), so column d holds K_c(d - 1)
     for c, row in enumerate(rows.adjacent(m)):
         norm = comb(m, c) * (q - 1) ** c
@@ -110,26 +102,19 @@ def _branch_min(
         widen, step = common // den, common // norm * row[d]
         num = [v * widen + r * step for v, r in zip(num, row)]
         den = common
-        f = [factor[x] * num[x] * num[x] for x in range(n + 1)]
-        if f[0] <= 0:
-            continue
-        g = [weights[x] * f[x] for x in range(n + 1)]
+        # g[x] = w(x) f(x) with w(0) = 1, so g[0] = f(0) and sum(g) = q**n f_0
+        g = [w * v * v for w, v in zip(wf, num)]
         f0_sum = sum(g)
-        if f0_sum <= 0:
+        if g[0] <= 0 or f0_sum <= 0:
             continue
-        value = f[0] * qn // f0_sum
+        value = g[0] * qn // f0_sum
         if best is not None and value >= best:
-            # cannot improve the minimum, so feasibility need not be checked
-            seen_since_improved += 1
-            if seen_since_improved >= _PATIENCE:
-                break
-            continue
+            break
         # deg f <= 2c + 2, and expansions over the n + 1 points are complete
         # at degree n, so higher coefficients are identically zero
         if any(sum(map(mul, g, rows.row(i))) < 0 for i in range(1, min(2 * c + 2, n) + 1)):
             continue
         best = value
-        seen_since_improved = 0
     return best
 
 
@@ -144,15 +129,6 @@ def levenshtein_max_size(n: int, d: int, q: int) -> int:
         return trivial
     weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
     rows = _KrawtchoukRows(n, q)
-    odd = _branch_min(
-        n, d, q, n - 1,
-        [d - x for x in range(n + 1)],
-        weights, rows,
-    )
-    even = _branch_min(
-        n, d, q, n - 2,
-        [(d - x) * (n - x) for x in range(n + 1)],
-        weights, rows,
-    )
-    candidates = [v for v in (odd, even, trivial) if v is not None]
-    return min(candidates)
+    odd = _branch_min(rows, n - 1, d, [w * (d - x) for x, w in enumerate(weights)])
+    even = _branch_min(rows, n - 2, d, [w * (d - x) * (n - x) for x, w in enumerate(weights)])
+    return min(v for v in (odd, even, trivial) if v is not None)

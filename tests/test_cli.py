@@ -1,7 +1,12 @@
 """CLI surface: output formats, exit codes, determinism, golden-table diffing."""
 
+import contextlib
 import csv
+import hashlib
 import io
+import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,14 @@ class TestEval:
         assert rc == 2
         assert "alphabet" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--q", "1", "--n", "3", "--d", "5"), "alphabet size must be at least 2, got q=1"),
+        (("--q", "2", "--n=-3", "--d", "3"), "length must be positive, got n=-3"),
+    ])
+    def test_invalid_query_message(self, capsys, argv, message):
+        rc, out, err = run(capsys, "eval", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--q", "2"])
@@ -61,6 +74,16 @@ class TestTable:
                          "--d-range", "5..6", "--bounds", "g", "--format", "csv")
         assert rc == 0
         assert out == "q,n,d,griesmer\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--q", "1", "--n", "3", "--d", "5"), "alphabet size must be at least 2, got q=1"),
+        (("--q", "2", "--n-range=-3..2", "--d", "3"), "length must be positive, got n=-3"),
+    ])
+    def test_invalid_query_without_cells_exits_2(self, capsys, argv, message):
+        # every cell has d > n, so nothing is evaluated, yet the query is
+        # rejected with the message eval prints
+        rc, out, err = run(capsys, "table", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_csv_round_trip(self, capsys):
         rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "10..12",
@@ -182,3 +205,37 @@ class TestOracleCommands:
             "(n=5, k=3, d=5) refuted: confirmed\n"
             "5 refutations cross-checked, 1 contradictions\n"
         )
+
+
+CLI_DIGEST_COMMANDS = [
+    *(f"eval --q {q} --n {n} --d {d} --bounds all"
+      for q, n, d in [(2, 500, 95), (3, 160, 40), (5, 100, 30)]),
+    "table --q 2 --n-range 4..40 --d-range 3..25 --bounds all --format csv",
+    "table --q 5 --n-range 10..20 --d-range 3..20 --bounds all",
+    "table1 --block all --allow-documented",
+    "oracle refute-check --q 3 --n-max 6 --k-max 5 --d-max 6",
+]
+
+
+def cli_digests():
+    """sha256 of stdout and of stderr, and the exit code, per command."""
+    digests = {}
+    for cmd in CLI_DIGEST_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(shlex.split(cmd))
+        digests[cmd] = {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+                        "exit": rc}
+    return digests
+
+
+def test_outputs_match_pinned_digests():
+    """Byte-identity of stdout, stderr and exit code for CLI_DIGEST_COMMANDS,
+    against digests recorded before the Levenshtein scan lost its patience
+    constant.  The file was made from the repository root with
+
+    PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
+    """
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+    assert cli_digests() == pinned

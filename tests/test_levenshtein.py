@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+from fractions import Fraction
+from math import comb, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,42 @@ def test_values_match_pinned_digests():
         q, n = map(int, key.split("/"))
         values = "\n".join(str(levenshtein_max_size(n, d, q)) for d in range(1, n + 1))
         assert hashlib.sha256(values.encode()).hexdigest() == expected, key
+
+
+def _every_degree_reference(n, d, q):
+    """The bound over every degree of both branches, each candidate checked
+    against the definition: f(0) > 0, f(j) <= 0 for j = d..n, f_0 > 0 and
+    f_i >= 0 for i = 1..n.  The kernel is summed in Fractions; only the
+    Krawtchouk table is shared with the module (and checked above)."""
+    table = _KrawtchoukRows(n, q)
+    weighted = [[comb(n, x) * (q - 1) ** x * k for x, k in enumerate(table.row(i))]
+                for i in range(n + 1)]
+    best = q ** n
+    for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
+                      (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
+        kernel = [Fraction(0)] * (n + 1)
+        for c, row in enumerate(table.adjacent(m)):
+            a = Fraction(row[d], comb(m, c) * (q - 1) ** c)
+            kernel = [t + a * r for t, r in zip(kernel, row)]
+            scale = lcm(*(t.denominator for t in kernel))
+            f = [u * (t.numerator * (scale // t.denominator)) ** 2
+                 for u, t in zip(factor, kernel)]
+            f0 = sum(map(mul, f, weighted[0]))
+            if f[0] <= 0 or f0 <= 0 or f0 * best <= f[0] * q ** n:
+                continue  # not a candidate, or cannot lower the minimum
+            if all(v <= 0 for v in f[d:]) and all(
+                sum(map(mul, f, weighted[i])) >= 0 for i in range(1, n + 1)
+            ):
+                best = f[0] * q ** n // f0
+    return best
+
+
+@pytest.mark.parametrize("n,q,d_step", [(60, 2, 4), (80, 2, 4), (60, 3, 5), (45, 5, 6)])
+def test_stop_rule_matches_every_degree_scan(n, q, d_step):
+    # beyond the pinned grid: the scan stops at the first candidate that does
+    # not improve, the reference never stops
+    for d in range(3, n + 1, d_step):
+        assert levenshtein_max_size(n, d, q) == _every_degree_reference(n, d, q), (n, d, q)
 
 
 def test_invalid_queries_rejected():
