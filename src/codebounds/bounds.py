@@ -14,7 +14,7 @@ Everything here is stateless and pure; table sweeps may call in parallel.
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .exactmath import VARIANT_WEIGHT, VARIANTS, floor_log_q, sphere_volume
+from .exactmath import VARIANT_WEIGHT, VARIANTS, check_query, floor_log_q, sphere_volume
 from .levenshtein import levenshtein_max_size
 
 __all__ = [
@@ -55,15 +55,6 @@ BOUND_ALIASES = {
 }
 
 
-def _check_query(n: int, d: int, q: int) -> None:
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got q={q}")
-    if n < 1:
-        raise ValueError(f"length must be positive, got n={n}")
-    if not 1 <= d <= n:
-        raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
-
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """Outcome of one bound-A check at fixed (n, k, d, q).
@@ -92,10 +83,6 @@ class BoundResult:
     size_max: Optional[int] = None
     witness: Optional[int] = None
 
-    @property
-    def applicable(self) -> bool:
-        return self.k_max is not None
-
 
 def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> FeasibilityVerdict:
     """Test every admissible i of the counting inequality at fixed dimension k.
@@ -109,7 +96,7 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     The per-i terms are updated by ratio rather than recomputed, so a full
     check costs O(n) big-integer operations.
     """
-    _check_query(n, d, q)
+    check_query(n, d, q)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if k < 1:
@@ -117,38 +104,27 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     if k <= 2 or k >= n or d < 3:
         return FeasibilityVerdict(NOT_APPLICABLE)
 
+    # Both variants read rhs = outside * sum_{j=d-i..m} C(m, j) unit**j, with
+    # unit = q - 1 and outside = 1 ("weight"), or unit = 1 and outside =
+    # (q-1)**i ("literal").  As i rises the lower limit walks down, so the sum
+    # gains terms; term is its summand at the next j to add.
     m = n - k
-    i_max = (d - 1) // 2
-    lhs = k * (q - 1)  # C(k, 1)(q-1)**1
-
-    # Tail sums grow one term at a time as i rises: the lower limit d - i
-    # walks down from d - 1, and term tracks the summand at the current lower
-    # limit j (C(m, j)(q-1)**j for "weight", bare C(m, j) for "literal").
-    weighted = variant == VARIANT_WEIGHT
+    unit = q - 1 if variant == VARIANT_WEIGHT else 1
+    term = unit ** m
     tail = 0
-    term = None
     j = m
-    pw = q - 1  # (q-1)**i, literal variant only
-    for i in range(1, i_max + 1):
-        lo = d - i
-        if lo <= m:
-            if term is None:
-                term = (q - 1) ** m if weighted else 1  # summand at j = m
-                tail = term
-            while j > lo:
-                if weighted:
-                    term = term * j // ((m - j + 1) * (q - 1))
-                else:
-                    term = term * j // (m - j + 1)
-                j -= 1
-                tail += term
-            rhs = tail if weighted else pw * tail
-        else:
-            rhs = 0
+    outside = 1
+    lhs = k * (q - 1)  # C(k, 1)(q-1)**1
+    for i in range(1, (d - 1) // 2 + 1):
+        outside *= (q - 1) // unit
+        while j >= d - i:
+            tail += term
+            term = term * j // ((m - j + 1) * unit)
+            j -= 1
+        rhs = outside * tail
         if lhs > rhs:
             return FeasibilityVerdict(REFUTED, witness=i, lhs=lhs, rhs=rhs)
         lhs = lhs * (k - i) * (q - 1) // (i + 1)
-        pw *= q - 1
     return FeasibilityVerdict(FEASIBLE)
 
 
@@ -179,7 +155,7 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
     constrained, hence the floor of 2.  Refutation is monotone in k (the lhs
     grows, the tail shrinks), so the scan is a binary search.
     """
-    _check_query(n, d, q)
+    check_query(n, d, q)
     if d < 3:
         raise ValueError(f"bound A needs d >= 3, got d={d}")
     if n < 4:
@@ -189,7 +165,7 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:
     """Largest k >= 1 with sum_{i=0..k-1} ceil(d / q**i) <= n (linear codes)."""
-    _check_query(n, d, q)
+    check_query(n, d, q)
     total = 0
     k = 0
     power = 1
@@ -214,7 +190,7 @@ def singleton_max_k(n: int, d: int) -> int:
 
 def hamming_max_size(n: int, d: int, q: int) -> int:
     """Sphere-packing cap floor(q**n / V_q(n, (d-1)//2)) on the codeword count."""
-    _check_query(n, d, q)
+    check_query(n, d, q)
     t = (d - 1) // 2
     return q ** n // sphere_volume(n, t, q)
 
@@ -224,7 +200,7 @@ def plotkin_max_size(n: int, d: int, q: int) -> Optional[int]:
 
     Scaled by q: floor(qd / (qd - (q-1)n)), applicable iff qd > (q-1)n.
     """
-    _check_query(n, d, q)
+    check_query(n, d, q)
     excess = q * d - (q - 1) * n
     if excess <= 0:
         return None
@@ -243,7 +219,7 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     a*d*q**n / ((q*w*w - 2*a*w + a*d) * V_q(n, w)) for q*w <= a, and w is
     admissible when q*w*w - 2*a*w + a*d > 0.
     """
-    _check_query(n, d, q)
+    check_query(n, d, q)
     a = (q - 1) * n
     ad_qn = a * d * q ** n
     volume = 0
@@ -304,7 +280,7 @@ def best_upper_k(
     Results come back in deterministic (alphabetical) bound-id order; a bound
     that does not apply contributes a k_max of None without failing the query.
     """
-    _check_query(n, d, q)
+    check_query(n, d, q)
     selected = set(bounds)
     unknown = selected.difference(BOUND_IDS)
     if unknown:

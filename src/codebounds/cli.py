@@ -10,9 +10,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bounds import BOUND_ALIASES, BOUND_IDS, _check_query, bound_a_check, best_upper_k
-from .exactmath import VARIANTS, VARIANT_WEIGHT
-from .golden import BLOCKS, COMPETITOR_NAME, DOCUMENTED_ALLOWANCES, diff_table1
+from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
+from .exactmath import VARIANTS, VARIANT_WEIGHT, check_query
+from .golden import BLOCKS, DOCUMENTED_ALLOWANCES, diff_table1
 from .oracle import (
     DEFAULT_BUDGET,
     CONFIRMED,
@@ -83,20 +83,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _table_rows(args: argparse.Namespace, bounds: list[str]):
-    if args.n_range:
-        n_lo, n_hi = _parse_range(args.n_range, "--n-range")
-    elif args.n is not None:
+    # argparse admits exactly one of --n / --n-range, and of --d / --d-range
+    if args.n_range is None:
         n_lo = n_hi = args.n
     else:
-        raise ValueError("table needs --n or --n-range")
-    if args.d_range:
-        d_lo, d_hi = _parse_range(args.d_range, "--d-range")
-    elif args.d is not None:
+        n_lo, n_hi = _parse_range(args.n_range, "--n-range")
+    if args.d_range is None:
         d_lo = d_hi = args.d
     else:
-        raise ValueError("table needs --d or --d-range")
+        d_lo, d_hi = _parse_range(args.d_range, "--d-range")
     # q and the smallest n are checked even when every cell has d > n
-    _check_query(n_lo, 1, args.q)
+    check_query(n_lo, 1, args.q)
     for n in range(n_lo, n_hi + 1):
         for d in range(d_lo, d_hi + 1):
             if d > n:
@@ -133,7 +130,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     label = ",".join(b for b in BLOCKS if b in blocks)
     print(f"blocks {label}: {report.rows_checked} rows checked")
     for mm in report.mismatches + report.documented_allowances:
-        name = COMPETITOR_NAME[mm.row.block] if mm.column == "k_competitor" else "k_A"
+        name = f"k_{mm.row.block}" if mm.column == "k_competitor" else "k_A"
         documented = mm.key in DOCUMENTED_ALLOWANCES
         tag = " [documented]" if documented else ""
         print(f"  block {mm.row.block} q={mm.row.q} n={mm.row.n} d={mm.row.d}: "
@@ -191,10 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="sweep (n, d) ranges into a table")
     p_table.add_argument("--q", type=int, required=True)
-    p_table.add_argument("--n", type=int)
-    p_table.add_argument("--n-range", dest="n_range")
-    p_table.add_argument("--d", type=int)
-    p_table.add_argument("--d-range", dest="d_range")
+    n_arg = p_table.add_mutually_exclusive_group(required=True)
+    n_arg.add_argument("--n", type=int)
+    n_arg.add_argument("--n-range", dest="n_range")
+    d_arg = p_table.add_mutually_exclusive_group(required=True)
+    d_arg.add_argument("--d", type=int)
+    d_arg.add_argument("--d-range", dest="d_range")
     p_table.add_argument("--bounds", default="all")
     p_table.add_argument("--variant-a", choices=VARIANTS, default=VARIANT_WEIGHT)
     p_table.add_argument("--format", choices=("csv", "text", "records"), default="text")
@@ -239,7 +238,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

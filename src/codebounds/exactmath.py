@@ -11,6 +11,8 @@ number of threads.
 from math import comb, factorial
 
 __all__ = [
+    "check_alphabet",
+    "check_query",
     "binomial",
     "weight_count",
     "sphere_volume",
@@ -24,9 +26,19 @@ VARIANT_LITERAL = "literal"
 VARIANTS = (VARIANT_WEIGHT, VARIANT_LITERAL)
 
 
-def _check_alphabet(q: int) -> None:
+def check_alphabet(q: int) -> None:
+    """Reject an alphabet of fewer than two symbols."""
     if q < 2:
         raise ValueError(f"alphabet size must be at least 2, got q={q}")
+
+
+def check_query(n: int, d: int, q: int) -> None:
+    """Reject a query (length n, distance d, alphabet q) that no bound takes."""
+    check_alphabet(q)
+    if n < 1:
+        raise ValueError(f"length must be positive, got n={n}")
+    if not 1 <= d <= n:
+        raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
 
 
 def binomial(m: int, r: int) -> int:
@@ -42,7 +54,7 @@ def weight_count(m: int, j: int, q: int) -> int:
     Equals C(m, j) * (q-1)**j: choose the support, then a nonzero symbol per
     position.
     """
-    _check_alphabet(q)
+    check_alphabet(q)
     if j < 0:
         raise ValueError(f"weight must be nonnegative, got {j}")
     return comb(m, j) * (q - 1) ** j
@@ -50,7 +62,7 @@ def weight_count(m: int, j: int, q: int) -> int:
 
 def sphere_volume(n: int, r: int, q: int) -> int:
     """Number of q-ary words within Hamming distance r of a fixed word."""
-    _check_alphabet(q)
+    check_alphabet(q)
     if r < 0 or r > n:
         raise ValueError(f"radius must satisfy 0 <= r <= n, got r={r}, n={n}")
     return sum(weight_count(n, j, q) for j in range(r + 1))
@@ -67,7 +79,7 @@ def tail_mass(m: int, lo: int, q: int, variant: str = VARIANT_WEIGHT, i: int = 0
     reading and callers need to compare them.  An empty range (lo > m)
     gives 0.
     """
-    _check_alphabet(q)
+    check_alphabet(q)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if i < 0:
@@ -94,7 +106,7 @@ def krawtchouk(n: int, q: int, k: int, x: int) -> int:
     K_k(x) = sum_j (-1)**j C(x, j) C(n-x, k-j) (q-1)**(k-j).  The binomials
     are evaluated as polynomials in x, so any integer point is accepted.
     """
-    _check_alphabet(q)
+    check_alphabet(q)
     if not 0 <= k <= n:
         raise ValueError(f"degree must satisfy 0 <= k <= n, got k={k}, n={n}")
     total = 0
@@ -106,7 +118,7 @@ def krawtchouk(n: int, q: int, k: int, x: int) -> int:
 
 def floor_log_q(M: int, q: int) -> int:
     """Largest k with q**k <= M.  M must be at least 1."""
-    _check_alphabet(q)
+    check_alphabet(q)
     if M < 1:
         raise ValueError(f"floor_log_q is undefined for M < 1, got M={M}")
     # climb by repeated squaring, then refine

@@ -47,8 +47,6 @@ __all__ = [
 
 BLOCKS = ("g", "h", "l", "e")
 
-COMPETITOR_NAME = {"g": "k_g", "h": "k_h", "l": "k_l", "e": "k_e"}
-
 
 @dataclass(frozen=True)
 class TableRow:

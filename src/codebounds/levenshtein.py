@@ -41,6 +41,8 @@ from collections.abc import Iterator
 from math import comb, lcm
 from operator import mul
 
+from .exactmath import check_query
+
 __all__ = ["levenshtein_max_size"]
 
 
@@ -120,10 +122,7 @@ def _branch_min(rows: _KrawtchoukRows, m: int, d: int, wf: list[int]) -> int | N
 
 def levenshtein_max_size(n: int, d: int, q: int) -> int:
     """Exact upper bound on the number of codewords of a q-ary (n, d) code."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got q={q}")
-    if not 1 <= d <= n:
-        raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
+    check_query(n, d, q)
     trivial = q ** n
     if n < 3 or d == 1:
         return trivial

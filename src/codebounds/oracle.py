@@ -25,12 +25,13 @@ linear phase also counts the entries of its message-by-column table.
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from math import isqrt
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .bounds import bound_a_check
-from .exactmath import VARIANT_WEIGHT, floor_log_q
+from .exactmath import VARIANT_WEIGHT, check_alphabet, floor_log_q
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -60,15 +61,17 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when an exhaustive sweep would exceed the code budget."""
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
+def _check_systematic(n: int, k: int, q: int) -> None:
+    check_alphabet(q)
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+
+
+def _check_linear(n: int, k: int, q: int) -> None:
+    """A prime alphabet, for arithmetic mod q, and 1 <= k < n."""
+    if q < 2 or any(q % f == 0 for f in range(2, isqrt(q) + 1)):
+        raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
+    _check_systematic(n, k, q)
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,7 @@ class Word:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got q={self.q}")
+        check_alphabet(self.q)
         if any(not 0 <= s < self.q for s in self.symbols):
             raise ValueError(f"symbols must lie in [0, {self.q})")
 
@@ -198,10 +200,7 @@ class StandardFormGenerator:
     tail: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.q):
-            raise ValueError(f"generator arithmetic needs a prime alphabet, got q={self.q}")
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        _check_linear(self.n, self.k, self.q)
         if len(self.tail) != self.k or any(len(r) != self.n - self.k for r in self.tail):
             raise ValueError("tail must be a k x (n-k) matrix")
         if any(not 0 <= e < self.q for r in self.tail for e in r):
@@ -221,12 +220,15 @@ class StandardFormGenerator:
         return Code(self.q, self.n, words, systematic_k=self.k, linear=True)
 
 
-def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(value % base)
-        value //= base
-    return tuple(reversed(out))
+def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The k x m tail matrix whose entries, read row-major, are the base-q
+    digits of index, most significant first."""
+    flat = []
+    for _ in range(k * m):
+        index, digit = divmod(index, q)
+        flat.append(digit)
+    flat.reverse()
+    return tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(k))
 
 
 def _within_budget(exponent: int, q: int, budget: int) -> bool:
@@ -254,18 +256,12 @@ def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
 def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every standard-form linear code, one per tail matrix, in
     ascending mixed-radix order of the tail entries."""
-    if not _is_prime(q):
-        raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_linear(n, k, q)
     count = _linear_count_within(n, k, q, budget)
-    m = n - k
 
     def gen() -> Iterator[Code]:
         for idx in range(count):
-            flat = _digits(idx, q, k * m)
-            tail = tuple(flat[r * m:(r + 1) * m] for r in range(k))
-            yield StandardFormGenerator(q, k, n, tail).code()
+            yield StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q)).code()
 
     return gen()
 
@@ -332,28 +328,19 @@ def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) 
     Besides the codes, the search holds one entry per nonzero message and
     column, (q**k - 1) x q**k in all, and that count must fit in the budget too.
     """
-    if not _is_prime(q):
-        raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_linear(n, k, q)
     _linear_count_within(n, k, q, budget)
     if (q ** k - 1) * q ** k > budget:
         raise EnumerationBudgetError(
             f"the search's {q ** k - 1} x {q ** k} message-by-column table exceeds the budget of {budget}"
         )
-    m = n - k
     d, idx = _best_d_vectorized(n, k, q)
-    flat = _digits(idx, q, k * m)
-    tail = tuple(flat[r * m:(r + 1) * m] for r in range(k))
-    return d, StandardFormGenerator(q, k, n, tail)
+    return d, StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q))
 
 
 def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every systematic code: one tail choice per message prefix."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got q={q}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_systematic(n, k, q)
     m = n - k
     if not _nonlinear_within(n, k, q, budget):
         raise EnumerationBudgetError(

@@ -20,6 +20,7 @@ from codebounds.bounds import (
     singleton_max_k,
 )
 from codebounds.exactmath import floor_log_q, sphere_volume, tail_mass, weight_count
+from codebounds.levenshtein import levenshtein_max_size
 
 
 def naive_bound_a_check(n, k, d, q, variant="weight"):
@@ -314,6 +315,22 @@ class TestMonotonicity:
                     a = bound_a_check(n, k, d, 2, "weight")
                     b = bound_a_check(n, k, d, 2, "literal")
                     assert (a.status, a.witness, a.lhs, a.rhs) == (b.status, b.witness, b.lhs, b.rhs)
+
+
+@pytest.mark.parametrize("n,d,q,message", [
+    (5, 3, 1, "alphabet size must be at least 2, got q=1"),
+    (0, 1, 2, "length must be positive, got n=0"),
+    (5, 0, 2, "distance must satisfy 1 <= d <= n, got d=0, n=5"),
+    (5, 6, 2, "distance must satisfy 1 <= d <= n, got d=6, n=5"),
+])
+def test_query_check_shared(n, d, q, message):
+    # one check serves the query, the Levenshtein bound and bound A alike
+    for call in (lambda: best_upper_k(n, d, q),
+                 lambda: levenshtein_max_size(n, d, q),
+                 lambda: bound_a_check(n, 3, d, q)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_hamming_never_below_oracle_truth():

@@ -5,13 +5,18 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from codebounds import oracle
 from codebounds.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -84,6 +89,22 @@ class TestTable:
         # rejected with the message eval prints
         rc, out, err = run(capsys, "table", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--n", "5", "--n-range", "3..4", "--d", "3"), "argument --n-range: not allowed with argument --n"),
+        (("--n", "5", "--d", "3", "--d-range", "3..4"), "argument --d-range: not allowed with argument --d"),
+        (("--d", "3"), "one of the arguments --n --n-range is required"),
+        (("--n-range", "3..4"), "one of the arguments --d --d-range is required"),
+    ])
+    def test_conflicting_or_missing_flags_exit_2(self, capsys, argv, message):
+        # argparse rejects these before any row is printed, instead of one
+        # flag of a pair being dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--q", "2", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
 
     def test_csv_round_trip(self, capsys):
         rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "10..12",
@@ -205,6 +226,33 @@ class TestOracleCommands:
             "(n=5, k=3, d=5) refuted: confirmed\n"
             "5 refutations cross-checked, 1 contradictions\n"
         )
+
+
+def _python(*args):
+    """Run a fresh interpreter with the package importable from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+class TestEntryPoints:
+    def test_package_root(self):
+        # the root re-exports three names from bounds and loads no oracle,
+        # hence no numpy
+        proc = _python("-c", (
+            "import json, sys, types, codebounds;"
+            "print(json.dumps([sorted(k for k, v in vars(codebounds).items()"
+            " if not k.startswith('_') and not isinstance(v, types.ModuleType)),"
+            " isinstance(codebounds.__version__, str),"
+            " [m for m in ('numpy', 'codebounds.oracle') if m in sys.modules]]))"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["BOUND_IDS", "BoundResult", "best_upper_k"], True, []]
+
+    def test_python_m_matches_main(self, capsys):
+        argv = ("eval", "--q", "2", "--n", "20", "--d", "4", "--bounds", "griesmer,a")
+        proc = _python("-m", "codebounds", *argv)
+        rc, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
 
 
 CLI_DIGEST_COMMANDS = [

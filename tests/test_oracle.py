@@ -117,6 +117,20 @@ class TestEnumerations:
         with pytest.raises(ValueError):
             enumerate_linear_systematic(5, 2, 4)
 
+    @pytest.mark.parametrize("k,q,message", [
+        *((2, q, f"linear enumeration needs a prime alphabet, got q={q}") for q in (1, 4, 9)),
+        *((k, 2, f"need 1 <= k < n, got k={k}, n=4") for k in (0, 4)),
+    ])
+    def test_linear_checks_shared(self, k, q, message):
+        # one check serves the search and the generator alike
+        n = 4
+        tail = tuple((0,) * (n - k) for _ in range(k))
+        for call in (lambda: best_linear_d_witness(n, k, q),
+                     lambda: StandardFormGenerator(q, k, n, tail)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
     def test_nonlinear_counts(self):
         assert sum(1 for _ in enumerate_systematic_nonlinear(3, 2, 2)) == 16
         assert sum(1 for _ in enumerate_systematic_nonlinear(4, 2, 2)) == 256
