@@ -14,7 +14,8 @@ Everything here is stateless and pure; table sweeps may call in parallel.
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .exactmath import VARIANT_WEIGHT, VARIANTS, check_query, floor_log_q, sphere_volume
+from .exactmath import (VARIANT_WEIGHT, check_distance, check_query, check_variant,
+                        floor_log_q, sphere_volume)
 from .levenshtein import levenshtein_max_size
 
 __all__ = [
@@ -97,8 +98,7 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     check costs O(n) big-integer operations.
     """
     check_query(n, d, q)
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    check_variant(variant)
     if k < 1:
         raise ValueError(f"dimension must be positive, got k={k}")
     if k <= 2 or k >= n or d < 3:
@@ -183,8 +183,7 @@ def griesmer_max_k(n: int, d: int, q: int) -> int:
 
 def singleton_max_k(n: int, d: int) -> int:
     """k <= n - d + 1 for any code."""
-    if not 1 <= d <= n:
-        raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
+    check_distance(n, d)
     return n - d + 1
 
 
@@ -243,29 +242,26 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
 
 
 def _eval_bound(bound_id: str, n: int, d: int, q: int, variant: str) -> BoundResult:
+    """One known bound id at a checked query.  The size bounds share one
+    result: a codeword cap M gives the dimension cap floor(log_q M)."""
     if bound_id == "a":
-        if d < 3 or n < 4:
-            return BoundResult("a", None)
-        return BoundResult("a", bound_a_max_k(n, d, q, variant))
+        return BoundResult("a", bound_a_max_k(n, d, q, variant) if d >= 3 and n >= 4 else None)
     if bound_id == "griesmer":
         return BoundResult("griesmer", griesmer_max_k(n, d, q))
     if bound_id == "singleton":
         return BoundResult("singleton", singleton_max_k(n, d))
+    w = None
     if bound_id == "hamming":
         size = hamming_max_size(n, d, q)
-        return BoundResult("hamming", floor_log_q(size, q), size_max=size)
-    if bound_id == "plotkin":
+    elif bound_id == "plotkin":
         size = plotkin_max_size(n, d, q)
-        if size is None:
-            return BoundResult("plotkin", None)
-        return BoundResult("plotkin", floor_log_q(size, q), size_max=size)
-    if bound_id == "elias":
+    elif bound_id == "elias":
         size, w = elias_max_size(n, d, q)
-        return BoundResult("elias", floor_log_q(size, q), size_max=size, witness=w)
-    if bound_id == "levenshtein":
+    else:
         size = levenshtein_max_size(n, d, q)
-        return BoundResult("levenshtein", floor_log_q(size, q), size_max=size)
-    raise ValueError(f"unknown bound id {bound_id!r}")
+    if size is None:  # Plotkin does not apply
+        return BoundResult(bound_id, None)
+    return BoundResult(bound_id, floor_log_q(size, q), size_max=size, witness=w)
 
 
 def best_upper_k(

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
 from .exactmath import VARIANTS, VARIANT_WEIGHT, check_query
-from .golden import BLOCKS, DOCUMENTED_ALLOWANCES, diff_table1
+from .golden import BLOCKS, diff_table1
 from .oracle import (
     DEFAULT_BUDGET,
     CONFIRMED,
@@ -29,21 +29,16 @@ def _parse_bounds(text: str) -> list[str]:
     out: list[str] = []
     for tok in text.split(","):
         tok = tok.strip().lower()
-        if not tok:
-            continue
         if tok == "all":
-            for b in BOUND_IDS:
-                if b not in out:
-                    out.append(b)
-            continue
-        tok = BOUND_ALIASES.get(tok, tok)
-        if tok not in BOUND_IDS:
-            raise ValueError(f"unknown bound {tok!r}; choose from {', '.join(BOUND_IDS)} or 'all'")
-        if tok not in out:
+            out.extend(BOUND_IDS)
+        elif tok:
+            tok = BOUND_ALIASES.get(tok, tok)
+            if tok not in BOUND_IDS:
+                raise ValueError(f"unknown bound {tok!r}; choose from {', '.join(BOUND_IDS)} or 'all'")
             out.append(tok)
     if not out:
         raise ValueError("no bounds selected")
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -57,6 +52,11 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     if lo_i > hi_i:
         raise ValueError(f"{flag} range is empty: {text}")
     return lo_i, hi_i
+
+
+def _span(single: Optional[int], text: Optional[str], flag: str) -> tuple[int, int]:
+    """The range a --x / --x-range pair selects; argparse admits exactly one."""
+    return (single, single) if text is None else _parse_range(text, flag)
 
 
 def _fmt_k(k: Optional[int]) -> str:
@@ -83,15 +83,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _table_rows(args: argparse.Namespace, bounds: list[str]):
-    # argparse admits exactly one of --n / --n-range, and of --d / --d-range
-    if args.n_range is None:
-        n_lo = n_hi = args.n
-    else:
-        n_lo, n_hi = _parse_range(args.n_range, "--n-range")
-    if args.d_range is None:
-        d_lo = d_hi = args.d
-    else:
-        d_lo, d_hi = _parse_range(args.d_range, "--d-range")
+    n_lo, n_hi = _span(args.n, args.n_range, "--n-range")
+    d_lo, d_hi = _span(args.d, args.d_range, "--d-range")
     # q and the smallest n are checked even when every cell has d > n
     check_query(n_lo, 1, args.q)
     for n in range(n_lo, n_hi + 1):
@@ -126,32 +119,32 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     blocks = set(BLOCKS) if args.block == "all" else {args.block}
-    report = diff_table1(blocks)
+    rows_checked, mismatches = diff_table1(blocks)
     label = ",".join(b for b in BLOCKS if b in blocks)
-    print(f"blocks {label}: {report.rows_checked} rows checked")
-    for mm in report.mismatches + report.documented_allowances:
+    print(f"blocks {label}: {rows_checked} rows checked")
+    for mm in mismatches:
         name = f"k_{mm.row.block}" if mm.column == "k_competitor" else "k_A"
-        documented = mm.key in DOCUMENTED_ALLOWANCES
-        tag = " [documented]" if documented else ""
+        tag = "" if mm.note is None else " [documented]"
         print(f"  block {mm.row.block} q={mm.row.q} n={mm.row.n} d={mm.row.d}: "
               f"{name} expected {mm.expected}, computed {mm.computed}{tag}")
-        if documented:
-            print(f"    note: {DOCUMENTED_ALLOWANCES[mm.key]}")
-    n_mm = len(report.mismatches)
-    n_doc = len(report.documented_allowances)
+        if mm.note is not None:
+            print(f"    note: {mm.note}")
+    n_doc = sum(mm.note is not None for mm in mismatches)
+    n_mm = len(mismatches) - n_doc
     print(f"mismatches: {n_mm} undocumented, {n_doc} documented")
-    return 0 if report.passes(args.allow_documented) else 1
+    return 1 if n_mm or (n_doc and not args.allow_documented) else 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.oracle_cmd == "best-d":
-        d, gen = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)
-        print(f"best minimum distance for ({args.n}, {args.k}) over q={args.q}: {d}")
-        print("witness tail matrix (rows):")
-        for row in gen.tail:
-            print("  " + "".join(str(e) for e in row))
-        return 0
-    # refute-check
+def _cmd_best_d(args: argparse.Namespace) -> int:
+    d, gen = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)
+    print(f"best minimum distance for ({args.n}, {args.k}) over q={args.q}: {d}")
+    print("witness tail matrix (rows):")
+    for row in gen.tail:
+        print("  " + "".join(str(e) for e in row))
+    return 0
+
+
+def _cmd_refute_check(args: argparse.Namespace) -> int:
     failures = 0
     checked = 0
     for n in range(4, args.n_max + 1):
@@ -211,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_best.add_argument("--n", type=int, required=True)
     p_best.add_argument("--k", type=int, required=True)
     p_best.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_best.set_defaults(func=_cmd_oracle)
+    p_best.set_defaults(func=_cmd_best_d)
     p_ref = oracle_sub.add_parser("refute-check", help="confirm every refutation in range")
     p_ref.add_argument("--q", type=int, required=True)
     p_ref.add_argument("--n-max", dest="n_max", type=int, required=True)
@@ -219,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("--d-max", dest="d_max", type=int, required=True)
     p_ref.add_argument("--variant-a", choices=VARIANTS, default=VARIANT_WEIGHT)
     p_ref.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_ref.set_defaults(func=_cmd_oracle)
+    p_ref.set_defaults(func=_cmd_refute_check)
     return parser
 
 
@@ -228,10 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (EnumerationBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,9 @@ from math import comb, factorial
 
 __all__ = [
     "check_alphabet",
+    "check_distance",
     "check_query",
+    "check_variant",
     "binomial",
     "weight_count",
     "sphere_volume",
@@ -32,13 +34,24 @@ def check_alphabet(q: int) -> None:
         raise ValueError(f"alphabet size must be at least 2, got q={q}")
 
 
+def check_distance(n: int, d: int) -> None:
+    """Reject a distance outside 1..n."""
+    if not 1 <= d <= n:
+        raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
+
+
 def check_query(n: int, d: int, q: int) -> None:
     """Reject a query (length n, distance d, alphabet q) that no bound takes."""
     check_alphabet(q)
     if n < 1:
         raise ValueError(f"length must be positive, got n={n}")
-    if not 1 <= d <= n:
-        raise ValueError(f"distance must satisfy 1 <= d <= n, got d={d}, n={n}")
+    check_distance(n, d)
+
+
+def check_variant(variant: str) -> None:
+    """Reject a reading of the tail mass other than the two in VARIANTS."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def binomial(m: int, r: int) -> int:
@@ -80,8 +93,7 @@ def tail_mass(m: int, lo: int, q: int, variant: str = VARIANT_WEIGHT, i: int = 0
     gives 0.
     """
     check_alphabet(q)
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    check_variant(variant)
     if i < 0:
         raise ValueError(f"systematic weight must be nonnegative, got {i}")
     lo = max(lo, 0)

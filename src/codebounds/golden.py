@@ -18,7 +18,7 @@ carried as documented allowances rather than silently patched:
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional
 
@@ -36,7 +36,6 @@ from .bounds import (  # noqa: F401
 
 __all__ = [
     "TableRow",
-    "DiffReport",
     "Mismatch",
     "BLOCKS",
     "DOCUMENTED_ALLOWANCES",
@@ -62,28 +61,17 @@ class TableRow:
 
 @dataclass(frozen=True)
 class Mismatch:
+    """One cell where exact recomputation differs from the published table.
+
+    note is the cell's entry in DOCUMENTED_ALLOWANCES, the reason the
+    published value differs, or None for a cell no allowance covers.
+    """
+
     row: TableRow
     column: str  # "k_competitor" | "k_A"
     expected: int
     computed: int
-
-    @property
-    def key(self) -> tuple:
-        return (self.row.block, self.row.q, self.row.n, self.row.d, self.column)
-
-
-@dataclass
-class DiffReport:
-    """Outcome of re-deriving reference rows: success means no mismatches."""
-
-    rows_checked: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
-    documented_allowances: list[Mismatch] = field(default_factory=list)
-
-    def passes(self, allow_documented: bool) -> bool:
-        if self.mismatches:
-            return False
-        return allow_documented or not self.documented_allowances
+    note: Optional[str] = None
 
 
 # (block, q, n, d, column) -> reason the published cell differs from exact
@@ -103,20 +91,11 @@ def load_table1() -> list[TableRow]:
     """Parse the embedded reference table."""
     text = resources.files(__package__).joinpath("table1.csv").read_text(encoding="utf-8")
     reader = csv.DictReader(text.splitlines())
-    expected_fields = ["block", "q", "n", "d", "k_competitor", "k_A"]
+    # the header names TableRow's fields in order; every field after block is an integer
+    expected_fields = [f.name for f in fields(TableRow)]
     if reader.fieldnames != expected_fields:
         raise ValueError(f"reference table header must be {','.join(expected_fields)}")
-    rows = []
-    for rec in reader:
-        rows.append(TableRow(
-            block=rec["block"],
-            q=int(rec["q"]),
-            n=int(rec["n"]),
-            d=int(rec["d"]),
-            k_competitor=int(rec["k_competitor"]),
-            k_A=int(rec["k_A"]),
-        ))
-    return rows
+    return [TableRow(rec["block"], *(int(rec[f]) for f in expected_fields[1:])) for rec in reader]
 
 
 def recompute_row(row: TableRow) -> tuple[int, int]:
@@ -130,24 +109,26 @@ def recompute_row(row: TableRow) -> tuple[int, int]:
     return k_max[competitor], k_max["a"]
 
 
-def diff_table1(blocks: Optional[set[str]] = None) -> DiffReport:
-    """Recompute every selected row and classify each differing cell as a
-    documented allowance or a plain mismatch."""
-    report = DiffReport()
+def diff_table1(blocks: Optional[set[str]] = None) -> tuple[int, list[Mismatch]]:
+    """Recompute every selected row (all blocks when blocks is None).
+
+    Returns the number of rows checked and every differing cell: first the
+    undocumented ones (note None), then those with a documented allowance,
+    each group in table order.  The table reproduces only when the list is
+    empty, or, if documented allowances are accepted, when every note is set.
+    """
+    rows_checked = 0
+    mismatches = []
     for row in load_table1():
         if blocks is not None and row.block not in blocks:
             continue
         competitor, k_a = recompute_row(row)
-        report.rows_checked += 1
+        rows_checked += 1
         for column, expected, computed in (
             ("k_competitor", row.k_competitor, competitor),
             ("k_A", row.k_A, k_a),
         ):
-            if expected == computed:
-                continue
-            mm = Mismatch(row, column, expected, computed)
-            if mm.key in DOCUMENTED_ALLOWANCES:
-                report.documented_allowances.append(mm)
-            else:
-                report.mismatches.append(mm)
-    return report
+            if expected != computed:
+                note = DOCUMENTED_ALLOWANCES.get((row.block, row.q, row.n, row.d, column))
+                mismatches.append(Mismatch(row, column, expected, computed, note))
+    return rows_checked, sorted(mismatches, key=lambda mm: mm.note is not None)

@@ -11,6 +11,7 @@ guarded by an explicit budget; a sweep that would exceed it raises rather
 than silently truncating, so soundness claims never rest on a partial scan.
 The budget must be at least 1.  The alphabet must be prime here
 (vector-space arithmetic mod q); the bound formulas themselves do not care.
+An alphabet larger than the budget is refused before the prime test.
 
 The refutation cross-check searches without building a code per candidate.
 Its linear phase computes the best distance and its first witness once per
@@ -231,14 +232,31 @@ def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(k))
 
 
-def _within_budget(exponent: int, q: int, budget: int) -> bool:
-    """Whether q**exponent codes fit in the budget."""
+def _check_budget(budget: int) -> None:
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+
+
+def _within_budget(exponent: int, q: int, budget: int) -> bool:
+    """Whether q**exponent codes fit in the budget."""
+    _check_budget(budget)
     return exponent <= floor_log_q(budget, q)
 
 
 def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
+    """The number q**(k(n-k)) of standard-form codes, once (n, k, q) passes
+    _check_linear and the count fits in the budget.
+
+    An alphabet larger than the budget is refused first, before the prime
+    test's trial division up to sqrt(q): with 1 <= k < n there are at least
+    q codes.
+    """
+    if q > budget:
+        _check_budget(budget)
+        raise EnumerationBudgetError(
+            f"enumerating at least q = {q} standard-form codes exceeds the budget of {budget}"
+        )
+    _check_linear(n, k, q)
     exponent = k * (n - k)
     if not _within_budget(exponent, q, budget):
         raise EnumerationBudgetError(
@@ -256,7 +274,6 @@ def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
 def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every standard-form linear code, one per tail matrix, in
     ascending mixed-radix order of the tail entries."""
-    _check_linear(n, k, q)
     count = _linear_count_within(n, k, q, budget)
 
     def gen() -> Iterator[Code]:
@@ -328,7 +345,6 @@ def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) 
     Besides the codes, the search holds one entry per nonzero message and
     column, (q**k - 1) x q**k in all, and that count must fit in the budget too.
     """
-    _check_linear(n, k, q)
     _linear_count_within(n, k, q, budget)
     if (q ** k - 1) * q ** k > budget:
         raise EnumerationBudgetError(

@@ -324,10 +324,24 @@ class TestMonotonicity:
     (5, 6, 2, "distance must satisfy 1 <= d <= n, got d=6, n=5"),
 ])
 def test_query_check_shared(n, d, q, message):
-    # one check serves the query, the Levenshtein bound and bound A alike
-    for call in (lambda: best_upper_k(n, d, q),
-                 lambda: levenshtein_max_size(n, d, q),
-                 lambda: bound_a_check(n, 3, d, q)):
+    # one check serves the query, the Levenshtein bound and bound A alike;
+    # Singleton, which takes no alphabet, shares its distance check
+    calls = [lambda: best_upper_k(n, d, q),
+             lambda: levenshtein_max_size(n, d, q),
+             lambda: bound_a_check(n, 3, d, q)]
+    if message.startswith("distance"):
+        calls.append(lambda: singleton_max_k(n, d))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_variant_check_shared():
+    # bound A and the tail mass reject an unknown variant with one message
+    message = "variant must be one of ('weight', 'literal'), got 'printed'"
+    for call in (lambda: bound_a_check(8, 3, 5, 3, "printed"),
+                 lambda: tail_mass(5, 3, 3, "printed", 1)):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message

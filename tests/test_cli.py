@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from codebounds import oracle
+from codebounds import golden, oracle
 from codebounds.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -168,6 +168,27 @@ class TestTable1:
         assert "72 rows checked" in out
         assert "mismatches: 0 undocumented, 3 documented" in out
 
+    def test_undocumented_cell_listed_first_and_fails(self, capsys, monkeypatch):
+        # a cell of the last block, with no allowance, is made to differ: it
+        # prints before the documented cells, carries no note, and no flag
+        # forgives it
+        target = next(r for r in golden.load_table1() if r.block == "e")
+        recompute = golden.recompute_row
+
+        def skewed(row):
+            competitor, k_a = recompute(row)
+            return (competitor + 1 if row == target else competitor), k_a
+
+        monkeypatch.setattr(golden, "recompute_row", skewed)
+        rc, out, _ = run(capsys, "table1", "--allow-documented")
+        assert rc == 1
+        lines = out.splitlines()
+        assert lines[1] == (f"  block e q={target.q} n={target.n} d={target.d}: "
+                            f"k_e expected {target.k_competitor}, "
+                            f"computed {target.k_competitor + 1}")
+        assert lines[2].endswith(" [documented]")
+        assert lines[-1] == "mismatches: 1 undocumented, 3 documented"
+
 
 class TestOracleCommands:
     def test_best_d(self, capsys):
@@ -228,11 +249,11 @@ class TestOracleCommands:
         )
 
 
-def _python(*args):
+def _python(*args, timeout=60):
     """Run a fresh interpreter with the package importable from src/."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
+                           env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 class TestEntryPoints:
@@ -248,6 +269,16 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [["BOUND_IDS", "BoundResult", "best_upper_k"], True, []]
 
+    def test_huge_prime_alphabet_refused_by_budget(self):
+        # trial division up to sqrt(q) would never end for this prime; run in
+        # a fresh interpreter so that a regression fails on the timeout
+        # instead of hanging the suite
+        proc = _python("-m", "codebounds", "oracle", "best-d", "--q",
+                       "1000000000000000000000000000057", "--n", "3", "--k", "1", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"budget" in proc.stderr
+
     def test_python_m_matches_main(self, capsys):
         argv = ("eval", "--q", "2", "--n", "20", "--d", "4", "--bounds", "griesmer,a")
         proc = _python("-m", "codebounds", *argv)
@@ -262,6 +293,11 @@ CLI_DIGEST_COMMANDS = [
     "table --q 5 --n-range 10..20 --d-range 3..20 --bounds all",
     "table1 --block all --allow-documented",
     "oracle refute-check --q 3 --n-max 6 --k-max 5 --d-max 6",
+    "table1 --block g",
+    "table1 --block h",
+    "table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv",
+    "eval --q 2 --n 20 --d 4 --bounds ,,",
+    "oracle best-d --q 2 --n 7 --k 4",
 ]
 
 
@@ -281,7 +317,9 @@ def cli_digests():
 def test_outputs_match_pinned_digests():
     """Byte-identity of stdout, stderr and exit code for CLI_DIGEST_COMMANDS,
     against digests recorded before the Levenshtein scan lost its patience
-    constant.  The file was made from the repository root with
+    constant; the last five commands were appended, and their digests
+    recorded, before table1's verdict and the oracle dispatch were merged
+    into one path each.  The file was made from the repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
     """

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_systematic_code
 
+from codebounds import oracle
 from codebounds.oracle import (
     CONFIRMED,
     Code,
@@ -130,6 +131,21 @@ class TestEnumerations:
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == message
+
+    def test_alphabet_over_budget_refused_before_prime_test(self, monkeypatch):
+        # q > budget means at least q > budget codes, so the search and the
+        # enumeration refuse it without running trial division up to sqrt(q)
+        def prime_test(*args):
+            raise AssertionError("prime test ran before the budget guard")
+
+        monkeypatch.setattr(oracle, "_check_linear", prime_test)
+        for call in (best_linear_d_witness, enumerate_linear_systematic):
+            with pytest.raises(EnumerationBudgetError) as exc:
+                call(3, 1, 11, budget=10)
+            assert str(exc.value) == (
+                "enumerating at least q = 11 standard-form codes exceeds the budget of 10")
+            with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
+                call(3, 1, 11, budget=0)
 
     def test_nonlinear_counts(self):
         assert sum(1 for _ in enumerate_systematic_nonlinear(3, 2, 2)) == 16
