@@ -11,15 +11,8 @@ import sys
 from typing import Optional, Sequence
 
 from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
-from .exactmath import VARIANTS, VARIANT_WEIGHT, check_query
+from .exactmath import DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError, check_query
 from .golden import BLOCKS, diff_table1
-from .oracle import (
-    DEFAULT_BUDGET,
-    CONFIRMED,
-    EnumerationBudgetError,
-    best_linear_d_witness,
-    refutation_crosscheck,
-)
 
 __all__ = ["main", "entry"]
 
@@ -136,6 +129,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_d(args: argparse.Namespace) -> int:
+    # the oracle, and numpy with it, loads only for the oracle commands
+    from .oracle import best_linear_d_witness
+
     d, gen = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)
     print(f"best minimum distance for ({args.n}, {args.k}) over q={args.q}: {d}")
     print("witness tail matrix (rows):")
@@ -144,7 +140,17 @@ def _cmd_best_d(args: argparse.Namespace) -> int:
     return 0
 
 
+def refutation_crosscheck(*args, **kwargs) -> str:
+    """oracle.refutation_crosscheck, loaded on first use.  It stays a name
+    of this module, which bench/tracer.py wraps to time the cross-checks."""
+    from .oracle import refutation_crosscheck
+
+    return refutation_crosscheck(*args, **kwargs)
+
+
 def _cmd_refute_check(args: argparse.Namespace) -> int:
+    from .oracle import CONFIRMED
+
     failures = 0
     checked = 0
     for n in range(4, args.n_max + 1):
@@ -216,9 +222,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_range_values(argv: Sequence[str]) -> list[str]:
+    """Write "--n-range -3..2" as "--n-range=-3..2", and likewise for
+    --d-range: argparse takes a value that starts with "-" and is not a
+    plain number for an option, and would never hand it to the range check."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--n-range", "--d-range") and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (EnumerationBudgetError, ValueError) as exc:

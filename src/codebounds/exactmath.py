@@ -11,6 +11,8 @@ number of threads.
 from math import comb, factorial
 
 __all__ = [
+    "DEFAULT_BUDGET",
+    "EnumerationBudgetError",
     "check_alphabet",
     "check_distance",
     "check_query",
@@ -26,6 +28,14 @@ __all__ = [
 VARIANT_WEIGHT = "weight"
 VARIANT_LITERAL = "literal"
 VARIANTS = (VARIANT_WEIGHT, VARIANT_LITERAL)
+
+# the oracle's enumeration budget, here so that the CLI can name it without
+# loading the oracle and numpy
+DEFAULT_BUDGET = 10_000_000
+
+
+class EnumerationBudgetError(RuntimeError):
+    """Raised when an exhaustive sweep would exceed the code budget."""
 
 
 def check_alphabet(q: int) -> None:

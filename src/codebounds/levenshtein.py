@@ -28,13 +28,46 @@ regardless of which degrees happen to verify.
 
 Each query builds one Krawtchouk table, the rows K_i(x) on n at x = 0..n.
 It serves the coefficient checks, and the kernel rows of both branches, on
-n - 1 and n - 2 at x - 1, are derived from it by two exact identities (see
-_KrawtchoukRows.adjacent), so no other recurrence is run.  The kernel is
-accumulated degree by degree as integer numerators over one running common
-denominator, with K_c(d - 1) read from the same kernel row.  Each branch
-scans degrees upward and stops at the first candidate whose bound is not
-below the best verified one; candidates before the first verified degree are
-all checked.
+m = n - 1 and n - 2 at x - 1, are derived from it by two exact identities
+(see _KrawtchoukRows.adjacent), so no other recurrence is run.  The kernel is
+accumulated degree by degree as integer numerators num = den * T over one
+running common denominator, with P_c = K_c(d - 1) read from the same row:
+each degree widens the old numerators by widen = den' / den and adds
+step = den' P_c / norm_c times the row, norm_c = C(m, c)(q-1)**c.
+
+Which degrees are candidates is read from four running sums, not from the
+n + 1 values of f.  Put N = m + 1, s = q - 1, rho_i = C(N, i) s**i, and let
+B_i be the coefficient of num on K_i(x) on N, so that a degree adds step to
+B_0..B_c.  Then
+
+    S0 = sum rho_i = K_c(-1) on m = row[0],
+    S1 = sum B_i rho_i = num[0],
+    S2 = sum B_i**2 rho_i,
+    TD = den * sum_j P_j**2 / norm_j,
+
+updated by S2 -> S2 widen**2 + step (2 S1 widen + step S0) and
+TD -> TD widen + step P_c.  With w_N(x) = C(N, x) s**x, orthogonality on N
+gives sum_x w_N(x) num(x)**2 = q**N S2, and as x w_N(x) = N s w_m(x - 1),
+the reproducing property of the kernel on m gives
+sum_x w_N(x) x num(x)**2 = N s q**(N-1) den TD.  Both branches reduce to
+the weight w_N times (d - x) (the even branch through (n - x) w(x) =
+n w_{n-1}(x)), so with F = 1 on the odd branch and F = n on the even one
+
+    f(0) = F d S1**2,   q**n f_0 = F q**(N-1) (d q S2 - N s den TD).
+
+A degree is a candidate iff S1 != 0 and d q S2 > N s den TD, and its value
+d S1**2 q**(n-N+1) // (d q S2 - N s den TD) is the same floored rational as
+f(0) q**n // (q**n f_0), so a degree costs O(1) big-integer operations beyond
+its kernel row, and f itself is built only for a candidate being checked.
+
+Each branch scans degrees upward and stops at the first candidate whose
+value is not below the best verified one.  Candidates whose values strictly
+decrease form a run, all below the best; a scan that checked each in turn
+would keep the last of the run that verifies, so the run is checked from its
+end backwards and the first that passes ends it.  Each check computes the
+coefficients f_i from the top degree (2c + 1 on the odd branch, 2c + 2 on
+the even one, capped at n) down to 1, where failing candidates fail first;
+every degree that sets a value has passed all of them.
 """
 
 from collections.abc import Iterator
@@ -87,37 +120,66 @@ class _KrawtchoukRows:
                 yield even
 
 
-def _branch_min(rows: _KrawtchoukRows, m: int, d: int, wf: list[int]) -> int | None:
-    """Minimum verified bound for one branch: kernel system on m, and wf the
-    weights times the branch factor f(x) / T(x)**2."""
+def _kernel_values(rows: _KrawtchoukRows, m: int, d: int) -> Iterator[tuple[list[int], int | None]]:
+    """Yield (num, value) for c = 0..m: num the kernel numerators at x = 0..n,
+    value = floor(f(0) q**n / (q**n f_0)) for a candidate, else None."""
     n, q = rows.n, rows.q
-    qn = q ** n
+    scale = d * q ** (n - m)
     # the kernel is T = num / den; f only enters through signs and the ratio
     # f(0) / f_0, so num, a positive multiple of T, stands in for it
     num = [0] * (n + 1)
     den = 1
-    best: int | None = None
+    s2 = td = 0
     # column x of a kernel row holds K_c(x - 1), so column d holds K_c(d - 1)
     for c, row in enumerate(rows.adjacent(m)):
         norm = comb(m, c) * (q - 1) ** c
         common = lcm(den, norm)
         widen, step = common // den, common // norm * row[d]
+        widened = num[0] * widen
         num = [v * widen + r * step for v, r in zip(num, row)]
         den = common
-        # g[x] = w(x) f(x) with w(0) = 1, so g[0] = f(0) and sum(g) = q**n f_0
-        g = [w * v * v for w, v in zip(wf, num)]
-        f0_sum = sum(g)
-        if g[0] <= 0 or f0_sum <= 0:
+        # each B_i, i <= c, becomes B_i * widen + step, and S0 = row[0],
+        # S1 = num[0]: S2 gains step * (2 * S1 * widen + step * S0)
+        s2 = s2 * widen * widen + step * (widened + num[0])
+        td = td * widen + step * row[d]
+        excess = d * q * s2 - (m + 1) * (q - 1) * den * td
+        yield num, scale * num[0] ** 2 // excess if num[0] and excess > 0 else None
+
+
+def _branch_min(rows: _KrawtchoukRows, m: int, d: int, wf: list[int]) -> int | None:
+    """Minimum verified bound for one branch: kernel system on m, and wf the
+    weights times the branch factor f(x) / T(x)**2."""
+    best: int | None = None
+    run: list[tuple[int, int, list[int]]] = []  # (value, c, num), values decreasing
+    for c, (num, value) in enumerate(_kernel_values(rows, m, d)):
+        if value is None:
             continue
-        value = g[0] * qn // f0_sum
+        if run and value < run[-1][0]:
+            run.append((value, c, num))
+            continue
+        best = _run_min(rows, m, wf, run, best)
         if best is not None and value >= best:
-            break
-        # deg f <= 2c + 2, and expansions over the n + 1 points are complete
-        # at degree n, so higher coefficients are identically zero
-        if any(sum(map(mul, g, rows.row(i))) < 0 for i in range(1, min(2 * c + 2, n) + 1)):
-            continue
-        best = value
+            return best
+        run = [(value, c, num)]
+    return _run_min(rows, m, wf, run, best)
+
+
+def _run_min(rows: _KrawtchoukRows, m: int, wf: list[int],
+             run: list[tuple[int, int, list[int]]], best: int | None) -> int | None:
+    """The value of the last candidate in run that verifies, else best."""
+    for value, c, num in reversed(run):
+        # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2),
+        # and expansions over the n + 1 points are complete at degree n, so
+        # higher coefficients are identically zero
+        if _coefficients_nonnegative(rows, [w * v * v for w, v in zip(wf, num)],
+                                     min(2 * c + rows.n - m, rows.n)):
+            return value
     return best
+
+
+def _coefficients_nonnegative(rows: _KrawtchoukRows, g: list[int], top: int) -> bool:
+    """Whether sum_x g[x] K_i(x) >= 0 for i = top down to 1."""
+    return all(sum(map(mul, g, rows.row(i))) >= 0 for i in range(top, 0, -1))
 
 
 def levenshtein_max_size(n: int, d: int, q: int) -> int:

@@ -32,7 +32,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bounds import bound_a_check
-from .exactmath import VARIANT_WEIGHT, check_alphabet, floor_log_q
+from .exactmath import (
+    DEFAULT_BUDGET,
+    VARIANT_WEIGHT,
+    EnumerationBudgetError,
+    check_alphabet,
+    floor_log_q,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -53,13 +59,7 @@ __all__ = [
     "CONFIRMED",
 ]
 
-DEFAULT_BUDGET = 10_000_000
-
 CONFIRMED = "confirmed"
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when an exhaustive sweep would exceed the code budget."""
 
 
 def _check_systematic(n: int, k: int, q: int) -> None:

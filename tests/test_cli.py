@@ -106,6 +106,17 @@ class TestTable:
         assert captured.out == ""
         assert captured.err.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--n-range", "-3..2", "--d", "3"), "length must be positive, got n=-3"),
+        (("--n", "5", "--d-range", "-1..3"), "distance must satisfy 1 <= d <= n, got d=-1, n=5"),
+        (("--n", "5", "--d-range", "-3..-5"), "--d-range range is empty: -3..-5"),
+    ])
+    def test_negative_range_start_reaches_range_check(self, capsys, argv, message):
+        # a value after --n-range or --d-range is read as the range even when
+        # it starts with "-", as the "--n-range=-3..2" form above is
+        rc, out, err = run(capsys, "table", "--q", "2", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_csv_round_trip(self, capsys):
         rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "10..12",
                          "--d-range", "3..4", "--bounds", "hamming,a", "--format", "csv")
@@ -268,6 +279,12 @@ class TestEntryPoints:
             " [m for m in ('numpy', 'codebounds.oracle') if m in sys.modules]]))"))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [["BOUND_IDS", "BoundResult", "best_upper_k"], True, []]
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # only the oracle commands need numpy, and they import it themselves
+        proc = _python("-c", "import sys, codebounds.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"
 
     def test_huge_prime_alphabet_refused_by_budget(self):
         # trial division up to sqrt(q) would never end for this prime; run in

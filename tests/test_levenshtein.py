@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from codebounds.exactmath import floor_log_q, krawtchouk
-from codebounds.levenshtein import _KrawtchoukRows, levenshtein_max_size
+from codebounds import levenshtein
+from codebounds.levenshtein import _KrawtchoukRows, _kernel_values, levenshtein_max_size
 from codebounds.oracle import best_linear_d
 
 
@@ -68,17 +69,81 @@ def test_recurrence_table_matches_direct_formula():
 
 
 def test_values_match_pinned_digests():
-    r"""Every bound for q in {2, 3, 5}, n in 3..40 and n = 120, all d, against
-    digests recorded with the earlier exhaustive degree scan.  The file was
-    made from the repository root with
+    r"""Bounds against digests recorded with earlier scans.  A key "q/n" pins
+    every d in 1..n; a key "q/n/lo..hi/step" pins d = lo, lo + step, .., hi.
+    The keys for q in {2, 3, 5}, n in 3..40 and n = 120 were made with the
+    exhaustive degree scan, from the repository root, by
 
     PYTHONPATH=src python -c 'import hashlib, json; from codebounds.levenshtein import levenshtein_max_size as L; print(json.dumps({f"{q}/{n}": hashlib.sha256("\n".join(str(L(n, d, q)) for d in range(1, n + 1)).encode()).hexdigest() for q in (2, 3, 5) for n in [*range(3, 41), 120]}, indent=1))' > tests/data/levenshtein_pin.json
+
+    and the keys for q in {4, 7, 8, 9}, n in 3..30, and "2/250/3..83/4" with
+    the same digest by the scan that built f and its sum at every degree,
+    before candidates were read from running sums.
     """
     pinned = json.loads((Path(__file__).parent / "data" / "levenshtein_pin.json").read_text())
     for key, expected in pinned.items():
-        q, n = map(int, key.split("/"))
-        values = "\n".join(str(levenshtein_max_size(n, d, q)) for d in range(1, n + 1))
+        q, n, *rest = key.split("/")
+        q, n = int(q), int(n)
+        if rest:
+            lo, hi = map(int, rest[0].split(".."))
+            ds = range(lo, hi + 1, int(rest[1]))
+        else:
+            ds = range(1, n + 1)
+        values = "\n".join(str(levenshtein_max_size(n, d, q)) for d in ds)
         assert hashlib.sha256(values.encode()).hexdigest() == expected, key
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_running_sums_match_direct_kernel_sum(q):
+    # at every degree of both branches: num is a positive multiple of the
+    # kernel summed here over one fixed denominator, and the candidate test
+    # and value read from the running sums equal those of f = wf * num**2
+    # summed over all n + 1 points
+    for n in range(3, 31):
+        table = _KrawtchoukRows(n, q)
+        weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+        for d in range(2, n + 1):
+            for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
+                              (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
+                wf = [w * f for w, f in zip(weights, factor)]
+                norms = [comb(m, c) * (q - 1) ** c for c in range(m + 1)]
+                scale = lcm(*norms)
+                kernel = [0] * (n + 1)
+                scanned = zip(table.adjacent(m), _kernel_values(table, m, d))
+                for c, (row, (num, value)) in enumerate(scanned):
+                    kernel = [t + scale // norms[c] * row[d] * r for t, r in zip(kernel, row)]
+                    assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
+                    assert all(v * kernel[d] == t * num[d] for v, t in zip(num, kernel)), (q, n, d, m, c)
+                    g = [w * v * v for w, v in zip(wf, num)]
+                    total = sum(g)
+                    direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
+                    assert value == direct, (q, n, d, m, c)
+
+
+def test_gate_builds_few_polynomials():
+    # at (500, 95, 2) only the minimum of each decreasing run is checked, each
+    # from its top coefficient down: a few f lists and about one full check
+    counts = {"f": 0, "sums": 0}
+    check = levenshtein._coefficients_nonnegative
+
+    class CountingRows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def row(self, i):
+            counts["sums"] += 1
+            return self.rows.row(i)
+
+    def counting_check(rows, g, top):
+        counts["f"] += 1
+        return check(CountingRows(rows), g, top)
+
+    levenshtein._coefficients_nonnegative = counting_check
+    try:
+        levenshtein_max_size(500, 95, 2)
+    finally:
+        levenshtein._coefficients_nonnegative = check
+    assert 1 <= counts["f"] <= 8 and counts["sums"] <= 300, counts
 
 
 def _every_degree_reference(n, d, q):
@@ -109,7 +174,7 @@ def _every_degree_reference(n, d, q):
     return best
 
 
-@pytest.mark.parametrize("n,q,d_step", [(60, 2, 4), (80, 2, 4), (60, 3, 5), (45, 5, 6)])
+@pytest.mark.parametrize("n,q,d_step", [(60, 2, 4), (80, 2, 4), (60, 3, 5), (45, 5, 6), (30, 4, 3)])
 def test_stop_rule_matches_every_degree_scan(n, q, d_step):
     # beyond the pinned grid: the scan stops at the first candidate that does
     # not improve, the reference never stops
