@@ -11,7 +11,8 @@ import sys
 from typing import Optional, Sequence
 
 from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
-from .exactmath import DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError, check_query
+from .exactmath import (DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError,
+                        check_alphabet, check_budget, check_query)
 from .golden import BLOCKS, diff_table1
 
 __all__ = ["main", "entry"]
@@ -151,6 +152,9 @@ def refutation_crosscheck(*args, **kwargs) -> str:
 def _cmd_refute_check(args: argparse.Namespace) -> int:
     from .oracle import CONFIRMED
 
+    # q and the budget are checked even when the box holds no refutation
+    check_alphabet(args.q)
+    check_budget(args.budget)
     failures = 0
     checked = 0
     for n in range(4, args.n_max + 1):

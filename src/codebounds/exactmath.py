@@ -1,27 +1,30 @@
-"""Exact counting primitives shared by every bound.
+"""Input checks and exact counting primitives shared by every layer.
 
-All values are plain Python integers (arbitrary precision); nothing here ever
-touches floating point, so results stay bit-exact for lengths in the hundreds
-where q**n has thousands of bits.
+Each input rule (alphabet, distance, query, tail-mass variant, enumeration
+budget) is checked by one function here, with one message, which every
+layer that takes that input calls.  The counting primitives work on plain
+Python integers (arbitrary precision); nothing here ever touches floating
+point, so results stay bit-exact for lengths in the hundreds where q**n has
+thousands of bits.
 
 Every function is a pure function of its arguments and safe to call from any
 number of threads.
 """
 
-from math import comb, factorial
+from math import comb
 
 __all__ = [
+    "VARIANT_WEIGHT",
+    "VARIANT_LITERAL",
+    "VARIANTS",
     "DEFAULT_BUDGET",
     "EnumerationBudgetError",
     "check_alphabet",
+    "check_budget",
     "check_distance",
     "check_query",
     "check_variant",
-    "binomial",
-    "weight_count",
     "sphere_volume",
-    "tail_mass",
-    "krawtchouk",
     "floor_log_q",
 ]
 
@@ -36,6 +39,12 @@ DEFAULT_BUDGET = 10_000_000
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when an exhaustive sweep would exceed the code budget."""
+
+
+def check_budget(budget: int) -> None:
+    """Reject an enumeration budget below one code."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
 
 
 def check_alphabet(q: int) -> None:
@@ -64,78 +73,12 @@ def check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def binomial(m: int, r: int) -> int:
-    """C(m, r), with the convention C(m, r) = 0 whenever r > m."""
-    if m < 0 or r < 0:
-        raise ValueError(f"binomial needs nonnegative arguments, got ({m}, {r})")
-    return comb(m, r)
-
-
-def weight_count(m: int, j: int, q: int) -> int:
-    """Number of length-m vectors of Hamming weight j over a q-ary alphabet.
-
-    Equals C(m, j) * (q-1)**j: choose the support, then a nonzero symbol per
-    position.
-    """
-    check_alphabet(q)
-    if j < 0:
-        raise ValueError(f"weight must be nonnegative, got {j}")
-    return comb(m, j) * (q - 1) ** j
-
-
 def sphere_volume(n: int, r: int, q: int) -> int:
     """Number of q-ary words within Hamming distance r of a fixed word."""
     check_alphabet(q)
     if r < 0 or r > n:
         raise ValueError(f"radius must satisfy 0 <= r <= n, got r={r}, n={n}")
-    return sum(weight_count(n, j, q) for j in range(r + 1))
-
-
-def tail_mass(m: int, lo: int, q: int, variant: str = VARIANT_WEIGHT, i: int = 0) -> int:
-    """Size of the tail set counted on the right-hand side of the dimension bound.
-
-    variant "weight" counts all length-m vectors of weight >= lo, i.e.
-    sum_{j=lo..m} C(m, j)(q-1)**j.  variant "literal" instead evaluates
-    (q-1)**i * sum_{j=lo..m} C(m, j), the printed form of the inequality in
-    which the exponent is the systematic weight i rather than the running
-    index j.  Both are exposed because only one of them can be the intended
-    reading and callers need to compare them.  An empty range (lo > m)
-    gives 0.
-    """
-    check_alphabet(q)
-    check_variant(variant)
-    if i < 0:
-        raise ValueError(f"systematic weight must be nonnegative, got {i}")
-    lo = max(lo, 0)
-    if lo > m:
-        return 0
-    if variant == VARIANT_WEIGHT:
-        return sum(comb(m, j) * (q - 1) ** j for j in range(lo, m + 1))
-    return (q - 1) ** i * sum(comb(m, j) for j in range(lo, m + 1))
-
-
-def _poly_binomial(y: int, j: int) -> int:
-    """C(y, j) as the degree-j polynomial y(y-1)...(y-j+1)/j!, any integer y."""
-    num = 1
-    for t in range(j):
-        num *= y - t
-    return num // factorial(j)
-
-
-def krawtchouk(n: int, q: int, k: int, x: int) -> int:
-    """Krawtchouk polynomial value K_k(x) for the q-ary Hamming scheme on n.
-
-    K_k(x) = sum_j (-1)**j C(x, j) C(n-x, k-j) (q-1)**(k-j).  The binomials
-    are evaluated as polynomials in x, so any integer point is accepted.
-    """
-    check_alphabet(q)
-    if not 0 <= k <= n:
-        raise ValueError(f"degree must satisfy 0 <= k <= n, got k={k}, n={n}")
-    total = 0
-    for j in range(k + 1):
-        term = _poly_binomial(x, j) * _poly_binomial(n - x, k - j) * (q - 1) ** (k - j)
-        total += -term if j & 1 else term
-    return total
+    return sum(comb(n, j) * (q - 1) ** j for j in range(r + 1))
 
 
 def floor_log_q(M: int, q: int) -> int:

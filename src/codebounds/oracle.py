@@ -1,13 +1,13 @@
-"""Brute-force ground truth at tiny scale.
+"""Exhaustive search at tiny scale: the ground truth behind bound A's refutations.
 
-Enumerates systematic codes (linear ones via standard-form generator matrices
-[I | T], nonlinear ones as arbitrary prefix-to-tail assignments), computes
-exact minimum distances, and checks the counting mechanics that the dimension
-bound rests on: translation invariance, and the injection from weight-i
-message prefixes to tails of weight >= d - i.
+Codes are systematic: linear ones come from standard-form generator matrices
+[I | T] (StandardFormGenerator), nonlinear ones are arbitrary prefix-to-tail
+assignments.  min_distance measures a Code, and refutation_crosscheck
+confirms a bound-A refutation by searching every systematic code at its
+(n, k, q).
 
-Enumerations are deterministic (tails in ascending mixed-radix order) and
-guarded by an explicit budget; a sweep that would exceed it raises rather
+Searches are deterministic (tails in ascending mixed-radix order) and
+guarded by an explicit budget; a search that would exceed it raises rather
 than silently truncating, so soundness claims never rest on a partial scan.
 The budget must be at least 1.  The alphabet must be prime here
 (vector-space arithmetic mod q); the bound formulas themselves do not care.
@@ -19,15 +19,15 @@ Its linear phase computes the best distance and its first witness once per
 complete depth-first search over prefix-to-tail assignments that skips only
 the partial assignments already holding a pair closer than d; it finds the
 same first code, in enumeration order, as scanning every systematic code.
-Both phases run under the same budget guards as the enumerations, and the
-linear phase also counts the entries of its message-by-column table.
+Both phases run under the budget guards, and the linear phase also counts
+the entries of its message-by-column table.
 """
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,25 +37,17 @@ from .exactmath import (
     VARIANT_WEIGHT,
     EnumerationBudgetError,
     check_alphabet,
+    check_budget,
     floor_log_q,
 )
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "EnumerationBudgetError",
     "Word",
     "Code",
     "StandardFormGenerator",
-    "hamming_distance",
-    "weight",
     "min_distance",
-    "enumerate_linear_systematic",
-    "best_linear_d",
-    "enumerate_systematic_nonlinear",
-    "translate_code",
-    "verify_injection_property",
+    "best_linear_d_witness",
     "refutation_crosscheck",
-    "InjectionReport",
     "CONFIRMED",
 ]
 
@@ -95,24 +87,8 @@ class Word:
         return sum(1 for s in self.symbols if s)
 
 
-def _check_compatible(u: Word, v: Word) -> None:
-    if len(u) != len(v) or u.q != v.q:
-        raise ValueError("words have mismatched length or alphabet")
-
-
 def _symbol_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def hamming_distance(u: Word, v: Word) -> int:
-    """Number of coordinates where u and v differ."""
-    _check_compatible(u, v)
-    return _symbol_distance(u.symbols, v.symbols)
-
-
-def weight(u: Word) -> int:
-    """Hamming weight: distance to the zero word."""
-    return u.weight
 
 
 @dataclass(frozen=True)
@@ -147,22 +123,6 @@ class Code:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, w: Word) -> bool:
-        return any(w.symbols == c.symbols and w.q == c.q for c in self.words)
-
-    @property
-    def contains_zero(self) -> bool:
-        return any(w.weight == 0 for w in self.words)
-
-    def distance_multiset(self) -> tuple[int, ...]:
-        """Sorted multiset of all pairwise distances."""
-        ws = self.words
-        return tuple(sorted(
-            hamming_distance(ws[a], ws[b])
-            for a in range(len(ws))
-            for b in range(a + 1, len(ws))
-        ))
 
 
 def min_distance(code: Code) -> int:
@@ -232,14 +192,9 @@ def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(k))
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-
-
 def _within_budget(exponent: int, q: int, budget: int) -> bool:
     """Whether q**exponent codes fit in the budget."""
-    _check_budget(budget)
+    check_budget(budget)
     return exponent <= floor_log_q(budget, q)
 
 
@@ -252,7 +207,7 @@ def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
     q codes.
     """
     if q > budget:
-        _check_budget(budget)
+        check_budget(budget)
         raise EnumerationBudgetError(
             f"enumerating at least q = {q} standard-form codes exceeds the budget of {budget}"
         )
@@ -269,18 +224,6 @@ def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
     """Whether all (q**(n-k))**(q**k) = q**((n-k) q**k) systematic codes fit
     in the budget."""
     return _within_budget((n - k) * q ** k, q, budget)
-
-
-def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
-    """Yield every standard-form linear code, one per tail matrix, in
-    ascending mixed-radix order of the tail entries."""
-    count = _linear_count_within(n, k, q, budget)
-
-    def gen() -> Iterator[Code]:
-        for idx in range(count):
-            yield StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q)).code()
-
-    return gen()
 
 
 @cache
@@ -333,11 +276,6 @@ def _best_d_vectorized(n: int, k: int, q: int) -> tuple[int, int]:
     return best_d, best_idx
 
 
-def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Best achievable minimum distance over all standard-form (n, k) codes."""
-    return best_linear_d_witness(n, k, q, budget)[0]
-
-
 def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, StandardFormGenerator]:
     """Best achievable minimum distance over all standard-form (n, k) codes,
     with the first generator (in enumeration order) that attains it.
@@ -354,35 +292,18 @@ def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) 
     return d, StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q))
 
 
-def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
-    """Yield every systematic code: one tail choice per message prefix."""
-    _check_systematic(n, k, q)
-    m = n - k
-    if not _nonlinear_within(n, k, q, budget):
-        raise EnumerationBudgetError(
-            f"enumerating (q**{m})**(q**{k}) systematic codes exceeds the budget of {budget}"
-        )
-    prefixes = _all_messages(k, q)
-    tails = _all_messages(m, q)
-
-    def gen() -> Iterator[Code]:
-        for assignment in product(tails, repeat=len(prefixes)):
-            words = tuple(Word(p + t, q) for p, t in zip(prefixes, assignment))
-            yield Code(q, n, words, systematic_k=k)
-
-    return gen()
-
-
 def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[Code]:
-    """The first code of enumerate_systematic_nonlinear(n, k, q) with minimum
-    distance >= d, or None when there is none.
+    """The first systematic code with minimum distance >= d, or None when
+    there is none.
 
-    Depth-first search assigning tails to prefixes in enumeration order,
-    each prefix trying tails in ascending order.  The distance of two words
-    is the prefix distance plus the tail distance, so a partial assignment
-    holding a pair a < b with P[a][b] + T[t_a][t_b] < d has no completion
-    reaching d; only those are skipped, so the search is complete.  No budget
-    check here: callers guard it like the enumeration.
+    Codes are ordered as their tuples of tails, one per prefix with the
+    prefixes in ascending order, compared lexicographically.  Depth-first
+    search assigning tails to prefixes in that order, each prefix trying
+    tails in ascending order.  The distance of two words is the prefix
+    distance plus the tail distance, so a partial assignment holding a pair
+    a < b with P[a][b] + T[t_a][t_b] < d has no completion reaching d; only
+    those are skipped, so the search is complete.  No budget check here:
+    callers check _nonlinear_within first.
     """
     prefixes = _all_messages(k, q)
     tails = _all_messages(n - k, q)
@@ -406,64 +327,6 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[Code]:
         return None
     words = tuple(Word(p + tails[t], q) for p, t in zip(prefixes, chosen))
     return Code(q, n, words, systematic_k=k)
-
-
-def translate_code(code: Code, t: Word) -> Code:
-    """Subtract t coordinate-wise (mod q) from every word.
-
-    Distances are translation invariant and the prefix projection stays a
-    bijection, so systematic_k is preserved.  The zero word appears in the
-    result exactly when t was a codeword.  Linearity of the word set is not
-    preserved in general, so the translated code always drops the shortcut
-    flag and is measured pairwise.
-    """
-    if len(t) != code.n or t.q != code.q:
-        raise ValueError("translation word has mismatched length or alphabet")
-    q = code.q
-    words = tuple(
-        Word(tuple((a - b) % q for a, b in zip(w.symbols, t.symbols)), q)
-        for w in code.words
-    )
-    return Code(q, code.n, words, systematic_k=code.systematic_k)
-
-
-@dataclass(frozen=True)
-class InjectionReport:
-    """Outcome of the prefix-to-tail injection check at one systematic weight."""
-
-    status: str  # "pass" | "not-applicable" | "counterexample"
-    offending: Optional[tuple[Word, ...]] = None
-
-
-def verify_injection_property(code: Code, i: int) -> InjectionReport:
-    """Check the two counting facts behind the dimension bound on one code.
-
-    Requires a systematic code containing the zero word.  Not applicable
-    unless the code's minimum distance d satisfies d >= 2i + 1.  Verifies
-    that (a) every codeword whose prefix has weight i carries a tail of
-    weight >= d - i, and (b) those codewords have pairwise distinct tails;
-    either failure comes back as a counterexample with the offending words.
-    """
-    if code.systematic_k is None:
-        raise ValueError("injection check needs a systematic code")
-    if i < 1:
-        raise ValueError(f"systematic weight must be positive, got {i}")
-    if not code.contains_zero:
-        raise ValueError("injection check needs the zero word in the code")
-    d = min_distance(code)
-    if d < 2 * i + 1:
-        return InjectionReport("not-applicable")
-    k = code.systematic_k
-    chosen = [w for w in code.words if sum(1 for s in w.symbols[:k] if s) == i]
-    seen: dict[tuple[int, ...], Word] = {}
-    for w in chosen:
-        tail = w.symbols[k:]
-        if sum(1 for s in tail if s) < d - i:
-            return InjectionReport("counterexample", (w,))
-        if tail in seen:
-            return InjectionReport("counterexample", (seen[tail], w))
-        seen[tail] = w
-    return InjectionReport("pass")
 
 
 def refutation_crosscheck(

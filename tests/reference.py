@@ -1,0 +1,240 @@
+"""Brute-force reference definitions that the package is checked against.
+
+The exact primitives are written here the slow, literal way: binomial and
+weight_count by their counting formulas, tail_mass in both readings of bound
+A's right-hand side, and krawtchouk as the explicit alternating sum.  The
+package's fast paths (bound A's incremental tail walk, the Krawtchouk row
+recurrence of the Levenshtein bound) are compared with them.
+
+The oracle references enumerate systematic codes one Code at a time: linear
+ones via standard-form generator matrices [I | T], nonlinear ones as
+arbitrary prefix-to-tail assignments.  With them the tests check the counting
+mechanics that the dimension bound rests on: translation invariance, and the
+injection from weight-i message prefixes to tails of weight >= d - i.
+Enumerations are deterministic (tails in ascending mixed-radix order) and
+guarded by the oracle's budget; a sweep that would exceed it raises rather
+than silently truncating.
+
+Every input rule comes from the package's shared guards, so no rule has a
+second copy here.  Nothing is imported from codebounds.bounds or
+codebounds.levenshtein, the code these definitions are the reference for.
+"""
+
+from dataclasses import dataclass
+from itertools import product
+from math import comb, factorial
+from typing import Iterator, Optional
+
+from codebounds.exactmath import (
+    DEFAULT_BUDGET,
+    VARIANT_WEIGHT,
+    EnumerationBudgetError,
+    check_alphabet,
+    check_variant,
+)
+from codebounds.oracle import (
+    Code,
+    StandardFormGenerator,
+    Word,
+    _all_messages,
+    _check_systematic,
+    _linear_count_within,
+    _nonlinear_within,
+    _tail_matrix,
+    best_linear_d_witness,
+    min_distance,
+)
+
+
+def binomial(m: int, r: int) -> int:
+    """C(m, r), with the convention C(m, r) = 0 whenever r > m."""
+    if m < 0 or r < 0:
+        raise ValueError(f"binomial needs nonnegative arguments, got ({m}, {r})")
+    return comb(m, r)
+
+
+def weight_count(m: int, j: int, q: int) -> int:
+    """Number of length-m vectors of Hamming weight j over a q-ary alphabet.
+
+    Equals C(m, j) * (q-1)**j: choose the support, then a nonzero symbol per
+    position.
+    """
+    check_alphabet(q)
+    if j < 0:
+        raise ValueError(f"weight must be nonnegative, got {j}")
+    return comb(m, j) * (q - 1) ** j
+
+
+def tail_mass(m: int, lo: int, q: int, variant: str = VARIANT_WEIGHT, i: int = 0) -> int:
+    """Size of the tail set counted on the right-hand side of the dimension bound.
+
+    variant "weight" counts all length-m vectors of weight >= lo, i.e.
+    sum_{j=lo..m} C(m, j)(q-1)**j.  variant "literal" instead evaluates
+    (q-1)**i * sum_{j=lo..m} C(m, j), the printed form of the inequality in
+    which the exponent is the systematic weight i rather than the running
+    index j.  An empty range (lo > m) gives 0.
+    """
+    check_alphabet(q)
+    check_variant(variant)
+    if i < 0:
+        raise ValueError(f"systematic weight must be nonnegative, got {i}")
+    lo = max(lo, 0)
+    if lo > m:
+        return 0
+    if variant == VARIANT_WEIGHT:
+        return sum(comb(m, j) * (q - 1) ** j for j in range(lo, m + 1))
+    return (q - 1) ** i * sum(comb(m, j) for j in range(lo, m + 1))
+
+
+def _poly_binomial(y: int, j: int) -> int:
+    """C(y, j) as the degree-j polynomial y(y-1)...(y-j+1)/j!, any integer y."""
+    num = 1
+    for t in range(j):
+        num *= y - t
+    return num // factorial(j)
+
+
+def krawtchouk(n: int, q: int, k: int, x: int) -> int:
+    """Krawtchouk polynomial value K_k(x) for the q-ary Hamming scheme on n.
+
+    K_k(x) = sum_j (-1)**j C(x, j) C(n-x, k-j) (q-1)**(k-j).  The binomials
+    are evaluated as polynomials in x, so any integer point is accepted.
+    """
+    check_alphabet(q)
+    if not 0 <= k <= n:
+        raise ValueError(f"degree must satisfy 0 <= k <= n, got k={k}, n={n}")
+    total = 0
+    for j in range(k + 1):
+        term = _poly_binomial(x, j) * _poly_binomial(n - x, k - j) * (q - 1) ** (k - j)
+        total += -term if j & 1 else term
+    return total
+
+
+def _check_compatible(u: Word, v: Word) -> None:
+    if len(u) != len(v) or u.q != v.q:
+        raise ValueError("words have mismatched length or alphabet")
+
+
+def hamming_distance(u: Word, v: Word) -> int:
+    """Number of coordinates where u and v differ."""
+    _check_compatible(u, v)
+    return sum(1 for a, b in zip(u.symbols, v.symbols) if a != b)
+
+
+def weight(u: Word) -> int:
+    """Hamming weight: distance to the zero word."""
+    return u.weight
+
+
+def contains(code: Code, w: Word) -> bool:
+    """Whether w is a word of the code."""
+    return any(w.symbols == c.symbols and w.q == c.q for c in code.words)
+
+
+def contains_zero(code: Code) -> bool:
+    """Whether the zero word is a word of the code."""
+    return any(w.weight == 0 for w in code.words)
+
+
+def distance_multiset(code: Code) -> tuple[int, ...]:
+    """Sorted multiset of all pairwise distances."""
+    ws = code.words
+    return tuple(sorted(
+        hamming_distance(ws[a], ws[b])
+        for a in range(len(ws))
+        for b in range(a + 1, len(ws))
+    ))
+
+
+def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
+    """Yield every standard-form linear code, one per tail matrix, in
+    ascending mixed-radix order of the tail entries."""
+    count = _linear_count_within(n, k, q, budget)
+
+    def gen() -> Iterator[Code]:
+        for idx in range(count):
+            yield StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q)).code()
+
+    return gen()
+
+
+def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Best achievable minimum distance over all standard-form (n, k) codes."""
+    return best_linear_d_witness(n, k, q, budget)[0]
+
+
+def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
+    """Yield every systematic code: one tail choice per message prefix."""
+    _check_systematic(n, k, q)
+    m = n - k
+    if not _nonlinear_within(n, k, q, budget):
+        raise EnumerationBudgetError(
+            f"enumerating (q**{m})**(q**{k}) systematic codes exceeds the budget of {budget}"
+        )
+    prefixes = _all_messages(k, q)
+    tails = _all_messages(m, q)
+
+    def gen() -> Iterator[Code]:
+        for assignment in product(tails, repeat=len(prefixes)):
+            words = tuple(Word(p + t, q) for p, t in zip(prefixes, assignment))
+            yield Code(q, n, words, systematic_k=k)
+
+    return gen()
+
+
+def translate_code(code: Code, t: Word) -> Code:
+    """Subtract t coordinate-wise (mod q) from every word.
+
+    Distances are translation invariant and the prefix projection stays a
+    bijection, so systematic_k is preserved.  The zero word appears in the
+    result exactly when t was a codeword.  Linearity of the word set is not
+    preserved in general, so the translated code always drops the shortcut
+    flag and is measured pairwise.
+    """
+    if len(t) != code.n or t.q != code.q:
+        raise ValueError("translation word has mismatched length or alphabet")
+    q = code.q
+    words = tuple(
+        Word(tuple((a - b) % q for a, b in zip(w.symbols, t.symbols)), q)
+        for w in code.words
+    )
+    return Code(q, code.n, words, systematic_k=code.systematic_k)
+
+
+@dataclass(frozen=True)
+class InjectionReport:
+    """Outcome of the prefix-to-tail injection check at one systematic weight."""
+
+    status: str  # "pass" | "not-applicable" | "counterexample"
+    offending: Optional[tuple[Word, ...]] = None
+
+
+def verify_injection_property(code: Code, i: int) -> InjectionReport:
+    """Check the two counting facts behind the dimension bound on one code.
+
+    Requires a systematic code containing the zero word.  Not applicable
+    unless the code's minimum distance d satisfies d >= 2i + 1.  Verifies
+    that (a) every codeword whose prefix has weight i carries a tail of
+    weight >= d - i, and (b) those codewords have pairwise distinct tails;
+    either failure comes back as a counterexample with the offending words.
+    """
+    if code.systematic_k is None:
+        raise ValueError("injection check needs a systematic code")
+    if i < 1:
+        raise ValueError(f"systematic weight must be positive, got {i}")
+    if not contains_zero(code):
+        raise ValueError("injection check needs the zero word in the code")
+    d = min_distance(code)
+    if d < 2 * i + 1:
+        return InjectionReport("not-applicable")
+    k = code.systematic_k
+    chosen = [w for w in code.words if sum(1 for s in w.symbols[:k] if s) == i]
+    seen: dict[tuple[int, ...], Word] = {}
+    for w in chosen:
+        tail = w.symbols[k:]
+        if sum(1 for s in tail if s) < d - i:
+            return InjectionReport("counterexample", (w,))
+        if tail in seen:
+            return InjectionReport("counterexample", (seen[tail], w))
+        seen[tail] = w
+    return InjectionReport("pass")

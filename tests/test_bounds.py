@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from reference import enumerate_linear_systematic, tail_mass, weight_count
 
 from codebounds.bounds import (
     FEASIBLE,
@@ -19,8 +20,9 @@ from codebounds.bounds import (
     plotkin_max_size,
     singleton_max_k,
 )
-from codebounds.exactmath import floor_log_q, sphere_volume, tail_mass, weight_count
+from codebounds.exactmath import floor_log_q, sphere_volume
 from codebounds.levenshtein import levenshtein_max_size
+from codebounds.oracle import min_distance
 
 
 def naive_bound_a_check(n, k, d, q, variant="weight"):
@@ -349,8 +351,6 @@ def test_variant_check_shared():
 
 def test_hamming_never_below_oracle_truth():
     # any code the oracle can actually build must fit under the sphere bound
-    from codebounds.oracle import enumerate_linear_systematic, min_distance
-
     cases = [(n, k, 2) for n in range(3, 7) for k in range(1, n)]
     cases += [(5, k, 3) for k in range(1, 5)]
     for n, k, q in cases:

@@ -236,12 +236,21 @@ class TestOracleCommands:
     @pytest.mark.parametrize("argv", [
         ("oracle", "best-d", "--q", "2", "--n", "7", "--k", "4"),
         ("oracle", "refute-check", "--q", "2", "--n-max", "5", "--k-max", "3", "--d-max", "3"),
+        # a box with no refutation in it
+        ("oracle", "refute-check", "--q", "2", "--n-max", "3", "--k-max", "3", "--d-max", "3"),
     ])
     def test_budget_zero_exits_2(self, capsys, argv):
         rc, out, err = run(capsys, *argv, "--budget", "0")
         assert rc == 2
         assert out == ""
         assert err == "error: budget must be at least 1, got 0\n"
+
+    def test_refute_check_alphabet_checked_before_the_box(self, capsys):
+        # the box holds no refutation, so no cross-check would reach the
+        # search's own alphabet check
+        rc, out, err = run(capsys, "oracle", "refute-check", "--q", "1",
+                           "--n-max", "3", "--k-max", "2", "--d-max", "2")
+        assert (rc, out, err) == (2, "", "error: alphabet size must be at least 2, got q=1\n")
 
     def test_literal_contradiction_output(self, capsys):
         # the literal variant refutes k = 3 at (n=5, d=3, q=5), where a

@@ -8,11 +8,11 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from reference import best_linear_d, krawtchouk
 
-from codebounds.exactmath import floor_log_q, krawtchouk
+from codebounds.exactmath import floor_log_q
 from codebounds import levenshtein
 from codebounds.levenshtein import _KrawtchoukRows, _kernel_values, levenshtein_max_size
-from codebounds.oracle import best_linear_d
 
 
 @pytest.mark.parametrize("n,d,q,k_expected", [

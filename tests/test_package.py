@@ -1,0 +1,67 @@
+"""Package structure: module exports, imports between modules, and the
+names that bench/tracer.py wraps."""
+
+import ast
+import importlib
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "codebounds"
+
+
+def _module(stem: str):
+    return importlib.import_module("codebounds" if stem == "__init__" else f"codebounds.{stem}")
+
+
+def _imports(path: Path) -> list[ast.Import | ast.ImportFrom]:
+    """Every import statement of a file, those inside functions included."""
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_exported_names_exist():
+    missing = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in getattr(_module(path.stem), "__all__", ())
+               if not hasattr(_module(path.stem), name)]
+    assert not missing
+
+
+def test_names_imported_across_modules_are_exported():
+    # `from .x import y` anywhere in the package names y in x.__all__
+    unlisted = [f"{path.stem} imports {node.module}.{alias.name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in _imports(path)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+                if alias.name not in getattr(_module(node.module), "__all__", ())]
+    assert not unlisted
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Module names a file imports; `from x import y` counts as x and x.y."""
+    out = set()
+    for node in _imports(path):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        else:
+            out.add(node.module)
+            out.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_reference_definitions_stay_outside_the_package():
+    # the package never loads tests/reference.py, and the references load
+    # nothing of the code they are the reference for
+    for path in PACKAGE.glob("*.py"):
+        assert "reference" not in _imported_modules(path), path.name
+    checked = {"codebounds.bounds", "codebounds.levenshtein"}
+    assert not _imported_modules(ROOT / "tests" / "reference.py") & checked
+
+
+def test_tracer_wraps_existing_names():
+    # read bench/tracer.py without importing it, so that no bytecode is written
+    wraps = runpy.run_path(str(ROOT / "bench" / "tracer.py"))["WRAPS"]
+    missing = [f"{module}.{attr}" for module, attr, *_ in wraps
+               if not hasattr(_module(module), attr)]
+    assert wraps and not missing
