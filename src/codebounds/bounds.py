@@ -12,7 +12,7 @@ Everything here is stateless and pure; table sweeps may call in parallel.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .exactmath import (VARIANT_WEIGHT, check_distance, check_query, check_variant,
                         floor_log_q, sphere_volume)
@@ -34,7 +34,6 @@ __all__ = [
     "plotkin_max_size",
     "elias_max_size",
     "levenshtein_max_size",
-    "max_k_of",
     "best_upper_k",
 ]
 
@@ -77,12 +76,18 @@ class FeasibilityVerdict:
 @dataclass(frozen=True)
 class BoundResult:
     """Per-bound answer for one query: a dimension cap, and for size-based
-    bounds also the cap on the number of codewords it was derived from."""
+    bounds also the cap on the number of codewords it was derived from.
+
+    witness is Elias's minimizing radius w.  refutation is bound A's verdict
+    at k_max + 1, the dimension its cap blocks, when k_max + 1 <= n - 1; it
+    is None on every other result.
+    """
 
     bound_id: str
     k_max: Optional[int]
     size_max: Optional[int] = None
     witness: Optional[int] = None
+    refutation: Optional[FeasibilityVerdict] = None
 
 
 def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> FeasibilityVerdict:
@@ -128,26 +133,6 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     return FeasibilityVerdict(FEASIBLE)
 
 
-def max_k_of(predicate: Callable[[int], bool], k_lo: int, k_hi: int) -> int:
-    """Largest k in [k_lo, k_hi] with predicate(k) true, or k_lo - 1 if none.
-
-    Requires the predicate to be antitone (false at k implies false at every
-    larger k), which lets a binary search stand in for a linear scan.
-    """
-    if k_lo > k_hi:
-        raise ValueError(f"empty dimension range [{k_lo}, {k_hi}]")
-    lo, hi = k_lo, k_hi
-    best = k_lo - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if predicate(mid):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
-
-
 def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
     """Largest k in 3..n-1 not refuted by bound A; 2 when even k = 3 fails.
 
@@ -160,7 +145,15 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
         raise ValueError(f"bound A needs d >= 3, got d={d}")
     if n < 4:
         raise ValueError(f"bound A needs n >= 4, got n={n}")
-    return max_k_of(lambda k: not bound_a_check(n, k, d, q, variant).refuted, 3, n - 1)
+    # every k below lo is feasible, every k above hi refuted
+    lo, hi = 3, n - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if bound_a_check(n, mid, d, q, variant).refuted:
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return hi
 
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:
@@ -242,10 +235,14 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
 
 
 def _eval_bound(bound_id: str, n: int, d: int, q: int, variant: str) -> BoundResult:
-    """One known bound id at a checked query.  The size bounds share one
-    result: a codeword cap M gives the dimension cap floor(log_q M)."""
+    """One known bound id at a checked query.  Bound A's result carries the
+    refutation that blocks k_max + 1.  The size bounds share one result: a
+    codeword cap M gives the dimension cap floor(log_q M)."""
     if bound_id == "a":
-        return BoundResult("a", bound_a_max_k(n, d, q, variant) if d >= 3 and n >= 4 else None)
+        if d < 3 or n < 4:
+            return BoundResult("a", None)
+        k = bound_a_max_k(n, d, q, variant)
+        return BoundResult("a", k, refutation=bound_a_check(n, k + 1, d, q, variant) if k + 1 < n else None)
     if bound_id == "griesmer":
         return BoundResult("griesmer", griesmer_max_k(n, d, q))
     if bound_id == "singleton":

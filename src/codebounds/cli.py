@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
 from .exactmath import (DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError,
-                        check_alphabet, check_budget, check_query)
+                        check_alphabet, check_query)
 from .golden import BLOCKS, diff_table1
 
 __all__ = ["main", "entry"]
@@ -66,11 +66,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             line += f" size_max={res.size_max}"
         if res.witness is not None:
             line += f" w={res.witness}"
-        if res.bound_id == "a" and res.k_max is not None and res.k_max + 1 <= args.n - 1:
-            blocked = bound_a_check(args.n, res.k_max + 1, args.d, args.q, args.variant_a)
-            if blocked.refuted:
-                line += (f" (k={res.k_max + 1} refuted at i={blocked.witness}:"
-                         f" lhs={blocked.lhs} > rhs={blocked.rhs})")
+        blocked = res.refutation
+        if blocked is not None:
+            line += (f" (k={res.k_max + 1} refuted at i={blocked.witness}:"
+                     f" lhs={blocked.lhs} > rhs={blocked.rhs})")
         print(line)
     print(f"min k_max={_fmt_k(k_min)}")
     return 0
@@ -150,11 +149,11 @@ def refutation_crosscheck(*args, **kwargs) -> str:
 
 
 def _cmd_refute_check(args: argparse.Namespace) -> int:
-    from .oracle import CONFIRMED
+    from .oracle import CONFIRMED, check_linear_alphabet
 
     # q and the budget are checked even when the box holds no refutation
     check_alphabet(args.q)
-    check_budget(args.budget)
+    check_linear_alphabet(args.q, args.budget)
     failures = 0
     checked = 0
     for n in range(4, args.n_max + 1):

@@ -11,7 +11,8 @@ guarded by an explicit budget; a search that would exceed it raises rather
 than silently truncating, so soundness claims never rest on a partial scan.
 The budget must be at least 1.  The alphabet must be prime here
 (vector-space arithmetic mod q); the bound formulas themselves do not care.
-An alphabet larger than the budget is refused before the prime test.
+check_linear_alphabet refuses an alphabet larger than the budget before the
+prime test.
 
 The refutation cross-check searches without building a code per candidate.
 Its linear phase computes the best distance and its first witness once per
@@ -23,7 +24,7 @@ Both phases run under the budget guards, and the linear phase also counts
 the entries of its message-by-column table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import isqrt
@@ -46,6 +47,7 @@ __all__ = [
     "Code",
     "StandardFormGenerator",
     "min_distance",
+    "check_linear_alphabet",
     "best_linear_d_witness",
     "refutation_crosscheck",
     "CONFIRMED",
@@ -60,11 +62,25 @@ def _check_systematic(n: int, k: int, q: int) -> None:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
 
 
-def _check_linear(n: int, k: int, q: int) -> None:
-    """A prime alphabet, for arithmetic mod q, and 1 <= k < n."""
+def _check_prime(q: int) -> None:
+    """A prime alphabet, for arithmetic mod q."""
     if q < 2 or any(q % f == 0 for f in range(2, isqrt(q) + 1)):
         raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
-    _check_systematic(n, k, q)
+
+
+def check_linear_alphabet(q: int, budget: int) -> None:
+    """An alphabet that a search over standard-form codes can take.
+
+    With 1 <= k < n there are at least q such codes, so an alphabet larger
+    than the budget is refused first, before the prime test's trial division
+    up to sqrt(q).
+    """
+    if q > budget:
+        check_budget(budget)
+        raise EnumerationBudgetError(
+            f"enumerating at least q = {q} standard-form codes exceeds the budget of {budget}"
+        )
+    _check_prime(q)
 
 
 @dataclass(frozen=True)
@@ -96,16 +112,13 @@ class Code:
     """A finite set of distinct equal-length q-ary words.
 
     systematic_k = k asserts that projecting onto the first k coordinates is
-    a bijection onto all q**k prefixes; the constructor verifies it.  linear
-    marks codes built from a generator matrix, enabling the minimum-weight
-    shortcut in min_distance.
+    a bijection onto all q**k prefixes; the constructor verifies it.
     """
 
     q: int
     n: int
     words: tuple[Word, ...]
     systematic_k: Optional[int] = None
-    linear: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         for w in self.words:
@@ -126,15 +139,9 @@ class Code:
 
 
 def min_distance(code: Code) -> int:
-    """Minimum pairwise distance; minimum nonzero weight for linear codes.
-
-    The weight shortcut is only taken for codes that carry the linear flag;
-    everything else gets the full pairwise computation.
-    """
+    """Minimum pairwise distance, computed over every pair of words."""
     if len(code) < 2:
         raise ValueError("minimum distance needs at least two words")
-    if code.linear:
-        return min(w.weight for w in code.words if w.weight > 0)
     best = code.n + 1
     ws = code.words
     for a in range(len(ws)):
@@ -161,7 +168,8 @@ class StandardFormGenerator:
     tail: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_linear(self.n, self.k, self.q)
+        _check_prime(self.q)
+        _check_systematic(self.n, self.k, self.q)
         if len(self.tail) != self.k or any(len(r) != self.n - self.k for r in self.tail):
             raise ValueError("tail must be a k x (n-k) matrix")
         if any(not 0 <= e < self.q for r in self.tail for e in r):
@@ -178,7 +186,7 @@ class StandardFormGenerator:
 
     def code(self) -> Code:
         words = tuple(self.encode(msg) for msg in _all_messages(self.k, self.q))
-        return Code(self.q, self.n, words, systematic_k=self.k, linear=True)
+        return Code(self.q, self.n, words, systematic_k=self.k)
 
 
 def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
@@ -199,19 +207,10 @@ def _within_budget(exponent: int, q: int, budget: int) -> bool:
 
 
 def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
-    """The number q**(k(n-k)) of standard-form codes, once (n, k, q) passes
-    _check_linear and the count fits in the budget.
-
-    An alphabet larger than the budget is refused first, before the prime
-    test's trial division up to sqrt(q): with 1 <= k < n there are at least
-    q codes.
-    """
-    if q > budget:
-        check_budget(budget)
-        raise EnumerationBudgetError(
-            f"enumerating at least q = {q} standard-form codes exceeds the budget of {budget}"
-        )
-    _check_linear(n, k, q)
+    """The number q**(k(n-k)) of standard-form codes, once q passes
+    check_linear_alphabet, 1 <= k < n, and the count fits in the budget."""
+    check_linear_alphabet(q, budget)
+    _check_systematic(n, k, q)
     exponent = k * (n - k)
     if not _within_budget(exponent, q, budget):
         raise EnumerationBudgetError(

@@ -187,9 +187,7 @@ def translate_code(code: Code, t: Word) -> Code:
 
     Distances are translation invariant and the prefix projection stays a
     bijection, so systematic_k is preserved.  The zero word appears in the
-    result exactly when t was a codeword.  Linearity of the word set is not
-    preserved in general, so the translated code always drops the shortcut
-    flag and is measured pairwise.
+    result exactly when t was a codeword.
     """
     if len(t) != code.n or t.q != code.q:
         raise ValueError("translation word has mismatched length or alphabet")

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codebounds import golden, oracle
 from codebounds.cli import main
@@ -252,6 +254,14 @@ class TestOracleCommands:
                            "--n-max", "3", "--k-max", "2", "--d-max", "2")
         assert (rc, out, err) == (2, "", "error: alphabet size must be at least 2, got q=1\n")
 
+    @pytest.mark.parametrize("q,n_max,k_max", [("4", "3", "2"), ("6", "4", "3")])
+    def test_refute_check_nonprime_alphabet_refused_before_the_box(self, capsys, q, n_max, k_max):
+        # neither box holds a refutation, so no cross-check would reach the
+        # search's own prime test
+        rc, out, err = run(capsys, "oracle", "refute-check", "--q", q,
+                           "--n-max", n_max, "--k-max", k_max, "--d-max", "2")
+        assert (rc, out, err) == (2, "", f"error: linear enumeration needs a prime alphabet, got q={q}\n")
+
     def test_literal_contradiction_output(self, capsys):
         # the literal variant refutes k = 3 at (n=5, d=3, q=5), where a
         # [5,3,3]_5 Reed-Solomon code exists; output recorded before the
@@ -305,6 +315,18 @@ class TestEntryPoints:
         assert proc.stdout == b""
         assert b"budget" in proc.stderr
 
+    def test_huge_prime_alphabet_refused_before_the_box(self):
+        # refute-check refuses the alphabet by the budget even when its box
+        # holds no refutation; a fresh interpreter, as above, so that trial
+        # division run first fails on the timeout
+        proc = _python("-m", "codebounds", "oracle", "refute-check", "--q",
+                       "1000000000000000000000000000057", "--n-max", "3", "--k-max", "2",
+                       "--d-max", "2", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: enumerating at least q = 1000000000000000000000000000057"
+                               b" standard-form codes exceeds the budget of 10000000\n")
+
     def test_python_m_matches_main(self, capsys):
         argv = ("eval", "--q", "2", "--n", "20", "--d", "4", "--bounds", "griesmer,a")
         proc = _python("-m", "codebounds", *argv)
@@ -351,3 +373,62 @@ def test_outputs_match_pinned_digests():
     """
     pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
     assert cli_digests() == pinned
+
+
+# Fuzzed argvs stay cheap: n <= 24, q <= 13, at most 10 values per range and
+# a budget of at most 10**4, which the oracle commands always pass.  Each
+# value is drawn as often from its valid small range as from the whole one,
+# so that many argvs get past the input checks.
+_ints = st.one_of(st.integers(1, 8), st.integers(-3, 24)).map(str)
+_alphabets = st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(-2, 13)).map(str)
+_budgets = st.one_of(st.integers(1, 10 ** 4), st.integers(-2, 10 ** 4)).map(str)
+_variants = st.sampled_from(["weight", "literal", "exact"])
+_bound_lists = st.one_of(
+    st.sampled_from(["all", "a", "g,a", "h,all,g,h", "l,e,p,s", ",,", "A, G"]),
+    st.text(alphabet="aeghlps,xy .-", max_size=8),
+)
+
+
+@st.composite
+def _ranges(draw):
+    """A LO..HI range of at most 10 values (empty when LO > HI), or junk."""
+    hi = draw(st.integers(-3, 24))
+    lo = draw(st.integers(hi - 9, hi + 2))
+    junk = st.sampled_from(["", "..", "3..", "..4", "3-5", "a..b", "1..2..3", "7", "- 1..2"])
+    return draw(st.one_of(st.just(f"{lo}..{hi}"), junk))
+
+
+def _span_args(flag):
+    """--x N, --x-range LO..HI, both, or neither."""
+    single = _ints.map(lambda v: [f"--{flag}", v])
+    ranged = _ranges().map(lambda r: [f"--{flag}-range", r])
+    return st.one_of(single, ranged, st.tuples(single, ranged).map(lambda p: p[0] + p[1]), st.just([]))
+
+
+def _argvs():
+    ev = st.tuples(_alphabets, _ints, _ints, _bound_lists, _variants).map(
+        lambda t: ["eval", "--q", t[0], "--n", t[1], "--d", t[2], "--bounds", t[3], "--variant-a", t[4]])
+    table = st.tuples(_alphabets, _span_args("n"), _span_args("d"), _bound_lists,
+                      st.sampled_from(["csv", "text", "records", "tsv"])).map(
+        lambda t: ["table", "--q", t[0], *t[1], *t[2], "--bounds", t[3], "--format", t[4]])
+    table1 = st.tuples(st.sampled_from(golden.BLOCKS + ("all", "x")), st.booleans()).map(
+        lambda t: ["table1", "--block", t[0]] + (["--allow-documented"] if t[1] else []))
+    best_d = st.tuples(_alphabets, _ints, _ints, _budgets).map(
+        lambda t: ["oracle", "best-d", "--q", t[0], "--n", t[1], "--k", t[2], "--budget", t[3]])
+    refute = st.tuples(_alphabets, _ints, _ints, _ints, _variants, _budgets).map(
+        lambda t: ["oracle", "refute-check", "--q", t[0], "--n-max", t[1], "--k-max", t[2],
+                   "--d-max", t[3], "--variant-a", t[4], "--budget", t[5]])
+    return st.one_of(ev, table, table1, best_d, refute)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    """Every argv ends in exit 0, 1 or 2, never in a traceback; argparse's
+    own usage errors arrive as SystemExit(2)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), argv
