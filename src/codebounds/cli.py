@@ -129,7 +129,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_d(args: argparse.Namespace) -> int:
-    # the oracle, and numpy with it, loads only for the oracle commands
+    # imported here: loading the oracle with the module slows every command's start-up
     from .oracle import best_linear_d_witness
 
     d, gen = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)

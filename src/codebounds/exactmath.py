@@ -33,7 +33,7 @@ VARIANT_LITERAL = "literal"
 VARIANTS = (VARIANT_WEIGHT, VARIANT_LITERAL)
 
 # the oracle's enumeration budget, here so that the CLI can name it without
-# loading the oracle and numpy
+# loading the oracle
 DEFAULT_BUDGET = 10_000_000
 
 

@@ -15,22 +15,20 @@ check_linear_alphabet refuses an alphabet larger than the budget before the
 prime test.
 
 The refutation cross-check searches without building a code per candidate.
-Its linear phase computes the best distance and its first witness once per
-(n, k, q), and every refuted d reuses them.  Its nonlinear phase is a
-complete depth-first search over prefix-to-tail assignments that skips only
-the partial assignments already holding a pair closer than d; it finds the
-same first code, in enumeration order, as scanning every systematic code.
-Both phases run under the budget guards, and the linear phase also counts
-the entries of its message-by-column table.
+Its linear phase is a depth-first search over the rows of the tail, run
+anew for each refuted d, that finds the best distance and its first
+witness.  Its nonlinear phase is a complete depth-first search over
+prefix-to-tail assignments that skips only the partial assignments already
+holding a pair closer than d.  Each finds the same first code, in
+enumeration order, as scanning every code of its kind.  Both phases run
+under the budget guards, and the linear phase also bounds the span of up to
+q**k codewords that it checks every candidate row against.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from math import isqrt
 from typing import Optional
-
-import numpy as np
 
 from .bounds import bound_a_check
 from .exactmath import (
@@ -189,17 +187,6 @@ class StandardFormGenerator:
         return Code(self.q, self.n, words, systematic_k=self.k)
 
 
-def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The k x m tail matrix whose entries, read row-major, are the base-q
-    digits of index, most significant first."""
-    flat = []
-    for _ in range(k * m):
-        index, digit = divmod(index, q)
-        flat.append(digit)
-    flat.reverse()
-    return tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(k))
-
-
 def _within_budget(exponent: int, q: int, budget: int) -> bool:
     """Whether q**exponent codes fit in the budget."""
     check_budget(budget)
@@ -225,70 +212,63 @@ def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
     return _within_budget((n - k) * q ** k, q, budget)
 
 
-@cache
-def _best_d_vectorized(n: int, k: int, q: int) -> tuple[int, int]:
-    """Exhaustive max-over-tails of the minimum nonzero codeword weight,
-    returning (best distance, index of the first attaining tail matrix).
+def _first_linear_tail(n: int, k: int, d: int, q: int) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The first standard-form tail, in row-major order, whose code has
+    minimum distance >= d, or None when there is none.
 
-    A pure function of (n, k, q), computed once per process.  Works
-    column-wise: a tail adds weight through each of its m columns
-    independently, so one (messages x possible-columns) nonzero table covers
-    every code.  The weights of every tuple of the trailing columns are built
-    once by broadcasting; each outer step adds the nonzero vector of one
-    choice of the leading columns and takes the minimum over messages.  The
-    nonzero table has (q**k - 1) x q**k entries, which best_linear_d_witness
-    counts against the budget; no other array exceeds (messages x chunk).
-    Tail matrices are indexed row-major, so among the attaining column tuples
-    the witness is the one with the smallest row-major index.
+    Depth-first search over the rows of the tail, each row trying tails in
+    ascending order.  A codeword whose last nonzero message symbol sits in
+    row r is a nonzero multiple of e_r plus a message on the earlier rows, so
+    its weight is pw + 1 + dist(t, s) for the row t and some codeword
+    (pw, s), prefix weight and tail, of the span of the earlier rows, zero
+    included.  A row is built one coordinate at a time and dropped as soon
+    as that sum cannot reach d for some such codeword, which loses no code
+    that reaches d.  Permuting the rows or scaling one moves only prefix
+    coordinates and gives a tail no later in the order, so the first code
+    has ascending rows, each zero or with leading nonzero entry 1, and only
+    those are tried.  No budget check here: callers check the span's size
+    first.
     """
     m = n - k
-    qk = q ** k
-    msgs = np.array([msg for msg in _all_messages(k, q) if any(msg)], dtype=np.int64)
-    msg_w = np.count_nonzero(msgs, axis=1).astype(np.uint8)
-    cols = np.array(_all_messages(k, q), dtype=np.int64)  # column c has index sum c_r q**(k-1-r)
-    nonzero = ((msgs @ cols.T) % q != 0).astype(np.uint8)  # (messages, qk)
-    chunk = max(256, min(1 << 15, 50_000_000 // (msgs.shape[0] + 1)))
-    inner = m
-    while qk ** inner > chunk:
-        inner -= 1
-    # a column's entries, placed at their row-major positions in a one-column tail
-    spread = cols @ np.array([q ** ((k - 1 - r) * m) for r in range(k)], dtype=np.int64)
-    # weights and row-major index parts of every tuple of the last `inner` columns
-    wts = msg_w[:, None]
-    inner_idx = np.zeros(1, dtype=np.int64)
-    for _ in range(inner):
-        wts = (wts[:, :, None] + nonzero[:, None, :]).reshape(msgs.shape[0], -1)
-        inner_idx = (inner_idx[:, None] * q + spread[None, :]).reshape(-1)
-    best_d = 0
-    best_idx = 0
-    for lead in product(range(qk), repeat=m - inner):
-        lead_idx = 0
-        for c in lead:
-            lead_idx = lead_idx * q + int(spread[c])
-        code_min = (wts + nonzero[:, list(lead)].sum(axis=1, dtype=np.uint8)[:, None]).min(axis=0)
-        step_d = int(code_min.max())
-        if step_d < best_d:
-            continue
-        step_idx = lead_idx * q ** inner + int(inner_idx[code_min == step_d].min())
-        if step_d > best_d or step_idx < best_idx:
-            best_d, best_idx = step_d, step_idx
-    return best_d, best_idx
+
+    def search(rows: tuple, span: list, row: tuple, spare: list[int]) -> Optional[tuple]:
+        # spare[i]: coordinates in which row may still agree with span[i]'s tail
+        j = len(row)
+        if j == m:
+            rows += (row,)
+            if len(rows) == k:
+                return rows
+            span = [(pw + (c > 0), tuple((x + c * y) % q for x, y in zip(s, row)))
+                    for c in range(q) for pw, s in span]
+            return search(rows, span, (), [pw + 1 + m - d for pw, _ in span])
+        tight = rows and row == rows[-1][:j]
+        for a in range(rows[-1][j] if tight else 0, q if any(row) else 2):
+            left = [x - (s[j] == a) for x, (_, s) in zip(spare, span)]
+            if min(left) >= 0 and (found := search(rows, span, row + (a,), left)):
+                return found
+        return None
+
+    return search((), [(0, (0,) * m)], (), [1 + m - d])
 
 
 def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, StandardFormGenerator]:
     """Best achievable minimum distance over all standard-form (n, k) codes,
     with the first generator (in enumeration order) that attains it.
 
-    Besides the codes, the search holds one entry per nonzero message and
-    column, (q**k - 1) x q**k in all, and that count must fit in the budget too.
+    Counts down from the Singleton bound n - k + 1 to the first d that some
+    code reaches.  Each candidate row is checked against the span of the rows
+    before it, up to q**k codewords; (q**k - 1) x q**k, one per ordered pair
+    of distinct codewords, must fit in the budget too.
     """
     _linear_count_within(n, k, q, budget)
     if (q ** k - 1) * q ** k > budget:
         raise EnumerationBudgetError(
-            f"the search's {q ** k - 1} x {q ** k} message-by-column table exceeds the budget of {budget}"
+            f"the search's {q ** k - 1} x {q ** k} codeword pairs exceed the budget of {budget}"
         )
-    d, idx = _best_d_vectorized(n, k, q)
-    return d, StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q))
+    d = n - k + 1
+    while (tail := _first_linear_tail(n, k, d, q)) is None:
+        d -= 1
+    return d, StandardFormGenerator(q, k, n, tail)
 
 
 def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[Code]:

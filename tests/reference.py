@@ -40,7 +40,6 @@ from codebounds.oracle import (
     _check_systematic,
     _linear_count_within,
     _nonlinear_within,
-    _tail_matrix,
     best_linear_d_witness,
     min_distance,
 )
@@ -144,6 +143,17 @@ def distance_multiset(code: Code) -> tuple[int, ...]:
         for a in range(len(ws))
         for b in range(a + 1, len(ws))
     ))
+
+
+def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The k x m tail matrix whose entries, read row-major, are the base-q
+    digits of index, most significant first."""
+    flat = []
+    for _ in range(k * m):
+        index, digit = divmod(index, q)
+        flat.append(digit)
+    flat.reverse()
+    return tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(k))
 
 
 def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:

@@ -19,10 +19,10 @@ from codebounds.bounds import (
     plotkin_max_size,
     singleton_max_k,
 )
-from codebounds.exactmath import floor_log_q, sphere_volume
+from codebounds.exactmath import EnumerationBudgetError, floor_log_q, sphere_volume
 from codebounds.golden import load_table1
 from codebounds.levenshtein import levenshtein_max_size
-from codebounds.oracle import min_distance
+from codebounds.oracle import best_linear_d_witness, min_distance
 
 
 def naive_bound_a_check(n, k, d, q, variant="weight"):
@@ -367,6 +367,31 @@ def test_hamming_never_below_oracle_truth():
         for code in enumerate_linear_systematic(n, k, q):
             d = min_distance(code)
             assert q ** k <= hamming_max_size(n, d, q), (n, k, q, d)
+
+
+def test_every_cap_admits_the_best_linear_codes():
+    # k* is the largest k whose best standard-form code, found by the oracle
+    # wherever its budget guards admit (n, k, q), reaches d; every cap of
+    # every bound must allow it
+    searches = 0
+    for q in (2, 3, 5):
+        for n in range(2, 9):
+            best = {}
+            for k in range(1, n):
+                try:
+                    best[k] = best_linear_d_witness(n, k, q)[0]
+                except EnumerationBudgetError:
+                    continue
+            searches += len(best)
+            for d in range(1, n + 1):
+                k_star = max((k for k, best_d in best.items() if best_d >= d), default=0)
+                results, _ = best_upper_k(n, d, q)
+                for r in results:
+                    if r.k_max is not None:
+                        assert r.k_max >= k_star, (q, n, d, r)
+                    if r.size_max is not None:
+                        assert r.size_max >= q ** k_star, (q, n, d, r)
+    assert searches == 72
 
 
 def test_table1_independence_audit():

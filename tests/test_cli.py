@@ -224,12 +224,12 @@ class TestOracleCommands:
 
     def test_search_table_over_budget_exits_2(self, capsys, monkeypatch):
         # 3**10 codes fit the default budget, but the search's 59 048 x 59 049
-        # message-by-column table (about 26 GiB as int64) does not; the search
-        # is replaced so that a missing guard fails here instead of allocating
+        # codeword pairs do not; the search is replaced so that a missing
+        # guard fails here instead of running
         def search(*args):
             raise AssertionError("search ran past the budget guard")
 
-        monkeypatch.setattr(oracle, "_best_d_vectorized", search)
+        monkeypatch.setattr(oracle, "_first_linear_tail", search)
         rc, out, err = run(capsys, "oracle", "best-d", "--q", "3", "--n", "11", "--k", "10")
         assert rc == 2
         assert out == ""
@@ -300,7 +300,7 @@ class TestEntryPoints:
         assert json.loads(proc.stdout) == [["BOUND_IDS", "BoundResult", "best_upper_k"], True, []]
 
     def test_cli_import_leaves_numpy_unloaded(self):
-        # only the oracle commands need numpy, and they import it themselves
+        # the package needs no numpy, and the CLI module loads none
         proc = _python("-c", "import sys, codebounds.cli; print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"False\n"
@@ -326,6 +326,26 @@ class TestEntryPoints:
         assert proc.stdout == b""
         assert proc.stderr == (b"error: enumerating at least q = 1000000000000000000000000000057"
                                b" standard-form codes exceeds the budget of 10000000\n")
+
+    def test_oracle_commands_run_without_numpy(self):
+        # numpy is a test dependency only: with every numpy import failing,
+        # both oracle commands print their pinned output
+        commands = ["oracle best-d --q 2 --n 7 --k 4",
+                    "oracle refute-check --q 3 --n-max 6 --k-max 5 --d-max 6"]
+        proc = _python("-c", (
+            "import contextlib, hashlib, io, json, shlex, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from codebounds.cli import main\n"
+            "runs = []\n"
+            "for cmd in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        rc = main(shlex.split(cmd))\n"
+            "    runs.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest()])\n"
+            "print(json.dumps(runs))\n"), json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+        assert json.loads(proc.stdout) == [[0, pinned[cmd]["stdout"]] for cmd in commands]
 
     def test_python_m_matches_main(self, capsys):
         argv = ("eval", "--q", "2", "--n", "20", "--d", "4", "--bounds", "griesmer,a")

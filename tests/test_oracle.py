@@ -30,7 +30,7 @@ from codebounds.oracle import (
     min_distance,
     refutation_crosscheck,
 )
-from codebounds.oracle import _first_nonlinear_code
+from codebounds.oracle import _first_linear_tail, _first_nonlinear_code
 
 HAMMING_TAIL = ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
@@ -215,15 +215,37 @@ class TestBestLinearD:
                                  if min_distance(c) == d)
                     assert gen.tail == _tail_matrix(first), (n, k, q)
 
-    @pytest.mark.parametrize("n,k,q", [(7, 5, 3), (8, 2, 3)])
+    @pytest.mark.parametrize("n,k,q", [(7, 5, 3), (8, 2, 3), (5, 3, 5), (5, 3, 7), (4, 2, 11)])
     def test_column_search_matches_decoding_every_tail(self, n, k, q):
-        # both cases take several outer steps of the column search, one with
-        # a single leading column and one with two
+        # every tail decoded, against the row search: at q = 3 it first
+        # fails at the Singleton bound, and at q = 5, 7, 11 it reaches that
+        # bound with rows that skip every leading entry but 0 and 1
         d, gen = best_linear_d_witness(n, k, q)
         ref_d, ref_idx = _best_d_by_decoding(n, k, q)
         assert d == ref_d
         flat = [e for row in gen.tail for e in row]
         assert sum(e * q ** p for p, e in enumerate(reversed(flat))) == ref_idx
+
+
+def _first_tails_by_enumeration(n, k, q):
+    """d -> tail of the first code of the linear enumeration with minimum
+    distance >= d, for every d in 1..n that some code reaches; one pass."""
+    first = {}
+    for code in enumerate_linear_systematic(n, k, q):
+        for d in range(len(first) + 1, min_distance(code) + 1):
+            first[d] = _tail_matrix(code)
+    return first
+
+
+@pytest.mark.parametrize("q,n_hi", [(2, 6), (3, 5), (5, 4)])
+def test_row_search_matches_enumeration_below_the_optimum(q, n_hi):
+    # the pruning to ascending rows with leading entry 1 must not skip the
+    # first code at any d, not only at the best one
+    for n in range(2, n_hi + 1):
+        for k in range(1, n):
+            expected = _first_tails_by_enumeration(n, k, q)
+            for d in range(1, n - k + 3):
+                assert _first_linear_tail(n, k, d, q) == expected.get(d), (n, k, q, d)
 
 
 class TestTranslate:
