@@ -25,6 +25,7 @@ under the budget guards, and the linear phase also bounds the span of up to
 q**k codewords that it checks every candidate row against.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
@@ -231,24 +232,37 @@ def _first_linear_tail(n: int, k: int, d: int, q: int) -> Optional[tuple[tuple[i
     """
     m = n - k
 
-    def search(rows: tuple, span: list, row: tuple, spare: list[int]) -> Optional[tuple]:
+    def extend(rows: tuple, span: list, row: tuple, spare: list[int], entries: Iterator[int]):
+        """The state with row extended by the next entry that keeps every
+        codeword far enough, or None when no entry left does."""
         # spare[i]: coordinates in which row may still agree with span[i]'s tail
         j = len(row)
-        if j == m:
+        for a in entries:
+            left = [x - (s[j] == a) for x, (_, s) in zip(spare, span)]
+            if min(left) >= 0:
+                return rows, span, row + (a,), left
+        return None
+
+    # one frame per entry of the tail built so far, each with the entries
+    # it has still to try, so the depth is not bounded by the call stack
+    stack: list[tuple] = []
+    rows, span, row, spare = (), [(0, (0,) * m)], (), [1 + m - d]
+    while True:
+        while len(row) == m:  # a complete row joins the tail, and the next starts empty
             rows += (row,)
             if len(rows) == k:
                 return rows
             span = [(pw + (c > 0), tuple((x + c * y) % q for x, y in zip(s, row)))
                     for c in range(q) for pw, s in span]
-            return search(rows, span, (), [pw + 1 + m - d for pw, _ in span])
+            row, spare = (), [pw + 1 + m - d for pw, _ in span]
+        j = len(row)
         tight = rows and row == rows[-1][:j]
-        for a in range(rows[-1][j] if tight else 0, q if any(row) else 2):
-            left = [x - (s[j] == a) for x, (_, s) in zip(spare, span)]
-            if min(left) >= 0 and (found := search(rows, span, row + (a,), left)):
-                return found
-        return None
-
-    return search((), [(0, (0,) * m)], (), [1 + m - d])
+        stack.append((rows, span, row, spare, iter(range(rows[-1][j] if tight else 0, q if any(row) else 2))))
+        while (child := extend(*stack[-1])) is None:
+            stack.pop()
+            if not stack:
+                return None
+        rows, span, row, spare = child
 
 
 def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, StandardFormGenerator]:

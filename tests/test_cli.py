@@ -9,13 +9,15 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebounds import golden, oracle
+from codebounds import cli, golden, levenshtein, oracle
+from codebounds.bounds import best_upper_k
 from codebounds.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -203,6 +205,106 @@ class TestTable1:
         assert lines[-1] == "mismatches: 1 undocumented, 3 documented"
 
 
+def _count_tables(monkeypatch) -> list[int]:
+    """The length of each Krawtchouk table built from now on."""
+    built: list[int] = []
+
+    class CountedRows(levenshtein._KrawtchoukRows):
+        def __init__(self, n, q):
+            built.append(n)
+            super().__init__(n, q)
+
+    monkeypatch.setattr(levenshtein, "_KrawtchoukRows", CountedRows)
+    return built
+
+
+class TestSharedTable:
+    @pytest.mark.parametrize("bounds", ["all", "l"])
+    @pytest.mark.parametrize("q,n_lo,n_hi", [(2, 3, 40), (3, 3, 24), (4, 3, 18), (5, 3, 16), (7, 3, 12)])
+    def test_table_matches_cells_outside_any_scope(self, capsys, monkeypatch, q, n_lo, n_hi, bounds):
+        built = _count_tables(monkeypatch)
+        rc, out, err = run(capsys, "table", "--q", str(q), "--n-range", f"{n_lo}..{n_hi}",
+                           "--d-range", f"1..{n_hi}", "--bounds", bounds, "--format", "csv")
+        assert (rc, err) == (0, "")
+        # one table per length: d = 1 needs none, every other cell shares it
+        assert built == list(range(n_lo, n_hi + 1))
+        header, *rows = csv.reader(io.StringIO(out))
+        ids = header[3:]
+        expected = []
+        for n in range(n_lo, n_hi + 1):
+            for d in range(1, n + 1):
+                by_id = {r.bound_id: r.k_max for r in best_upper_k(n, d, q, ids)[0]}
+                expected.append([str(q), str(n), str(d)] + ["" if by_id[b] is None else str(by_id[b]) for b in ids])
+        assert rows == expected
+
+    def test_no_table_shared_once_main_returns(self, capsys, monkeypatch):
+        built = _count_tables(monkeypatch)
+        assert run(capsys, "table", "--q", "2", "--n", "12", "--d-range", "3..6", "--bounds", "l")[0] == 0
+        assert built == [12]
+        levenshtein.levenshtein_max_size(12, 3, 2)
+        levenshtein.levenshtein_max_size(12, 4, 2)
+        assert built == [12, 12, 12]
+
+    def test_no_table_shared_once_main_exits_2(self, capsys, monkeypatch):
+        built = _count_tables(monkeypatch)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("third cell refused")
+            return best_upper_k(*args)
+
+        monkeypatch.setattr(cli, "best_upper_k", failing)
+        rc, out, err = run(capsys, "table", "--q", "2", "--n", "12", "--d-range", "3..6", "--bounds", "l")
+        assert (rc, out, err) == (2, "", "error: third cell refused\n")
+        assert built == [12]
+        levenshtein.levenshtein_max_size(12, 3, 2)
+        levenshtein.levenshtein_max_size(12, 4, 2)
+        assert built == [12, 12, 12]
+
+    def test_other_thread_builds_its_own_table(self, monkeypatch):
+        built = _count_tables(monkeypatch)
+        with levenshtein.shared_krawtchouk_tables():
+            first = levenshtein.levenshtein_max_size(20, 5, 2)
+            levenshtein.levenshtein_max_size(20, 6, 2)
+            assert built == [20]
+            answers = []
+            worker = threading.Thread(target=lambda: answers.append(levenshtein.levenshtein_max_size(20, 5, 2)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert answers == [first] and built == [20, 20]
+            # the scope's own table is still the one shared
+            levenshtein.levenshtein_max_size(20, 7, 2)
+            assert built == [20, 20]
+
+
+    def test_threads_with_their_own_scopes_agree(self):
+        # more threads than cores, switching often: each sweeps the same cells
+        # inside its own scope, and every answer matches the unshared one
+        cells = [(n, d) for n in range(8, 25) for d in range(2, n + 1)]
+        expected = [levenshtein.levenshtein_max_size(n, d, 3) for n, d in cells]
+        answers: dict[int, list[int]] = {}
+
+        def sweep(i):
+            with levenshtein.shared_krawtchouk_tables():
+                answers[i] = [levenshtein.levenshtein_max_size(n, d, 3) for n, d in cells]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert answers == {i: expected for i in range(4)}
+
+
 class TestOracleCommands:
     def test_best_d(self, capsys):
         rc, out, _ = run(capsys, "oracle", "best-d", "--q", "2", "--n", "7", "--k", "4")
@@ -216,6 +318,15 @@ class TestOracleCommands:
         assert rc == 0
         assert "0 contradictions" in out
         assert "(n=6, k=4, d=3) refuted: confirmed" in out
+
+    def test_best_d_deeper_than_the_recursion_limit(self, capsys):
+        # the search goes one level deeper per tail entry, 1099 here, more
+        # than the interpreter's default recursion limit of 1000
+        rc, out, err = run(capsys, "oracle", "best-d", "--q", "2", "--n", "1100", "--k", "1",
+                           "--budget", str(10 ** 400))
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == ["best minimum distance for (1100, 1) over q=2: 1100",
+                                    "witness tail matrix (rows):", "  " + "1" * 1099]
 
     def test_budget_exceeded_exits_2(self, capsys):
         rc, _, err = run(capsys, "oracle", "best-d", "--q", "2", "--n", "30", "--k", "15")

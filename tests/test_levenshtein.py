@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 from operator import mul
 from pathlib import Path
@@ -12,7 +13,7 @@ from reference import best_linear_d, krawtchouk
 
 from codebounds.exactmath import floor_log_q
 from codebounds import levenshtein
-from codebounds.levenshtein import _KrawtchoukRows, _kernel_values, levenshtein_max_size
+from codebounds.levenshtein import _KrawtchoukRows, _candidates, _numerators, levenshtein_max_size
 
 
 @pytest.mark.parametrize("n,d,q,k_expected", [
@@ -54,18 +55,23 @@ def test_deterministic():
     assert levenshtein_max_size(24, 5, 2) == levenshtein_max_size(24, 5, 2)
 
 
+@cache
+def _reference_rows(m, q, n, shift):
+    """K_c(x - shift) on m from the explicit sum, c = 0..m, at x = 0..n."""
+    return tuple(tuple(krawtchouk(m, q, c, x - shift) for x in range(n + 1)) for c in range(m + 1))
+
+
 def test_recurrence_table_matches_direct_formula():
-    # the table on n at x = 0..n, and the adjacent rows on n - 1 and n - 2
-    # at x - 1, the x - 1 = -1 column included
-    for n, q in [(8, 2), (7, 3), (6, 5)]:
+    # the table on n at x = -1..n + 1, and the rows that the difference
+    # identity reads off it, on n - 1 and n - 2 at x - 1
+    for n, q in [(8, 2), (7, 3), (6, 5), (5, 7)]:
         table = _KrawtchoukRows(n, q)
         for i in range(n + 1):
-            assert table.row(i) == [krawtchouk(n, q, i, x) for x in range(n + 1)], (n, q, i)
+            assert table.row(i) == [krawtchouk(n, q, i, x) for x in range(-1, n + 2)], (n, q, i)
         for m in (n - 1, n - 2):
-            rows = list(table.adjacent(m))
-            assert len(rows) == m + 1
-            for c, row in enumerate(rows):
-                assert row == [krawtchouk(m, q, c, x - 1) for x in range(n + 1)], (n, q, m, c)
+            for c in range(m + 1):
+                assert table.kernel_row(m, c) == [krawtchouk(m, q, c, x - 1) for x in range(n + 1)], (n, q, m, c)
+        assert table.weights == [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
 
 
 def test_values_match_pinned_digests():
@@ -95,10 +101,12 @@ def test_values_match_pinned_digests():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_running_sums_match_direct_kernel_sum(q):
-    # at every degree of both branches: num is a positive multiple of the
-    # kernel summed here over one fixed denominator, and the candidate test
-    # and value read from the running sums equal those of f = wf * num**2
-    # summed over all n + 1 points
+    # at every degree of both branches, against the kernel summed here from
+    # the explicit Krawtchouk sum over one fixed denominator: the scan's
+    # candidate test and value equal those of f = wf * kernel**2 summed over
+    # all n + 1 points, and the Christoffel-Darboux numerators, c = m
+    # included, are a positive multiple of the kernel.  They equal it times
+    # den / scale at every x, so each floor division in them was exact.
     for n in range(3, 31):
         table = _KrawtchoukRows(n, q)
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
@@ -108,23 +116,30 @@ def test_running_sums_match_direct_kernel_sum(q):
                 wf = [w * f for w, f in zip(weights, factor)]
                 norms = [comb(m, c) * (q - 1) ** c for c in range(m + 1)]
                 scale = lcm(*norms)
+                candidates = {c: (value, den, td) for value, c, den, td in _candidates(n, m, d, q)}
                 kernel = [0] * (n + 1)
-                scanned = zip(table.adjacent(m), _kernel_values(table, m, d))
-                for c, (row, (num, value)) in enumerate(scanned):
+                for c, row in enumerate(_reference_rows(m, q, n, 1)):
                     kernel = [t + scale // norms[c] * row[d] * r for t, r in zip(kernel, row)]
-                    assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
-                    assert all(v * kernel[d] == t * num[d] for v, t in zip(num, kernel)), (q, n, d, m, c)
-                    g = [w * v * v for w, v in zip(wf, num)]
+                    g = [w * v * v for w, v in zip(wf, kernel)]
                     total = sum(g)
                     direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
+                    value, den, td = candidates.get(c, (None, None, None))
                     assert value == direct, (q, n, d, m, c)
+                    den_c = lcm(*norms[:c + 1])
+                    td_c = kernel[d] * den_c // scale
+                    assert value is None or (den, td) == (den_c, td_c), (q, n, d, m, c)
+                    num = _numerators(table, m, d, c, den_c, td_c)
+                    assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
+                    assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
 
 
 def test_gate_builds_few_polynomials():
     # at (500, 95, 2) only the minimum of each decreasing run is checked, each
-    # from its top coefficient down: a few f lists and about one full check
-    counts = {"f": 0, "sums": 0}
+    # from its top coefficient down: a few f lists and about one full check,
+    # and numerators only for the f lists
+    counts = {"f": 0, "sums": 0, "num": 0}
     check = levenshtein._coefficients_nonnegative
+    numerators = levenshtein._numerators
 
     class CountingRows:
         def __init__(self, rows):
@@ -138,27 +153,33 @@ def test_gate_builds_few_polynomials():
         counts["f"] += 1
         return check(CountingRows(rows), g, top)
 
+    def counting_numerators(*args):
+        counts["num"] += 1
+        return numerators(*args)
+
     levenshtein._coefficients_nonnegative = counting_check
+    levenshtein._numerators = counting_numerators
     try:
         levenshtein_max_size(500, 95, 2)
     finally:
         levenshtein._coefficients_nonnegative = check
+        levenshtein._numerators = numerators
     assert 1 <= counts["f"] <= 8 and counts["sums"] <= 300, counts
+    assert counts["num"] == counts["f"], counts
 
 
 def _every_degree_reference(n, d, q):
     """The bound over every degree of both branches, each candidate checked
     against the definition: f(0) > 0, f(j) <= 0 for j = d..n, f_0 > 0 and
-    f_i >= 0 for i = 1..n.  The kernel is summed in Fractions; only the
-    Krawtchouk table is shared with the module (and checked above)."""
-    table = _KrawtchoukRows(n, q)
-    weighted = [[comb(n, x) * (q - 1) ** x * k for x, k in enumerate(table.row(i))]
-                for i in range(n + 1)]
+    f_i >= 0 for i = 1..n.  The kernel is summed in Fractions, and every
+    Krawtchouk value comes from the explicit sum, not from the module."""
+    weighted = [[comb(n, x) * (q - 1) ** x * k for x, k in enumerate(row)]
+                for row in _reference_rows(n, q, n, 0)]
     best = q ** n
     for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
                       (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
         kernel = [Fraction(0)] * (n + 1)
-        for c, row in enumerate(table.adjacent(m)):
+        for c, row in enumerate(_reference_rows(m, q, n, 1)):
             a = Fraction(row[d], comb(m, c) * (q - 1) ** c)
             kernel = [t + a * r for t, r in zip(kernel, row)]
             scale = lcm(*(t.denominator for t in kernel))

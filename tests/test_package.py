@@ -65,3 +65,21 @@ def test_tracer_wraps_existing_names():
     missing = [f"{module}.{attr}" for module, attr, *_ in wraps
                if not hasattr(_module(module), attr)]
     assert wraps and not missing
+
+
+def test_tracer_records_one_levenshtein_span_per_table_cell(capsys):
+    # the table shares one Krawtchouk table per length, yet the bound is
+    # still called, and timed, once per cell
+    tracer_module = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
+    tracer = tracer_module["Tracer"]()
+    modules = {name: _module(name) for name in ("cli", "bounds", "golden", "oracle")}
+    tracer.install(modules)
+    try:
+        rc = modules["cli"].main(["table", "--q", "2", "--n-range", "4..12", "--d-range", "3..8",
+                                  "--bounds", "all", "--format", "csv"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    cells = sum(1 for n in range(4, 13) for d in range(3, 9) if d <= n)
+    assert rc == 0
+    assert tracer.stats[tracer_module["LEV"]].calls == cells
