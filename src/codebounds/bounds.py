@@ -7,12 +7,6 @@ block must map injectively to tails of weight >= d - i, so for every i with
 Classical comparison bounds (Griesmer, Singleton, Hamming, Plotkin, Elias,
 Levenshtein) are implemented alongside it, all in exact integer arithmetic:
 every rational cap is a ratio of integers floored with one integer division.
-
-Everything here is pure.  The one state kept between calls is the
-Levenshtein bound's Krawtchouk table, and only inside a
-levenshtein.shared_krawtchouk_tables() scope, in the thread that opened it:
-there consecutive queries at one (n, q) share it.  Calls from other threads,
-or outside any scope, build their own.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,6 @@ from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
 from .exactmath import (DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError,
                         check_alphabet, check_query)
 from .golden import BLOCKS, diff_table1
-from .levenshtein import shared_krawtchouk_tables
 
 __all__ = ["main", "entry"]
 
@@ -93,10 +92,8 @@ def _table_rows(args: argparse.Namespace, bounds: list[str]):
 def _cmd_table(args: argparse.Namespace) -> int:
     bounds = _parse_bounds(args.bounds)
     header = ["q", "n", "d"] + bounds
-    # the cells of one n run consecutively, so they share its Krawtchouk table
-    with shared_krawtchouk_tables():
-        rows = [[str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks]
-                for n, d, ks in _table_rows(args, bounds)]
+    rows = [[str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks]
+            for n, d, ks in _table_rows(args, bounds)]
     if args.format == "csv":
         print(",".join(header))
         for row in rows:

@@ -26,20 +26,14 @@ floored minimum over the verified candidates scanned, never exceeding the
 trivial q**n.  Every returned value is therefore a sound upper bound
 regardless of which degrees happen to verify.
 
-The Krawtchouk table on n, the rows K_i(x) at x = -1..n + 1, is the only
-state that depends on (n, q) alone.  It serves the coefficient checks, and a
-checked candidate reads both of its kernel rows off it (see
-_KrawtchoukRows.kernel_row), so no other table is built.  Inside
-shared_krawtchouk_tables(), consecutive queries at one (n, q) in one thread
-share the table; elsewhere each query builds its own.
-
-Which degrees are candidates is read from four running sums, not from the
-n + 1 values of f.  Put N = m + 1, s = q - 1, rho_i = C(N, i) s**i, and on m
-P_c = K_c(d - 1) and norm_c = C(m, c) s**c.  The kernel is kept as integer
-numerators num = den * T over one running common denominator: each degree
-widens it by widen = den' / den and adds step = den' P_c / norm_c times
-K_c(x - 1).  Let B_i be the coefficient of num on K_i(x) on N, so that a
-degree adds step to B_0..B_c.  Then
+Nothing is kept between calls.  Which degrees are candidates is read from
+four running sums, not from the n + 1 values of f.  Put N = m + 1,
+s = q - 1, rho_i = C(N, i) s**i, and on m P_c = K_c(d - 1) and
+norm_c = C(m, c) s**c.  The kernel is kept as integer numerators
+num = den * T over one running common denominator: each degree widens it by
+widen = den' / den and adds step = den' P_c / norm_c times K_c(x - 1).  Let
+B_i be the coefficient of num on K_i(x) on N, so that a degree adds step to
+B_0..B_c.  Then
 
     S0 = sum rho_i = K_c(-1) on m,
     S1 = sum B_i rho_i = num(0),
@@ -61,102 +55,81 @@ n w_{n-1}(x)), so with F = 1 on the odd branch and F = n on the even one
 A degree is a candidate iff S1 != 0 and d q S2 > N s den TD, and its value
 d S1**2 q**(n-N+1) // (d q S2 - N s den TD) is the same floored rational as
 f(0) q**n // (q**n f_0).  So a degree costs O(1) big-integer operations and
-builds no list; num and f are built only for a candidate being checked, num
-by Christoffel-Darboux:
+builds no list.
 
-    num(x) = den (c+1) (K_{c+1}(x-1) P_c - K_c(x-1) P_{c+1}) / (q norm_c (d - x))
+The check of a candidate needs no Krawtchouk row on n.  With
+sum_i K_i(x) z**i = (1 + s z)**(n-x) (1-z)**x and C(n, x) C(x, j) =
+C(n, j) C(n-j, x-j), the binomial theorem gives
 
-for x != d, an exact division, and num(d) = TD.
+    sum_i z**i sum_x C(n, x) s**x C(x, j) K_i(x) = C(n, j) s**j q**(n-j) (1-z)**j.
+
+Let D = min(deg f, n), deg f = 2c + 1 on the odd branch and 2c + 2 on the
+even one.  On x = 0..n, f equals its Newton series
+sum_{j <= D} Delta**j f(0) C(x, j), so the sums F_i =
+sum_x w(x) f(x) K_i(x), which are q**n w(i) f_i, satisfy
+
+    sum_i F_i z**i = q**(n-D) sum_j e_j (1 - z)**j,
+    e_j = Delta**j f(0) C(n, j) s**j q**(D-j).
+
+So f is needed only at x = 0..D.  Its forward differences take
+subtractions only, the e_j take D + 1 products, and the polynomial
+sum_j e_j t**j shifted to t = 1 + u takes additions only; its coefficient of
+u**i is (-1)**i q**(D-n) F_i.  F_i = 0 for i > D.  The values of f come from
+num: num(0) = S1 and num(d) = TD from the scan, and elsewhere by
+Christoffel-Darboux,
+
+    num(x) = den (c+1) (K_{c+1}(x-1) P_c - K_c(x-1) P_{c+1}) / (q norm_c (d - x)),
+
+an exact division.  The two kernel rows on m come from K_c(0) = norm_c by
+the three-term recurrence in the argument (see _kernel_row).  Before f is
+formed, num is divided by the gcd of its values: a positive factor, which
+leaves every sign as it is and takes about the size of den off each value.
 
 Each branch scans degrees upward and stops at the first candidate whose
 value is not below the best verified one.  Candidates whose values strictly
 decrease form a run, all below the best; a scan that checked each in turn
 would keep the last of the run that verifies, so the run is checked from its
-end backwards and the first that passes ends it.  Each check computes the
-coefficients f_i from the top degree (2c + 1 on the odd branch, 2c + 2 on
-the even one, capped at n) down to 1, where failing candidates fail first;
-every degree that sets a value has passed all of them.
+end backwards and the first that passes ends it.  The shift finishes the
+coefficients from i = 0 upwards, and a check stops at the first negative
+one; every degree that sets a value has passed all of them.
 """
 
 from collections.abc import Iterator
-from contextlib import contextmanager
-from math import comb, lcm
-from operator import mul
-from threading import local
+from itertools import accumulate, islice
+from math import comb, gcd, lcm
+from operator import sub
 
 from .exactmath import check_query
 
-__all__ = ["levenshtein_max_size", "shared_krawtchouk_tables"]
+__all__ = ["levenshtein_max_size"]
 
 
-class _KrawtchoukRows:
-    """Lazy table of K_i(x) for the scheme of length n, at x = -1..n + 1
-    (column x + 1), with the weights w(x) = C(n, x)(q-1)**x at x = 0..n."""
+def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
+    """K_c(y) for the scheme of length m at y = 0..last, last <= m + 1.
 
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
-        self.weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
-        self._rows = [[1] * (n + 3), [n * (q - 1) - q * x for x in range(-1, n + 2)]]
+    From K_c(0) = C(m, c)(q-1)**c the values follow by the recurrence in y,
+    each division exact:
 
-    def row(self, i: int) -> list[int]:
-        n, q = self.n, self.q
-        while len(self._rows) <= i:
-            r = len(self._rows)
-            prev, cur = self._rows[r - 2], self._rows[r - 1]
-            # r K_r(x) = (r - 1 + (q-1)(n - r + 1) - q x) K_{r-1}(x) - (q-1)(n - r + 2) K_{r-2}(x)
-            a, b = r - 1 + (q - 1) * (n - r + 1), (q - 1) * (n - r + 2)
-            self._rows.append([((a - q * x) * k - b * p) // r
-                               for x, p, k in zip(range(-1, n + 2), prev, cur)])
-        return self._rows[i]
+        (q-1)(m - y) K_c(y + 1) = ((q-1)(m - y) + y - q c) K_c(y) - y K_c(y - 1).
 
-    def kernel_row(self, m: int, c: int) -> list[int]:
-        """K_c(x - 1) for the scheme of length m = n - 1 or n - 2, at x = 0..n.
-
-        With sum_c K_c(x) z**c = (1 + (q-1)z)**(n-x) (1-z)**x, the difference
-        K_c(x) - K_c(x + 1) on n has generating function q z (1 + (q-1)z)**(n-1-x)
-        (1-z)**x, so K_c(x) - K_c(x + 1) = q K_{c-1}(x) on n - 1, at every
-        integer x.  One row of the table gives the row on n - 1, and its
-        second difference the row on n - 2.
-        """
-        q = self.q
-        r = self.row(c + self.n - m)
-        if m == self.n - 1:
-            return [(a - b) // q for a, b in zip(r, r[1:self.n + 2])]
-        return [(a - 2 * b + e) // (q * q) for a, b, e in zip(r, r[1:], r[2:])]
+    It gives nothing at y = m, so K_c(m + 1) is read off
+    sum_c K_c(m + 1) z**c = (1 - z)**(m+1) / (1 + (q-1)z).
+    """
+    s = q - 1
+    row = [comb(m, c) * s ** c]
+    for y in range(min(last, m)):
+        t = s * (m - y)
+        # at y = 0 the last term vanishes
+        row.append(((t + y - q * c) * row[y] - y * row[y - 1]) // t)
+    if last > m:
+        row.append((-1) ** c * sum(comb(m + 1, i) * s ** (c - i) for i in range(c + 1)))
+    return row
 
 
-# per thread: the slot of the innermost open scope, holding its table
-_scope = local()
-
-
-@contextmanager
-def shared_krawtchouk_tables() -> Iterator[None]:
-    """A scope in which consecutive queries at one (n, q), in this thread,
-    share one Krawtchouk table.  The table is dropped when (n, q) changes
-    and when the scope ends; another thread never sees it."""
-    outer = getattr(_scope, "slot", None)
-    _scope.slot = [None]
-    try:
-        yield
-    finally:
-        _scope.slot = outer
-
-
-def _table(n: int, q: int) -> _KrawtchoukRows:
-    slot = getattr(_scope, "slot", None)
-    if slot is None:
-        return _KrawtchoukRows(n, q)
-    rows = slot[0]
-    if rows is None or (rows.n, rows.q) != (n, q):
-        rows = slot[0] = _KrawtchoukRows(n, q)
-    return rows
-
-
-def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (value, c, den, td) for each candidate degree c = 0..m of the
-    kernel system on m, value = floor(f(0) q**n / (q**n f_0)), with the
-    common denominator den and TD = num(d) at that degree."""
+def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (value, c, den, s1, td) for each candidate degree c = 0..m of
+    the kernel system on m, value = floor(f(0) q**n / (q**n f_0)), with the
+    common denominator den, S1 = num(0) and TD = num(d) at that degree."""
     s = q - 1
     scale = d * q ** (n - m)
     # K_c(-1) and K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
@@ -173,7 +146,7 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int,
         den = common
         excess = d * q * s2 - (m + 1) * s * den * td
         if s1 and excess > 0:
-            yield scale * s1 * s1 // excess, c, den, td
+            yield scale * s1 * s1 // excess, c, den, s1, td
         # (c+1) K_{c+1}(y) = (c + (q-1)(m - c) - q y) K_c(y) - (q-1)(m - c + 1) K_{c-1}(y)
         a, b = c + s * (m - c), s * (m - c + 1)
         low, low_prev = ((a + q) * low - b * low_prev) // (c + 1), low
@@ -181,55 +154,65 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int,
         norm = norm * (m - c) * s // (c + 1)
 
 
-def _numerators(rows: _KrawtchoukRows, m: int, d: int, c: int, den: int, td: int) -> list[int]:
-    """num = den * T at x = 0..n for the kernel of degree c on m, by
-    Christoffel-Darboux, with num(d) = TD."""
-    q = rows.q
-    low, high = rows.kernel_row(m, c), rows.kernel_row(m, c + 1)
-    p, p_next = low[d], high[d]
+def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, top: int) -> list[int]:
+    """num = den * T at x = 0..top for the kernel of degree c on m, by
+    Christoffel-Darboux, with num(0) = S1 and num(d) = TD."""
+    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..max(top, d)
+    last = max(top, d) - 1
+    low, high = _kernel_row(m, q, c, last), _kernel_row(m, q, c + 1, last)
+    p, p_next = low[d - 1], high[d - 1]
     scale = den * (c + 1)
     div = q * comb(m, c) * (q - 1) ** c
-    return [td if x == d else scale * (h * p - k * p_next) // (div * (d - x))
-            for x, (k, h) in enumerate(zip(low, high))]
+    return [s1] + [td if x == d else scale * (h * p - k * p_next) // (div * (d - x))
+                   for x, k, h in zip(range(1, top + 1), low, high)]
 
 
-def _branch_min(rows: _KrawtchoukRows, m: int, d: int) -> int | None:
+def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int,
+                  td: int) -> Iterator[int]:
+    """Yield q**(D - n) g**-2 sum_x w(x) f(x) K_i(x) for i = 0..D, where
+    D = min(deg f, n), f is the candidate of degree c on m and g is the gcd
+    of num(0..D); the sums above D are zero."""
+    s = q - 1
+    # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2)
+    top = min(2 * c + n - m, n)
+    num = _numerators(m, d, q, c, den, s1, td, top)
+    g = gcd(*num)
+    f = [(d - x) * (n - x) ** (n - 1 - m) * (v // g) ** 2 for x, v in enumerate(num)]
+    diffs = []  # Delta**j f(0)
+    for _ in range(top + 1):
+        diffs.append(f[0])
+        f = list(map(sub, f[1:], f))
+    # the shift by 1 of sum_j e_j t**j, stored from j = D down: each pass
+    # replaces the entries by their running sums, and its last one is final
+    shifted = [v * comb(n, j) * s ** j * q ** (top - j) for j, v in enumerate(diffs)][::-1]
+    for i in range(top + 1):
+        shifted = list(accumulate(shifted))
+        a = shifted.pop()
+        yield -a if i % 2 else a
+
+
+def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
     """Minimum verified bound for one branch, with its kernel system on m."""
     best: int | None = None
-    run: list[tuple[int, int, int, int]] = []  # candidates, values decreasing
-    for candidate in _candidates(rows.n, m, d, rows.q):
+    run: list[tuple[int, int, int, int, int]] = []  # candidates, values decreasing
+    for candidate in _candidates(n, m, d, q):
         if run and candidate[0] < run[-1][0]:
             run.append(candidate)
             continue
-        best = _run_min(rows, m, d, run, best)
+        best = _run_min(n, m, d, q, run, best)
         if best is not None and candidate[0] >= best:
             return best
         run = [candidate]
-    return _run_min(rows, m, d, run, best)
+    return _run_min(n, m, d, q, run, best)
 
 
-def _run_min(rows: _KrawtchoukRows, m: int, d: int,
-             run: list[tuple[int, int, int, int]], best: int | None) -> int | None:
+def _run_min(n: int, m: int, d: int, q: int,
+             run: list[tuple[int, int, int, int, int]], best: int | None) -> int | None:
     """The value of the last candidate in run that verifies, else best."""
-    n = rows.n
-    for value, c, den, td in reversed(run):
-        num = _numerators(rows, m, d, c, den, td)
-        # f = w(x) * (d - x)(n - x)**(n - 1 - m) * num**2; the leading 0 is
-        # the table's column x = -1
-        g = [0] + [w * (d - x) * (n - x) ** (n - 1 - m) * v * v
-                   for x, (w, v) in enumerate(zip(rows.weights, num))]
-        # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2),
-        # and expansions over the n + 1 points are complete at degree n, so
-        # higher coefficients are identically zero
-        if _coefficients_nonnegative(rows, g, min(2 * c + n - m, n)):
+    for value, c, den, s1, td in reversed(run):
+        if all(a >= 0 for a in islice(_coefficients(n, m, d, q, c, den, s1, td), 1, None)):
             return value
     return best
-
-
-def _coefficients_nonnegative(rows: _KrawtchoukRows, g: list[int], top: int) -> bool:
-    """Whether sum_x g[x] K_i(x) >= 0 for i = top down to 1, g given at
-    x = -1..n like the table's rows."""
-    return all(sum(map(mul, g, rows.row(i))) >= 0 for i in range(top, 0, -1))
 
 
 def levenshtein_max_size(n: int, d: int, q: int) -> int:
@@ -238,7 +221,6 @@ def levenshtein_max_size(n: int, d: int, q: int) -> int:
     trivial = q ** n
     if n < 3 or d == 1:
         return trivial
-    rows = _table(n, q)
-    odd = _branch_min(rows, n - 1, d)
-    even = _branch_min(rows, n - 2, d)
+    odd = _branch_min(n, n - 1, d, q)
+    even = _branch_min(n, n - 2, d, q)
     return min(v for v in (odd, even, trivial) if v is not None)

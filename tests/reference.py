@@ -3,8 +3,9 @@
 The exact primitives are written here the slow, literal way: binomial and
 weight_count by their counting formulas, tail_mass in both readings of bound
 A's right-hand side, and krawtchouk as the explicit alternating sum.  The
-package's fast paths (bound A's incremental tail walk, the Krawtchouk row
-recurrence of the Levenshtein bound) are compared with them.
+package's fast paths (bound A's incremental tail walk, the Krawtchouk
+recurrences and the coefficient check of the Levenshtein bound) are compared
+with them.
 
 The oracle references enumerate systematic codes one Code at a time: linear
 ones via standard-form generator matrices [I | T], nonlinear ones as

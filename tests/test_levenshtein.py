@@ -4,7 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -13,7 +13,8 @@ from reference import best_linear_d, krawtchouk
 
 from codebounds.exactmath import floor_log_q
 from codebounds import levenshtein
-from codebounds.levenshtein import _KrawtchoukRows, _candidates, _numerators, levenshtein_max_size
+from codebounds.levenshtein import (_candidates, _coefficients, _kernel_row, _numerators,
+                                    levenshtein_max_size)
 
 
 @pytest.mark.parametrize("n,d,q,k_expected", [
@@ -62,16 +63,13 @@ def _reference_rows(m, q, n, shift):
 
 
 def test_recurrence_table_matches_direct_formula():
-    # the table on n at x = -1..n + 1, and the rows that the difference
-    # identity reads off it, on n - 1 and n - 2 at x - 1
-    for n, q in [(8, 2), (7, 3), (6, 5), (5, 7)]:
-        table = _KrawtchoukRows(n, q)
-        for i in range(n + 1):
-            assert table.row(i) == [krawtchouk(n, q, i, x) for x in range(-1, n + 2)], (n, q, i)
-        for m in (n - 1, n - 2):
-            for c in range(m + 1):
-                assert table.kernel_row(m, c) == [krawtchouk(m, q, c, x - 1) for x in range(n + 1)], (n, q, m, c)
-        assert table.weights == [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+    # the kernel rows from the recurrence in y, at y = 0..m + 1, the last
+    # value from the generating function
+    for m, q in [(8, 2), (7, 3), (6, 5), (5, 7), (4, 9)]:
+        for c in range(m + 1):
+            assert _kernel_row(m, q, c, m + 1) == [krawtchouk(m, q, c, y) for y in range(m + 2)], (m, q, c)
+            for last in range(m + 1):
+                assert _kernel_row(m, q, c, last) == [krawtchouk(m, q, c, y) for y in range(last + 1)], (m, q, c, last)
 
 
 def test_values_match_pinned_digests():
@@ -84,7 +82,8 @@ def test_values_match_pinned_digests():
 
     and the keys for q in {4, 7, 8, 9}, n in 3..30, and "2/250/3..83/4" with
     the same digest by the scan that built f and its sum at every degree,
-    before candidates were read from running sums.
+    before candidates were read from running sums.  The keys at n = 1000 and
+    n = 2000 were recorded while the check still summed over Krawtchouk rows.
     """
     pinned = json.loads((Path(__file__).parent / "data" / "levenshtein_pin.json").read_text())
     for key, expected in pinned.items():
@@ -99,73 +98,116 @@ def test_values_match_pinned_digests():
         assert hashlib.sha256(values.encode()).hexdigest() == expected, key
 
 
+def _reference_kernels(n, d, q):
+    """For both branches and every degree c of the kernel system on m, yield
+    (m, factor, c, den, kernel): kernel = T * lcm of all m + 1 norms at
+    x = 0..n, summed from the explicit Krawtchouk sum over that fixed
+    denominator, f = factor * T**2, and den the lcm of the first c + 1 norms."""
+    for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
+                      (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
+        norms = [comb(m, c) * (q - 1) ** c for c in range(m + 1)]
+        scale = lcm(*norms)
+        kernel = [0] * (n + 1)
+        for c, row in enumerate(_reference_rows(m, q, n, 1)):
+            kernel = [t + scale // norms[c] * row[d] * r for t, r in zip(kernel, row)]
+            yield m, factor, c, scale, lcm(*norms[:c + 1]), kernel
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_running_sums_match_direct_kernel_sum(q):
     # at every degree of both branches, against the kernel summed here from
     # the explicit Krawtchouk sum over one fixed denominator: the scan's
     # candidate test and value equal those of f = wf * kernel**2 summed over
-    # all n + 1 points, and the Christoffel-Darboux numerators, c = m
-    # included, are a positive multiple of the kernel.  They equal it times
-    # den / scale at every x, so each floor division in them was exact.
+    # all n + 1 points, and the numerators, c = m included, are a positive
+    # multiple of the kernel.  They equal it times den / scale at every x, so
+    # each floor division in them was exact.
     for n in range(3, 31):
-        table = _KrawtchoukRows(n, q)
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         for d in range(2, n + 1):
-            for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
-                              (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
-                wf = [w * f for w, f in zip(weights, factor)]
-                norms = [comb(m, c) * (q - 1) ** c for c in range(m + 1)]
-                scale = lcm(*norms)
-                candidates = {c: (value, den, td) for value, c, den, td in _candidates(n, m, d, q)}
-                kernel = [0] * (n + 1)
-                for c, row in enumerate(_reference_rows(m, q, n, 1)):
-                    kernel = [t + scale // norms[c] * row[d] * r for t, r in zip(kernel, row)]
-                    g = [w * v * v for w, v in zip(wf, kernel)]
-                    total = sum(g)
-                    direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
-                    value, den, td = candidates.get(c, (None, None, None))
-                    assert value == direct, (q, n, d, m, c)
-                    den_c = lcm(*norms[:c + 1])
-                    td_c = kernel[d] * den_c // scale
-                    assert value is None or (den, td) == (den_c, td_c), (q, n, d, m, c)
-                    num = _numerators(table, m, d, c, den_c, td_c)
-                    assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
-                    assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
+            candidates = {(m, c): (value, den, s1, td) for m in (n - 1, n - 2)
+                          for value, c, den, s1, td in _candidates(n, m, d, q)}
+            for m, factor, c, scale, den_c, kernel in _reference_kernels(n, d, q):
+                g = [w * f * v * v for w, f, v in zip(weights, factor, kernel)]
+                total = sum(g)
+                direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
+                value, *rest = candidates.get((m, c), (None,))
+                assert value == direct, (q, n, d, m, c)
+                s1_c, td_c = kernel[0] * den_c // scale, kernel[d] * den_c // scale
+                assert value is None or rest == [den_c, s1_c, td_c], (q, n, d, m, c)
+                num = _numerators(m, d, q, c, den_c, s1_c, td_c, n)
+                assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
+                assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_coefficients_match_direct_sums(q):
+    # every coefficient of every candidate of both branches, the value and
+    # not only its sign, against sum_x w(x) f(x) K_i(x) with f from the
+    # kernel summed here and K_i from the explicit sum, up to the square of
+    # the gcd of the numerators the check uses; the sums above the last
+    # coefficient are zero
+    checked = 0
+    for n in range(3, 31):
+        weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+        rows = _reference_rows(n, q, n, 0)
+        for d in range(2, n + 1):
+            kernels = {(m, c): (factor, scale, kernel)
+                       for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
+            for m in (n - 1, n - 2):
+                for _, c, den, s1, td in _candidates(n, m, d, q):
+                    factor, scale, kernel = kernels[m, c]
+                    g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
+                    direct = [sum(map(mul, g, row)) for row in rows]
+                    coefficients = list(_coefficients(n, m, d, q, c, den, s1, td))
+                    top = len(coefficients) - 1
+                    assert top == min(2 * c + n - m, n), (q, n, d, m, c)
+                    common = gcd(*(t * den // scale for t in kernel[:top + 1]))
+                    assert [a * q ** (n - top) * common ** 2 for a in coefficients] == direct[:top + 1], (q, n, d, m, c)
+                    assert not any(direct[top + 1:]), (q, n, d, m, c)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_gate_builds_few_polynomials():
-    # at (500, 95, 2) only the minimum of each decreasing run is checked, each
-    # from its top coefficient down: a few f lists and about one full check,
-    # and numerators only for the f lists
-    counts = {"f": 0, "sums": 0, "num": 0}
-    check = levenshtein._coefficients_nonnegative
+    # at (500, 95, 2) only the minimum of each decreasing run is checked: a
+    # few checks, numerators only for them, and a check that fails draws no
+    # coefficient past its first negative one
+    drawn: list[list[int]] = []  # per check, the coefficients i >= 1 it drew
+    counts = {"num": 0}
+    coefficients = levenshtein._coefficients
     numerators = levenshtein._numerators
 
-    class CountingRows:
-        def __init__(self, rows):
-            self.rows = rows
-
-        def row(self, i):
-            counts["sums"] += 1
-            return self.rows.row(i)
-
-    def counting_check(rows, g, top):
-        counts["f"] += 1
-        return check(CountingRows(rows), g, top)
+    def counting_coefficients(*args):
+        drawn.append([])
+        for i, a in enumerate(coefficients(*args)):
+            if i:
+                drawn[-1].append(a)
+            yield a
 
     def counting_numerators(*args):
         counts["num"] += 1
         return numerators(*args)
 
-    levenshtein._coefficients_nonnegative = counting_check
+    levenshtein._coefficients = counting_coefficients
     levenshtein._numerators = counting_numerators
     try:
         levenshtein_max_size(500, 95, 2)
     finally:
-        levenshtein._coefficients_nonnegative = check
+        levenshtein._coefficients = coefficients
         levenshtein._numerators = numerators
-    assert 1 <= counts["f"] <= 8 and counts["sums"] <= 300, counts
-    assert counts["num"] == counts["f"], counts
+    assert 1 <= len(drawn) <= 8 and counts["num"] == len(drawn), (len(drawn), counts)
+    assert all(a >= 0 for check in drawn for a in check[:-1]), [len(check) for check in drawn]
+    assert any(check[-1] < 0 for check in drawn) and not all(check[-1] < 0 for check in drawn)
+
+
+@pytest.mark.parametrize("coefficients,verifies", [
+    ([5, -1, 2], False), ([5, 1, -2], False), ([-5, 0, 2], True), ([0, 3, 0], True),
+])
+def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients, verifies):
+    # a candidate verifies iff no coefficient i >= 1 is negative; the sign of
+    # the one at i = 0 is the scan's candidate test, not the check's
+    monkeypatch.setattr(levenshtein, "_coefficients", lambda *args: iter(coefficients))
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1)], 9) == (7 if verifies else 9)
 
 
 def _every_degree_reference(n, d, q):

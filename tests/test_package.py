@@ -27,6 +27,11 @@ def test_exported_names_exist():
     assert not missing
 
 
+def test_levenshtein_exports_only_the_bound():
+    # the bound keeps no state between calls, so it has nothing else to export
+    assert _module("levenshtein").__all__ == ["levenshtein_max_size"]
+
+
 def test_names_imported_across_modules_are_exported():
     # `from .x import y` anywhere in the package names y in x.__all__
     unlisted = [f"{path.stem} imports {node.module}.{alias.name}"
@@ -68,8 +73,7 @@ def test_tracer_wraps_existing_names():
 
 
 def test_tracer_records_one_levenshtein_span_per_table_cell(capsys):
-    # the table shares one Krawtchouk table per length, yet the bound is
-    # still called, and timed, once per cell
+    # the bound is called, and timed, once per cell
     tracer_module = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
     tracer = tracer_module["Tracer"]()
     modules = {name: _module(name) for name in ("cli", "bounds", "golden", "oracle")}
