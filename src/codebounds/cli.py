@@ -157,18 +157,23 @@ def _cmd_refute_check(args: argparse.Namespace) -> int:
     failures = 0
     checked = 0
     for n in range(4, args.n_max + 1):
-        for k in range(3, min(args.k_max, n - 1) + 1):
-            for d in range(3, min(args.d_max, n) + 1):
-                if not bound_a_check(n, k, d, args.q, args.variant_a).refuted:
-                    continue
-                outcome = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
-                checked += 1
-                if outcome == CONFIRMED:
-                    print(f"(n={n}, k={k}, d={d}) refuted: confirmed")
-                else:
-                    failures += 1
-                    print(f"(n={n}, k={k}, d={d}) refuted: CONTRADICTION, "
-                          f"oracle found a code with distance >= {d}")
+        refuted = [(k, d) for k in range(3, min(args.k_max, n - 1) + 1)
+                   for d in range(3, min(args.d_max, n) + 1)
+                   if bound_a_check(n, k, d, args.q, args.variant_a).refuted]
+        # at fixed (k, d) the tail mass over n - k positions only grows with
+        # n, so once this n has every (k, d) of the box and none is refuted,
+        # no longer n has a refutation either
+        if not refuted and n > args.k_max and n >= args.d_max:
+            break
+        for k, d in refuted:
+            outcome = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
+            checked += 1
+            if outcome == CONFIRMED:
+                print(f"(n={n}, k={k}, d={d}) refuted: confirmed")
+            else:
+                failures += 1
+                print(f"(n={n}, k={k}, d={d}) refuted: CONTRADICTION, "
+                      f"oracle found a code with distance >= {d}")
     print(f"{checked} refutations cross-checked, {failures} contradictions")
     return 1 if failures else 0
 

@@ -14,15 +14,20 @@ The budget must be at least 1.  The alphabet must be prime here
 check_linear_alphabet refuses an alphabet larger than the budget before the
 prime test.
 
-The refutation cross-check searches without building a code per candidate.
-Its linear phase is a depth-first search over the rows of the tail, run
-anew for each refuted d, that finds the best distance and its first
-witness.  Its nonlinear phase is a complete depth-first search over
-prefix-to-tail assignments that skips only the partial assignments already
-holding a pair closer than d.  Each finds the same first code, in
-enumeration order, as scanning every code of its kind.  Both phases run
-under the budget guards, and the linear phase also bounds the span of up to
-q**k codewords that it checks every candidate row against.
+The searches build no code per candidate.  The linear one is a depth-first
+search over the rows of the tail that finds the first code reaching a given
+d; best_linear_d_witness (oracle best-d) runs it for d counting down from
+the Singleton bound.  The nonlinear one is a complete depth-first search
+over prefix-to-tail assignments that skips only the partial assignments
+already holding a pair closer than d.  Each finds the same first code, in
+enumeration order, as scanning every code of its kind.  Every search passes
+the linear search's budget guards first, which also bound the span of up to
+q**k codewords that the linear search checks every candidate row against.
+
+The cross-check runs one search per refuted triple, chosen by the budget:
+the nonlinear search where all systematic codes fit in it, since every
+standard-form code is one of them, and the linear search at the refuted d
+elsewhere.
 """
 
 from collections.abc import Iterator
@@ -196,13 +201,22 @@ def _within_budget(exponent: int, q: int, budget: int) -> bool:
 
 def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
     """The number q**(k(n-k)) of standard-form codes, once q passes
-    check_linear_alphabet, 1 <= k < n, and the count fits in the budget."""
+    check_linear_alphabet, 1 <= k < n, and the count fits in the budget.
+
+    (q**k - 1) x q**k, one per ordered pair of distinct codewords, must fit
+    too: the linear search checks each candidate row against the span of the
+    rows before it, up to q**k codewords.
+    """
     check_linear_alphabet(q, budget)
     _check_systematic(n, k, q)
     exponent = k * (n - k)
     if not _within_budget(exponent, q, budget):
         raise EnumerationBudgetError(
             f"enumerating q**(k(n-k)) = {q}**{exponent} standard-form codes exceeds the budget of {budget}"
+        )
+    if (q ** k - 1) * q ** k > budget:
+        raise EnumerationBudgetError(
+            f"the search's {q ** k - 1} x {q ** k} codeword pairs exceed the budget of {budget}"
         )
     return q ** exponent
 
@@ -270,15 +284,9 @@ def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) 
     with the first generator (in enumeration order) that attains it.
 
     Counts down from the Singleton bound n - k + 1 to the first d that some
-    code reaches.  Each candidate row is checked against the span of the rows
-    before it, up to q**k codewords; (q**k - 1) x q**k, one per ordered pair
-    of distinct codewords, must fit in the budget too.
+    code reaches, under the guards of _linear_count_within.
     """
     _linear_count_within(n, k, q, budget)
-    if (q ** k - 1) * q ** k > budget:
-        raise EnumerationBudgetError(
-            f"the search's {q ** k - 1} x {q ** k} codeword pairs exceed the budget of {budget}"
-        )
     d = n - k + 1
     while (tail := _first_linear_tail(n, k, d, q)) is None:
         d -= 1
@@ -332,21 +340,22 @@ def refutation_crosscheck(
 ) -> str | Code:
     """Exhaustively confirm a refutation: no systematic code can reach d.
 
-    Requires bound_a_check(n, k, d, q, variant) to be a refutation.  Searches
-    all standard-form linear codes (and all nonlinear systematic codes when
-    the budget allows) and returns "confirmed" if none attains minimum
-    distance >= d, else a contradicting code: the witness of
-    best_linear_d_witness, or failing that the first nonlinear code in
-    enumeration order.
+    Requires bound_a_check(n, k, d, q, variant) to be a refutation, and the
+    guards of _linear_count_within.  Runs one search: where all nonlinear
+    systematic codes fit in the budget, the first of them with minimum
+    distance >= d (every standard-form code is among them); elsewhere the
+    first standard-form code with minimum distance >= d.  The nonlinear
+    count fitting implies the linear guards pass, as q**k >= 2k, so running
+    those guards first refuses nothing more.  Returns "confirmed" when the
+    search finds no code, else the first code in that search's own order,
+    not necessarily a best linear code.
     """
-    verdict = bound_a_check(n, k, d, q, variant)
-    if not verdict.refuted:
+    if not bound_a_check(n, k, d, q, variant).refuted:
         raise ValueError(f"({n}, {k}, {d}) over q={q} is not refuted; nothing to cross-check")
-    best, gen = best_linear_d_witness(n, k, q, budget=budget)
-    if best >= d:
-        return gen.code()
+    _linear_count_within(n, k, q, budget)
     if _nonlinear_within(n, k, q, budget):
         code = _first_nonlinear_code(n, k, d, q)
-        if code is not None:
-            return code
-    return CONFIRMED
+    else:
+        tail = _first_linear_tail(n, k, d, q)
+        code = None if tail is None else StandardFormGenerator(q, k, n, tail).code()
+    return CONFIRMED if code is None else code

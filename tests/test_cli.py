@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import refuting_also
 
-from codebounds import golden, levenshtein, oracle
-from codebounds.bounds import best_upper_k
+from codebounds import cli, golden, levenshtein, oracle
+from codebounds.bounds import bound_a_check, best_upper_k
 from codebounds.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -318,6 +319,66 @@ class TestOracleCommands:
                            "--n-max", n_max, "--k-max", k_max, "--d-max", "2")
         assert (rc, out, err) == (2, "", f"error: linear enumeration needs a prime alphabet, got q={q}\n")
 
+    def test_refute_check_one_linear_search_per_refutation(self, capsys, monkeypatch):
+        # the bench's q = 3 box: no nonlinear search fits, so each of its 33
+        # refutations makes exactly one linear search, at its own d
+        calls = {"tail": 0, "best_d": 0}
+        first_tail, best_d = oracle._first_linear_tail, oracle.best_linear_d_witness
+
+        def tail(*args):
+            calls["tail"] += 1
+            return first_tail(*args)
+
+        def best(*args, **kwargs):
+            calls["best_d"] += 1
+            return best_d(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_first_linear_tail", tail)
+        monkeypatch.setattr(oracle, "best_linear_d_witness", best)
+        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "3", "--n-max", "7",
+                         "--k-max", "6", "--d-max", "7")
+        assert rc == 0
+        assert out.endswith("33 refutations cross-checked, 0 contradictions\n")
+        assert calls == {"tail": 33, "best_d": 0}
+
+    def test_nonlinear_contradiction_output(self, capsys, monkeypatch):
+        # bound A made unsound at (6, 3, 3) over q = 2, where a code of
+        # distance 3 exists; the budget admits all 2**24 systematic codes,
+        # so the nonlinear search finds it
+        fake = refuting_also(6, 3, 3)
+        monkeypatch.setattr(oracle, "bound_a_check", fake)
+        monkeypatch.setattr(cli, "bound_a_check", fake)
+        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "2", "--n-max", "6",
+                         "--k-max", "3", "--d-max", "3", "--budget", str(2 ** 24))
+        assert rc == 1
+        assert out == (
+            "(n=4, k=3, d=3) refuted: confirmed\n"
+            "(n=5, k=3, d=3) refuted: confirmed\n"
+            "(n=6, k=3, d=3) refuted: CONTRADICTION, oracle found a code with distance >= 3\n"
+            "3 refutations cross-checked, 1 contradictions\n"
+        )
+
+    @pytest.mark.parametrize("variant", ["weight", "literal"])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_refute_check_scans_every_refuted_triple(self, capsys, monkeypatch, q, variant):
+        # the n scan stops early once a whole (k, d) box is unrefuted; the
+        # triples it prints must still be every refutation of a full scan
+        monkeypatch.setattr(cli, "refutation_crosscheck", lambda *args, **kwargs: oracle.CONFIRMED)
+        for n_max in range(4, 13):
+            for k_max in (2, 3, 4, 6, 12):
+                for d_max in (2, 3, 5, 8, 12):
+                    rc, out, _ = run(capsys, "oracle", "refute-check", "--q", str(q),
+                                     "--n-max", str(n_max), "--k-max", str(k_max),
+                                     "--d-max", str(d_max), "--variant-a", variant)
+                    expected = [f"(n={n}, k={k}, d={d}) refuted: confirmed"
+                                for n in range(4, n_max + 1)
+                                for k in range(3, min(k_max, n - 1) + 1)
+                                for d in range(3, min(d_max, n) + 1)
+                                if bound_a_check(n, k, d, q, variant).refuted]
+                    assert rc == 0
+                    assert out.splitlines() == expected + [
+                        f"{len(expected)} refutations cross-checked, 0 contradictions"], (n_max, k_max, d_max)
+
     def test_literal_contradiction_output(self, capsys):
         # the literal variant refutes k = 3 at (n=5, d=3, q=5), where a
         # [5,3,3]_5 Reed-Solomon code exists; output recorded before the
@@ -383,6 +444,15 @@ class TestEntryPoints:
         assert proc.stderr == (b"error: enumerating at least q = 1000000000000000000000000000057"
                                b" standard-form codes exceeds the budget of 10000000\n")
 
+    def test_refute_check_stops_past_the_last_refutation(self):
+        # k <= 2 is never refuted, so no n of this box is; the scan stops at
+        # n = 4 instead of walking 10**8 lengths
+        proc = _python("-m", "codebounds", "oracle", "refute-check", "--q", "2", "--n-max",
+                       "100000000", "--k-max", "2", "--d-max", "3", timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout == b"0 refutations cross-checked, 0 contradictions\n"
+        assert proc.stderr == b""
+
     def test_oracle_commands_run_without_numpy(self):
         # numpy is a test dependency only: with every numpy import failing,
         # both oracle commands print their pinned output
@@ -423,6 +493,8 @@ CLI_DIGEST_COMMANDS = [
     "eval --q 2 --n 20 --d 4 --bounds ,,",
     "oracle best-d --q 2 --n 7 --k 4",
     "eval --q 2 --n 2000 --d 400 --bounds all",
+    "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
+    "oracle refute-check --q 3 --n-max 7 --k-max 6 --d-max 7",
 ]
 
 
@@ -444,8 +516,9 @@ def test_outputs_match_pinned_digests():
     against digests recorded before the Levenshtein scan lost its patience
     constant; the last five commands were appended, and their digests
     recorded, before table1's verdict and the oracle dispatch were merged
-    into one path each, and the length-2000 query's while the Levenshtein
-    check still summed over Krawtchouk rows.  The file was made from the
+    into one path each, the length-2000 query's while the Levenshtein check
+    still summed over Krawtchouk rows, and the bench's two oracle boxes'
+    while the cross-check still ran best_linear_d_witness.  The file was made from the
     repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json

@@ -5,7 +5,7 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from conftest import random_systematic_code
+from conftest import random_systematic_code, refuting_also
 from reference import (
     best_linear_d,
     contains,
@@ -327,6 +327,52 @@ class TestRefutationCrosscheck:
     def test_budget_propagates(self):
         with pytest.raises(EnumerationBudgetError):
             refutation_crosscheck(20, 16, 4, 2)
+
+    def test_nonlinear_search_alone_where_it_fits(self, monkeypatch):
+        # all 2**8 systematic codes at (4, 3) fit, so the nonlinear search
+        # runs once and the linear one not at all
+        calls = []
+
+        def linear(*args):
+            raise AssertionError("linear search ran where the nonlinear one fits")
+
+        def nonlinear(*args):
+            calls.append(args)
+            return first_nonlinear(*args)
+
+        first_nonlinear = oracle._first_nonlinear_code
+        monkeypatch.setattr(oracle, "_first_linear_tail", linear)
+        monkeypatch.setattr(oracle, "best_linear_d_witness", linear)
+        monkeypatch.setattr(oracle, "_first_nonlinear_code", nonlinear)
+        assert refutation_crosscheck(4, 3, 3, 2) == CONFIRMED
+        assert calls == [(4, 3, 3, 2)]
+
+    def test_nonlinear_contradiction_returns_its_first_code(self, monkeypatch):
+        # bound A is made to refute (6, 3, 3) over q = 2, where a code of
+        # distance 3 exists and all 2**24 systematic codes fit the budget
+        monkeypatch.setattr(oracle, "bound_a_check", refuting_also(6, 3, 3))
+        code = refutation_crosscheck(6, 3, 3, 2, budget=2 ** 24)
+        assert isinstance(code, Code)
+        assert code.systematic_k == 3
+        assert min_distance(code) >= 3
+        assert code.words == _first_nonlinear_code(6, 3, 3, 2).words
+
+    def test_span_guard_shared_with_best_d(self, monkeypatch):
+        # 3**10 codes fit the default budget but 59 048 x 59 049 codeword
+        # pairs do not: the cross-check refuses with best-d's message, and
+        # the nonlinear count is never reached
+        def search(*args):
+            raise AssertionError("search ran past the budget guard")
+
+        monkeypatch.setattr(oracle, "_first_linear_tail", search)
+        monkeypatch.setattr(oracle, "_first_nonlinear_code", search)
+        messages = []
+        for call in (lambda: refutation_crosscheck(11, 10, 3, 3),
+                     lambda: best_linear_d_witness(11, 10, 3)):
+            with pytest.raises(EnumerationBudgetError) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages == ["the search's 59048 x 59049 codeword pairs exceed the budget of 10000000"] * 2
 
     def test_budget_below_one_rejected(self):
         for budget in (0, -3):
