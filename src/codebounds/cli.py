@@ -8,6 +8,7 @@ output.
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
@@ -178,7 +179,10 @@ def _cmd_refute_check(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call of main and
+    shared by the later ones: a parse keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="codebounds",
         description="Exact dimension bounds for systematic and linear codes.",

@@ -89,9 +89,17 @@ Each branch scans degrees upward and stops at the first candidate whose
 value is not below the best verified one.  Candidates whose values strictly
 decrease form a run, all below the best; a scan that checked each in turn
 would keep the last of the run that verifies, so the run is checked from its
-end backwards and the first that passes ends it.  The shift finishes the
-coefficients from i = 0 upwards, and a check stops at the first negative
-one; every degree that sets a value has passed all of them.
+end backwards and the first that passes ends it.  A check finishes the
+shifted coefficients from the top, i = D down to 1, and stops at the first
+negative one; every degree that sets a value has passed all of them.  The
+candidates that fail have their negative coefficients near the top, so a
+shift from i = 0 upwards would finish nearly all of them before it found
+one.  Column j of the shift, for j = D down to 1, is the running sum of
+column j + 1 started at e_j: it takes j + 1 additions, only one column is
+kept, and its last entry is the coefficient of u**j.  The weights
+w_j = C(n, j) s**j q**(D-j) of the e_j are updated as j falls, by the exact
+division w_{j-1} = w_j j q / ((n - j + 1) s).  The coefficient at i = 0 is
+never formed: its sign is the scan's candidate test, f_0 > 0.
 """
 
 from collections.abc import Iterator
@@ -169,9 +177,9 @@ def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, top:
 
 def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int,
                   td: int) -> Iterator[int]:
-    """Yield q**(D - n) g**-2 sum_x w(x) f(x) K_i(x) for i = 0..D, where
-    D = min(deg f, n), f is the candidate of degree c on m and g is the gcd
-    of num(0..D); the sums above D are zero."""
+    """Yield q**(D - n) g**-2 sum_x w(x) f(x) K_i(x) for i = D down to 1,
+    where D = min(deg f, n), f is the candidate of degree c on m and g is the
+    gcd of num(0..D); the sums above D are zero."""
     s = q - 1
     # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2)
     top = min(2 * c + n - m, n)
@@ -182,13 +190,15 @@ def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int,
     for _ in range(top + 1):
         diffs.append(f[0])
         f = list(map(sub, f[1:], f))
-    # the shift by 1 of sum_j e_j t**j, stored from j = D down: each pass
-    # replaces the entries by their running sums, and its last one is final
-    shifted = [v * comb(n, j) * s ** j * q ** (top - j) for j, v in enumerate(diffs)][::-1]
-    for i in range(top + 1):
-        shifted = list(accumulate(shifted))
-        a = shifted.pop()
-        yield -a if i % 2 else a
+    # the shift by 1 of sum_j e_j t**j, one column per j from the top; the
+    # column above j = D is all zeros
+    weight = comb(n, top) * s ** top
+    column = [0] * (top + 2)
+    for j in range(top, 0, -1):
+        column = list(accumulate(islice(column, 1, j + 2), initial=diffs[j] * weight))
+        a = column[-1]
+        yield -a if j % 2 else a
+        weight = weight * j * q // ((n - j + 1) * s)
 
 
 def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
@@ -210,7 +220,7 @@ def _run_min(n: int, m: int, d: int, q: int,
              run: list[tuple[int, int, int, int, int]], best: int | None) -> int | None:
     """The value of the last candidate in run that verifies, else best."""
     for value, c, den, s1, td in reversed(run):
-        if all(a >= 0 for a in islice(_coefficients(n, m, d, q, c, den, s1, td), 1, None)):
+        if all(a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td)):
             return value
     return best
 

@@ -480,6 +480,91 @@ class TestEntryPoints:
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
 
 
+# Counts every ArgumentParser made in this interpreter, subparsers included.
+_COUNT_PARSERS = (
+    "import argparse\n"
+    "built = []\n"
+    "init = argparse.ArgumentParser.__init__\n"
+    "def counting(self, *args, **kwargs):\n"
+    "    built.append(1)\n"
+    "    init(self, *args, **kwargs)\n"
+    "argparse.ArgumentParser.__init__ = counting\n"
+)
+
+# One process runs these in turn, twice over; each is also run alone.  A
+# usage error, two ValueError exits and literal-variant calls sit between
+# calls of the same command, so that a default or a parse left behind by one
+# call would show in the next.
+_REUSE_COMMANDS = [
+    "eval --q 5 --n 10 --d 3 --bounds a --variant-a literal",
+    "eval --q 5 --n 10 --d 3 --bounds a",
+    "table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv",
+    "table --q 2 --d 3",
+    "table --q 2 --n-range 10..12 --d 3 --bounds a --format csv",
+    "eval --q 1 --n 5 --d 2",
+    "eval --q 2 --n 20 --d 4 --bounds ,,",
+    "eval --q 2 --n 20 --d 4 --bounds griesmer,a",
+    "oracle best-d --q 2 --n 7 --k 4",
+    "oracle refute-check --q 5 --n-max 5 --k-max 3 --d-max 5 --variant-a literal",
+    "oracle refute-check --q 3 --n-max 6 --k-max 5 --d-max 6",
+]
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser(self):
+        # start-up pays for no parser: the first call of main builds it
+        proc = _python("-c", _COUNT_PARSERS + "import codebounds.cli\nprint(len(built))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"0\n"
+
+    def test_main_builds_the_parser_once(self):
+        # the count after each of ten calls, usage errors among them
+        proc = _python("-c", _COUNT_PARSERS + (
+            "import contextlib, io, shlex\n"
+            "from codebounds.cli import main\n"
+            "counts = []\n"
+            "for cmd in 5 * ['eval --q 2 --n 20 --d 4', 'table --q 2 --d 3']:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            main(shlex.split(cmd))\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n"))
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert counts[0] > 0 and counts == counts[:1] * 10, counts
+
+    def test_repeated_calls_match_fresh_runs(self):
+        proc = _python("-c", (
+            "import contextlib, io, json, shlex, sys\n"
+            "from codebounds.cli import main\n"
+            "runs = []\n"
+            "for cmd in 2 * json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            rc = main(shlex.split(cmd))\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    runs.append([out.getvalue(), err.getvalue(), rc])\n"
+            "print(json.dumps(runs))\n"), json.dumps(_REUSE_COMMANDS))
+        assert proc.returncode == 0, proc.stderr
+        in_process = json.loads(proc.stdout)
+        fresh = []
+        for cmd in _REUSE_COMMANDS:
+            alone = _python("-m", "codebounds", *shlex.split(cmd))
+            fresh.append([alone.stdout.decode(), alone.stderr.decode(), alone.returncode])
+        assert in_process == 2 * fresh
+        assert sorted({rc for _, _, rc in fresh}) == [0, 1, 2]
+        assert fresh[0][0] != fresh[1][0]  # the variants differ here
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+        runs = {cmd: {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+                      "stderr": hashlib.sha256(err.encode()).hexdigest(), "exit": rc}
+                for cmd, (out, err, rc) in zip(_REUSE_COMMANDS, fresh) if cmd in pinned}
+        assert len(runs) == 4 and runs == {cmd: pinned[cmd] for cmd in runs}
+
+
 CLI_DIGEST_COMMANDS = [
     *(f"eval --q {q} --n {n} --d {d} --bounds all"
       for q, n, d in [(2, 500, 95), (3, 160, 40), (5, 100, 30)]),
@@ -495,6 +580,7 @@ CLI_DIGEST_COMMANDS = [
     "eval --q 2 --n 2000 --d 400 --bounds all",
     "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
     "oracle refute-check --q 3 --n-max 7 --k-max 6 --d-max 7",
+    "eval --q 2 --n 600 --d 3 --bounds all",
 ]
 
 
@@ -518,7 +604,10 @@ def test_outputs_match_pinned_digests():
     recorded, before table1's verdict and the oracle dispatch were merged
     into one path each, the length-2000 query's while the Levenshtein check
     still summed over Krawtchouk rows, and the bench's two oracle boxes'
-    while the cross-check still ran best_linear_d_witness.  The file was made from the
+    while the cross-check still ran best_linear_d_witness.  The last command,
+    16 of whose 18 Levenshtein checks fail at a coefficient near the top, was
+    recorded while the check still shifted its coefficients from i = 0
+    upwards.  The file was made from the
     repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json

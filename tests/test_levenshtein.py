@@ -83,7 +83,9 @@ def test_values_match_pinned_digests():
     and the keys for q in {4, 7, 8, 9}, n in 3..30, and "2/250/3..83/4" with
     the same digest by the scan that built f and its sum at every degree,
     before candidates were read from running sums.  The keys at n = 1000 and
-    n = 2000 were recorded while the check still summed over Krawtchouk rows.
+    n = 2000 were recorded while the check still summed over Krawtchouk rows,
+    and "3/300/3..100/10" while it still shifted its coefficients from i = 0
+    upwards.
     """
     pinned = json.loads((Path(__file__).parent / "data" / "levenshtein_pin.json").read_text())
     for key, expected in pinned.items():
@@ -144,8 +146,9 @@ def test_coefficients_match_direct_sums(q):
     # every coefficient of every candidate of both branches, the value and
     # not only its sign, against sum_x w(x) f(x) K_i(x) with f from the
     # kernel summed here and K_i from the explicit sum, up to the square of
-    # the gcd of the numerators the check uses; the sums above the last
-    # coefficient are zero
+    # the gcd of the numerators the check uses; they come from i = D down to
+    # 1, the sum at i = 0 is positive, as the scan's candidate test says,
+    # and the sums above D are zero
     checked = 0
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
@@ -159,11 +162,11 @@ def test_coefficients_match_direct_sums(q):
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
                     coefficients = list(_coefficients(n, m, d, q, c, den, s1, td))
-                    top = len(coefficients) - 1
+                    top = len(coefficients)
                     assert top == min(2 * c + n - m, n), (q, n, d, m, c)
                     common = gcd(*(t * den // scale for t in kernel[:top + 1]))
-                    assert [a * q ** (n - top) * common ** 2 for a in coefficients] == direct[:top + 1], (q, n, d, m, c)
-                    assert not any(direct[top + 1:]), (q, n, d, m, c)
+                    assert [a * q ** (n - top) * common ** 2 for a in coefficients] == direct[top:0:-1], (q, n, d, m, c)
+                    assert direct[0] > 0 and not any(direct[top + 1:]), (q, n, d, m, c)
                     checked += 1
     assert checked > 1000
 
@@ -172,16 +175,15 @@ def test_gate_builds_few_polynomials():
     # at (500, 95, 2) only the minimum of each decreasing run is checked: a
     # few checks, numerators only for them, and a check that fails draws no
     # coefficient past its first negative one
-    drawn: list[list[int]] = []  # per check, the coefficients i >= 1 it drew
+    drawn: list[list[int]] = []  # per check, the coefficients it drew
     counts = {"num": 0}
     coefficients = levenshtein._coefficients
     numerators = levenshtein._numerators
 
     def counting_coefficients(*args):
         drawn.append([])
-        for i, a in enumerate(coefficients(*args)):
-            if i:
-                drawn[-1].append(a)
+        for a in coefficients(*args):
+            drawn[-1].append(a)
             yield a
 
     def counting_numerators(*args):
@@ -201,13 +203,25 @@ def test_gate_builds_few_polynomials():
 
 
 @pytest.mark.parametrize("coefficients,verifies", [
-    ([5, -1, 2], False), ([5, 1, -2], False), ([-5, 0, 2], True), ([0, 3, 0], True),
+    ([5, -1, 2], False), ([5, 1, -2], False), ([2, 0, 5], True), ([0, 3, 0], True),
+    ([-5, 0, 2], False),
 ])
 def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients, verifies):
-    # a candidate verifies iff no coefficient i >= 1 is negative; the sign of
-    # the one at i = 0 is the scan's candidate test, not the check's
-    monkeypatch.setattr(levenshtein, "_coefficients", lambda *args: iter(coefficients))
+    # the coefficients come from i = D down to 1, never i = 0, whose sign is
+    # the scan's candidate test (see test_coefficients_match_direct_sums): a
+    # candidate verifies iff none is negative, and a check reads them in
+    # that order up to its first negative one
+    drawn = []
+
+    def from_the_top(*args):
+        for a in coefficients:
+            drawn.append(a)
+            yield a
+
+    monkeypatch.setattr(levenshtein, "_coefficients", from_the_top)
     assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1)], 9) == (7 if verifies else 9)
+    read = next((i + 1 for i, a in enumerate(coefficients) if a < 0), len(coefficients))
+    assert drawn == coefficients[:read]
 
 
 def _every_degree_reference(n, d, q):
