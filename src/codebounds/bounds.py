@@ -9,8 +9,7 @@ Levenshtein) are implemented alongside it, all in exact integer arithmetic:
 every rational cap is a ratio of integers floored with one integer division.
 """
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .exactmath import (VARIANT_WEIGHT, check_distance, check_query, check_variant,
                         floor_log_q, sphere_volume)
@@ -22,6 +21,7 @@ __all__ = [
     "NOT_APPLICABLE",
     "BOUND_IDS",
     "BOUND_ALIASES",
+    "BLOCKS",
     "FeasibilityVerdict",
     "BoundResult",
     "bound_a_check",
@@ -52,9 +52,11 @@ BOUND_ALIASES = {
     "s": "singleton",
 }
 
+# the competitor blocks of table1, in table order
+BLOCKS = ("g", "h", "l", "e")
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+
+class FeasibilityVerdict(NamedTuple):
     """Outcome of one bound-A check at fixed (n, k, d, q).
 
     status is refuted only together with a witness: the smallest i whose
@@ -71,8 +73,7 @@ class FeasibilityVerdict:
         return self.status == REFUTED
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """Per-bound answer for one query: a dimension cap, and for size-based
     bounds also the cap on the number of codewords it was derived from.
 

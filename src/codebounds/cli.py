@@ -4,6 +4,10 @@ reproduction with diffing, and exhaustive oracle runs.
 Exit codes: 0 success, 1 mismatch or contradiction, 2 usage or resource error.
 All configuration is via flags; identical invocations produce byte-identical
 output.
+
+Importing this module loads the bound engine and argparse only.  The
+reference table (`golden`, with csv) is loaded by `table1` alone and the
+oracle by the `oracle` commands alone, each on its first use.
 """
 
 import argparse
@@ -11,10 +15,9 @@ import sys
 from functools import cache
 from typing import Optional, Sequence
 
-from .bounds import BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
+from .bounds import BLOCKS, BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
 from .exactmath import (DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError,
                         check_alphabet, check_query)
-from .golden import BLOCKS, diff_table1
 
 __all__ = ["main", "entry"]
 
@@ -109,6 +112,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for row in rows:
             print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
     return 0
+
+
+def diff_table1(*args, **kwargs) -> tuple:
+    """golden.diff_table1, loaded on first use: only table1 reads the
+    reference table.  It stays a name of this module, which bench/tracer.py
+    wraps to time the table recomputation."""
+    from .golden import diff_table1
+
+    return diff_table1(*args, **kwargs)
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -234,13 +246,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the two range flags and every abbreviation of them argparse accepts; no
+# other option of `table` starts with "--n-" or "--d-"
+_RANGE_FLAGS = frozenset(flag[:end] for flag in ("--n-range", "--d-range")
+                         for end in range(len("--n-"), len(flag) + 1))
+
+
 def _attach_range_values(argv: Sequence[str]) -> list[str]:
     """Write "--n-range -3..2" as "--n-range=-3..2", and likewise for
-    --d-range: argparse takes a value that starts with "-" and is not a
-    plain number for an option, and would never hand it to the range check."""
+    --d-range and their abbreviations: argparse takes a value that starts
+    with "-" and is not a plain number for an option, and would never hand
+    it to the range check."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in ("--n-range", "--d-range") and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and out[-1] in _RANGE_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
         else:
             out.append(tok)

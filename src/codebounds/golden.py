@@ -4,6 +4,8 @@ table1.csv holds the reference values this package reproduces: four blocks of
 18 rows, each row pairing a competitor bound (g = Griesmer, h = Hamming,
 l = Levenshtein, e = Elias) with the dimension cap of bound A at the same
 (q, n, d).  The file is treated as golden; recomputation diffs against it.
+The block ids, BLOCKS, live in bounds and are re-exported here.  The CLI
+loads this module only for its table1 command.
 
 Three cells of the reference table disagree with exact recomputation and are
 carried as documented allowances rather than silently patched:
@@ -18,11 +20,10 @@ carried as documented allowances rather than silently patched:
 """
 
 import csv
-from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .bounds import BOUND_ALIASES, best_upper_k
+from .bounds import BLOCKS, BOUND_ALIASES, best_upper_k
 
 # Not called here, but bench/tracer.py wraps these names on this module when
 # it installs its spans, so they stay importable from it.
@@ -44,11 +45,8 @@ __all__ = [
     "diff_table1",
 ]
 
-BLOCKS = ("g", "h", "l", "e")
 
-
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One reference row: block id, parameters, competitor cap, bound-A cap."""
 
     block: str
@@ -59,8 +57,7 @@ class TableRow:
     k_A: int
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """One cell where exact recomputation differs from the published table.
 
     note is the cell's entry in DOCUMENTED_ALLOWANCES, the reason the
@@ -92,7 +89,7 @@ def load_table1() -> list[TableRow]:
     text = resources.files(__package__).joinpath("table1.csv").read_text(encoding="utf-8")
     reader = csv.DictReader(text.splitlines())
     # the header names TableRow's fields in order; every field after block is an integer
-    expected_fields = [f.name for f in fields(TableRow)]
+    expected_fields = list(TableRow._fields)
     if reader.fieldnames != expected_fields:
         raise ValueError(f"reference table header must be {','.join(expected_fields)}")
     return [TableRow(rec["block"], *(int(rec[f]) for f in expected_fields[1:])) for rec in reader]

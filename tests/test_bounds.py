@@ -10,6 +10,8 @@ from codebounds.bounds import (
     FEASIBLE,
     NOT_APPLICABLE,
     REFUTED,
+    BoundResult,
+    FeasibilityVerdict,
     best_upper_k,
     bound_a_check,
     bound_a_max_k,
@@ -20,7 +22,7 @@ from codebounds.bounds import (
     singleton_max_k,
 )
 from codebounds.exactmath import EnumerationBudgetError, floor_log_q, sphere_volume
-from codebounds.golden import load_table1
+from codebounds.golden import Mismatch, TableRow, load_table1
 from codebounds.levenshtein import levenshtein_max_size
 from codebounds.oracle import best_linear_d_witness, min_distance
 
@@ -417,3 +419,52 @@ def test_table1_independence_audit():
     assert lower == [("h", 2, 22, 4, 16, 17), ("h", 2, 30, 4, 24, 25),
                      ("h", 2, 52, 4, 45, 46), ("h", 2, 107, 4, 99, 100)]
     assert (ties, weaker) == (33, 35)
+
+
+class TestResultTypes:
+    """The record types keep their fields, defaults, repr and behaviour."""
+
+    def test_repr_pinned(self):
+        # recorded when these types were frozen dataclasses
+        assert repr(best_upper_k(20, 4, 2, ["a", "elias"])) == (
+            "([BoundResult(bound_id='a', k_max=15, size_max=None, witness=None, "
+            "refutation=FeasibilityVerdict(status='refuted', witness=1, lhs=16, rhs=5)), "
+            "BoundResult(bound_id='elias', k_max=15, size_max=49695, witness=2, "
+            "refutation=None)], 15)")
+        assert repr(load_table1()[0]) == (
+            "TableRow(block='g', q=2, n=20, d=4, k_competitor=16, k_A=15)")
+
+    @pytest.mark.parametrize("record,field", [
+        (FeasibilityVerdict(FEASIBLE), "status"),
+        (BoundResult("a", 3), "k_max"),
+        (TableRow("g", 2, 20, 4, 16, 15), "k_A"),
+        (Mismatch(TableRow("g", 2, 20, 4, 16, 15), "k_A", 15, 16), "note"),
+    ])
+    def test_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_keyword_construction_with_defaults(self):
+        verdict = FeasibilityVerdict(status=REFUTED, witness=1, lhs=16, rhs=5)
+        assert (verdict.status, verdict.witness, verdict.lhs, verdict.rhs) == (REFUTED, 1, 16, 5)
+        assert FeasibilityVerdict(status=FEASIBLE).witness is None
+        res = BoundResult(bound_id="singleton", k_max=7)
+        assert (res.size_max, res.witness, res.refutation) == (None, None, None)
+        row = TableRow(block="h", q=3, n=76, d=68, k_competitor=9, k_A=8)
+        mm = Mismatch(row=row, column="k_A", expected=8, computed=9)
+        assert (mm.row, mm.note) == (row, None)
+
+    def test_equal_results_compare_and_hash_equal(self):
+        first, k_first = best_upper_k(20, 4, 2, ["a", "elias"])
+        second, k_second = best_upper_k(20, 4, 2, ["a", "elias"])
+        assert (first, k_first) == (second, k_second)
+        assert [hash(r) for r in first] == [hash(r) for r in second]
+        assert bound_a_check(20, 16, 4, 2) == FeasibilityVerdict(REFUTED, 1, 16, 5)
+        assert hash(load_table1()[0]) == hash(TableRow("g", 2, 20, 4, 16, 15))
+        assert first[0] != first[1]
+
+    def test_refuted_property(self):
+        assert bound_a_check(20, 16, 4, 2).refuted
+        assert not bound_a_check(20, 15, 4, 2).refuted
+        assert not FeasibilityVerdict(NOT_APPLICABLE).refuted
+        assert best_upper_k(20, 4, 2, ["a"])[0][0].refutation.refuted

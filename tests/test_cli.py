@@ -115,10 +115,15 @@ class TestTable:
         (("--n-range", "-3..2", "--d", "3"), "length must be positive, got n=-3"),
         (("--n", "5", "--d-range", "-1..3"), "distance must satisfy 1 <= d <= n, got d=-1, n=5"),
         (("--n", "5", "--d-range", "-3..-5"), "--d-range range is empty: -3..-5"),
+        (("--n-", "-3..2", "--d", "3"), "length must be positive, got n=-3"),
+        (("--n-rang", "-3..2", "--d", "3"), "length must be positive, got n=-3"),
+        (("--n", "5", "--d-r", "-1..3"), "distance must satisfy 1 <= d <= n, got d=-1, n=5"),
+        (("--n", "5", "--d-ran", "-3..-5"), "--d-range range is empty: -3..-5"),
     ])
     def test_negative_range_start_reaches_range_check(self, capsys, argv, message):
-        # a value after --n-range or --d-range is read as the range even when
-        # it starts with "-", as the "--n-range=-3..2" form above is
+        # a value after --n-range or --d-range, or any abbreviation argparse
+        # accepts for them, is read as the range even when it starts with
+        # "-", as the "--n-range=-3..2" form above is
         rc, out, err = run(capsys, "table", "--q", "2", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
@@ -472,6 +477,46 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
         assert json.loads(proc.stdout) == [[0, pinned[cmd]["stdout"]] for cmd in commands]
+
+    @pytest.mark.parametrize("runs,loaded,unloaded", [
+        # start-up and the bound commands load neither the reference table
+        # nor the oracle, nor csv or dataclasses for them
+        ([("eval --q 2 --n 500 --d 95", "eval --q 2 --n 500 --d 95 --bounds all", 0),
+          ("table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv",
+           "table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv", 0),
+          ("eval --q 2", None, 2)],
+         [], ["codebounds.golden", "codebounds.oracle", "csv", "dataclasses"]),
+        ([("table1 --block g --allow-documented", "table1 --block g", 0)],
+         ["codebounds.golden"], ["codebounds.oracle"]),
+        ([("oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
+           "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3", 0)],
+         ["codebounds.oracle"], ["codebounds.golden"]),
+    ])
+    def test_commands_load_only_what_they_run(self, runs, loaded, unloaded):
+        # each run is (command, key of its pinned stdout or None for no
+        # output, exit code); a module already loaded before the CLI is
+        # imported, by site for one, counts as neither loaded nor unloaded
+        proc = _python("-c", (
+            "import contextlib, hashlib, io, json, shlex, sys\n"
+            "before = set(sys.modules)\n"
+            "from codebounds.cli import main\n"
+            "runs = []\n"
+            "for cmd in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            rc = main(shlex.split(cmd))\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    runs.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest()])\n"
+            "print(json.dumps([runs, sorted(set(sys.modules) - before)]))\n"),
+            json.dumps([cmd for cmd, _, _ in runs]))
+        assert proc.returncode == 0, proc.stderr
+        results, new = json.loads(proc.stdout)
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+        empty = hashlib.sha256(b"").hexdigest()
+        assert results == [[rc, pinned[key]["stdout"] if key else empty] for _, key, rc in runs]
+        assert [m for m in loaded + unloaded if m in new] == loaded
 
     def test_python_m_matches_main(self, capsys):
         argv = ("eval", "--q", "2", "--n", "20", "--d", "4", "--bounds", "griesmer,a")
