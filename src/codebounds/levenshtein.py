@@ -100,6 +100,35 @@ kept, and its last entry is the coefficient of u**j.  The weights
 w_j = C(n, j) s**j q**(D-j) of the e_j are updated as j falls, by the exact
 division w_{j-1} = w_j j q / ((n - j + 1) s).  The coefficient at i = 0 is
 never formed: its sign is the scan's candidate test, f_0 > 0.
+
+Most candidates that fail do so at the second coefficient from the top, and
+where deg f = D <= n that one is decided before num is formed, from P_c and
+P_{c-1}, which the scan carries.  Put e = n - 1 - m, so D = 2c + 1 + e.  By
+the three-term recurrence K_c(y) on m is L_c (y**c - r_c y**(c-1) + ...)
+with L_c = (-q)**c / c! and q r_c = s m c + (1 - s) c (c - 1) / 2.  As
+L_{c-1} / L_c = -c / q and norm_c / norm_{c-1} = s (m - c + 1) / c,
+
+    T(x) = sum_j P_j K_j(x - 1) / norm_j = t (x**c - b x**(c-1) + ...),
+    t = P_c L_c / norm_c,   q b = q (r_c + c) + s (m - c + 1) P_{c-1} / P_c,
+
+so f = (-1)**(1+e) t**2 (x**D - (2b + d + e n) x**(D-1) + ...).  With
+Delta**D f(0) = D! a_D and Delta**(D-1) f(0) = (D-1)! (a_{D-1} + C(D, 2) a_D)
+for the monomial coefficients a_j of f, and C(n, D) D = C(n, D-1)(n - D + 1),
+the shift's coefficient of u**D is e_D and that of u**(D-1) is
+
+    e_{D-1} + D e_D = (-1)**(1+e) t**2 (D-1)! C(n, D-1) s**(D-1) B,
+    B = q C(D, 2) + s D (n - D + 1) - q (d + e n) - 2 q b.
+
+D has the parity of 1 + e, so when P_c != 0 the first coefficient yielded is
+D! C(n, D) s**D t**2 > 0 and the second is negative iff B > 0.  Multiplied
+by P_c**2 this reads, in integers,
+
+    P_c (A P_c - 2 s (m - c + 1) P_{c-1}) > 0,
+    A = q C(D, 2) + s D (n - D + 1) - q (d + e n) - 2 q c - 2 s m c - (1 - s) c (c - 1),
+
+and a candidate for which it holds is refused without a check; the check
+would have stopped at that coefficient.  Where D > n or P_c = 0 the top
+coefficients depend on more than the leading terms, and the check runs.
 """
 
 from collections.abc import Iterator
@@ -134,10 +163,11 @@ def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
     return row
 
 
-def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Yield (value, c, den, s1, td) for each candidate degree c = 0..m of
-    the kernel system on m, value = floor(f(0) q**n / (q**n f_0)), with the
-    common denominator den, S1 = num(0) and TD = num(d) at that degree."""
+def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """Yield (value, c, den, s1, td, p, p_prev) for each candidate degree
+    c = 0..m of the kernel system on m, value = floor(f(0) q**n / (q**n f_0)),
+    with the common denominator den, S1 = num(0), TD = num(d),
+    P_c = K_c(d - 1) and P_{c-1} at that degree."""
     s = q - 1
     scale = d * q ** (n - m)
     # K_c(-1) and K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
@@ -154,7 +184,7 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int,
         den = common
         excess = d * q * s2 - (m + 1) * s * den * td
         if s1 and excess > 0:
-            yield scale * s1 * s1 // excess, c, den, s1, td
+            yield scale * s1 * s1 // excess, c, den, s1, td, at, at_prev
         # (c+1) K_{c+1}(y) = (c + (q-1)(m - c) - q y) K_c(y) - (q-1)(m - c + 1) K_{c-1}(y)
         a, b = c + s * (m - c), s * (m - c + 1)
         low, low_prev = ((a + q) * low - b * low_prev) // (c + 1), low
@@ -204,7 +234,7 @@ def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int,
 def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
     """Minimum verified bound for one branch, with its kernel system on m."""
     best: int | None = None
-    run: list[tuple[int, int, int, int, int]] = []  # candidates, values decreasing
+    run: list[tuple[int, int, int, int, int, int, int]] = []  # candidates, values decreasing
     for candidate in _candidates(n, m, d, q):
         if run and candidate[0] < run[-1][0]:
             run.append(candidate)
@@ -216,11 +246,25 @@ def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
     return _run_min(n, m, d, q, run, best)
 
 
+def _second_negative(n: int, m: int, d: int, q: int, c: int, p: int, p_prev: int) -> bool | None:
+    """Whether the check of the candidate of degree c on m would yield a
+    negative second coefficient, that of u**(D-1), read off P_c = p and
+    P_{c-1} = p_prev alone; None where deg f > n or P_c = 0."""
+    s, e = q - 1, n - 1 - m
+    top = 2 * c + 1 + e
+    if top > n or not p:
+        return None
+    a = (q * (top * (top - 1) // 2) + s * top * (n - top + 1) - q * (d + e * n)
+         - 2 * q * c - 2 * s * m * c + (s - 1) * c * (c - 1))
+    return p * (a * p - 2 * s * (m - c + 1) * p_prev) > 0
+
+
 def _run_min(n: int, m: int, d: int, q: int,
-             run: list[tuple[int, int, int, int, int]], best: int | None) -> int | None:
+             run: list[tuple[int, int, int, int, int, int, int]], best: int | None) -> int | None:
     """The value of the last candidate in run that verifies, else best."""
-    for value, c, den, s1, td in reversed(run):
-        if all(a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td)):
+    for value, c, den, s1, td, p, p_prev in reversed(run):
+        if not _second_negative(n, m, d, q, c, p, p_prev) and all(
+                a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td)):
             return value
     return best
 

@@ -14,7 +14,7 @@ from reference import best_linear_d, krawtchouk
 from codebounds.exactmath import floor_log_q
 from codebounds import levenshtein
 from codebounds.levenshtein import (_candidates, _coefficients, _kernel_row, _numerators,
-                                    levenshtein_max_size)
+                                    _second_negative, levenshtein_max_size)
 
 
 @pytest.mark.parametrize("n,d,q,k_expected", [
@@ -120,14 +120,15 @@ def test_running_sums_match_direct_kernel_sum(q):
     # at every degree of both branches, against the kernel summed here from
     # the explicit Krawtchouk sum over one fixed denominator: the scan's
     # candidate test and value equal those of f = wf * kernel**2 summed over
-    # all n + 1 points, and the numerators, c = m included, are a positive
-    # multiple of the kernel.  They equal it times den / scale at every x, so
-    # each floor division in them was exact.
+    # all n + 1 points, the candidate carries P_c = K_c(d - 1) and P_{c-1},
+    # and the numerators, c = m included, are a positive multiple of the
+    # kernel.  They equal it times den / scale at every x, so each floor
+    # division in them was exact.
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         for d in range(2, n + 1):
-            candidates = {(m, c): (value, den, s1, td) for m in (n - 1, n - 2)
-                          for value, c, den, s1, td in _candidates(n, m, d, q)}
+            candidates = {(m, c): (value, den, s1, td, p, p_prev) for m in (n - 1, n - 2)
+                          for value, c, den, s1, td, p, p_prev in _candidates(n, m, d, q)}
             for m, factor, c, scale, den_c, kernel in _reference_kernels(n, d, q):
                 g = [w * f * v * v for w, f, v in zip(weights, factor, kernel)]
                 total = sum(g)
@@ -135,7 +136,9 @@ def test_running_sums_match_direct_kernel_sum(q):
                 value, *rest = candidates.get((m, c), (None,))
                 assert value == direct, (q, n, d, m, c)
                 s1_c, td_c = kernel[0] * den_c // scale, kernel[d] * den_c // scale
-                assert value is None or rest == [den_c, s1_c, td_c], (q, n, d, m, c)
+                rows = _reference_rows(m, q, n, 1)
+                p_c, p_prev = rows[c][d], rows[c - 1][d] if c else 0
+                assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev], (q, n, d, m, c)
                 num = _numerators(m, d, q, c, den_c, s1_c, td_c, n)
                 assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
                 assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
@@ -148,8 +151,11 @@ def test_coefficients_match_direct_sums(q):
     # kernel summed here and K_i from the explicit sum, up to the square of
     # the gcd of the numerators the check uses; they come from i = D down to
     # 1, the sum at i = 0 is positive, as the scan's candidate test says,
-    # and the sums above D are zero
-    checked = 0
+    # and the sums above D are zero.  Wherever the test on the two leading
+    # coefficients decides, the first coefficient yielded is positive and
+    # the test says negative exactly when the sum at i = D - 1 is negative:
+    # that is the second one yielded, or, at D = 1, the sum at i = 0
+    checked = decided = refused = 0
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         rows = _reference_rows(n, q, n, 0)
@@ -157,7 +163,7 @@ def test_coefficients_match_direct_sums(q):
             kernels = {(m, c): (factor, scale, kernel)
                        for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
             for m in (n - 1, n - 2):
-                for _, c, den, s1, td in _candidates(n, m, d, q):
+                for _, c, den, s1, td, p, p_prev in _candidates(n, m, d, q):
                     factor, scale, kernel = kernels[m, c]
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
@@ -168,38 +174,64 @@ def test_coefficients_match_direct_sums(q):
                     assert [a * q ** (n - top) * common ** 2 for a in coefficients] == direct[top:0:-1], (q, n, d, m, c)
                     assert direct[0] > 0 and not any(direct[top + 1:]), (q, n, d, m, c)
                     checked += 1
-    assert checked > 1000
+                    second_negative = _second_negative(n, m, d, q, c, p, p_prev)
+                    if second_negative is not None:
+                        assert coefficients[0] > 0, (q, n, d, m, c)
+                        assert second_negative == (direct[top - 1] < 0), (q, n, d, m, c)
+                        decided += 1
+                        refused += second_negative
+    assert checked > 1000 and decided > 3000 and refused > 100, (checked, decided, refused)
 
 
-def test_gate_builds_few_polynomials():
-    # at (500, 95, 2) only the minimum of each decreasing run is checked: a
-    # few checks, numerators only for them, and a check that fails draws no
-    # coefficient past its first negative one
-    drawn: list[list[int]] = []  # per check, the coefficients it drew
-    counts = {"num": 0}
+def test_gate_builds_few_polynomials(monkeypatch):
+    # only the minimum of each decreasing run is looked at.  At (500, 94, 2)
+    # and (500, 95, 2) one candidate is refused from its two leading
+    # coefficients and builds no numerators, at (500, 96, 2) none is; every
+    # gate query checks one candidate per branch, and each check verifies.
+    # At (100, 20, 5) a candidate gets past that test and its check fails,
+    # drawing no coefficient past its first negative one.  Numerators are
+    # built once per check.
+    looked: list[dict] = []  # per candidate looked at, in order
+
+    def summary():
+        return [(x["refused"], len(x["checks"]), x["num"]) for x in looked]
+    second_negative = levenshtein._second_negative
     coefficients = levenshtein._coefficients
     numerators = levenshtein._numerators
 
+    def counting_second_negative(*args):
+        refused = second_negative(*args)
+        looked.append({"refused": refused, "checks": [], "num": 0})
+        return refused
+
     def counting_coefficients(*args):
-        drawn.append([])
+        looked[-1]["checks"].append([])
         for a in coefficients(*args):
-            drawn[-1].append(a)
+            looked[-1]["checks"][-1].append(a)
             yield a
 
     def counting_numerators(*args):
-        counts["num"] += 1
+        looked[-1]["num"] += 1
         return numerators(*args)
 
-    levenshtein._coefficients = counting_coefficients
-    levenshtein._numerators = counting_numerators
-    try:
-        levenshtein_max_size(500, 95, 2)
-    finally:
-        levenshtein._coefficients = coefficients
-        levenshtein._numerators = numerators
-    assert 1 <= len(drawn) <= 8 and counts["num"] == len(drawn), (len(drawn), counts)
+    monkeypatch.setattr(levenshtein, "_second_negative", counting_second_negative)
+    monkeypatch.setattr(levenshtein, "_coefficients", counting_coefficients)
+    monkeypatch.setattr(levenshtein, "_numerators", counting_numerators)
+    for d, refused in ((94, 1), (95, 1), (96, 0)):
+        looked.clear()
+        levenshtein_max_size(500, d, 2)
+        assert [x for x in looked if x["refused"]] == [{"refused": True, "checks": [], "num": 0}] * refused, d
+        checks = [x for x in looked if not x["refused"]]
+        assert len(checks) == 2 and all(len(x["checks"]) == 1 and x["num"] == 1 for x in checks), (d, summary())
+        assert all(a >= 0 for x in checks for a in x["checks"][0]), d
+    looked.clear()
+    levenshtein_max_size(100, 20, 5)
+    assert all(not x["refused"] and len(x["checks"]) == 1 and x["num"] == 1 for x in looked), summary()
+    drawn = [x["checks"][0] for x in looked]
+    assert 1 <= len(drawn) <= 8, summary()
     assert all(a >= 0 for check in drawn for a in check[:-1]), [len(check) for check in drawn]
-    assert any(check[-1] < 0 for check in drawn) and not all(check[-1] < 0 for check in drawn)
+    assert [len(check) for check in drawn if check[-1] < 0] == [5], [len(check) for check in drawn]
+    assert not all(check[-1] < 0 for check in drawn)
 
 
 @pytest.mark.parametrize("coefficients,verifies", [
@@ -210,7 +242,8 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
     # the coefficients come from i = D down to 1, never i = 0, whose sign is
     # the scan's candidate test (see test_coefficients_match_direct_sums): a
     # candidate verifies iff none is negative, and a check reads them in
-    # that order up to its first negative one
+    # that order up to its first negative one.  P_c = 0, so the test on the
+    # two leading coefficients does not decide and every candidate is checked
     drawn = []
 
     def from_the_top(*args):
@@ -219,7 +252,7 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
             yield a
 
     monkeypatch.setattr(levenshtein, "_coefficients", from_the_top)
-    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1)], 9) == (7 if verifies else 9)
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0)], 9) == (7 if verifies else 9)
     read = next((i + 1 for i, a in enumerate(coefficients) if a < 0), len(coefficients))
     assert drawn == coefficients[:read]
 
