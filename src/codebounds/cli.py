@@ -5,15 +5,20 @@ Exit codes: 0 success, 1 mismatch or contradiction, 2 usage or resource error.
 All configuration is via flags; identical invocations produce byte-identical
 output.
 
-Importing this module loads the bound engine and argparse only.  The
-reference table (`golden`, with csv) is loaded by `table1` alone and the
-oracle by the `oracle` commands alone, each on its first use.
+Importing this module loads the bound engine only.  A well-formed command
+line is read against the grammar declared here (`_GRAMMAR`); argparse is
+imported, and its parser built from the same grammar, only for a command line
+that reading leaves out: help, a usage error, or a form such as an
+abbreviated flag or `--flag=value`.  The reference table (`golden`, with csv)
+is loaded by `table1` alone and the oracle by the `oracle` commands alone,
+each on its first use.
 """
 
-import argparse
 import sys
+from collections.abc import Callable, Sequence
 from functools import cache
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from .bounds import BLOCKS, BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
 from .exactmath import (DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError,
@@ -53,7 +58,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _span(single: Optional[int], text: Optional[str], flag: str) -> tuple[int, int]:
-    """The range a --x / --x-range pair selects; argparse admits exactly one."""
+    """The range a --x / --x-range pair selects; the command line gives exactly one."""
     return (single, single) if text is None else _parse_range(text, flag)
 
 
@@ -61,7 +66,7 @@ def _fmt_k(k: Optional[int]) -> str:
     return "n/a" if k is None else str(k)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     bounds = _parse_bounds(args.bounds)
     results, k_min = best_upper_k(args.n, args.d, args.q, bounds, args.variant_a)
     for res in results:
@@ -79,7 +84,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(args: argparse.Namespace, bounds: list[str]):
+def _table_rows(args: SimpleNamespace, bounds: list[str]):
     n_lo, n_hi = _span(args.n, args.n_range, "--n-range")
     d_lo, d_hi = _span(args.d, args.d_range, "--d-range")
     # q and the smallest n are checked even when every cell has d > n
@@ -93,7 +98,7 @@ def _table_rows(args: argparse.Namespace, bounds: list[str]):
             yield n, d, [by_id[b].k_max for b in bounds]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     bounds = _parse_bounds(args.bounds)
     header = ["q", "n", "d"] + bounds
     rows = [[str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks]
@@ -123,7 +128,7 @@ def diff_table1(*args, **kwargs) -> tuple:
     return diff_table1(*args, **kwargs)
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
+def _cmd_table1(args: SimpleNamespace) -> int:
     blocks = set(BLOCKS) if args.block == "all" else {args.block}
     rows_checked, mismatches = diff_table1(blocks)
     label = ",".join(b for b in BLOCKS if b in blocks)
@@ -141,7 +146,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 1 if n_mm or (n_doc and not args.allow_documented) else 0
 
 
-def _cmd_best_d(args: argparse.Namespace) -> int:
+def _cmd_best_d(args: SimpleNamespace) -> int:
     # imported here: loading the oracle with the module slows every command's start-up
     from .oracle import best_linear_d_witness
 
@@ -161,7 +166,7 @@ def refutation_crosscheck(*args, **kwargs) -> str:
     return refutation_crosscheck(*args, **kwargs)
 
 
-def _cmd_refute_check(args: argparse.Namespace) -> int:
+def _cmd_refute_check(args: SimpleNamespace) -> int:
     from .oracle import CONFIRMED, check_linear_alphabet
 
     # q and the budget are checked even when the box holds no refutation
@@ -191,59 +196,125 @@ def _cmd_refute_check(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+class _Option(NamedTuple):
+    """A long option of one command.  Its value is converted by type and
+    must be among choices; type None makes a switch, True when given."""
+    flag: str
+    type: Optional[Callable[[str], object]] = str
+    default: object = None
+    choices: Optional[tuple] = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Optional[Callable[[SimpleNamespace], int]] = None  # None: a group of subcommands
+    options: tuple[_Option, ...] = ()
+    pairs: tuple[tuple[str, str], ...] = ()  # flags of which exactly one is given
+
+
+_Q = _Option("--q", int, required=True)
+_BOUNDS = _Option("--bounds", default="all")
+_VARIANT = _Option("--variant-a", default=VARIANT_WEIGHT, choices=VARIANTS)
+_BUDGET = _Option("--budget", int, DEFAULT_BUDGET)
+
+# The command line: each command path with its help, handler and options, in
+# the order argparse lists them.  Both the strict reading in main and the
+# argparse tree are made from it.
+_GRAMMAR = {
+    ("eval",): _Command("evaluate bounds for one (q, n, d) query", _cmd_eval, (
+        _Q, _Option("--n", int, required=True), _Option("--d", int, required=True),
+        _BOUNDS, _VARIANT)),
+    ("table",): _Command("sweep (n, d) ranges into a table", _cmd_table, (
+        _Q, _Option("--n", int), _Option("--n-range"), _Option("--d", int), _Option("--d-range"),
+        _BOUNDS, _VARIANT, _Option("--format", default="text", choices=("csv", "text", "records"))),
+        pairs=(("--n", "--n-range"), ("--d", "--d-range"))),
+    ("table1",): _Command("recompute the reference table and diff", _cmd_table1, (
+        _Option("--block", default="all", choices=BLOCKS + ("all",)),
+        _Option("--allow-documented", None, False))),
+    ("oracle",): _Command("exhaustive searches at tiny scale"),
+    ("oracle", "best-d"): _Command("best reachable minimum distance", _cmd_best_d, (
+        _Q, _Option("--n", int, required=True), _Option("--k", int, required=True), _BUDGET)),
+    ("oracle", "refute-check"): _Command("confirm every refutation in range", _cmd_refute_check, (
+        _Q, _Option("--n-max", int, required=True), _Option("--k-max", int, required=True),
+        _Option("--d-max", int, required=True), _VARIANT, _BUDGET)),
+}
+# where the command path is stored, by depth
+_PATH_DESTS = ("command", "oracle_cmd")
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call of main and
-    shared by the later ones: a parse keeps no state in it."""
+def _build_parser():
+    """The argparse tree of _GRAMMAR, built on the first command line the
+    strict reading in main leaves to it and shared by the later ones: a
+    parse keeps no state in it.  It alone writes help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="codebounds",
         description="Exact dimension bounds for systematic and linear codes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate bounds for one (q, n, d) query")
-    p_eval.add_argument("--q", type=int, required=True)
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--d", type=int, required=True)
-    p_eval.add_argument("--bounds", default="all")
-    p_eval.add_argument("--variant-a", choices=VARIANTS, default=VARIANT_WEIGHT)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_table = sub.add_parser("table", help="sweep (n, d) ranges into a table")
-    p_table.add_argument("--q", type=int, required=True)
-    n_arg = p_table.add_mutually_exclusive_group(required=True)
-    n_arg.add_argument("--n", type=int)
-    n_arg.add_argument("--n-range", dest="n_range")
-    d_arg = p_table.add_mutually_exclusive_group(required=True)
-    d_arg.add_argument("--d", type=int)
-    d_arg.add_argument("--d-range", dest="d_range")
-    p_table.add_argument("--bounds", default="all")
-    p_table.add_argument("--variant-a", choices=VARIANTS, default=VARIANT_WEIGHT)
-    p_table.add_argument("--format", choices=("csv", "text", "records"), default="text")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_t1 = sub.add_parser("table1", help="recompute the reference table and diff")
-    p_t1.add_argument("--block", choices=BLOCKS + ("all",), default="all")
-    p_t1.add_argument("--allow-documented", action="store_true")
-    p_t1.set_defaults(func=_cmd_table1)
-
-    p_oracle = sub.add_parser("oracle", help="exhaustive searches at tiny scale")
-    oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
-    p_best = oracle_sub.add_parser("best-d", help="best reachable minimum distance")
-    p_best.add_argument("--q", type=int, required=True)
-    p_best.add_argument("--n", type=int, required=True)
-    p_best.add_argument("--k", type=int, required=True)
-    p_best.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_best.set_defaults(func=_cmd_best_d)
-    p_ref = oracle_sub.add_parser("refute-check", help="confirm every refutation in range")
-    p_ref.add_argument("--q", type=int, required=True)
-    p_ref.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p_ref.add_argument("--k-max", dest="k_max", type=int, required=True)
-    p_ref.add_argument("--d-max", dest="d_max", type=int, required=True)
-    p_ref.add_argument("--variant-a", choices=VARIANTS, default=VARIANT_WEIGHT)
-    p_ref.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_ref.set_defaults(func=_cmd_refute_check)
+    subparsers = {(): parser.add_subparsers(dest=_PATH_DESTS[0], required=True)}
+    for path, command in _GRAMMAR.items():
+        sub = subparsers[path[:-1]].add_parser(path[-1], help=command.help)
+        if command.handler is None:
+            subparsers[path] = sub.add_subparsers(dest=_PATH_DESTS[len(path)], required=True)
+            continue
+        groups = {}
+        for pair in command.pairs:
+            groups.update(dict.fromkeys(pair, sub.add_mutually_exclusive_group(required=True)))
+        for opt in command.options:
+            target = groups.get(opt.flag, sub)
+            if opt.type is None:
+                target.add_argument(opt.flag, dest=opt.dest, action="store_true")
+            else:
+                target.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
+                                    choices=opt.choices, required=opt.required)
+        sub.set_defaults(func=command.handler)
     return parser
+
+
+def _read_well_formed(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives argv, read against _GRAMMAR alone: the
+    command path, then exact long flags, each at most once and followed by
+    one value that does not start with "-" (a switch by none), every value
+    converted and within its choices, every required flag and one flag of
+    each pair given.  None for any other argv, which is argparse's to read."""
+    command = _GRAMMAR.get(tuple(argv[:1]))
+    depth = 1
+    if command is not None and command.handler is None:  # a group: its subcommand follows
+        command, depth = _GRAMMAR.get(tuple(argv[:2])), 2
+    if command is None or command.handler is None:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    given = {}
+    tokens = iter(argv[depth:])
+    for flag in tokens:
+        opt = options.get(flag)
+        if opt is None or flag in given:
+            return None
+        if opt.type is None:
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as a flag
+        if text[:1] == "-":
+            return None
+        try:
+            value = opt.type(text)
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        given[flag] = value
+    if any(opt.required and opt.flag not in given for opt in command.options) or any(
+            (a in given) == (b in given) for a, b in command.pairs):
+        return None
+    return SimpleNamespace(**dict(zip(_PATH_DESTS, argv[:depth])), func=command.handler,
+                           **{opt.dest: given.get(opt.flag, opt.default) for opt in command.options})
 
 
 # the two range flags and every abbreviation of them argparse accepts; no
@@ -267,8 +338,10 @@ def _attach_range_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_range_values(sys.argv[1:] if argv is None else argv)
+    args = _read_well_formed(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         return args.func(args)
     except (EnumerationBudgetError, ValueError) as exc:

@@ -80,8 +80,10 @@ Christoffel-Darboux,
 
     num(x) = den (c+1) (K_{c+1}(x-1) P_c - K_c(x-1) P_{c+1}) / (q norm_c (d - x)),
 
-an exact division.  The two kernel rows on m come from K_c(0) = norm_c by
-the three-term recurrence in the argument (see _kernel_row).  Before f is
+an exact division.  The two kernel rows on m, at x = 1..D only, come from
+K_c(0) = norm_c by the three-term recurrence in the argument (see
+_kernel_row); P_c and P_{c-1} are the scan's, and P_{c+1} is its next
+recurrence step.  Before f is
 formed, num is divided by the gcd of its values: a positive factor, which
 leaves every sign as it is and takes about the size of den off each value.
 
@@ -192,28 +194,31 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int,
         norm = norm * (m - c) * s // (c + 1)
 
 
-def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, top: int) -> list[int]:
+def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, p: int,
+                p_prev: int, top: int) -> list[int]:
     """num = den * T at x = 0..top for the kernel of degree c on m, by
-    Christoffel-Darboux, with num(0) = S1 and num(d) = TD."""
-    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..max(top, d)
-    last = max(top, d) - 1
-    low, high = _kernel_row(m, q, c, last), _kernel_row(m, q, c + 1, last)
-    p, p_next = low[d - 1], high[d - 1]
+    Christoffel-Darboux, with num(0) = S1, num(d) = TD, P_c = p and
+    P_{c-1} = p_prev."""
+    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..top; P_{c+1} by the scan's
+    # recurrence step
+    low, high = _kernel_row(m, q, c, top - 1), _kernel_row(m, q, c + 1, top - 1)
+    s = q - 1
+    p_next = ((c + s * (m - c) - q * (d - 1)) * p - s * (m - c + 1) * p_prev) // (c + 1)
     scale = den * (c + 1)
     div = q * comb(m, c) * (q - 1) ** c
     return [s1] + [td if x == d else scale * (h * p - k * p_next) // (div * (d - x))
                    for x, k, h in zip(range(1, top + 1), low, high)]
 
 
-def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int,
-                  td: int) -> Iterator[int]:
+def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int, td: int,
+                  p: int, p_prev: int) -> Iterator[int]:
     """Yield q**(D - n) g**-2 sum_x w(x) f(x) K_i(x) for i = D down to 1,
     where D = min(deg f, n), f is the candidate of degree c on m and g is the
     gcd of num(0..D); the sums above D are zero."""
     s = q - 1
     # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2)
     top = min(2 * c + n - m, n)
-    num = _numerators(m, d, q, c, den, s1, td, top)
+    num = _numerators(m, d, q, c, den, s1, td, p, p_prev, top)
     g = gcd(*num)
     f = [(d - x) * (n - x) ** (n - 1 - m) * (v // g) ** 2 for x, v in enumerate(num)]
     diffs = []  # Delta**j f(0)
@@ -264,7 +269,7 @@ def _run_min(n: int, m: int, d: int, q: int,
     """The value of the last candidate in run that verifies, else best."""
     for value, c, den, s1, td, p, p_prev in reversed(run):
         if not _second_negative(n, m, d, q, c, p, p_prev) and all(
-                a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td)):
+                a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td, p, p_prev)):
             return value
     return best
 

@@ -6,11 +6,13 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -488,6 +490,16 @@ class TestEntryPoints:
          [], ["codebounds.golden", "codebounds.oracle", "csv", "dataclasses"]),
         ([("table1 --block g --allow-documented", "table1 --block g", 0)],
          ["codebounds.golden"], ["codebounds.oracle"]),
+        # a well-formed command line is read without argparse, hence without
+        # the gettext and locale modules its messages need
+        ([("eval --q 2 --n 500 --d 95", "eval --q 2 --n 500 --d 95 --bounds all", 0),
+          ("table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv",
+           "table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv", 0),
+          ("table1 --block g --allow-documented", "table1 --block g", 0),
+          ("oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
+           "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3", 0)],
+         [], ["argparse", "gettext", "locale"]),
+        ([("eval --q 2", None, 2)], ["argparse"], []),
         ([("oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
            "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3", 0)],
          ["codebounds.oracle"], ["codebounds.golden"]),
@@ -563,7 +575,9 @@ class TestParserReuse:
         assert proc.stdout == b"0\n"
 
     def test_main_builds_the_parser_once(self):
-        # the count after each of ten calls, usage errors among them
+        # the count after each of ten calls: a well-formed command line
+        # builds no parser, the first usage error builds the whole tree, and
+        # every later call reuses it
         proc = _python("-c", _COUNT_PARSERS + (
             "import contextlib, io, shlex\n"
             "from codebounds.cli import main\n"
@@ -578,7 +592,7 @@ class TestParserReuse:
             "print(counts)\n"))
         assert proc.returncode == 0, proc.stderr
         counts = json.loads(proc.stdout)
-        assert counts[0] > 0 and counts == counts[:1] * 10, counts
+        assert counts[0] == 0 and counts[1] > 0 and counts[1:] == counts[1:2] * 9, counts
 
     def test_repeated_calls_match_fresh_runs(self):
         proc = _python("-c", (
@@ -610,6 +624,23 @@ class TestParserReuse:
         assert len(runs) == 4 and runs == {cmd: pinned[cmd] for cmd in runs}
 
 
+# help and usage errors, whose text argparse alone writes; recorded before the
+# strict reading of well-formed command lines, while argparse read every one
+_ARGPARSE_COMMANDS = [
+    "--help",
+    "eval --help",
+    "table --help",
+    "table1 --help",
+    "oracle --help",
+    "oracle refute-check --help",
+    "eval --q 2",
+    "eval --q x --n 5 --d 3",
+    "table --q 2 --n 5 --n-range 3..4 --d 3",
+    "table --q 2 --n-r -3..2 --d 3",
+    "eval --q 2 --n 9 --d 3 extra",
+    "bogus",
+]
+
 CLI_DIGEST_COMMANDS = [
     *(f"eval --q {q} --n {n} --d {d} --bounds all"
       for q, n, d in [(2, 500, 95), (3, 160, 40), (5, 100, 30)]),
@@ -626,16 +657,22 @@ CLI_DIGEST_COMMANDS = [
     "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
     "oracle refute-check --q 3 --n-max 7 --k-max 6 --d-max 7",
     "eval --q 2 --n 600 --d 3 --bounds all",
+    *_ARGPARSE_COMMANDS,
 ]
 
 
 def cli_digests():
-    """sha256 of stdout and of stderr, and the exit code, per command."""
+    """sha256 of stdout and of stderr, and the exit code, per command; help
+    and usage text is wrapped at argparse's default 80 columns."""
     digests = {}
     for cmd in CLI_DIGEST_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(shlex.split(cmd))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            try:
+                rc = main(shlex.split(cmd))
+            except SystemExit as exc:
+                rc = exc.code
         digests[cmd] = {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
                         "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
                         "exit": rc}
@@ -652,7 +689,8 @@ def test_outputs_match_pinned_digests():
     while the cross-check still ran best_linear_d_witness.  The last command,
     16 of whose 18 Levenshtein checks fail at a coefficient near the top, was
     recorded while the check still shifted its coefficients from i = 0
-    upwards.  The file was made from the
+    upwards, and the help and usage errors of _ARGPARSE_COMMANDS while
+    argparse still read every command line.  The file was made from the
     repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
@@ -718,3 +756,77 @@ def test_fuzzed_arguments_exit_cleanly(argv):
         except SystemExit as exc:
             rc = exc.code
     assert rc in (0, 1, 2), argv
+
+
+def _flag_spans(argv):
+    """(start, end) of each flag and its value in an argv of _argvs()."""
+    i = 2 if argv[0] == "oracle" else 1
+    while i < len(argv):
+        end = i + 1 if argv[i] == "--allow-documented" else i + 2
+        yield i, end
+        i = end
+
+
+@st.composite
+def _mutated_argvs(draw):
+    """An argv of _argvs() with one change the strict reading leaves to
+    argparse (an abbreviated flag, a "--flag=value", a repeated flag, a
+    stray token, "-h", a value that starts with "-"), or with one flag
+    dropped, which may leave it well-formed; with the kind of change."""
+    argv = draw(_argvs())
+    spans = list(_flag_spans(argv))
+    start, end = draw(st.sampled_from(spans))
+    flag = argv[start]
+    kinds = ["repeat", "drop", "extra", "help"]
+    if len(flag) > 3:
+        kinds.append("abbreviate")
+    if end - start == 2:
+        kinds += ["equals", "dash"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "abbreviate":
+        argv[start] = flag[:draw(st.integers(3, len(flag) - 1))]
+    elif kind == "equals":
+        argv[start:end] = [f"{flag}={argv[start + 1]}"]
+    elif kind == "dash":
+        argv[start + 1] = "-" + argv[start + 1]
+    elif kind == "repeat":
+        argv += argv[start:end]
+    elif kind == "drop":
+        del argv[start:end]
+    else:
+        at = draw(st.integers(spans[0][0], len(argv)))
+        argv.insert(at, "-h" if kind == "help" else draw(st.sampled_from(["extra", "5", "eval"])))
+    return argv, kind
+
+
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_argvs().map(lambda argv: (argv, None)), _mutated_argvs()))
+def test_strict_reading_matches_argparse(argv_kind):
+    """Wherever main reads a command line without argparse, it gets the
+    namespace argparse gives it; every mutation but a dropped flag is left
+    to argparse, unless the abbreviated flag is itself a flag of the
+    command, as --n of --n-range."""
+    argv, kind = argv_kind
+    argv = cli._attach_range_values(argv)
+    args = cli._read_well_formed(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+    if kind in ("equals", "dash", "repeat", "extra", "help"):
+        assert args is None, argv
+
+
+def test_strict_reading_takes_the_pinned_and_bench_command_lines():
+    # every pinned command line but help and usage errors, and the command
+    # lines the bench runs, are read without argparse; each of those
+    # argparse writes is left to it
+    bench = [_WORKLOADS["eval_argv"](2, 500, 95), _WORKLOADS["REPRODUCE_ARGV"],
+             *_WORKLOADS["_sweep_op"](30).argvs,
+             *_WORKLOADS["_oracle_op"](_WORKLOADS["ORACLE_BOXES"]).argvs]
+    pinned = [shlex.split(cmd) for cmd in CLI_DIGEST_COMMANDS if cmd not in _ARGPARSE_COMMANDS]
+    for argv in pinned + bench:
+        args = cli._read_well_formed(argv)
+        assert args is not None and vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+    assert [cmd for cmd in _ARGPARSE_COMMANDS if cli._read_well_formed(shlex.split(cmd))] == []

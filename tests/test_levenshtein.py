@@ -139,7 +139,7 @@ def test_running_sums_match_direct_kernel_sum(q):
                 rows = _reference_rows(m, q, n, 1)
                 p_c, p_prev = rows[c][d], rows[c - 1][d] if c else 0
                 assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev], (q, n, d, m, c)
-                num = _numerators(m, d, q, c, den_c, s1_c, td_c, n)
+                num = _numerators(m, d, q, c, den_c, s1_c, td_c, p_c, p_prev, n)
                 assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
                 assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
 
@@ -167,7 +167,7 @@ def test_coefficients_match_direct_sums(q):
                     factor, scale, kernel = kernels[m, c]
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
-                    coefficients = list(_coefficients(n, m, d, q, c, den, s1, td))
+                    coefficients = list(_coefficients(n, m, d, q, c, den, s1, td, p, p_prev))
                     top = len(coefficients)
                     assert top == min(2 * c + n - m, n), (q, n, d, m, c)
                     common = gcd(*(t * den // scale for t in kernel[:top + 1]))
