@@ -21,7 +21,8 @@ weight w(x) = C(n, x)(q-1)**x:
 
 Both shapes make f(j) <= 0 on d..n automatic, so only the coefficient signs
 need checking; that check is performed exactly (big integers throughout), and
-a candidate degree is used only after it passes.  The reported bound is the
+a candidate degree is used only after it passes, or where a proof (last
+paragraph) shows that it would pass.  The reported bound is the
 floored minimum over the verified candidates scanned, never exceeding the
 trivial q**n.  Every returned value is therefore a sound upper bound
 regardless of which degrees happen to verify.
@@ -93,7 +94,8 @@ decrease form a run, all below the best; a scan that checked each in turn
 would keep the last of the run that verifies, so the run is checked from its
 end backwards and the first that passes ends it.  A check finishes the
 shifted coefficients from the top, i = D down to 1, and stops at the first
-negative one; every degree that sets a value has passed all of them.  The
+negative one; every degree that sets a value has passed all of them, unless
+it is certified (last paragraph) and not checked at all.  The
 candidates that fail have their negative coefficients near the top, so a
 shift from i = 0 upwards would finish nearly all of them before it found
 one.  Column j of the shift, for j = D down to 1, is the running sum of
@@ -131,6 +133,45 @@ by P_c**2 this reads, in integers,
 and a candidate for which it holds is refused without a check; the check
 would have stopped at that coefficient.  Where D > n or P_c = 0 the top
 coefficients depend on more than the leading terms, and the check runs.
+
+A candidate is certified, and taken with no test and no check, when
+P_0, .., P_c >= 0 and P_{c+1} <= 0.  The scan carries "no P_j < 0 so far"
+as one flag and reads P_{c+1} off its next recurrence step; at c = m that
+is the value of K_{m+1}, the recurrence's polynomial, which vanishes at
+y = 0..m.  Under these signs every F_i is >= 0, for any q >= 2, so the check
+would pass:
+
+(i) With zeta = exp(2 pi i / q) and <y, z> the dot product on Z_q**n,
+K_k(wt y) = sum_{wt z = k} zeta**<y, z>.  Summing over all y,
+
+    sum_x w(x) K_a(x) K_b(x) K_i(x) = q**n N_{a,b,i} >= 0,
+
+where N_{a,b,i} counts the (u, v, z) of weights a, b, i with u + v + z = 0.
+
+(ii) The generating function of K_j(x - 1) on n - 1, (1 + s z)**(n-x)
+(1 - z)**(x-1), is that of K_j(x) on n divided by 1 - z, so
+K_j(x - 1) on n - 1 = sum_{t <= j} K_t(x) on n, and likewise
+K_j(x - 1) on n - 2 = sum_{t <= j} K_t(x) on n - 1.
+
+(iii) Odd branch, m = n - 1: f = G T with T = num / den =
+sum_{j <= c} (P_j / norm_j) K_j(x - 1) and, by Christoffel-Darboux as above,
+
+    G = (d - x) T = (c + 1) / (q norm_c) (P_c K_{c+1} - P_{c+1} K_c)(x - 1),
+
+all on m.  Under the signs both are nonnegative combinations of the
+K_j(x - 1) on m, so by (ii) G = sum_a g_a K_a and T = sum_b t_b K_b on n
+with every g_a, t_b >= 0, and F_i = sum_{a,b} g_a t_b q**n N_{a,b,i} >= 0
+by (i).
+
+(iv) Even branch, m = n - 2: f = (n - x) G T, and by (ii) G and T are
+nonnegative combinations of the K_t(x) on n - 1.  With w(x)(n - x) =
+n w_{n-1}(x) and K_i(x) on n = K_i(x) + s K_{i-1}(x) on n - 1 (the
+generating function on n is that on n - 1 times 1 + s z), (i) on n - 1
+gives F_i = n q**(n-1) sum_{a,b} g_a t_b (N_{a,b,i} + s N_{a,b,i-1}) >= 0,
+with N now counted on n - 1.
+
+Where the signs of P_0, .., P_{c+1} are mixed, the test on the two leading
+coefficients and the check run as before.
 """
 
 from collections.abc import Iterator
@@ -141,6 +182,9 @@ from operator import sub
 from .exactmath import check_query
 
 __all__ = ["levenshtein_max_size"]
+
+# (value, c, den, s1, td, p, p_prev, certified), see _candidates
+_Candidate = tuple[int, int, int, int, int, int, int, bool]
 
 
 def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
@@ -165,11 +209,13 @@ def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
     return row
 
 
-def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int, int, int, int, int]]:
-    """Yield (value, c, den, s1, td, p, p_prev) for each candidate degree
-    c = 0..m of the kernel system on m, value = floor(f(0) q**n / (q**n f_0)),
-    with the common denominator den, S1 = num(0), TD = num(d),
-    P_c = K_c(d - 1) and P_{c-1} at that degree."""
+def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
+    """Yield (value, c, den, s1, td, p, p_prev, certified) for each candidate
+    degree c = 0..m of the kernel system on m, value =
+    floor(f(0) q**n / (q**n f_0)), with the common denominator den,
+    S1 = num(0), TD = num(d), P_c = K_c(d - 1) and P_{c-1} at that degree;
+    certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under which every
+    coefficient is nonnegative (module docstring)."""
     s = q - 1
     scale = d * q ** (n - m)
     # K_c(-1) and K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
@@ -177,6 +223,7 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int,
     at, at_prev = 1, 0
     norm = 1
     den, s1, s2, td = 1, 0, 0, 0
+    nonnegative = True  # no P_j < 0 for j <= c
     for c in range(m + 1):
         common = lcm(den, norm)
         widen, step = common // den, common // norm * at
@@ -185,12 +232,15 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[tuple[int, int, int,
         td = td * widen + step * at
         den = common
         excess = d * q * s2 - (m + 1) * s * den * td
-        if s1 and excess > 0:
-            yield scale * s1 * s1 // excess, c, den, s1, td, at, at_prev
         # (c+1) K_{c+1}(y) = (c + (q-1)(m - c) - q y) K_c(y) - (q-1)(m - c + 1) K_{c-1}(y)
         a, b = c + s * (m - c), s * (m - c + 1)
+        at_next = ((a - q * (d - 1)) * at - b * at_prev) // (c + 1)
+        nonnegative = nonnegative and at >= 0
+        if s1 and excess > 0:
+            yield (scale * s1 * s1 // excess, c, den, s1, td, at, at_prev,
+                   nonnegative and at_next <= 0)
         low, low_prev = ((a + q) * low - b * low_prev) // (c + 1), low
-        at, at_prev = ((a - q * (d - 1)) * at - b * at_prev) // (c + 1), at
+        at, at_prev = at_next, at
         norm = norm * (m - c) * s // (c + 1)
 
 
@@ -239,7 +289,7 @@ def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int, td:
 def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
     """Minimum verified bound for one branch, with its kernel system on m."""
     best: int | None = None
-    run: list[tuple[int, int, int, int, int, int, int]] = []  # candidates, values decreasing
+    run: list[_Candidate] = []  # candidates, values decreasing
     for candidate in _candidates(n, m, d, q):
         if run and candidate[0] < run[-1][0]:
             run.append(candidate)
@@ -265,10 +315,10 @@ def _second_negative(n: int, m: int, d: int, q: int, c: int, p: int, p_prev: int
 
 
 def _run_min(n: int, m: int, d: int, q: int,
-             run: list[tuple[int, int, int, int, int, int, int]], best: int | None) -> int | None:
+             run: list[_Candidate], best: int | None) -> int | None:
     """The value of the last candidate in run that verifies, else best."""
-    for value, c, den, s1, td, p, p_prev in reversed(run):
-        if not _second_negative(n, m, d, q, c, p, p_prev) and all(
+    for value, c, den, s1, td, p, p_prev, certified in reversed(run):
+        if certified or not _second_negative(n, m, d, q, c, p, p_prev) and all(
                 a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td, p, p_prev)):
             return value
     return best

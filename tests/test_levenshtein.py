@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, gcd, lcm
 from operator import mul
 from pathlib import Path
@@ -60,6 +61,58 @@ def test_deterministic():
 def _reference_rows(m, q, n, shift):
     """K_c(x - shift) on m from the explicit sum, c = 0..m, at x = 0..n."""
     return tuple(tuple(krawtchouk(m, q, c, x - shift) for x in range(n + 1)) for c in range(m + 1))
+
+
+def _certificate_holds(m, q, n, c, d):
+    """P_0, .., P_c >= 0 and P_{c+1} <= 0, with P_j = K_j(d - 1) on m from
+    the explicit sum.  P_{c+1} is read as sum_{t <= c+1} K_t(d) on m + 1,
+    which also gives the degree m + 1 that c = m needs (see
+    test_prefix_sum_identities)."""
+    rows = _reference_rows(m, q, n, 1)
+    return (all(rows[j][d] >= 0 for j in range(c + 1))
+            and sum(row[d] for row in _reference_rows(m + 1, q, n, 0)[:c + 2]) <= 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_prefix_sum_identities(q):
+    # K_j(x - 1) on n - 1 is sum_{t <= j} K_t(x) on n, and K_j(x - 1) on
+    # n - 2 is sum_{t <= j} K_t(x) on n - 1: both generating functions are
+    # the one on the next length divided by 1 - z
+    for n in range(2, 11):
+        for x in range(n + 1):
+            for j in range(n):
+                assert krawtchouk(n - 1, q, j, x - 1) == sum(krawtchouk(n, q, t, x) for t in range(j + 1)), (n, j, x)
+            for j in range(n - 1):
+                assert krawtchouk(n - 2, q, j, x - 1) == sum(krawtchouk(n - 1, q, t, x) for t in range(j + 1)), (n, j, x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_triple_sums_are_nonnegative(q):
+    # sum_x w(x) K_a K_b K_i (x) is q**n times the number of (u, v, z) in
+    # Z_q**n of weights a, b, i with u + v + z = 0, so it is >= 0; it is
+    # counted outright where q**n <= 81.  With w(x)(n - x) = n w_{n-1}(x)
+    # and K_i(x) on n = K_i(x) + (q-1) K_{i-1}(x) on n - 1, the even
+    # branch's sum_x w(x)(n - x) K_a K_b (on n - 1) K_i (on n) is >= 0 too
+    for n in range(1, 9):
+        w = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+        on_n = _reference_rows(n, q, n, 0)
+        on_n1 = _reference_rows(n - 1, q, n, 0)
+        triple = {(a, b, i): sum(w[x] * on_n[a][x] * on_n[b][x] * on_n[i][x] for x in range(n + 1))
+                  for a in range(n + 1) for b in range(n + 1) for i in range(n + 1)}
+        assert min(triple.values()) >= 0, n
+        for a in range(n):
+            for b in range(n):
+                for i in range(n + 1):
+                    assert sum(w[x] * (n - x) * on_n1[a][x] * on_n1[b][x] * on_n[i][x]
+                               for x in range(n + 1)) >= 0, (n, a, b, i)
+        if q ** n <= 81:
+            counts = dict.fromkeys(triple, 0)
+            words = list(product(range(q), repeat=n))
+            for u in words:
+                for v in words:
+                    z = [-(x + y) % q for x, y in zip(u, v)]
+                    counts[n - u.count(0), n - v.count(0), n - z.count(0)] += 1
+            assert triple == {key: q ** n * count for key, count in counts.items()}, n
 
 
 def test_recurrence_table_matches_direct_formula():
@@ -120,15 +173,16 @@ def test_running_sums_match_direct_kernel_sum(q):
     # at every degree of both branches, against the kernel summed here from
     # the explicit Krawtchouk sum over one fixed denominator: the scan's
     # candidate test and value equal those of f = wf * kernel**2 summed over
-    # all n + 1 points, the candidate carries P_c = K_c(d - 1) and P_{c-1},
-    # and the numerators, c = m included, are a positive multiple of the
-    # kernel.  They equal it times den / scale at every x, so each floor
-    # division in them was exact.
+    # all n + 1 points, the candidate carries P_c = K_c(d - 1) and P_{c-1}
+    # and is certified iff P_0, .., P_c >= 0 and P_{c+1} <= 0, and the
+    # numerators, c = m included, are a positive multiple of the kernel.
+    # They equal it times den / scale at every x, so each floor division in
+    # them was exact.
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         for d in range(2, n + 1):
-            candidates = {(m, c): (value, den, s1, td, p, p_prev) for m in (n - 1, n - 2)
-                          for value, c, den, s1, td, p, p_prev in _candidates(n, m, d, q)}
+            candidates = {(m, c): (value, den, s1, td, p, p_prev, certified) for m in (n - 1, n - 2)
+                          for value, c, den, s1, td, p, p_prev, certified in _candidates(n, m, d, q)}
             for m, factor, c, scale, den_c, kernel in _reference_kernels(n, d, q):
                 g = [w * f * v * v for w, f, v in zip(weights, factor, kernel)]
                 total = sum(g)
@@ -138,7 +192,8 @@ def test_running_sums_match_direct_kernel_sum(q):
                 s1_c, td_c = kernel[0] * den_c // scale, kernel[d] * den_c // scale
                 rows = _reference_rows(m, q, n, 1)
                 p_c, p_prev = rows[c][d], rows[c - 1][d] if c else 0
-                assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev], (q, n, d, m, c)
+                certified = _certificate_holds(m, q, n, c, d)
+                assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev, certified], (q, n, d, m, c)
                 num = _numerators(m, d, q, c, den_c, s1_c, td_c, p_c, p_prev, n)
                 assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
                 assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
@@ -163,7 +218,7 @@ def test_coefficients_match_direct_sums(q):
             kernels = {(m, c): (factor, scale, kernel)
                        for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
             for m in (n - 1, n - 2):
-                for _, c, den, s1, td, p, p_prev in _candidates(n, m, d, q):
+                for _, c, den, s1, td, p, p_prev, _ in _candidates(n, m, d, q):
                     factor, scale, kernel = kernels[m, c]
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
@@ -183,21 +238,49 @@ def test_coefficients_match_direct_sums(q):
     assert checked > 1000 and decided > 3000 and refused > 100, (checked, decided, refused)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_certificate_implies_nonnegative_sums(q):
+    # wherever P_0, .., P_c >= 0 and P_{c+1} <= 0, at every degree of both
+    # branches, every sum_x w(x) f(x) K_i(x) is >= 0, with f from the kernel
+    # summed here and K_i from the explicit sum.  Every such degree is a
+    # candidate (its sum at i = 0 is even > 0), and the scan certifies
+    # exactly those.  The floor keeps the test from passing with nothing
+    # certified
+    holds = 0
+    for n in range(3, 31):
+        weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+        rows = _reference_rows(n, q, n, 0)
+        for d in range(2, n + 1):
+            flags = {(m, t[1]): t[-1] for m in (n - 1, n - 2) for t in _candidates(n, m, d, q)}
+            for m, factor, c, _, _, kernel in _reference_kernels(n, d, q):
+                proven = _certificate_holds(m, q, n, c, d)
+                assert flags.get((m, c), False) == proven, (q, n, d, m, c)
+                if proven:
+                    g = [w * f * t * t for w, f, t in zip(weights, factor, kernel)]
+                    assert all(sum(map(mul, g, row)) >= 0 for row in rows), (q, n, d, m, c)
+                    holds += 1
+    assert holds > 800, holds
+
+
 def test_gate_builds_few_polynomials(monkeypatch):
     # only the minimum of each decreasing run is looked at.  At (500, 94, 2)
     # and (500, 95, 2) one candidate is refused from its two leading
     # coefficients and builds no numerators, at (500, 96, 2) none is; every
-    # gate query checks one candidate per branch, and each check verifies.
-    # At (100, 20, 5) a candidate gets past that test and its check fails,
-    # drawing no coefficient past its first negative one.  Numerators are
-    # built once per check.
-    looked: list[dict] = []  # per candidate looked at, in order
+    # gate query verifies one candidate per branch, and each is certified
+    # from the signs of P_0, .., P_{c+1}, so no numerators are built and no
+    # coefficient is drawn.  At (100, 20, 5) a candidate gets past the test
+    # on the two leading coefficients and its check fails, drawing no
+    # coefficient past its first negative one; the candidates that verify
+    # there are certified too.  Numerators are built once per check.
+    looked: list[dict] = []  # per candidate refused or checked, in order
+    verified: list[tuple] = []  # the candidates whose value a run returned
 
     def summary():
         return [(x["refused"], len(x["checks"]), x["num"]) for x in looked]
     second_negative = levenshtein._second_negative
     coefficients = levenshtein._coefficients
     numerators = levenshtein._numerators
+    run_min = levenshtein._run_min
 
     def counting_second_negative(*args):
         refused = second_negative(*args)
@@ -214,24 +297,33 @@ def test_gate_builds_few_polynomials(monkeypatch):
         looked[-1]["num"] += 1
         return numerators(*args)
 
+    def recording_run_min(n, m, d, q, run, best):
+        # values strictly decrease along a run and all lie below best
+        value = run_min(n, m, d, q, run, best)
+        verified.extend(candidate for candidate in run if candidate[0] == value)
+        return value
+
     monkeypatch.setattr(levenshtein, "_second_negative", counting_second_negative)
     monkeypatch.setattr(levenshtein, "_coefficients", counting_coefficients)
     monkeypatch.setattr(levenshtein, "_numerators", counting_numerators)
+    monkeypatch.setattr(levenshtein, "_run_min", recording_run_min)
     for d, refused in ((94, 1), (95, 1), (96, 0)):
         looked.clear()
+        verified.clear()
         levenshtein_max_size(500, d, 2)
-        assert [x for x in looked if x["refused"]] == [{"refused": True, "checks": [], "num": 0}] * refused, d
-        checks = [x for x in looked if not x["refused"]]
-        assert len(checks) == 2 and all(len(x["checks"]) == 1 and x["num"] == 1 for x in checks), (d, summary())
-        assert all(a >= 0 for x in checks for a in x["checks"][0]), d
+        assert looked == [{"refused": True, "checks": [], "num": 0}] * refused, (d, summary())
+        assert len(verified) == 2 and all(candidate[-1] for candidate in verified), d
     looked.clear()
+    verified.clear()
     levenshtein_max_size(100, 20, 5)
     assert all(not x["refused"] and len(x["checks"]) == 1 and x["num"] == 1 for x in looked), summary()
     drawn = [x["checks"][0] for x in looked]
     assert 1 <= len(drawn) <= 8, summary()
     assert all(a >= 0 for check in drawn for a in check[:-1]), [len(check) for check in drawn]
     assert [len(check) for check in drawn if check[-1] < 0] == [5], [len(check) for check in drawn]
-    assert not all(check[-1] < 0 for check in drawn)
+    # every check drawn fails: the candidates that verify are certified
+    assert all(check[-1] < 0 for check in drawn)
+    assert len(verified) == 2 and all(candidate[-1] for candidate in verified)
 
 
 @pytest.mark.parametrize("coefficients,verifies", [
@@ -243,7 +335,8 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
     # the scan's candidate test (see test_coefficients_match_direct_sums): a
     # candidate verifies iff none is negative, and a check reads them in
     # that order up to its first negative one.  P_c = 0, so the test on the
-    # two leading coefficients does not decide and every candidate is checked
+    # two leading coefficients does not decide and every candidate is
+    # checked, unless it is certified: then it verifies and draws nothing
     drawn = []
 
     def from_the_top(*args):
@@ -252,9 +345,12 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
             yield a
 
     monkeypatch.setattr(levenshtein, "_coefficients", from_the_top)
-    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0)], 9) == (7 if verifies else 9)
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, False)], 9) == (7 if verifies else 9)
     read = next((i + 1 for i, a in enumerate(coefficients) if a < 0), len(coefficients))
     assert drawn == coefficients[:read]
+    drawn.clear()
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, True)], 9) == 7
+    assert drawn == []
 
 
 def _every_degree_reference(n, d, q):
