@@ -9,6 +9,7 @@ Levenshtein) are implemented alongside it, all in exact integer arithmetic:
 every rational cap is a ratio of integers floored with one integer division.
 """
 
+from math import comb
 from typing import Iterable, NamedTuple, Optional
 
 from .exactmath import (VARIANT_WEIGHT, check_distance, check_query, check_variant,
@@ -132,20 +133,52 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     return FeasibilityVerdict(FEASIBLE)
 
 
+def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
+    """Largest k in 3..n-1 with C(k, t) unit**t <= (1 + unit)**(n-k), where
+    t = (d-1)//2 and unit is as in bound_a_check; 2 when there is none.
+
+    At i = t bound_a_check compares C(k, t)(q-1)**t with outside * tail,
+    where outside * unit**t = (q-1)**t and the tail is at most its sum over
+    every weight, (1 + unit)**(n-k).  So every k above the cap is refuted at
+    some i <= t.  The left side does not fall as k grows and the right side
+    falls, so the inequality holds on a prefix of 3..n-1 and is bisected.
+    """
+    t = (d - 1) // 2
+    unit = q - 1 if variant == VARIANT_WEIGHT else 1
+    lhs_unit = unit ** t
+    lo, hi = 3, n - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if comb(mid, t) * lhs_unit > (1 + unit) ** (n - mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return hi
+
+
 def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
     """Largest k in 3..n-1 not refuted by bound A; 2 when even k = 3 fails.
 
     Dimensions k <= 2 are outside the bound's guard and can never be
     constrained, hence the floor of 2.  Refutation is monotone in k (the lhs
-    grows, the tail shrinks), so the scan is a binary search.
+    grows, the tail shrinks), so the answer is found by search.  Every k
+    above _bound_a_cap is refuted without a check, and unless d is large
+    (about 0.4 n and up) the answer is the cap or one below it, so those two
+    are probed first; only when both are refuted is 3..cap-2 bisected.
     """
     check_query(n, d, q)
     if d < 3:
         raise ValueError(f"bound A needs d >= 3, got d={d}")
     if n < 4:
         raise ValueError(f"bound A needs n >= 4, got n={n}")
+    check_variant(variant)
+    cap = _bound_a_cap(n, d, q, variant)
+    for k in (cap, cap - 1):
+        # k = 2 is reached only when every k >= 3 is refuted
+        if k < 3 or not bound_a_check(n, k, d, q, variant).refuted:
+            return k
     # every k below lo is feasible, every k above hi refuted
-    lo, hi = 3, n - 1
+    lo, hi = 3, cap - 2
     while lo <= hi:
         mid = (lo + hi) // 2
         if bound_a_check(n, mid, d, q, variant).refuted:
@@ -208,7 +241,10 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
 
     Scaled by q, with a = (q-1)n = qr: the cap is
     a*d*q**n / ((q*w*w - 2*a*w + a*d) * V_q(n, w)) for q*w <= a, and w is
-    admissible when q*w*w - 2*a*w + a*d > 0.
+    admissible when q*w*w - 2*a*w + a*d > 0.  From w to w + 1 that
+    denominator changes by q(2w + 1) - 2a < 0 while q(w + 1) <= a, so the
+    admissible radii form a prefix of 0..a//q and the scan stops at the
+    first inadmissible one.
     """
     check_query(n, d, q)
     a = (q - 1) * n
@@ -223,11 +259,12 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
             term = term * (n - w + 1) * (q - 1) // w
         volume += term
         denom = q * w * w - 2 * a * w + a * d
-        if denom > 0:
-            floored = ad_qn // (denom * volume)
-            if best is None or floored < best:
-                best = floored
-                best_w = w
+        if denom <= 0:
+            break
+        floored = ad_qn // (denom * volume)
+        if best is None or floored < best:
+            best = floored
+            best_w = w
         w += 1
     assert best is not None  # w = 0 always admissible
     return best, best_w

@@ -83,8 +83,8 @@ Christoffel-Darboux,
 
 an exact division.  The two kernel rows on m, at x = 1..D only, come from
 K_c(0) = norm_c by the three-term recurrence in the argument (see
-_kernel_row); P_c and P_{c-1} are the scan's, and P_{c+1} is its next
-recurrence step.  Before f is
+_kernel_row); P_c, P_{c-1} and P_{c+1} come with the candidate, the last
+from the scan's next recurrence step.  Before f is
 formed, num is divided by the gcd of its values: a positive factor, which
 leaves every sign as it is and takes about the size of den off each value.
 
@@ -183,8 +183,8 @@ from .exactmath import check_query
 
 __all__ = ["levenshtein_max_size"]
 
-# (value, c, den, s1, td, p, p_prev, certified), see _candidates
-_Candidate = tuple[int, int, int, int, int, int, int, bool]
+# (value, c, den, s1, td, p, p_prev, p_next, certified), see _candidates
+_Candidate = tuple[int, int, int, int, int, int, int, int, bool]
 
 
 def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
@@ -210,12 +210,12 @@ def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
 
 
 def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
-    """Yield (value, c, den, s1, td, p, p_prev, certified) for each candidate
-    degree c = 0..m of the kernel system on m, value =
+    """Yield (value, c, den, s1, td, p, p_prev, p_next, certified) for each
+    candidate degree c = 0..m of the kernel system on m, value =
     floor(f(0) q**n / (q**n f_0)), with the common denominator den,
-    S1 = num(0), TD = num(d), P_c = K_c(d - 1) and P_{c-1} at that degree;
-    certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under which every
-    coefficient is nonnegative (module docstring)."""
+    S1 = num(0), TD = num(d), P_c = K_c(d - 1), P_{c-1} and P_{c+1} at that
+    degree; certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under which
+    every coefficient is nonnegative (module docstring)."""
     s = q - 1
     scale = d * q ** (n - m)
     # K_c(-1) and K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
@@ -237,7 +237,7 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
         at_next = ((a - q * (d - 1)) * at - b * at_prev) // (c + 1)
         nonnegative = nonnegative and at >= 0
         if s1 and excess > 0:
-            yield (scale * s1 * s1 // excess, c, den, s1, td, at, at_prev,
+            yield (scale * s1 * s1 // excess, c, den, s1, td, at, at_prev, at_next,
                    nonnegative and at_next <= 0)
         low, low_prev = ((a + q) * low - b * low_prev) // (c + 1), low
         at, at_prev = at_next, at
@@ -245,15 +245,12 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
 
 
 def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, p: int,
-                p_prev: int, top: int) -> list[int]:
+                p_next: int, top: int) -> list[int]:
     """num = den * T at x = 0..top for the kernel of degree c on m, by
     Christoffel-Darboux, with num(0) = S1, num(d) = TD, P_c = p and
-    P_{c-1} = p_prev."""
-    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..top; P_{c+1} by the scan's
-    # recurrence step
+    P_{c+1} = p_next."""
+    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..top
     low, high = _kernel_row(m, q, c, top - 1), _kernel_row(m, q, c + 1, top - 1)
-    s = q - 1
-    p_next = ((c + s * (m - c) - q * (d - 1)) * p - s * (m - c + 1) * p_prev) // (c + 1)
     scale = den * (c + 1)
     div = q * comb(m, c) * (q - 1) ** c
     return [s1] + [td if x == d else scale * (h * p - k * p_next) // (div * (d - x))
@@ -261,14 +258,14 @@ def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, p: i
 
 
 def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int, td: int,
-                  p: int, p_prev: int) -> Iterator[int]:
+                  p: int, p_next: int) -> Iterator[int]:
     """Yield q**(D - n) g**-2 sum_x w(x) f(x) K_i(x) for i = D down to 1,
     where D = min(deg f, n), f is the candidate of degree c on m and g is the
     gcd of num(0..D); the sums above D are zero."""
     s = q - 1
     # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2)
     top = min(2 * c + n - m, n)
-    num = _numerators(m, d, q, c, den, s1, td, p, p_prev, top)
+    num = _numerators(m, d, q, c, den, s1, td, p, p_next, top)
     g = gcd(*num)
     f = [(d - x) * (n - x) ** (n - 1 - m) * (v // g) ** 2 for x, v in enumerate(num)]
     diffs = []  # Delta**j f(0)
@@ -317,9 +314,9 @@ def _second_negative(n: int, m: int, d: int, q: int, c: int, p: int, p_prev: int
 def _run_min(n: int, m: int, d: int, q: int,
              run: list[_Candidate], best: int | None) -> int | None:
     """The value of the last candidate in run that verifies, else best."""
-    for value, c, den, s1, td, p, p_prev, certified in reversed(run):
+    for value, c, den, s1, td, p, p_prev, p_next, certified in reversed(run):
         if certified or not _second_negative(n, m, d, q, c, p, p_prev) and all(
-                a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td, p, p_prev)):
+                a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td, p, p_next)):
             return value
     return best
 

@@ -2,10 +2,11 @@
 
 The exact primitives are written here the slow, literal way: binomial and
 weight_count by their counting formulas, tail_mass in both readings of bound
-A's right-hand side, and krawtchouk as the explicit alternating sum.  The
-package's fast paths (bound A's incremental tail walk, the Krawtchouk
-recurrences and the coefficient check of the Levenshtein bound) are compared
-with them.
+A's right-hand side, krawtchouk as the explicit alternating sum, and the
+Elias cap over every radius up to r.  The package's fast paths (bound A's
+incremental tail walk, the Krawtchouk recurrences, the coefficient check of
+the Levenshtein bound and the Elias scan that stops at its last admissible
+radius) are compared with them.
 
 The oracle references enumerate systematic codes one Code at a time: linear
 ones via standard-form generator matrices [I | T], nonlinear ones as
@@ -31,6 +32,7 @@ from codebounds.exactmath import (
     VARIANT_WEIGHT,
     EnumerationBudgetError,
     check_alphabet,
+    check_query,
     check_variant,
 )
 from codebounds.oracle import (
@@ -108,6 +110,33 @@ def krawtchouk(n: int, q: int, k: int, x: int) -> int:
         term = _poly_binomial(x, j) * _poly_binomial(n - x, k - j) * (q - 1) ** (k - j)
         total += -term if j & 1 else term
     return total
+
+
+def elias_every_radius(n: int, d: int, q: int) -> tuple[int, int]:
+    """Smallest floored Elias cap a*d*q**n // ((q*w*w - 2*a*w + a*d) * V_q(n, w))
+    over every w with q*w <= a = (q-1)n whose denominator is positive, with
+    the smallest w attaining it."""
+    check_query(n, d, q)
+    a = (q - 1) * n
+    ad_qn = a * d * q ** n
+    volume = 0
+    term = 1  # C(n, w)(q-1)**w at current w
+    best: Optional[int] = None
+    best_w = 0
+    w = 0
+    while q * w <= a:
+        if w:
+            term = term * (n - w + 1) * (q - 1) // w
+        volume += term
+        denom = q * w * w - 2 * a * w + a * d
+        if denom > 0:
+            floored = ad_qn // (denom * volume)
+            if best is None or floored < best:
+                best = floored
+                best_w = w
+        w += 1
+    assert best is not None  # w = 0 always admissible
+    return best, best_w
 
 
 def _check_compatible(u: Word, v: Word) -> None:

@@ -4,14 +4,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from reference import enumerate_linear_systematic, tail_mass, weight_count
+from reference import elias_every_radius, enumerate_linear_systematic, tail_mass, weight_count
 
+from codebounds import bounds
 from codebounds.bounds import (
     FEASIBLE,
     NOT_APPLICABLE,
     REFUTED,
     BoundResult,
     FeasibilityVerdict,
+    _bound_a_cap,
     best_upper_k,
     bound_a_check,
     bound_a_max_k,
@@ -109,6 +111,47 @@ class TestBoundAMaxK:
                         else:
                             break
                     assert bound_a_max_k(n, d, q) == linear, (n, d, q)
+
+    def test_capped_search_matches_linear_scan(self):
+        # the probes at the cap and one below it, then the bisection under
+        # them, against the plain scan from k = 3 up
+        for q in (2, 3, 5, 7):
+            for n in range(4, 41):
+                for d in range(3, n + 1):
+                    for variant in ("weight", "literal"):
+                        linear = 2
+                        for k in range(3, n):
+                            if bound_a_check(n, k, d, q, variant).refuted:
+                                break
+                            linear = k
+                        assert bound_a_max_k(n, d, q, variant) == linear, (n, d, q, variant)
+
+    def test_every_dimension_above_the_cap_is_refuted(self):
+        # the closed form refutes nothing that bound_a_check admits
+        for q in (2, 3, 5, 7):
+            for n in range(4, 41):
+                for d in range(3, n + 1):
+                    for variant in ("weight", "literal"):
+                        cap = _bound_a_cap(n, d, q, variant)
+                        assert 2 <= cap <= n - 1, (n, d, q, variant)
+                        for k in range(cap + 1, n):
+                            assert bound_a_check(n, k, d, q, variant).refuted, (n, k, d, q, variant)
+
+    @pytest.mark.parametrize("d", [94, 95, 96])
+    def test_gate_query_makes_two_probes(self, monkeypatch, d):
+        # bound A's answer at (500, d, 2) is its cap: one probe there, and
+        # the refutation at k_max + 1 that the result carries
+        probes = []
+        check = bounds.bound_a_check
+
+        def counting(n, k, *args):
+            probes.append(k)
+            return check(n, k, *args)
+
+        monkeypatch.setattr(bounds, "bound_a_check", counting)
+        results, _ = best_upper_k(500, d, 2)
+        (k_max,) = [r.k_max for r in results if r.bound_id == "a"]
+        assert probes == [k_max, k_max + 1], d
 
 
 class TestBoundARefutation:
@@ -254,6 +297,13 @@ class TestElias:
             if Fraction(w2 * w2) - 2 * r * w2 + r * d <= 0:
                 continue
             assert floored_cap(w2) >= size
+
+    def test_matches_every_radius_reference(self):
+        # stopping at the first inadmissible radius loses no admissible one
+        for q in (2, 3, 5, 7):
+            for n in range(1, 81):
+                for d in range(1, n + 1):
+                    assert elias_max_size(n, d, q) == elias_every_radius(n, d, q), (n, d, q)
 
 
 class TestBestUpperK:

@@ -657,6 +657,7 @@ CLI_DIGEST_COMMANDS = [
     "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
     "oracle refute-check --q 3 --n-max 7 --k-max 6 --d-max 7",
     "eval --q 2 --n 600 --d 3 --bounds all",
+    "table --q 5 --n-range 4..40 --d-range 3..20 --bounds a --variant-a literal --format csv",
     *_ARGPARSE_COMMANDS,
 ]
 
@@ -686,12 +687,13 @@ def test_outputs_match_pinned_digests():
     recorded, before table1's verdict and the oracle dispatch were merged
     into one path each, the length-2000 query's while the Levenshtein check
     still summed over Krawtchouk rows, and the bench's two oracle boxes'
-    while the cross-check still ran best_linear_d_witness.  The last command,
-    16 of whose 18 Levenshtein checks fail at a coefficient near the top, was
-    recorded while the check still shifted its coefficients from i = 0
-    upwards, and the help and usage errors of _ARGPARSE_COMMANDS while
-    argparse still read every command line.  The file was made from the
-    repository root with
+    while the cross-check still ran best_linear_d_witness.  The length-600
+    query, 16 of whose 18 Levenshtein checks fail at a coefficient near the
+    top, was recorded while the check still shifted its coefficients from
+    i = 0 upwards, the literal bound-A table while bound_a_max_k still
+    bisected all of 3..n-1, and the help and usage errors of
+    _ARGPARSE_COMMANDS while argparse still read every command line.  The
+    file was made from the repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
     """

@@ -63,14 +63,18 @@ def _reference_rows(m, q, n, shift):
     return tuple(tuple(krawtchouk(m, q, c, x - shift) for x in range(n + 1)) for c in range(m + 1))
 
 
+def _next_p(m, q, n, c, d):
+    """P_{c+1} = K_{c+1}(d - 1) on m from the explicit sum, read as
+    sum_{t <= c+1} K_t(d) on m + 1, which also gives the degree m + 1 that
+    c = m needs (see test_prefix_sum_identities)."""
+    return sum(row[d] for row in _reference_rows(m + 1, q, n, 0)[:c + 2])
+
+
 def _certificate_holds(m, q, n, c, d):
     """P_0, .., P_c >= 0 and P_{c+1} <= 0, with P_j = K_j(d - 1) on m from
-    the explicit sum.  P_{c+1} is read as sum_{t <= c+1} K_t(d) on m + 1,
-    which also gives the degree m + 1 that c = m needs (see
-    test_prefix_sum_identities)."""
+    the explicit sum."""
     rows = _reference_rows(m, q, n, 1)
-    return (all(rows[j][d] >= 0 for j in range(c + 1))
-            and sum(row[d] for row in _reference_rows(m + 1, q, n, 0)[:c + 2]) <= 0)
+    return all(rows[j][d] >= 0 for j in range(c + 1)) and _next_p(m, q, n, c, d) <= 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -173,16 +177,16 @@ def test_running_sums_match_direct_kernel_sum(q):
     # at every degree of both branches, against the kernel summed here from
     # the explicit Krawtchouk sum over one fixed denominator: the scan's
     # candidate test and value equal those of f = wf * kernel**2 summed over
-    # all n + 1 points, the candidate carries P_c = K_c(d - 1) and P_{c-1}
-    # and is certified iff P_0, .., P_c >= 0 and P_{c+1} <= 0, and the
+    # all n + 1 points, the candidate carries P_c = K_c(d - 1), P_{c-1} and
+    # P_{c+1} and is certified iff P_0, .., P_c >= 0 and P_{c+1} <= 0, and the
     # numerators, c = m included, are a positive multiple of the kernel.
     # They equal it times den / scale at every x, so each floor division in
     # them was exact.
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         for d in range(2, n + 1):
-            candidates = {(m, c): (value, den, s1, td, p, p_prev, certified) for m in (n - 1, n - 2)
-                          for value, c, den, s1, td, p, p_prev, certified in _candidates(n, m, d, q)}
+            candidates = {(m, c): (value, *rest) for m in (n - 1, n - 2)
+                          for value, c, *rest in _candidates(n, m, d, q)}
             for m, factor, c, scale, den_c, kernel in _reference_kernels(n, d, q):
                 g = [w * f * v * v for w, f, v in zip(weights, factor, kernel)]
                 total = sum(g)
@@ -192,9 +196,10 @@ def test_running_sums_match_direct_kernel_sum(q):
                 s1_c, td_c = kernel[0] * den_c // scale, kernel[d] * den_c // scale
                 rows = _reference_rows(m, q, n, 1)
                 p_c, p_prev = rows[c][d], rows[c - 1][d] if c else 0
+                p_next = _next_p(m, q, n, c, d)
                 certified = _certificate_holds(m, q, n, c, d)
-                assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev, certified], (q, n, d, m, c)
-                num = _numerators(m, d, q, c, den_c, s1_c, td_c, p_c, p_prev, n)
+                assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev, p_next, certified], (q, n, d, m, c)
+                num = _numerators(m, d, q, c, den_c, s1_c, td_c, p_c, p_next, n)
                 assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
                 assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
 
@@ -218,11 +223,11 @@ def test_coefficients_match_direct_sums(q):
             kernels = {(m, c): (factor, scale, kernel)
                        for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
             for m in (n - 1, n - 2):
-                for _, c, den, s1, td, p, p_prev, _ in _candidates(n, m, d, q):
+                for _, c, den, s1, td, p, p_prev, p_next, _ in _candidates(n, m, d, q):
                     factor, scale, kernel = kernels[m, c]
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
-                    coefficients = list(_coefficients(n, m, d, q, c, den, s1, td, p, p_prev))
+                    coefficients = list(_coefficients(n, m, d, q, c, den, s1, td, p, p_next))
                     top = len(coefficients)
                     assert top == min(2 * c + n - m, n), (q, n, d, m, c)
                     common = gcd(*(t * den // scale for t in kernel[:top + 1]))
@@ -345,11 +350,11 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
             yield a
 
     monkeypatch.setattr(levenshtein, "_coefficients", from_the_top)
-    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, False)], 9) == (7 if verifies else 9)
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, 0, False)], 9) == (7 if verifies else 9)
     read = next((i + 1 for i, a in enumerate(coefficients) if a < 0), len(coefficients))
     assert drawn == coefficients[:read]
     drawn.clear()
-    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, True)], 9) == 7
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, 0, True)], 9) == 7
     assert drawn == []
 
 
