@@ -150,15 +150,15 @@ def _cmd_best_d(args: SimpleNamespace) -> int:
     # imported here: loading the oracle with the module slows every command's start-up
     from .oracle import best_linear_d_witness
 
-    d, gen = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)
+    d, tail = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)
     print(f"best minimum distance for ({args.n}, {args.k}) over q={args.q}: {d}")
     print("witness tail matrix (rows):")
-    for row in gen.tail:
+    for row in tail:
         print("  " + "".join(str(e) for e in row))
     return 0
 
 
-def refutation_crosscheck(*args, **kwargs) -> str:
+def refutation_crosscheck(*args, **kwargs) -> Optional[tuple]:
     """oracle.refutation_crosscheck, loaded on first use.  It stays a name
     of this module, which bench/tracer.py wraps to time the cross-checks."""
     from .oracle import refutation_crosscheck
@@ -167,7 +167,7 @@ def refutation_crosscheck(*args, **kwargs) -> str:
 
 
 def _cmd_refute_check(args: SimpleNamespace) -> int:
-    from .oracle import CONFIRMED, check_linear_alphabet
+    from .oracle import check_linear_alphabet
 
     # q and the budget are checked even when the box holds no refutation
     check_alphabet(args.q)
@@ -184,9 +184,9 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
         if not refuted and n > args.k_max and n >= args.d_max:
             break
         for k, d in refuted:
-            outcome = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
+            code = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
             checked += 1
-            if outcome == CONFIRMED:
+            if code is None:
                 print(f"(n={n}, k={k}, d={d}) refuted: confirmed")
             else:
                 failures += 1

@@ -1,10 +1,12 @@
 """Exhaustive search at tiny scale: the ground truth behind bound A's refutations.
 
 Codes are systematic: linear ones come from standard-form generator matrices
-[I | T] (StandardFormGenerator), nonlinear ones are arbitrary prefix-to-tail
-assignments.  min_distance measures a Code, and refutation_crosscheck
-confirms a bound-A refutation by searching every systematic code at its
-(n, k, q).
+[I | T], nonlinear ones are arbitrary prefix-to-tail assignments.  Answers
+are plain values: a word is a tuple of symbols in [0, q), a code is the
+tuple of its words with their prefixes in ascending order, and a
+standard-form code is given by its tail T, a tuple of k rows.  min_distance
+measures a code, and refutation_crosscheck confirms a bound-A refutation by
+searching every systematic code at its (n, k, q).
 
 Searches are deterministic (tails in ascending mixed-radix order) and
 guarded by an explicit budget; a search that would exceed it raises rather
@@ -27,12 +29,12 @@ q**k codewords that the linear search checks every candidate row against.
 The cross-check runs one search per refuted triple, chosen by the budget:
 the nonlinear search where all systematic codes fit in it, since every
 standard-form code is one of them, and the linear search at the refuted d
-elsewhere.
+elsewhere.  It returns None when the search finds no code, else the words
+of the first code it finds.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 from typing import Optional
 
@@ -47,17 +49,11 @@ from .exactmath import (
 )
 
 __all__ = [
-    "Word",
-    "Code",
-    "StandardFormGenerator",
     "min_distance",
     "check_linear_alphabet",
     "best_linear_d_witness",
     "refutation_crosscheck",
-    "CONFIRMED",
 ]
-
-CONFIRMED = "confirmed"
 
 
 def _check_systematic(n: int, k: int, q: int) -> None:
@@ -87,110 +83,27 @@ def check_linear_alphabet(q: int, budget: int) -> None:
     _check_prime(q)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A q-ary vector; symbols are residues in [0, q)."""
-
-    symbols: tuple[int, ...]
-    q: int
-
-    def __post_init__(self) -> None:
-        check_alphabet(self.q)
-        if any(not 0 <= s < self.q for s in self.symbols):
-            raise ValueError(f"symbols must lie in [0, {self.q})")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for s in self.symbols if s)
-
-
 def _symbol_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
 
 
-@dataclass(frozen=True)
-class Code:
-    """A finite set of distinct equal-length q-ary words.
-
-    systematic_k = k asserts that projecting onto the first k coordinates is
-    a bijection onto all q**k prefixes; the constructor verifies it.
-    """
-
-    q: int
-    n: int
-    words: tuple[Word, ...]
-    systematic_k: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        for w in self.words:
-            if len(w) != self.n or w.q != self.q:
-                raise ValueError("all words must share the code's length and alphabet")
-        if len(set(w.symbols for w in self.words)) != len(self.words):
-            raise ValueError("code contains duplicate words")
-        k = self.systematic_k
-        if k is not None:
-            if not 1 <= k <= self.n:
-                raise ValueError(f"systematic_k must lie in 1..n, got {k}")
-            prefixes = set(w.symbols[:k] for w in self.words)
-            if len(prefixes) != len(self.words) or len(self.words) != self.q ** k:
-                raise ValueError("prefix projection is not a bijection onto all prefixes")
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def min_distance(code: Code) -> int:
-    """Minimum pairwise distance, computed over every pair of words."""
-    if len(code) < 2:
+def min_distance(words: tuple[tuple[int, ...], ...]) -> int:
+    """Minimum pairwise distance of a code's words, over every pair."""
+    if len(words) < 2:
         raise ValueError("minimum distance needs at least two words")
-    best = code.n + 1
-    ws = code.words
-    for a in range(len(ws)):
-        sa = ws[a].symbols
-        for b in range(a + 1, len(ws)):
-            dist = _symbol_distance(sa, ws[b].symbols)
-            if dist < best:
-                best = dist
-    return best
+    return min(_symbol_distance(u, v) for u, v in combinations(words, 2))
 
 
 def _all_messages(k: int, q: int) -> list[tuple[int, ...]]:
     return list(product(range(q), repeat=k))
 
 
-@dataclass(frozen=True)
-class StandardFormGenerator:
-    """Generator matrix [I_k | tail] over a prime field; rows span the code
-    { (v, v @ tail) : v in F_q**k } with arithmetic mod q."""
-
-    q: int
-    k: int
-    n: int
-    tail: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        _check_prime(self.q)
-        _check_systematic(self.n, self.k, self.q)
-        if len(self.tail) != self.k or any(len(r) != self.n - self.k for r in self.tail):
-            raise ValueError("tail must be a k x (n-k) matrix")
-        if any(not 0 <= e < self.q for r in self.tail for e in r):
-            raise ValueError("tail entries must be residues mod q")
-
-    def encode(self, message: tuple[int, ...]) -> Word:
-        m = self.n - self.k
-        tail = [0] * m
-        for vi, row in zip(message, self.tail):
-            if vi:
-                for j in range(m):
-                    tail[j] += vi * row[j]
-        return Word(tuple(message) + tuple(t % self.q for t in tail), self.q)
-
-    def code(self) -> Code:
-        words = tuple(self.encode(msg) for msg in _all_messages(self.k, self.q))
-        return Code(self.q, self.n, words, systematic_k=self.k)
+def _encode(tail: tuple[tuple[int, ...], ...], q: int) -> tuple[tuple[int, ...], ...]:
+    """The words (v, v @ tail mod q) of the standard-form code with this
+    tail, one per message v, in ascending order of v."""
+    columns = list(zip(*tail))
+    return tuple(v + tuple(sum(a * b for a, b in zip(v, col)) % q for col in columns)
+                 for v in _all_messages(len(tail), q))
 
 
 def _within_budget(exponent: int, q: int, budget: int) -> bool:
@@ -279,9 +192,11 @@ def _first_linear_tail(n: int, k: int, d: int, q: int) -> Optional[tuple[tuple[i
         rows, span, row, spare = child
 
 
-def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, StandardFormGenerator]:
+def best_linear_d_witness(n: int, k: int, q: int,
+                          budget: int = DEFAULT_BUDGET) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Best achievable minimum distance over all standard-form (n, k) codes,
-    with the first generator (in enumeration order) that attains it.
+    with the tail of the first generator (in enumeration order) that attains
+    it.
 
     Counts down from the Singleton bound n - k + 1 to the first d that some
     code reaches, under the guards of _linear_count_within.
@@ -290,12 +205,12 @@ def best_linear_d_witness(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) 
     d = n - k + 1
     while (tail := _first_linear_tail(n, k, d, q)) is None:
         d -= 1
-    return d, StandardFormGenerator(q, k, n, tail)
+    return d, tail
 
 
-def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[Code]:
-    """The first systematic code with minimum distance >= d, or None when
-    there is none.
+def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The words of the first systematic code with minimum distance >= d, or
+    None when there is none.
 
     Codes are ordered as their tuples of tails, one per prefix with the
     prefixes in ascending order, compared lexicographically.  Depth-first
@@ -326,8 +241,7 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[Code]:
 
     if not extend(0):
         return None
-    words = tuple(Word(p + tails[t], q) for p, t in zip(prefixes, chosen))
-    return Code(q, n, words, systematic_k=k)
+    return tuple(p + tails[t] for p, t in zip(prefixes, chosen))
 
 
 def refutation_crosscheck(
@@ -337,7 +251,7 @@ def refutation_crosscheck(
     q: int,
     variant: str = VARIANT_WEIGHT,
     budget: int = DEFAULT_BUDGET,
-) -> str | Code:
+) -> Optional[tuple[tuple[int, ...], ...]]:
     """Exhaustively confirm a refutation: no systematic code can reach d.
 
     Requires bound_a_check(n, k, d, q, variant) to be a refutation, and the
@@ -346,16 +260,14 @@ def refutation_crosscheck(
     distance >= d (every standard-form code is among them); elsewhere the
     first standard-form code with minimum distance >= d.  The nonlinear
     count fitting implies the linear guards pass, as q**k >= 2k, so running
-    those guards first refuses nothing more.  Returns "confirmed" when the
-    search finds no code, else the first code in that search's own order,
-    not necessarily a best linear code.
+    those guards first refuses nothing more.  Returns None when the search
+    finds no code, else the words of the first code in that search's own
+    order, not necessarily a best linear code.
     """
     if not bound_a_check(n, k, d, q, variant).refuted:
         raise ValueError(f"({n}, {k}, {d}) over q={q} is not refuted; nothing to cross-check")
     _linear_count_within(n, k, q, budget)
     if _nonlinear_within(n, k, q, budget):
-        code = _first_nonlinear_code(n, k, d, q)
-    else:
-        tail = _first_linear_tail(n, k, d, q)
-        code = None if tail is None else StandardFormGenerator(q, k, n, tail).code()
-    return CONFIRMED if code is None else code
+        return _first_nonlinear_code(n, k, d, q)
+    tail = _first_linear_tail(n, k, d, q)
+    return None if tail is None else _encode(tail, q)

@@ -3,9 +3,10 @@
 import random
 from itertools import product
 
+from reference import Code
+
 from codebounds.bounds import REFUTED, FeasibilityVerdict, bound_a_check
 from codebounds.exactmath import VARIANT_WEIGHT
-from codebounds.oracle import Code, Word
 
 
 def random_systematic_code(rng: random.Random) -> Code:
@@ -15,9 +16,7 @@ def random_systematic_code(rng: random.Random) -> Code:
     m = rng.randint(1, 3)
     n = k + m
     prefixes = list(product(range(q), repeat=k))
-    words = tuple(
-        Word(p + tuple(rng.randrange(q) for _ in range(m)), q) for p in prefixes
-    )
+    words = tuple(p + tuple(rng.randrange(q) for _ in range(m)) for p in prefixes)
     return Code(q, n, words, systematic_k=k)
 
 

@@ -8,9 +8,14 @@ incremental tail walk, the Krawtchouk recurrences, the coefficient check of
 the Levenshtein bound and the Elias scan that stops at its last admissible
 radius) are compared with them.
 
-The oracle references enumerate systematic codes one Code at a time: linear
-ones via standard-form generator matrices [I | T], nonlinear ones as
-arbitrary prefix-to-tail assignments.  With them the tests check the counting
+The oracle references wrap the oracle's plain answers, where a word is a
+tuple of symbols and a code the tuple of its words, in two validated
+records: Code, whose words must be distinct, of one length, with symbols in
+[0, q), and whose prefixes must be a bijection when it is systematic, and
+StandardFormGenerator, a generator matrix [I | T] that encodes its own
+code.  They enumerate systematic codes one Code at a time: linear ones via
+standard-form generator matrices, nonlinear ones as arbitrary
+prefix-to-tail assignments.  With them the tests check the counting
 mechanics that the dimension bound rests on: translation invariance, and the
 injection from weight-i message prefixes to tails of weight >= d - i.
 Enumerations are deterministic (tails in ascending mixed-radix order) and
@@ -36,10 +41,8 @@ from codebounds.exactmath import (
     check_variant,
 )
 from codebounds.oracle import (
-    Code,
-    StandardFormGenerator,
-    Word,
     _all_messages,
+    _check_prime,
     _check_systematic,
     _linear_count_within,
     _nonlinear_within,
@@ -139,30 +142,96 @@ def elias_every_radius(n: int, d: int, q: int) -> tuple[int, int]:
     return best, best_w
 
 
-def _check_compatible(u: Word, v: Word) -> None:
-    if len(u) != len(v) or u.q != v.q:
-        raise ValueError("words have mismatched length or alphabet")
+Words = tuple[tuple[int, ...], ...]
 
 
-def hamming_distance(u: Word, v: Word) -> int:
+@dataclass(frozen=True)
+class Code:
+    """A finite set of distinct equal-length q-ary words, each a tuple of
+    symbols in [0, q).
+
+    systematic_k = k asserts that projecting onto the first k coordinates is
+    a bijection onto all q**k prefixes; the constructor verifies it.
+    """
+
+    q: int
+    n: int
+    words: Words
+    systematic_k: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_alphabet(self.q)
+        for w in self.words:
+            if len(w) != self.n:
+                raise ValueError("all words must share the code's length")
+            if any(not 0 <= s < self.q for s in w):
+                raise ValueError(f"symbols must lie in [0, {self.q})")
+        if len(set(self.words)) != len(self.words):
+            raise ValueError("code contains duplicate words")
+        k = self.systematic_k
+        if k is not None:
+            if not 1 <= k <= self.n:
+                raise ValueError(f"systematic_k must lie in 1..n, got {k}")
+            prefixes = set(w[:k] for w in self.words)
+            if len(prefixes) != len(self.words) or len(self.words) != self.q ** k:
+                raise ValueError("prefix projection is not a bijection onto all prefixes")
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
+@dataclass(frozen=True)
+class StandardFormGenerator:
+    """Generator matrix [I_k | tail] over a prime field; rows span the code
+    { (v, v @ tail) : v in F_q**k } with arithmetic mod q."""
+
+    q: int
+    k: int
+    n: int
+    tail: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_prime(self.q)
+        _check_systematic(self.n, self.k, self.q)
+        if len(self.tail) != self.k or any(len(r) != self.n - self.k for r in self.tail):
+            raise ValueError("tail must be a k x (n-k) matrix")
+        if any(not 0 <= e < self.q for r in self.tail for e in r):
+            raise ValueError("tail entries must be residues mod q")
+
+    def encode(self, message: tuple[int, ...]) -> tuple[int, ...]:
+        m = self.n - self.k
+        tail = [0] * m
+        for vi, row in zip(message, self.tail):
+            if vi:
+                for j in range(m):
+                    tail[j] += vi * row[j]
+        return tuple(message) + tuple(t % self.q for t in tail)
+
+    def code(self) -> Code:
+        words = tuple(self.encode(msg) for msg in _all_messages(self.k, self.q))
+        return Code(self.q, self.n, words, systematic_k=self.k)
+
+
+def hamming_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     """Number of coordinates where u and v differ."""
-    _check_compatible(u, v)
-    return sum(1 for a, b in zip(u.symbols, v.symbols) if a != b)
+    if len(u) != len(v):
+        raise ValueError("words have mismatched length")
+    return sum(1 for a, b in zip(u, v) if a != b)
 
 
-def weight(u: Word) -> int:
+def weight(u: tuple[int, ...]) -> int:
     """Hamming weight: distance to the zero word."""
-    return u.weight
+    return sum(1 for s in u if s)
 
 
-def contains(code: Code, w: Word) -> bool:
+def contains(code: Code, w: tuple[int, ...]) -> bool:
     """Whether w is a word of the code."""
-    return any(w.symbols == c.symbols and w.q == c.q for c in code.words)
+    return w in code.words
 
 
 def contains_zero(code: Code) -> bool:
     """Whether the zero word is a word of the code."""
-    return any(w.weight == 0 for w in code.words)
+    return any(weight(w) == 0 for w in code.words)
 
 
 def distance_multiset(code: Code) -> tuple[int, ...]:
@@ -216,26 +285,23 @@ def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT
 
     def gen() -> Iterator[Code]:
         for assignment in product(tails, repeat=len(prefixes)):
-            words = tuple(Word(p + t, q) for p, t in zip(prefixes, assignment))
+            words = tuple(p + t for p, t in zip(prefixes, assignment))
             yield Code(q, n, words, systematic_k=k)
 
     return gen()
 
 
-def translate_code(code: Code, t: Word) -> Code:
+def translate_code(code: Code, t: tuple[int, ...]) -> Code:
     """Subtract t coordinate-wise (mod q) from every word.
 
     Distances are translation invariant and the prefix projection stays a
     bijection, so systematic_k is preserved.  The zero word appears in the
     result exactly when t was a codeword.
     """
-    if len(t) != code.n or t.q != code.q:
-        raise ValueError("translation word has mismatched length or alphabet")
+    if len(t) != code.n:
+        raise ValueError("translation word has mismatched length")
     q = code.q
-    words = tuple(
-        Word(tuple((a - b) % q for a, b in zip(w.symbols, t.symbols)), q)
-        for w in code.words
-    )
+    words = tuple(tuple((a - b) % q for a, b in zip(w, t)) for w in code.words)
     return Code(q, code.n, words, systematic_k=code.systematic_k)
 
 
@@ -244,7 +310,7 @@ class InjectionReport:
     """Outcome of the prefix-to-tail injection check at one systematic weight."""
 
     status: str  # "pass" | "not-applicable" | "counterexample"
-    offending: Optional[tuple[Word, ...]] = None
+    offending: Optional[Words] = None
 
 
 def verify_injection_property(code: Code, i: int) -> InjectionReport:
@@ -262,15 +328,15 @@ def verify_injection_property(code: Code, i: int) -> InjectionReport:
         raise ValueError(f"systematic weight must be positive, got {i}")
     if not contains_zero(code):
         raise ValueError("injection check needs the zero word in the code")
-    d = min_distance(code)
+    d = min_distance(code.words)
     if d < 2 * i + 1:
         return InjectionReport("not-applicable")
     k = code.systematic_k
-    chosen = [w for w in code.words if sum(1 for s in w.symbols[:k] if s) == i]
-    seen: dict[tuple[int, ...], Word] = {}
+    chosen = [w for w in code.words if weight(w[:k]) == i]
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in chosen:
-        tail = w.symbols[k:]
-        if sum(1 for s in tail if s) < d - i:
+        tail = w[k:]
+        if weight(tail) < d - i:
             return InjectionReport("counterexample", (w,))
         if tail in seen:
             return InjectionReport("counterexample", (seen[tail], w))

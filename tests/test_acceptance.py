@@ -53,7 +53,7 @@ from codebounds.bounds import (
 )
 from codebounds.exactmath import floor_log_q, sphere_volume
 from codebounds.golden import DOCUMENTED_ALLOWANCES, load_table1, recompute_row
-from codebounds.oracle import Word, min_distance
+from codebounds.oracle import min_distance
 
 BUDGET = 10 ** 7
 
@@ -238,7 +238,7 @@ def test_criterion_7_proof_mechanics():
     rng = random.Random(987654321)
     for trial in range(1000):
         code = random_systematic_code(rng)
-        t = Word(tuple(rng.randrange(code.q) for _ in range(code.n)), code.q)
+        t = tuple(rng.randrange(code.q) for _ in range(code.n))
         moved = translate_code(code, t)
         if distance_multiset(moved) != distance_multiset(code):
             failures.append(f"trial {trial}: distance multiset changed")
@@ -250,7 +250,7 @@ def test_criterion_7_proof_mechanics():
     sweeps = [(6, 3, 2), (7, 4, 2), (8, 2, 2), (8, 1, 3)]
     for n, k, q in sweeps:
         for code in enumerate_linear_systematic(n, k, q, budget=BUDGET):
-            d = min_distance(code)
+            d = min_distance(code.words)
             for i in range(1, (d - 1) // 2 + 1):
                 checked += 1
                 outcome = verify_injection_property(code, i)

@@ -417,7 +417,7 @@ def test_hamming_never_below_oracle_truth():
     cases += [(5, k, 3) for k in range(1, 5)]
     for n, k, q in cases:
         for code in enumerate_linear_systematic(n, k, q):
-            d = min_distance(code)
+            d = min_distance(code.words)
             assert q ** k <= hamming_max_size(n, d, q), (n, k, q, d)
 
 

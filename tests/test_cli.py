@@ -370,7 +370,7 @@ class TestOracleCommands:
     def test_refute_check_scans_every_refuted_triple(self, capsys, monkeypatch, q, variant):
         # the n scan stops early once a whole (k, d) box is unrefuted; the
         # triples it prints must still be every refutation of a full scan
-        monkeypatch.setattr(cli, "refutation_crosscheck", lambda *args, **kwargs: oracle.CONFIRMED)
+        monkeypatch.setattr(cli, "refutation_crosscheck", lambda *args, **kwargs: None)
         for n_max in range(4, 13):
             for k_max in (2, 3, 4, 6, 12):
                 for d_max in (2, 3, 5, 8, 12):
@@ -500,9 +500,12 @@ class TestEntryPoints:
            "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3", 0)],
          [], ["argparse", "gettext", "locale"]),
         ([("eval --q 2", None, 2)], ["argparse"], []),
+        # the oracle answers in plain tuples, so it loads no dataclasses and,
+        # through them, no inspect
         ([("oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3",
-           "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3", 0)],
-         ["codebounds.oracle"], ["codebounds.golden"]),
+           "oracle refute-check --q 2 --n-max 5 --k-max 3 --d-max 3", 0),
+          ("oracle best-d --q 5 --n 5 --k 3", "oracle best-d --q 5 --n 5 --k 3", 0)],
+         ["codebounds.oracle"], ["codebounds.golden", "dataclasses", "inspect"]),
     ])
     def test_commands_load_only_what_they_run(self, runs, loaded, unloaded):
         # each run is (command, key of its pinned stdout or None for no
@@ -658,6 +661,7 @@ CLI_DIGEST_COMMANDS = [
     "oracle refute-check --q 3 --n-max 7 --k-max 6 --d-max 7",
     "eval --q 2 --n 600 --d 3 --bounds all",
     "table --q 5 --n-range 4..40 --d-range 3..20 --bounds a --variant-a literal --format csv",
+    "oracle best-d --q 5 --n 5 --k 3",
     *_ARGPARSE_COMMANDS,
 ]
 
@@ -691,7 +695,8 @@ def test_outputs_match_pinned_digests():
     query, 16 of whose 18 Levenshtein checks fail at a coefficient near the
     top, was recorded while the check still shifted its coefficients from
     i = 0 upwards, the literal bound-A table while bound_a_max_k still
-    bisected all of 3..n-1, and the help and usage errors of
+    bisected all of 3..n-1, the q = 5 best-d witness while the oracle still
+    returned a generator object, and the help and usage errors of
     _ARGPARSE_COMMANDS while argparse still read every command line.  The
     file was made from the repository root with
 

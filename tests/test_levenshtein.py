@@ -393,6 +393,17 @@ def test_stop_rule_matches_every_degree_scan(n, q, d_step):
         assert levenshtein_max_size(n, d, q) == _every_degree_reference(n, d, q), (n, d, q)
 
 
+def test_cap_below_the_first_certified_candidate_at_q3():
+    # at q >= 3 a later candidate can verify below the first certified one,
+    # the classical bound: here the odd branch's degree 13 beats its degree
+    # 12, so the scan must not stop at the first certified degree
+    n, d, q = 24, 3, 3
+    first_certified = min(next(c[0] for c in _candidates(n, m, d, q) if c[8])
+                          for m in (n - 1, n - 2))
+    assert first_certified == 36_830_794_362
+    assert levenshtein_max_size(n, d, q) == 36_673_498_888
+
+
 def test_invalid_queries_rejected():
     with pytest.raises(ValueError):
         levenshtein_max_size(5, 6, 2)

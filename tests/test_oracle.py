@@ -1,4 +1,7 @@
-"""Oracle: words, codes, enumerations, and the proof-mechanics checks."""
+"""Oracle: words, codes, enumerations, and the proof-mechanics checks.
+
+A word is a tuple of symbols and a code the tuple of its words, as the
+oracle returns them; reference.Code validates them."""
 
 import random
 from itertools import islice, product
@@ -7,6 +10,8 @@ import numpy as np
 import pytest
 from conftest import random_systematic_code, refuting_also
 from reference import (
+    Code,
+    StandardFormGenerator,
     best_linear_d,
     contains,
     contains_zero,
@@ -20,12 +25,9 @@ from reference import (
 )
 
 from codebounds import oracle
+from codebounds.bounds import bound_a_check
 from codebounds.exactmath import EnumerationBudgetError
 from codebounds.oracle import (
-    CONFIRMED,
-    Code,
-    StandardFormGenerator,
-    Word,
     best_linear_d_witness,
     min_distance,
     refutation_crosscheck,
@@ -41,36 +43,38 @@ def hamming_code():
 
 class TestWord:
     def test_symbols_validated(self):
-        with pytest.raises(ValueError):
-            Word((0, 3), 3)
-        with pytest.raises(ValueError):
-            Word((0, 1), 1)
+        # a code's words are checked against its alphabet, which is checked too
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 3\)"):
+            Code(3, 2, ((0, 3),))
+        with pytest.raises(ValueError, match="alphabet size must be at least 2"):
+            Code(1, 2, ((0, 0),))
 
     def test_distance_and_weight(self):
-        u = Word((0, 1, 1, 0, 1), 2)
-        v = Word((0, 1, 0, 0, 0), 2)
+        u = (0, 1, 1, 0, 1)
+        v = (0, 1, 0, 0, 0)
         assert hamming_distance(u, v) == 2
         assert hamming_distance(u, u) == 0
-        assert weight(Word((0, 0, 0), 3)) == 0
+        assert weight((0, 0, 0)) == 0
         assert weight(u) == 3
 
     def test_incompatible_words_rejected(self):
         with pytest.raises(ValueError):
-            hamming_distance(Word((0, 1), 2), Word((0, 1, 0), 2))
-        with pytest.raises(ValueError):
-            hamming_distance(Word((0, 1), 2), Word((0, 1), 3))
+            hamming_distance((0, 1), (0, 1, 0))
 
 
 class TestCode:
     def test_duplicates_rejected(self):
-        w = Word((0, 1), 2)
         with pytest.raises(ValueError):
-            Code(2, 2, (w, Word((0, 1), 2)))
+            Code(2, 2, ((0, 1), (0, 1)))
+
+    def test_lengths_checked(self):
+        with pytest.raises(ValueError, match="all words must share the code's length"):
+            Code(2, 2, ((0, 1), (0, 1, 0)))
 
     def test_systematic_projection_checked(self):
-        words = (Word((0, 0), 2), Word((1, 0), 2))
+        words = ((0, 0), (1, 0))
         Code(2, 2, words, systematic_k=1)
-        bad = (Word((0, 0), 2), Word((0, 1), 2))  # prefixes collide
+        bad = ((0, 0), (0, 1))  # prefixes collide
         with pytest.raises(ValueError):
             Code(2, 2, bad, systematic_k=1)
 
@@ -81,12 +85,12 @@ class TestMinDistance:
             for n in (2, 4, 6):
                 tail = tuple((1,) * (n - 1) for _ in range(1))
                 code = StandardFormGenerator(q, 1, n, tail).code()
-                assert min_distance(code) == n
+                assert min_distance(code.words) == n
 
     def test_hamming_code_by_weight_and_pairwise(self):
         code = hamming_code()
         assert len(code) == 16
-        assert min_distance(code) == 3
+        assert min_distance(code.words) == 3
         assert min(weight(w) for w in code.words if weight(w)) == 3
         ws = code.words
         pairwise = min(
@@ -97,7 +101,7 @@ class TestMinDistance:
 
     def test_single_word_rejected(self):
         with pytest.raises(ValueError):
-            min_distance(Code(2, 2, (Word((0, 0), 2),)))
+            min_distance(((0, 0),))
 
     def test_shortcut_matches_pairwise_exhaustively(self):
         # every standard-form code at small scale: a linear code's minimum
@@ -107,7 +111,7 @@ class TestMinDistance:
         for n, k, q in cases:
             for code in enumerate_linear_systematic(n, k, q):
                 least_weight = min(weight(w) for w in code.words if weight(w))
-                assert min_distance(code) == least_weight, (n, k, q)
+                assert min_distance(code.words) == least_weight, (n, k, q)
 
 
 class TestEnumerations:
@@ -197,33 +201,33 @@ class TestBestLinearD:
             for n in range(2, n_hi + 1):
                 for k in range(1, n):
                     streamed = max(
-                        min_distance(c) for c in enumerate_linear_systematic(n, k, q)
+                        min_distance(c.words) for c in enumerate_linear_systematic(n, k, q)
                     )
                     assert best_linear_d(n, k, q) == streamed, (n, k, q)
 
     def test_witness_attains_the_optimum(self):
-        d, gen = best_linear_d_witness(7, 4, 2)
+        d, tail = best_linear_d_witness(7, 4, 2)
         assert d == 3
-        assert min_distance(gen.code()) == 3
+        assert min_distance(StandardFormGenerator(2, 4, 7, tail).code().words) == 3
 
     def test_witness_is_first_optimal_code_in_enumeration_order(self):
         for q, n_hi in ((2, 6), (3, 5)):
             for n in range(2, n_hi + 1):
                 for k in range(1, n):
-                    d, gen = best_linear_d_witness(n, k, q)
+                    d, tail = best_linear_d_witness(n, k, q)
                     first = next(c for c in enumerate_linear_systematic(n, k, q)
-                                 if min_distance(c) == d)
-                    assert gen.tail == _tail_matrix(first), (n, k, q)
+                                 if min_distance(c.words) == d)
+                    assert tail == _tail_matrix(first), (n, k, q)
 
     @pytest.mark.parametrize("n,k,q", [(7, 5, 3), (8, 2, 3), (5, 3, 5), (5, 3, 7), (4, 2, 11)])
     def test_column_search_matches_decoding_every_tail(self, n, k, q):
         # every tail decoded, against the row search: at q = 3 it first
         # fails at the Singleton bound, and at q = 5, 7, 11 it reaches that
         # bound with rows that skip every leading entry but 0 and 1
-        d, gen = best_linear_d_witness(n, k, q)
+        d, tail = best_linear_d_witness(n, k, q)
         ref_d, ref_idx = _best_d_by_decoding(n, k, q)
         assert d == ref_d
-        flat = [e for row in gen.tail for e in row]
+        flat = [e for row in tail for e in row]
         assert sum(e * q ** p for p, e in enumerate(reversed(flat))) == ref_idx
 
 
@@ -232,7 +236,7 @@ def _first_tails_by_enumeration(n, k, q):
     distance >= d, for every d in 1..n that some code reaches; one pass."""
     first = {}
     for code in enumerate_linear_systematic(n, k, q):
-        for d in range(len(first) + 1, min_distance(code) + 1):
+        for d in range(len(first) + 1, min_distance(code.words) + 1):
             first[d] = _tail_matrix(code)
     return first
 
@@ -251,21 +255,20 @@ def test_row_search_matches_enumeration_below_the_optimum(q, n_hi):
 class TestTranslate:
     def test_zero_translation_is_identity(self):
         code = hamming_code()
-        zero = Word((0,) * 7, 2)
-        assert translate_code(code, zero).words == code.words
+        assert translate_code(code, (0,) * 7).words == code.words
 
     def test_translate_by_codeword(self):
         code = hamming_code()
         t = code.words[5]
         moved = translate_code(code, t)
         assert contains_zero(moved)
-        assert min_distance(moved) == 3
+        assert min_distance(moved.words) == 3
         assert moved.systematic_k == 4
         assert distance_multiset(moved) == distance_multiset(code)
 
     def test_translate_by_noncodeword(self):
         code = hamming_code()
-        t = Word((1, 0, 0, 0, 0, 0, 1), 2)
+        t = (1, 0, 0, 0, 0, 0, 1)
         assert not contains(code, t)
         moved = translate_code(code, t)
         assert not contains_zero(moved)
@@ -273,13 +276,13 @@ class TestTranslate:
 
     def test_mismatched_translation_rejected(self):
         with pytest.raises(ValueError):
-            translate_code(hamming_code(), Word((0, 1), 2))
+            translate_code(hamming_code(), (0, 1))
 
     def test_random_codes_translation_invariance(self):
         rng = random.Random(20260808)
         for _ in range(200):
             code = random_systematic_code(rng)
-            t = Word(tuple(rng.randrange(code.q) for _ in range(code.n)), code.q)
+            t = tuple(rng.randrange(code.q) for _ in range(code.n))
             moved = translate_code(code, t)
             assert distance_multiset(moved) == distance_multiset(code)
             assert moved.systematic_k == code.systematic_k
@@ -293,13 +296,13 @@ class TestInjectionProperty:
 
     def test_low_distance_not_applicable(self):
         # a systematic code with d = 1 cannot support any i
-        words = tuple(Word((a, b, a), 2) for a in range(2) for b in range(2))
+        words = tuple((a, b, a) for a in range(2) for b in range(2))
         code = Code(2, 3, words, systematic_k=2)
-        assert min_distance(code) == 1
+        assert min_distance(words) == 1
         assert verify_injection_property(code, 1).status == "not-applicable"
 
     def test_zero_word_required(self):
-        code = translate_code(hamming_code(), Word((1, 0, 0, 0, 0, 0, 1), 2))
+        code = translate_code(hamming_code(), (1, 0, 0, 0, 0, 0, 1))
         with pytest.raises(ValueError):
             verify_injection_property(code, 1)
 
@@ -307,7 +310,7 @@ class TestInjectionProperty:
         # every binary (6, 3) standard-form code with d >= 3, at i = 1
         hits = 0
         for code in enumerate_linear_systematic(6, 3, 2):
-            if min_distance(code) >= 3:
+            if min_distance(code.words) >= 3:
                 hits += 1
                 assert verify_injection_property(code, 1).status == "pass"
         assert hits > 0
@@ -315,10 +318,10 @@ class TestInjectionProperty:
 
 class TestRefutationCrosscheck:
     def test_ternary_case_confirmed(self):
-        assert refutation_crosscheck(6, 4, 3, 3) == CONFIRMED
+        assert refutation_crosscheck(6, 4, 3, 3) is None
 
     def test_binary_case_confirmed(self):
-        assert refutation_crosscheck(4, 3, 3, 2) == CONFIRMED
+        assert refutation_crosscheck(4, 3, 3, 2) is None
 
     def test_non_refuted_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -344,18 +347,32 @@ class TestRefutationCrosscheck:
         monkeypatch.setattr(oracle, "_first_linear_tail", linear)
         monkeypatch.setattr(oracle, "best_linear_d_witness", linear)
         monkeypatch.setattr(oracle, "_first_nonlinear_code", nonlinear)
-        assert refutation_crosscheck(4, 3, 3, 2) == CONFIRMED
+        assert refutation_crosscheck(4, 3, 3, 2) is None
         assert calls == [(4, 3, 3, 2)]
 
     def test_nonlinear_contradiction_returns_its_first_code(self, monkeypatch):
         # bound A is made to refute (6, 3, 3) over q = 2, where a code of
         # distance 3 exists and all 2**24 systematic codes fit the budget
         monkeypatch.setattr(oracle, "bound_a_check", refuting_also(6, 3, 3))
-        code = refutation_crosscheck(6, 3, 3, 2, budget=2 ** 24)
-        assert isinstance(code, Code)
-        assert code.systematic_k == 3
-        assert min_distance(code) >= 3
-        assert code.words == _first_nonlinear_code(6, 3, 3, 2).words
+        words = refutation_crosscheck(6, 3, 3, 2, budget=2 ** 24)
+        Code(2, 6, words, systematic_k=3)
+        assert [w[:3] for w in words] == list(product(range(2), repeat=3))
+        assert min_distance(words) >= 3
+        assert words == _first_nonlinear_code(6, 3, 3, 2)
+
+    def test_linear_contradiction_encodes_the_first_tail(self):
+        # bound A's literal reading refutes (5, 3, 3) over q = 5, where a
+        # Reed-Solomon code of distance 3 exists; its 5**250 systematic
+        # codes do not fit, so the linear search finds the code, encoded
+        # from its tail
+        assert bound_a_check(5, 3, 3, 5, "literal").refuted
+        words = refutation_crosscheck(5, 3, 3, 5, "literal")
+        assert len(words) == 125
+        Code(5, 5, words, systematic_k=3)
+        assert [w[:3] for w in words] == list(product(range(5), repeat=3))
+        assert min_distance(words) >= 3
+        tail = _first_linear_tail(5, 3, 3, 5)
+        assert words == StandardFormGenerator(5, 3, 5, tail).code().words
 
     def test_span_guard_shared_with_best_d(self, monkeypatch):
         # 3**10 codes fit the default budget but 59 048 x 59 049 codeword
@@ -410,7 +427,7 @@ def _tail_matrix(code):
     """The tail matrix of a standard-form linear code: row r is the tail of
     the codeword whose prefix is the r-th unit vector."""
     k = code.systematic_k
-    tails = {w.symbols[:k]: w.symbols[k:] for w in code.words}
+    tails = {w[:k]: w[k:] for w in code.words}
     return tuple(tails[tuple(int(c == r) for c in range(k))] for r in range(k))
 
 
@@ -421,7 +438,7 @@ def _first_nonlinear_codes(n, k, q):
     first = {}
     for code in enumerate_systematic_nonlinear(n, k, q):
         if _reaches_distance(code, len(first) + 1):
-            for d in range(len(first) + 1, min_distance(code) + 1):
+            for d in range(len(first) + 1, min_distance(code.words) + 1):
                 first[d] = code
             if len(first) == n:
                 break
@@ -435,15 +452,15 @@ def test_nonlinear_search_matches_enumeration():
     for n, k, q in cases:
         expected = _first_nonlinear_codes(n, k, q)
         for d in range(1, n + 1):
-            code = _first_nonlinear_code(n, k, d, q)
+            words = _first_nonlinear_code(n, k, d, q)
             if d in expected:
                 found += 1
-                assert code is not None, (n, k, q, d)
-                assert code.words == expected[d].words, (n, k, q, d)
-                assert code.systematic_k == k
+                assert words is not None, (n, k, q, d)
+                assert words == expected[d].words, (n, k, q, d)
+                Code(q, n, words, systematic_k=k)
             else:
                 missing += 1
-                assert code is None, (n, k, q, d)
+                assert words is None, (n, k, q, d)
     assert found and missing
 
 
@@ -451,9 +468,9 @@ def _reaches_distance(code, d):
     """Early-exit pairwise check: does every pair sit at distance >= d?"""
     ws = code.words
     for a in range(len(ws)):
-        sa = ws[a].symbols
+        sa = ws[a]
         for b in range(a + 1, len(ws)):
-            if sum(1 for x, y in zip(sa, ws[b].symbols) if x != y) < d:
+            if sum(1 for x, y in zip(sa, ws[b]) if x != y) < d:
                 return False
     return True
 
@@ -461,8 +478,6 @@ def _reaches_distance(code, d):
 def test_nonlinear_enumeration_confirms_refutations():
     # refuted (n, k, d) must stay unreachable over *all* systematic codes,
     # not just linear ones, wherever the full nonlinear sweep fits in budget
-    from codebounds.bounds import bound_a_check
-
     for n, k in [(4, 3), (5, 3), (5, 4)]:
         refuted_ds = [
             d for d in range(3, n + 1) if bound_a_check(n, k, d, 2).refuted
