@@ -76,17 +76,18 @@ So f is needed only at x = 0..D.  Its forward differences take
 subtractions only, the e_j take D + 1 products, and the polynomial
 sum_j e_j t**j shifted to t = 1 + u takes additions only; its coefficient of
 u**i is (-1)**i q**(D-n) F_i.  F_i = 0 for i > D.  The values of f come from
-num: num(0) = S1 and num(d) = TD from the scan, and elsewhere by
-Christoffel-Darboux,
+num: num(0) = S1 from the scan, and elsewhere by Christoffel-Darboux,
 
     num(x) = den (c+1) (K_{c+1}(x-1) P_c - K_c(x-1) P_{c+1}) / (q norm_c (d - x)),
 
-an exact division.  The two kernel rows on m, at x = 1..D only, come from
-K_c(0) = norm_c by the three-term recurrence in the argument (see
-_kernel_row); P_c, P_{c-1} and P_{c+1} come with the candidate, the last
-from the scan's next recurrence step.  Before f is
-formed, num is divided by the gcd of its values: a positive factor, which
-leaves every sign as it is and takes about the size of den off each value.
+an exact division, except where f vanishes whatever num is: at x = d, and
+on the even branch at x = n.  There num is set to 0.  The two kernel rows
+on m, at x - 1 = 0..min(D - 1, m) only, come from K_c(0) = norm_c by the
+three-term recurrence in the argument (see _kernel_row); P_c, P_{c-1} and
+P_{c+1} come with the candidate, the last from the scan's next recurrence
+step.  Before f is formed, num is divided by the gcd of its values, which
+the zeros leave as it is: a positive factor, which leaves every sign as it
+is and takes about the size of den off each value.
 
 Each branch scans degrees upward and stops at the first candidate whose
 value is not below the best verified one.  Candidates whose values strictly
@@ -183,38 +184,33 @@ from .exactmath import check_query
 
 __all__ = ["levenshtein_max_size"]
 
-# (value, c, den, s1, td, p, p_prev, p_next, certified), see _candidates
-_Candidate = tuple[int, int, int, int, int, int, int, int, bool]
+# (value, c, den, s1, p, p_prev, p_next, certified), see _candidates
+_Candidate = tuple[int, int, int, int, int, int, int, bool]
 
 
 def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
-    """K_c(y) for the scheme of length m at y = 0..last, last <= m + 1.
+    """K_c(y) for the scheme of length m at y = 0..last, last <= m.
 
     From K_c(0) = C(m, c)(q-1)**c the values follow by the recurrence in y,
     each division exact:
 
         (q-1)(m - y) K_c(y + 1) = ((q-1)(m - y) + y - q c) K_c(y) - y K_c(y - 1).
-
-    It gives nothing at y = m, so K_c(m + 1) is read off
-    sum_c K_c(m + 1) z**c = (1 - z)**(m+1) / (1 + (q-1)z).
     """
     s = q - 1
     row = [comb(m, c) * s ** c]
-    for y in range(min(last, m)):
+    for y in range(last):
         t = s * (m - y)
         # at y = 0 the last term vanishes
         row.append(((t + y - q * c) * row[y] - y * row[y - 1]) // t)
-    if last > m:
-        row.append((-1) ** c * sum(comb(m + 1, i) * s ** (c - i) for i in range(c + 1)))
     return row
 
 
 def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
-    """Yield (value, c, den, s1, td, p, p_prev, p_next, certified) for each
+    """Yield (value, c, den, s1, p, p_prev, p_next, certified) for each
     candidate degree c = 0..m of the kernel system on m, value =
     floor(f(0) q**n / (q**n f_0)), with the common denominator den,
-    S1 = num(0), TD = num(d), P_c = K_c(d - 1), P_{c-1} and P_{c+1} at that
-    degree; certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under which
+    S1 = num(0), P_c = K_c(d - 1), P_{c-1} and P_{c+1} at that degree;
+    certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under which
     every coefficient is nonnegative (module docstring)."""
     s = q - 1
     scale = d * q ** (n - m)
@@ -237,35 +233,36 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
         at_next = ((a - q * (d - 1)) * at - b * at_prev) // (c + 1)
         nonnegative = nonnegative and at >= 0
         if s1 and excess > 0:
-            yield (scale * s1 * s1 // excess, c, den, s1, td, at, at_prev, at_next,
+            yield (scale * s1 * s1 // excess, c, den, s1, at, at_prev, at_next,
                    nonnegative and at_next <= 0)
         low, low_prev = ((a + q) * low - b * low_prev) // (c + 1), low
         at, at_prev = at_next, at
         norm = norm * (m - c) * s // (c + 1)
 
 
-def _numerators(m: int, d: int, q: int, c: int, den: int, s1: int, td: int, p: int,
-                p_next: int, top: int) -> list[int]:
-    """num = den * T at x = 0..top for the kernel of degree c on m, by
-    Christoffel-Darboux, with num(0) = S1, num(d) = TD, P_c = p and
-    P_{c+1} = p_next."""
-    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..top
-    low, high = _kernel_row(m, q, c, top - 1), _kernel_row(m, q, c + 1, top - 1)
+def _numerators(m: int, d: int, q: int, candidate: _Candidate, top: int) -> list[int]:
+    """num = den * T at x = 0..top for the candidate's kernel on m, by
+    Christoffel-Darboux, with num(0) = S1; 0 at x = d and at x = m + 2, the
+    even branch's x = n, where f vanishes whatever num is."""
+    _, c, den, s1, p, _, p_next, _ = candidate
+    # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..last + 1; the one point past
+    # them, x = m + 2 at top = n on the even branch, is padded with 0
+    last = min(top - 1, m)
+    low, high = _kernel_row(m, q, c, last), _kernel_row(m, q, c + 1, last)
     scale = den * (c + 1)
     div = q * comb(m, c) * (q - 1) ** c
-    return [s1] + [td if x == d else scale * (h * p - k * p_next) // (div * (d - x))
-                   for x, k, h in zip(range(1, top + 1), low, high)]
+    return [s1] + [0 if x == d else scale * (h * p - k * p_next) // (div * (d - x))
+                   for x, k, h in zip(range(1, top + 1), low, high)] + [0] * (top - 1 - last)
 
 
-def _coefficients(n: int, m: int, d: int, q: int, c: int, den: int, s1: int, td: int,
-                  p: int, p_next: int) -> Iterator[int]:
+def _coefficients(n: int, m: int, d: int, q: int, candidate: _Candidate) -> Iterator[int]:
     """Yield q**(D - n) g**-2 sum_x w(x) f(x) K_i(x) for i = D down to 1,
-    where D = min(deg f, n), f is the candidate of degree c on m and g is the
-    gcd of num(0..D); the sums above D are zero."""
+    where D = min(deg f, n), f is the candidate's polynomial on m and g is
+    the gcd of num(0..D); the sums above D are zero."""
     s = q - 1
     # deg f = 2c + 1 (odd branch, m = n - 1) or 2c + 2 (even, m = n - 2)
-    top = min(2 * c + n - m, n)
-    num = _numerators(m, d, q, c, den, s1, td, p, p_next, top)
+    top = min(2 * candidate[1] + n - m, n)
+    num = _numerators(m, d, q, candidate, top)
     g = gcd(*num)
     f = [(d - x) * (n - x) ** (n - 1 - m) * (v // g) ** 2 for x, v in enumerate(num)]
     diffs = []  # Delta**j f(0)
@@ -298,10 +295,11 @@ def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
     return _run_min(n, m, d, q, run, best)
 
 
-def _second_negative(n: int, m: int, d: int, q: int, c: int, p: int, p_prev: int) -> bool | None:
-    """Whether the check of the candidate of degree c on m would yield a
-    negative second coefficient, that of u**(D-1), read off P_c = p and
-    P_{c-1} = p_prev alone; None where deg f > n or P_c = 0."""
+def _second_negative(n: int, m: int, d: int, q: int, candidate: _Candidate) -> bool | None:
+    """Whether the check of the candidate on m would yield a negative second
+    coefficient, that of u**(D-1), read off P_c = p and P_{c-1} = p_prev
+    alone; None where deg f > n or P_c = 0."""
+    _, c, _, _, p, p_prev, _, _ = candidate
     s, e = q - 1, n - 1 - m
     top = 2 * c + 1 + e
     if top > n or not p:
@@ -314,10 +312,10 @@ def _second_negative(n: int, m: int, d: int, q: int, c: int, p: int, p_prev: int
 def _run_min(n: int, m: int, d: int, q: int,
              run: list[_Candidate], best: int | None) -> int | None:
     """The value of the last candidate in run that verifies, else best."""
-    for value, c, den, s1, td, p, p_prev, p_next, certified in reversed(run):
-        if certified or not _second_negative(n, m, d, q, c, p, p_prev) and all(
-                a >= 0 for a in _coefficients(n, m, d, q, c, den, s1, td, p, p_next)):
-            return value
+    for candidate in reversed(run):
+        if candidate[-1] or not _second_negative(n, m, d, q, candidate) and all(
+                a >= 0 for a in _coefficients(n, m, d, q, candidate)):
+            return candidate[0]
     return best
 
 

@@ -106,15 +106,9 @@ def _encode(tail: tuple[tuple[int, ...], ...], q: int) -> tuple[tuple[int, ...],
                  for v in _all_messages(len(tail), q))
 
 
-def _within_budget(exponent: int, q: int, budget: int) -> bool:
-    """Whether q**exponent codes fit in the budget."""
-    check_budget(budget)
-    return exponent <= floor_log_q(budget, q)
-
-
-def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
-    """The number q**(k(n-k)) of standard-form codes, once q passes
-    check_linear_alphabet, 1 <= k < n, and the count fits in the budget.
+def _linear_count_within(n: int, k: int, q: int, budget: int) -> None:
+    """Refuse the search unless q passes check_linear_alphabet, 1 <= k < n,
+    and the q**(k(n-k)) standard-form codes fit in the budget.
 
     (q**k - 1) x q**k, one per ordered pair of distinct codewords, must fit
     too: the linear search checks each candidate row against the span of the
@@ -123,7 +117,7 @@ def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
     check_linear_alphabet(q, budget)
     _check_systematic(n, k, q)
     exponent = k * (n - k)
-    if not _within_budget(exponent, q, budget):
+    if exponent > floor_log_q(budget, q):
         raise EnumerationBudgetError(
             f"enumerating q**(k(n-k)) = {q}**{exponent} standard-form codes exceeds the budget of {budget}"
         )
@@ -131,13 +125,12 @@ def _linear_count_within(n: int, k: int, q: int, budget: int) -> int:
         raise EnumerationBudgetError(
             f"the search's {q ** k - 1} x {q ** k} codeword pairs exceed the budget of {budget}"
         )
-    return q ** exponent
 
 
 def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
     """Whether all (q**(n-k))**(q**k) = q**((n-k) q**k) systematic codes fit
-    in the budget."""
-    return _within_budget((n - k) * q ** k, q, budget)
+    in the budget, once _linear_count_within has passed."""
+    return (n - k) * q ** k <= floor_log_q(budget, q)
 
 
 def _first_linear_tail(n: int, k: int, d: int, q: int) -> Optional[tuple[tuple[int, ...], ...]]:

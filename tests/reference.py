@@ -37,6 +37,7 @@ from codebounds.exactmath import (
     VARIANT_WEIGHT,
     EnumerationBudgetError,
     check_alphabet,
+    check_budget,
     check_query,
     check_variant,
 )
@@ -258,10 +259,10 @@ def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], .
 def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every standard-form linear code, one per tail matrix, in
     ascending mixed-radix order of the tail entries."""
-    count = _linear_count_within(n, k, q, budget)
+    _linear_count_within(n, k, q, budget)
 
     def gen() -> Iterator[Code]:
-        for idx in range(count):
+        for idx in range(q ** (k * (n - k))):
             yield StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q)).code()
 
     return gen()
@@ -275,6 +276,7 @@ def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
 def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every systematic code: one tail choice per message prefix."""
     _check_systematic(n, k, q)
+    check_budget(budget)
     m = n - k
     if not _nonlinear_within(n, k, q, budget):
         raise EnumerationBudgetError(

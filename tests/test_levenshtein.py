@@ -120,11 +120,10 @@ def test_triple_sums_are_nonnegative(q):
 
 
 def test_recurrence_table_matches_direct_formula():
-    # the kernel rows from the recurrence in y, at y = 0..m + 1, the last
-    # value from the generating function
+    # the kernel rows from the recurrence in y, at y = 0..last for every
+    # last <= m
     for m, q in [(8, 2), (7, 3), (6, 5), (5, 7), (4, 9)]:
         for c in range(m + 1):
-            assert _kernel_row(m, q, c, m + 1) == [krawtchouk(m, q, c, y) for y in range(m + 2)], (m, q, c)
             for last in range(m + 1):
                 assert _kernel_row(m, q, c, last) == [krawtchouk(m, q, c, y) for y in range(last + 1)], (m, q, c, last)
 
@@ -179,9 +178,10 @@ def test_running_sums_match_direct_kernel_sum(q):
     # candidate test and value equal those of f = wf * kernel**2 summed over
     # all n + 1 points, the candidate carries P_c = K_c(d - 1), P_{c-1} and
     # P_{c+1} and is certified iff P_0, .., P_c >= 0 and P_{c+1} <= 0, and the
-    # numerators, c = m included, are a positive multiple of the kernel.
-    # They equal it times den / scale at every x, so each floor division in
-    # them was exact.
+    # numerators, c = m included, are a positive multiple of the kernel
+    # wherever f need not vanish.  They equal it times den / scale at every x
+    # but x = d and, on the even branch, x = n, where they are 0, so each
+    # floor division in them was exact.
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         for d in range(2, n + 1):
@@ -193,29 +193,40 @@ def test_running_sums_match_direct_kernel_sum(q):
                 direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
                 value, *rest = candidates.get((m, c), (None,))
                 assert value == direct, (q, n, d, m, c)
-                s1_c, td_c = kernel[0] * den_c // scale, kernel[d] * den_c // scale
+                s1_c = kernel[0] * den_c // scale
                 rows = _reference_rows(m, q, n, 1)
                 p_c, p_prev = rows[c][d], rows[c - 1][d] if c else 0
                 p_next = _next_p(m, q, n, c, d)
                 certified = _certificate_holds(m, q, n, c, d)
-                assert value is None or rest == [den_c, s1_c, td_c, p_c, p_prev, p_next, certified], (q, n, d, m, c)
-                num = _numerators(m, d, q, c, den_c, s1_c, td_c, p_c, p_next, n)
-                assert kernel[d] > 0 and num[d] > 0, (q, n, d, m, c)
-                assert [v * scale for v in num] == [t * den_c for t in kernel], (q, n, d, m, c)
+                assert value is None or rest == [den_c, s1_c, p_c, p_prev, p_next, certified], (q, n, d, m, c)
+                num = _numerators(m, d, q, (value, c, den_c, s1_c, p_c, p_prev, p_next, certified), n)
+                zeros = {d, n} if m == n - 2 else {d}
+                assert [v * scale for v in num] == [0 if x in zeros else t * den_c
+                                                    for x, t in enumerate(kernel)], (q, n, d, m, c)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_coefficients_match_direct_sums(q):
+def test_coefficients_match_direct_sums(monkeypatch, q):
     # every coefficient of every candidate of both branches, the value and
     # not only its sign, against sum_x w(x) f(x) K_i(x) with f from the
     # kernel summed here and K_i from the explicit sum, up to the square of
-    # the gcd of the numerators the check uses; they come from i = D down to
-    # 1, the sum at i = 0 is positive, as the scan's candidate test says,
-    # and the sums above D are zero.  Wherever the test on the two leading
-    # coefficients decides, the first coefficient yielded is positive and
-    # the test says negative exactly when the sum at i = D - 1 is negative:
-    # that is the second one yielded, or, at D = 1, the sum at i = 0
+    # the gcd of the numerators the check uses, taken over the points where
+    # f need not vanish (all but x = d and, on the even branch, x = n); they
+    # come from i = D down to 1, the sum at i = 0 is positive, as the scan's
+    # candidate test says, and the sums above D are zero.  Wherever the test
+    # on the two leading coefficients decides, the first coefficient yielded
+    # is positive and the test says negative exactly when the sum at
+    # i = D - 1 is negative: that is the second one yielded, or, at D = 1,
+    # the sum at i = 0.  No kernel row is asked for past y = m
     checked = decided = refused = 0
+    rows_asked = []  # (m, last) per _kernel_row call
+    kernel_row = levenshtein._kernel_row
+
+    def counting_kernel_row(m, q, c, last):
+        rows_asked.append((m, last))
+        return kernel_row(m, q, c, last)
+
+    monkeypatch.setattr(levenshtein, "_kernel_row", counting_kernel_row)
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         rows = _reference_rows(n, q, n, 0)
@@ -223,24 +234,27 @@ def test_coefficients_match_direct_sums(q):
             kernels = {(m, c): (factor, scale, kernel)
                        for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
             for m in (n - 1, n - 2):
-                for _, c, den, s1, td, p, p_prev, p_next, _ in _candidates(n, m, d, q):
+                for candidate in _candidates(n, m, d, q):
+                    c, den = candidate[1:3]
                     factor, scale, kernel = kernels[m, c]
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
-                    coefficients = list(_coefficients(n, m, d, q, c, den, s1, td, p, p_next))
+                    coefficients = list(_coefficients(n, m, d, q, candidate))
                     top = len(coefficients)
                     assert top == min(2 * c + n - m, n), (q, n, d, m, c)
-                    common = gcd(*(t * den // scale for t in kernel[:top + 1]))
+                    zeros = {d, n} if m == n - 2 else {d}
+                    common = gcd(*(t * den // scale for x, t in enumerate(kernel[:top + 1]) if x not in zeros))
                     assert [a * q ** (n - top) * common ** 2 for a in coefficients] == direct[top:0:-1], (q, n, d, m, c)
                     assert direct[0] > 0 and not any(direct[top + 1:]), (q, n, d, m, c)
                     checked += 1
-                    second_negative = _second_negative(n, m, d, q, c, p, p_prev)
+                    second_negative = _second_negative(n, m, d, q, candidate)
                     if second_negative is not None:
                         assert coefficients[0] > 0, (q, n, d, m, c)
                         assert second_negative == (direct[top - 1] < 0), (q, n, d, m, c)
                         decided += 1
                         refused += second_negative
     assert checked > 1000 and decided > 3000 and refused > 100, (checked, decided, refused)
+    assert len(rows_asked) == 2 * checked and all(last <= m for m, last in rows_asked)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -350,11 +364,11 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
             yield a
 
     monkeypatch.setattr(levenshtein, "_coefficients", from_the_top)
-    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, 0, False)], 9) == (7 if verifies else 9)
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 0, 0, 0, False)], 9) == (7 if verifies else 9)
     read = next((i + 1 for i, a in enumerate(coefficients) if a < 0), len(coefficients))
     assert drawn == coefficients[:read]
     drawn.clear()
-    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 1, 0, 0, 0, True)], 9) == 7
+    assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 0, 0, 0, True)], 9) == 7
     assert drawn == []
 
 
@@ -398,7 +412,7 @@ def test_cap_below_the_first_certified_candidate_at_q3():
     # the classical bound: here the odd branch's degree 13 beats its degree
     # 12, so the scan must not stop at the first certified degree
     n, d, q = 24, 3, 3
-    first_certified = min(next(c[0] for c in _candidates(n, m, d, q) if c[8])
+    first_certified = min(next(c[0] for c in _candidates(n, m, d, q) if c[-1])
                           for m in (n - 1, n - 2))
     assert first_certified == 36_830_794_362
     assert levenshtein_max_size(n, d, q) == 36_673_498_888
