@@ -11,8 +11,6 @@ Every function is a pure function of its arguments and safe to call from any
 number of threads.
 """
 
-from math import comb
-
 __all__ = [
     "VARIANT_WEIGHT",
     "VARIANT_LITERAL",
@@ -78,7 +76,12 @@ def sphere_volume(n: int, r: int, q: int) -> int:
     check_alphabet(q)
     if r < 0 or r > n:
         raise ValueError(f"radius must satisfy 0 <= r <= n, got r={r}, n={n}")
-    return sum(comb(n, j) * (q - 1) ** j for j in range(r + 1))
+    # C(n, j+1)(q-1)**(j+1) from C(n, j)(q-1)**j, each division exact
+    term = total = 1
+    for j in range(r):
+        term = term * (n - j) * (q - 1) // (j + 1)
+        total += term
+    return total
 
 
 def floor_log_q(M: int, q: int) -> int:

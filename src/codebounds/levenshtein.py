@@ -28,33 +28,49 @@ trivial q**n.  Every returned value is therefore a sound upper bound
 regardless of which degrees happen to verify.
 
 Nothing is kept between calls.  Which degrees are candidates is read from
-four running sums, not from the n + 1 values of f.  Put N = m + 1,
+running sums, not from the n + 1 values of f.  Put N = m + 1,
 s = q - 1, rho_i = C(N, i) s**i, and on m P_c = K_c(d - 1) and
 norm_c = C(m, c) s**c.  The kernel is kept as integer numerators
-num = den * T over one running common denominator: each degree widens it by
-widen = den' / den and adds step = den' P_c / norm_c times K_c(x - 1).  Let
-B_i be the coefficient of num on K_i(x) on N, so that a degree adds step to
-B_0..B_c.  Then
+num = den * T over the common denominator
 
-    S0 = sum rho_i = K_c(-1) on m,
+    den = lcm(m - c + 1, .., m) s**c.
+
+It is a multiple of every norm_j with j <= c.  By Kummer's theorem the power
+of a prime p in C(m, j) is the number of carries in adding j and m - j in
+base p.  A carry into place e means j mod p**e > m mod p**e, so the multiple
+m - (m mod p**e) of p**e lies in m - j + 1..m, and there are at most e
+carries up to place e, so C(m, j) divides lcm(m - j + 1, .., m).
+
+Each degree grows den by the small factor widen = (k / g) s, with
+k = m - c + 1 and g = gcd(lcm(k + 1, .., m), k), and carries
+ratio = den / norm_c as ratio c / g, since norm_c = norm_{c-1} s k / c: no
+big gcd and no big division.  The degree scales num by widen and adds
+step = ratio P_c times K_c(x - 1).  Let B_i be the coefficient of num on
+K_i(x) on N, so that a degree adds step to B_0..B_c.  Then
+
+    S0 = sum_{i <= c} rho_i = K_c(-1) on m,
     S1 = sum B_i rho_i = num(0),
-    S2 = sum B_i**2 rho_i,
-    TD = den * sum_j P_j**2 / norm_j = num(d),
+    E = d q sum B_i**2 rho_i - N s den**2 sum_{j <= c} P_j**2 / norm_j,
 
-updated by S1 -> S1 widen + step S0, S2 -> S2 widen**2 + step (2 S1 widen +
-step S0) and TD -> TD widen + step P_c.  The point values K_c(-1) and
-K_c(d - 1) come from the three-term recurrence on m, one step per degree.
-With w_N(x) = C(N, x) s**x, orthogonality on N gives
-sum_x w_N(x) num(x)**2 = q**N S2, and as x w_N(x) = N s w_m(x - 1), the
-reproducing property of the kernel on m gives
-sum_x w_N(x) x num(x)**2 = N s q**(N-1) den TD.  Both branches reduce to
-the weight w_N times (d - x) (the even branch through (n - x) w(x) =
-n w_{n-1}(x)), so with F = 1 on the odd branch and F = n on the even one
+where S0 is a running sum, rho_c = rho_{c-1} (N - c + 1) s / c, and with
+S1 and E on the right from the degree before, S0 and den from this one,
 
-    f(0) = F d S1**2,   q**n f_0 = F q**(N-1) (d q S2 - N s den TD).
+    S1 -> S1 widen + step S0,
+    E -> E widen**2 + step (d q (2 S1 widen + step S0) - N s den P_c).
 
-A degree is a candidate iff S1 != 0 and d q S2 > N s den TD, and its value
-d S1**2 q**(n-N+1) // (d q S2 - N s den TD) is the same floored rational as
+The point value K_c(d - 1) comes from the three-term recurrence on m, one
+step per degree.  With w_N(x) = C(N, x) s**x, orthogonality on N gives
+sum_x w_N(x) num(x)**2 = q**N sum B_i**2 rho_i, and as
+x w_N(x) = N s w_m(x - 1), the reproducing property of the kernel on m
+gives sum_x w_N(x) x num(x)**2 = N s q**(N-1) den**2 sum_j P_j**2 / norm_j.
+Both branches reduce to the weight w_N times (d - x) (the even branch
+through (n - x) w(x) = n w_{n-1}(x)), so with F = 1 on the odd branch and
+F = n on the even one
+
+    f(0) = F d S1**2,   q**n f_0 = F q**(N-1) E.
+
+A degree is a candidate iff S1 != 0 and E > 0, and its value
+d S1**2 q**(n-N+1) // E is the same floored rational as
 f(0) q**n // (q**n f_0).  So a degree costs O(1) big-integer operations and
 builds no list.
 
@@ -78,7 +94,7 @@ sum_j e_j t**j shifted to t = 1 + u takes additions only; its coefficient of
 u**i is (-1)**i q**(D-n) F_i.  F_i = 0 for i > D.  The values of f come from
 num: num(0) = S1 from the scan, and elsewhere by Christoffel-Darboux,
 
-    num(x) = den (c+1) (K_{c+1}(x-1) P_c - K_c(x-1) P_{c+1}) / (q norm_c (d - x)),
+    num(x) = ratio (c+1) (K_{c+1}(x-1) P_c - K_c(x-1) P_{c+1}) / (q (d - x)),
 
 an exact division, except where f vanishes whatever num is: at x = d, and
 on the even branch at x = n.  There num is set to 0.  The two kernel rows
@@ -177,14 +193,14 @@ coefficients and the check run as before.
 
 from collections.abc import Iterator
 from itertools import accumulate, islice
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import sub
 
 from .exactmath import check_query
 
 __all__ = ["levenshtein_max_size"]
 
-# (value, c, den, s1, p, p_prev, p_next, certified), see _candidates
+# (value, c, ratio, s1, p, p_prev, p_next, certified), see _candidates
 _Candidate = tuple[int, int, int, int, int, int, int, bool]
 
 
@@ -206,52 +222,56 @@ def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
 
 
 def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
-    """Yield (value, c, den, s1, p, p_prev, p_next, certified) for each
+    """Yield (value, c, ratio, s1, p, p_prev, p_next, certified) for each
     candidate degree c = 0..m of the kernel system on m, value =
-    floor(f(0) q**n / (q**n f_0)), with the common denominator den,
-    S1 = num(0), P_c = K_c(d - 1), P_{c-1} and P_{c+1} at that degree;
-    certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under which
-    every coefficient is nonnegative (module docstring)."""
+    floor(f(0) q**n / (q**n f_0)), with ratio = den / norm_c for the common
+    denominator den, S1 = num(0), P_c = K_c(d - 1), P_{c-1} and P_{c+1} at
+    that degree; certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under
+    which every coefficient is nonnegative (module docstring)."""
     s = q - 1
+    n1s, dq = (m + 1) * s, d * q
     scale = d * q ** (n - m)
-    # K_c(-1) and K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
-    low, low_prev = 1, 0
+    # K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
     at, at_prev = 1, 0
-    norm = 1
-    den, s1, s2, td = 1, 0, 0, 0
+    # lcm(m - c + 1, .., m), den = window s**c, ratio = den / norm_c
+    window = den = ratio = widen = 1
+    term = s0 = 1  # C(N, c) s**c and its running sum K_c(-1) on m
+    s1 = excess = 0
     nonnegative = True  # no P_j < 0 for j <= c
     for c in range(m + 1):
-        common = lcm(den, norm)
-        widen, step = common // den, common // norm * at
-        s2 = s2 * widen * widen + step * (2 * s1 * widen + step * low)
-        s1 = s1 * widen + step * low
-        td = td * widen + step * at
-        den = common
-        excess = d * q * s2 - (m + 1) * s * den * td
+        if c:
+            k = m - c + 1
+            g = gcd(window, k)
+            window *= k // g
+            widen = k // g * s
+            den *= widen
+            ratio = ratio * c // g
+            term = term * (m + 2 - c) * s // c
+            s0 += term
+        step = ratio * at
+        prev = s1 * widen
+        s1 = prev + step * s0
+        excess = excess * widen * widen + step * (dq * (prev + s1) - n1s * den * at)
         # (c+1) K_{c+1}(y) = (c + (q-1)(m - c) - q y) K_c(y) - (q-1)(m - c + 1) K_{c-1}(y)
-        a, b = c + s * (m - c), s * (m - c + 1)
-        at_next = ((a - q * (d - 1)) * at - b * at_prev) // (c + 1)
+        at_next = ((c + s * (m - c) - q * (d - 1)) * at - s * (m - c + 1) * at_prev) // (c + 1)
         nonnegative = nonnegative and at >= 0
         if s1 and excess > 0:
-            yield (scale * s1 * s1 // excess, c, den, s1, at, at_prev, at_next,
+            yield (scale * s1 * s1 // excess, c, ratio, s1, at, at_prev, at_next,
                    nonnegative and at_next <= 0)
-        low, low_prev = ((a + q) * low - b * low_prev) // (c + 1), low
         at, at_prev = at_next, at
-        norm = norm * (m - c) * s // (c + 1)
 
 
 def _numerators(m: int, d: int, q: int, candidate: _Candidate, top: int) -> list[int]:
     """num = den * T at x = 0..top for the candidate's kernel on m, by
     Christoffel-Darboux, with num(0) = S1; 0 at x = d and at x = m + 2, the
     even branch's x = n, where f vanishes whatever num is."""
-    _, c, den, s1, p, _, p_next, _ = candidate
+    _, c, ratio, s1, p, _, p_next, _ = candidate
     # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..last + 1; the one point past
     # them, x = m + 2 at top = n on the even branch, is padded with 0
     last = min(top - 1, m)
     low, high = _kernel_row(m, q, c, last), _kernel_row(m, q, c + 1, last)
-    scale = den * (c + 1)
-    div = q * comb(m, c) * (q - 1) ** c
-    return [s1] + [0 if x == d else scale * (h * p - k * p_next) // (div * (d - x))
+    scale = ratio * (c + 1)
+    return [s1] + [0 if x == d else scale * (h * p - k * p_next) // (q * (d - x))
                    for x, k, h in zip(range(1, top + 1), low, high)] + [0] * (top - 1 - last)
 
 

@@ -1,6 +1,7 @@
 """Counting primitives: golden values, enumeration cross-checks, identities."""
 
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,13 @@ class TestSphereVolume:
     def test_full_radius_is_whole_space(self):
         for n, q in [(1, 2), (6, 2), (5, 3), (4, 5)]:
             assert sphere_volume(n, n, q) == q ** n
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_matches_binomial_sum(self, q):
+        # the running term C(n, j)(q-1)**j against one comb per radius
+        for n in range(40):
+            for r in range(n + 1):
+                assert sphere_volume(n, r, q) == sum(comb(n, j) * (q - 1) ** j for j in range(r + 1)), (n, r)
 
     def test_radius_beyond_length_rejected(self):
         with pytest.raises(ValueError):

@@ -141,7 +141,11 @@ def test_values_match_pinned_digests():
     before candidates were read from running sums.  The keys at n = 1000 and
     n = 2000 were recorded while the check still summed over Krawtchouk rows,
     and "3/300/3..100/10" while it still shifted its coefficients from i = 0
-    upwards.
+    upwards.  The other keys of the grid q = 2, n <= 90; 3, <= 50;
+    4, <= 34; 5, <= 30; 7, <= 22; 8 and 9, <= 16; 11, <= 12; 13, <= 10
+    (n from 1, every d: 7088 cells) and "2/500/94..96/1" were recorded by
+    the same command over that grid while the scan still kept four running
+    sums over den = lcm(norm_0, .., norm_c).
     """
     pinned = json.loads((Path(__file__).parent / "data" / "levenshtein_pin.json").read_text())
     for key, expected in pinned.items():
@@ -158,9 +162,10 @@ def test_values_match_pinned_digests():
 
 def _reference_kernels(n, d, q):
     """For both branches and every degree c of the kernel system on m, yield
-    (m, factor, c, den, kernel): kernel = T * lcm of all m + 1 norms at
-    x = 0..n, summed from the explicit Krawtchouk sum over that fixed
-    denominator, f = factor * T**2, and den the lcm of the first c + 1 norms."""
+    (m, factor, c, scale, den, kernel): kernel = T * lcm of all m + 1 norms
+    at x = 0..n, summed from the explicit Krawtchouk sum over that fixed
+    denominator, f = factor * T**2, and den = lcm(m - c + 1, .., m) (q-1)**c,
+    checked here to be a multiple of the first c + 1 norms."""
     for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
                       (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
         norms = [comb(m, c) * (q - 1) ** c for c in range(m + 1)]
@@ -168,7 +173,20 @@ def _reference_kernels(n, d, q):
         kernel = [0] * (n + 1)
         for c, row in enumerate(_reference_rows(m, q, n, 1)):
             kernel = [t + scale // norms[c] * row[d] * r for t, r in zip(kernel, row)]
-            yield m, factor, c, scale, lcm(*norms[:c + 1]), kernel
+            den = lcm(*range(m - c + 1, m + 1)) * (q - 1) ** c
+            assert den % lcm(*norms[:c + 1]) == 0, (m, q, c)
+            yield m, factor, c, scale, den, kernel
+
+
+def test_window_lcm_is_a_multiple_of_the_binomial():
+    # Kummer: a carry at p**e in adding j and m - j puts a multiple of p**e
+    # in m - j + 1..m, so C(m, j) divides lcm(m - j + 1, .., m)
+    for m in range(301):
+        window = 1
+        for j in range(m + 1):
+            if j:
+                window = lcm(window, m - j + 1)
+            assert window % comb(m, j) == 0, (m, j)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -176,12 +194,13 @@ def test_running_sums_match_direct_kernel_sum(q):
     # at every degree of both branches, against the kernel summed here from
     # the explicit Krawtchouk sum over one fixed denominator: the scan's
     # candidate test and value equal those of f = wf * kernel**2 summed over
-    # all n + 1 points, the candidate carries P_c = K_c(d - 1), P_{c-1} and
-    # P_{c+1} and is certified iff P_0, .., P_c >= 0 and P_{c+1} <= 0, and the
-    # numerators, c = m included, are a positive multiple of the kernel
-    # wherever f need not vanish.  They equal it times den / scale at every x
-    # but x = d and, on the even branch, x = n, where they are 0, so each
-    # floor division in them was exact.
+    # all n + 1 points, the candidate carries den / norm_c, S1 = num(0),
+    # P_c = K_c(d - 1), P_{c-1} and P_{c+1} and is certified iff
+    # P_0, .., P_c >= 0 and P_{c+1} <= 0, and the numerators, c = m
+    # included, are a positive multiple of the kernel wherever f need not
+    # vanish.  They equal it times den / scale at every x but x = d and, on
+    # the even branch, x = n, where they are 0, so each floor division in
+    # them was exact.
     for n in range(3, 31):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         for d in range(2, n + 1):
@@ -198,8 +217,9 @@ def test_running_sums_match_direct_kernel_sum(q):
                 p_c, p_prev = rows[c][d], rows[c - 1][d] if c else 0
                 p_next = _next_p(m, q, n, c, d)
                 certified = _certificate_holds(m, q, n, c, d)
-                assert value is None or rest == [den_c, s1_c, p_c, p_prev, p_next, certified], (q, n, d, m, c)
-                num = _numerators(m, d, q, (value, c, den_c, s1_c, p_c, p_prev, p_next, certified), n)
+                ratio = den_c // comb(m, c) // (q - 1) ** c
+                assert value is None or rest == [ratio, s1_c, p_c, p_prev, p_next, certified], (q, n, d, m, c)
+                num = _numerators(m, d, q, (value, c, ratio, s1_c, p_c, p_prev, p_next, certified), n)
                 zeros = {d, n} if m == n - 2 else {d}
                 assert [v * scale for v in num] == [0 if x in zeros else t * den_c
                                                     for x, t in enumerate(kernel)], (q, n, d, m, c)
@@ -235,7 +255,8 @@ def test_coefficients_match_direct_sums(monkeypatch, q):
                        for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
             for m in (n - 1, n - 2):
                 for candidate in _candidates(n, m, d, q):
-                    c, den = candidate[1:3]
+                    c, ratio = candidate[1:3]
+                    den = ratio * comb(m, c) * (q - 1) ** c
                     factor, scale, kernel = kernels[m, c]
                     g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
                     direct = [sum(map(mul, g, row)) for row in rows]
