@@ -249,24 +249,19 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     check_query(n, d, q)
     a = (q - 1) * n
     ad_qn = a * d * q ** n
-    volume = 0
-    term = 1  # C(n, w)(q-1)**w at current w
-    best: Optional[int] = None
-    best_w = 0
-    w = 0
-    while q * w <= a:
-        if w:
-            term = term * (n - w + 1) * (q - 1) // w
+    # w = 0: denom = a d and V = 1, so the cap is q**n
+    best, best_w = q ** n, 0
+    volume = term = 1  # term = C(n, w)(q-1)**w at current w
+    for w in range(1, a // q + 1):
+        term = term * (n - w + 1) * (q - 1) // w
         volume += term
         denom = q * w * w - 2 * a * w + a * d
         if denom <= 0:
             break
         floored = ad_qn // (denom * volume)
-        if best is None or floored < best:
+        if floored < best:
             best = floored
             best_w = w
-        w += 1
-    assert best is not None  # w = 0 always admissible
     return best, best_w
 
 

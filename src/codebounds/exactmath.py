@@ -84,23 +84,19 @@ def sphere_volume(n: int, r: int, q: int) -> int:
     return total
 
 
+def _log_and_power(M: int, b: int) -> tuple[int, int]:
+    """(k, b**k) for the largest k with b**k <= M: twice that k for b*b, plus
+    one where one more factor b fits."""
+    if b > M:
+        return 0, 1
+    k, power = _log_and_power(M, b * b)
+    more = power * b
+    return (2 * k + 1, more) if more <= M else (2 * k, power)
+
+
 def floor_log_q(M: int, q: int) -> int:
     """Largest k with q**k <= M.  M must be at least 1."""
     check_alphabet(q)
     if M < 1:
         raise ValueError(f"floor_log_q is undefined for M < 1, got M={M}")
-    # climb by repeated squaring, then refine
-    k = 0
-    power = 1
-    step_pows = []
-    p, e = q, 1
-    while power * p <= M:
-        power *= p
-        k += e
-        step_pows.append((p, e))
-        p, e = p * p, e * 2
-    for p, e in reversed(step_pows):
-        if power * p <= M:
-            power *= p
-            k += e
-    return k
+    return _log_and_power(M, q)[0]

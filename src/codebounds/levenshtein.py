@@ -99,11 +99,11 @@ num: num(0) = S1 from the scan, and elsewhere by Christoffel-Darboux,
 an exact division, except where f vanishes whatever num is: at x = d, and
 on the even branch at x = n.  There num is set to 0.  The two kernel rows
 on m, at x - 1 = 0..min(D - 1, m) only, come from K_c(0) = norm_c by the
-three-term recurrence in the argument (see _kernel_row); P_c, P_{c-1} and
-P_{c+1} come with the candidate, the last from the scan's next recurrence
-step.  Before f is formed, num is divided by the gcd of its values, which
-the zeros leave as it is: a positive factor, which leaves every sign as it
-is and takes about the size of den off each value.
+three-term recurrence in the argument (see _kernel_row); P_c and P_{c+1}
+come with the candidate, the second from the scan's next recurrence step.
+Before f is formed, num is divided by the gcd of its values, which the
+zeros leave as it is: a positive factor, which leaves every sign as it is
+and takes about the size of den off each value.
 
 Each branch scans degrees upward and stops at the first candidate whose
 value is not below the best verified one.  Candidates whose values strictly
@@ -124,15 +124,20 @@ never formed: its sign is the scan's candidate test, f_0 > 0.
 
 Most candidates that fail do so at the second coefficient from the top, and
 where deg f = D <= n that one is decided before num is formed, from P_c and
-P_{c-1}, which the scan carries.  Put e = n - 1 - m, so D = 2c + 1 + e.  By
-the three-term recurrence K_c(y) on m is L_c (y**c - r_c y**(c-1) + ...)
-with L_c = (-q)**c / c! and q r_c = s m c + (1 - s) c (c - 1) / 2.  As
-L_{c-1} / L_c = -c / q and norm_c / norm_{c-1} = s (m - c + 1) / c,
+P_{c+1} alone.  Put e = n - 1 - m, so D = 2c + 1 + e.  By the three-term
+recurrence K_j(y) on m is L_j (y**j - r_j y**(j-1) + ...) with
+L_j = (-q)**j / j! and q r_j = s m j + (1 - s) j (j - 1) / 2.  Dividing num
+by den and multiplying by d - x, the Christoffel-Darboux form of num gives
 
-    T(x) = sum_j P_j K_j(x - 1) / norm_j = t (x**c - b x**(c-1) + ...),
-    t = P_c L_c / norm_c,   q b = q (r_c + c) + s (m - c + 1) P_{c-1} / P_c,
+    G = (d - x) T = (c + 1) / (q norm_c) (P_c K_{c+1} - P_{c+1} K_c)(x - 1),
 
-so f = (-1)**(1+e) t**2 (x**D - (2b + d + e n) x**(D-1) + ...).  With
+all on m, and as L_c / L_{c+1} = -(c + 1) / q,
+
+    G = -t (x**(c+1) - (b + d) x**c + ...),
+    t = P_c L_c / norm_c,   q b = q (r_{c+1} + c + 1 - d) - (c + 1) P_{c+1} / P_c.
+
+So T = t (x**c - b x**(c-1) + ...) and
+f = (-1)**(1+e) t**2 (x**D - (2b + d + e n) x**(D-1) + ...).  With
 Delta**D f(0) = D! a_D and Delta**(D-1) f(0) = (D-1)! (a_{D-1} + C(D, 2) a_D)
 for the monomial coefficients a_j of f, and C(n, D) D = C(n, D-1)(n - D + 1),
 the shift's coefficient of u**D is e_D and that of u**(D-1) is
@@ -144,8 +149,8 @@ D has the parity of 1 + e, so when P_c != 0 the first coefficient yielded is
 D! C(n, D) s**D t**2 > 0 and the second is negative iff B > 0.  Multiplied
 by P_c**2 this reads, in integers,
 
-    P_c (A P_c - 2 s (m - c + 1) P_{c-1}) > 0,
-    A = q C(D, 2) + s D (n - D + 1) - q (d + e n) - 2 q c - 2 s m c - (1 - s) c (c - 1),
+    P_c (A P_c + 2 (c + 1) P_{c+1}) > 0,
+    A = q C(D, 2) + s D (n - D + 1) + q (d - e n) - (c + 1)(2 q + 2 s m + (1 - s) c),
 
 and a candidate for which it holds is refused without a check; the check
 would have stopped at that coefficient.  Where D > n or P_c = 0 the top
@@ -171,14 +176,11 @@ K_j(x - 1) on n - 1 = sum_{t <= j} K_t(x) on n, and likewise
 K_j(x - 1) on n - 2 = sum_{t <= j} K_t(x) on n - 1.
 
 (iii) Odd branch, m = n - 1: f = G T with T = num / den =
-sum_{j <= c} (P_j / norm_j) K_j(x - 1) and, by Christoffel-Darboux as above,
-
-    G = (d - x) T = (c + 1) / (q norm_c) (P_c K_{c+1} - P_{c+1} K_c)(x - 1),
-
-all on m.  Under the signs both are nonnegative combinations of the
-K_j(x - 1) on m, so by (ii) G = sum_a g_a K_a and T = sum_b t_b K_b on n
-with every g_a, t_b >= 0, and F_i = sum_{a,b} g_a t_b q**n N_{a,b,i} >= 0
-by (i).
+sum_{j <= c} (P_j / norm_j) K_j(x - 1) and G = (d - x) T in the
+Christoffel-Darboux form above, all on m.  Under the signs both are
+nonnegative combinations of the K_j(x - 1) on m, so by (ii)
+G = sum_a g_a K_a and T = sum_b t_b K_b on n with every g_a, t_b >= 0, and
+F_i = sum_{a,b} g_a t_b q**n N_{a,b,i} >= 0 by (i).
 
 (iv) Even branch, m = n - 2: f = (n - x) G T, and by (ii) G and T are
 nonnegative combinations of the K_t(x) on n - 1.  With w(x)(n - x) =
@@ -200,8 +202,8 @@ from .exactmath import check_query
 
 __all__ = ["levenshtein_max_size"]
 
-# (value, c, ratio, s1, p, p_prev, p_next, certified), see _candidates
-_Candidate = tuple[int, int, int, int, int, int, int, bool]
+# (value, c, ratio, s1, p, p_next, certified), see _candidates
+_Candidate = tuple[int, int, int, int, int, int, bool]
 
 
 def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
@@ -222,11 +224,11 @@ def _kernel_row(m: int, q: int, c: int, last: int) -> list[int]:
 
 
 def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
-    """Yield (value, c, ratio, s1, p, p_prev, p_next, certified) for each
-    candidate degree c = 0..m of the kernel system on m, value =
+    """Yield (value, c, ratio, s1, p, p_next, certified) for each candidate
+    degree c = 0..m of the kernel system on m, value =
     floor(f(0) q**n / (q**n f_0)), with ratio = den / norm_c for the common
-    denominator den, S1 = num(0), P_c = K_c(d - 1), P_{c-1} and P_{c+1} at
-    that degree; certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under
+    denominator den, S1 = num(0), and the pair P_c = K_c(d - 1) and P_{c+1}
+    at that degree; certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under
     which every coefficient is nonnegative (module docstring)."""
     s = q - 1
     n1s, dq = (m + 1) * s, d * q
@@ -256,7 +258,7 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
         at_next = ((c + s * (m - c) - q * (d - 1)) * at - s * (m - c + 1) * at_prev) // (c + 1)
         nonnegative = nonnegative and at >= 0
         if s1 and excess > 0:
-            yield (scale * s1 * s1 // excess, c, ratio, s1, at, at_prev, at_next,
+            yield (scale * s1 * s1 // excess, c, ratio, s1, at, at_next,
                    nonnegative and at_next <= 0)
         at, at_prev = at_next, at
 
@@ -265,7 +267,7 @@ def _numerators(m: int, d: int, q: int, candidate: _Candidate, top: int) -> list
     """num = den * T at x = 0..top for the candidate's kernel on m, by
     Christoffel-Darboux, with num(0) = S1; 0 at x = d and at x = m + 2, the
     even branch's x = n, where f vanishes whatever num is."""
-    _, c, ratio, s1, p, _, p_next, _ = candidate
+    _, c, ratio, s1, p, p_next, _ = candidate
     # K_c(x - 1) and K_{c+1}(x - 1) at x = 1..last + 1; the one point past
     # them, x = m + 2 at top = n on the even branch, is padded with 0
     last = min(top - 1, m)
@@ -317,16 +319,16 @@ def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
 
 def _second_negative(n: int, m: int, d: int, q: int, candidate: _Candidate) -> bool | None:
     """Whether the check of the candidate on m would yield a negative second
-    coefficient, that of u**(D-1), read off P_c = p and P_{c-1} = p_prev
-    alone; None where deg f > n or P_c = 0."""
-    _, c, _, _, p, p_prev, _, _ = candidate
+    coefficient, that of u**(D-1), read off the pair P_c = p and
+    P_{c+1} = p_next alone; None where deg f > n or P_c = 0."""
+    _, c, _, _, p, p_next, _ = candidate
     s, e = q - 1, n - 1 - m
     top = 2 * c + 1 + e
     if top > n or not p:
         return None
-    a = (q * (top * (top - 1) // 2) + s * top * (n - top + 1) - q * (d + e * n)
-         - 2 * q * c - 2 * s * m * c + (s - 1) * c * (c - 1))
-    return p * (a * p - 2 * s * (m - c + 1) * p_prev) > 0
+    a = (q * (top * (top - 1) // 2) + s * top * (n - top + 1) + q * (d - e * n)
+         - (c + 1) * (2 * q + 2 * s * m + (1 - s) * c))
+    return p * (a * p + 2 * (c + 1) * p_next) > 0
 
 
 def _run_min(n: int, m: int, d: int, q: int,

@@ -161,16 +161,20 @@ class TestFloorLogQ:
         assert floor_log_q(1, 7) == 0
 
     def test_exact_powers(self):
-        for q in (2, 3, 5):
+        # on and either side of q**k, perfect powers q included
+        for q in (2, 3, 4, 5, 8, 9, 16):
             for k in (0, 1, 5, 17, 100):
                 assert floor_log_q(q ** k, q) == k
+                if k:
+                    assert floor_log_q(q ** k - 1, q) == k - 1
+                    assert floor_log_q(q ** k + 1, q) == k
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             floor_log_q(0, 2)
 
     @settings(max_examples=200)
-    @given(st.integers(1, 10 ** 200), st.integers(2, 11))
+    @given(st.integers(1, 2 ** 4000), st.integers(2, 16))
     def test_round_trip(self, M, q):
         k = floor_log_q(M, q)
         assert q ** k <= M < q ** (k + 1)

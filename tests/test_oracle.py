@@ -196,7 +196,7 @@ class TestBestLinearD:
             for n in (3, 5, 7):
                 assert best_linear_d(n, 1, q) == n
 
-    def test_vectorized_matches_streaming(self):
+    def test_search_matches_every_code(self):
         for q, n_hi in ((2, 6), (3, 5)):
             for n in range(2, n_hi + 1):
                 for k in range(1, n):
