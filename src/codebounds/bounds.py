@@ -7,6 +7,13 @@ block must map injectively to tails of weight >= d - i, so for every i with
 Classical comparison bounds (Griesmer, Singleton, Hamming, Plotkin, Elias,
 Levenshtein) are implemented alongside it, all in exact integer arithmetic:
 every rational cap is a ratio of integers floored with one integer division.
+
+BOUNDS, at the end of this module, is the one place where a bound is
+registered: it maps the bound's id to its single-letter alias, the codes it
+holds for, and its evaluator.  A scope is one of SYSTEMATIC (bound A:
+systematic codes, linear or not), LINEAR (Griesmer: linear codes only) or
+EVERY_CODE (the other five).  BOUND_IDS and BOUND_ALIASES are read off the
+table.
 """
 
 from math import comb
@@ -20,6 +27,10 @@ __all__ = [
     "FEASIBLE",
     "REFUTED",
     "NOT_APPLICABLE",
+    "SYSTEMATIC",
+    "LINEAR",
+    "EVERY_CODE",
+    "BOUNDS",
     "BOUND_IDS",
     "BOUND_ALIASES",
     "BLOCKS",
@@ -40,21 +51,10 @@ FEASIBLE = "feasible"
 REFUTED = "refuted"
 NOT_APPLICABLE = "not-applicable"
 
-# evaluation order is alphabetical so reports are deterministic
-BOUND_IDS = ("a", "elias", "griesmer", "hamming", "levenshtein", "plotkin", "singleton")
-
-# single-letter names: CLI shorthand, and the competitor blocks of table1
-BOUND_ALIASES = {
-    "g": "griesmer",
-    "h": "hamming",
-    "l": "levenshtein",
-    "e": "elias",
-    "p": "plotkin",
-    "s": "singleton",
-}
-
-# the competitor blocks of table1, in table order
-BLOCKS = ("g", "h", "l", "e")
+# the codes a bound holds for, its scope in BOUNDS
+SYSTEMATIC = "systematic"
+LINEAR = "linear"
+EVERY_CODE = "every code"
 
 
 class FeasibilityVerdict(NamedTuple):
@@ -265,31 +265,46 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     return best, best_w
 
 
-def _eval_bound(bound_id: str, n: int, d: int, q: int, variant: str) -> BoundResult:
-    """One known bound id at a checked query.  Bound A's result carries the
-    refutation that blocks k_max + 1.  The size bounds share one result: a
-    codeword cap M gives the dimension cap floor(log_q M)."""
-    if bound_id == "a":
-        if d < 3 or n < 4:
-            return BoundResult("a", None)
-        k = bound_a_max_k(n, d, q, variant)
-        return BoundResult("a", k, refutation=bound_a_check(n, k + 1, d, q, variant) if k + 1 < n else None)
-    if bound_id == "griesmer":
-        return BoundResult("griesmer", griesmer_max_k(n, d, q))
-    if bound_id == "singleton":
-        return BoundResult("singleton", singleton_max_k(n, d))
-    w = None
-    if bound_id == "hamming":
-        size = hamming_max_size(n, d, q)
-    elif bound_id == "plotkin":
-        size = plotkin_max_size(n, d, q)
-    elif bound_id == "elias":
-        size, w = elias_max_size(n, d, q)
-    else:
-        size = levenshtein_max_size(n, d, q)
-    if size is None:  # Plotkin does not apply
-        return BoundResult(bound_id, None)
-    return BoundResult(bound_id, floor_log_q(size, q), size_max=size, witness=w)
+def _bound_a(n: int, d: int, q: int, variant: str) -> BoundResult:
+    """Bound A's result carries the refutation that blocks k_max + 1."""
+    if d < 3 or n < 4:
+        return BoundResult("a", None)
+    k = bound_a_max_k(n, d, q, variant)
+    return BoundResult("a", k, refutation=bound_a_check(n, k + 1, d, q, variant) if k + 1 < n else None)
+
+
+def _sized(bound_id: str, q: int, size: Optional[int], witness: Optional[int] = None) -> BoundResult:
+    """A codeword cap M gives the dimension cap floor(log_q M); a size of
+    None, Plotkin's outside its range, gives none."""
+    k = None if size is None else floor_log_q(size, q)
+    return BoundResult(bound_id, k, size_max=size, witness=witness)
+
+
+# id -> (alias, scope, evaluate): the bound's single-letter alias (None for
+# A), the codes it holds for, and evaluate(n, d, q, variant), its BoundResult
+# at a checked query.  Key order is evaluation order, alphabetical so reports
+# are deterministic.  Each evaluator names its bound function as a module
+# global, looked up at call time, so a wrapper installed on this module with
+# setattr is called.
+BOUNDS = {
+    "a": (None, SYSTEMATIC, _bound_a),
+    "elias": ("e", EVERY_CODE, lambda n, d, q, v: _sized("elias", q, *elias_max_size(n, d, q))),
+    "griesmer": ("g", LINEAR, lambda n, d, q, v: BoundResult("griesmer", griesmer_max_k(n, d, q))),
+    "hamming": ("h", EVERY_CODE, lambda n, d, q, v: _sized("hamming", q, hamming_max_size(n, d, q))),
+    "levenshtein": ("l", EVERY_CODE,
+                    lambda n, d, q, v: _sized("levenshtein", q, levenshtein_max_size(n, d, q))),
+    "plotkin": ("p", EVERY_CODE, lambda n, d, q, v: _sized("plotkin", q, plotkin_max_size(n, d, q))),
+    "singleton": ("s", EVERY_CODE, lambda n, d, q, v: BoundResult("singleton", singleton_max_k(n, d))),
+}
+
+BOUND_IDS = tuple(BOUNDS)
+
+# single-letter names: CLI shorthand, and the competitor blocks of table1
+BOUND_ALIASES = {alias: bound_id for bound_id, (alias, _, _) in BOUNDS.items() if alias}
+
+# the competitor blocks of table1, in table order, by alias; kept here so that
+# the CLI reads them without loading golden
+BLOCKS = ("g", "h", "l", "e")
 
 
 def best_upper_k(
@@ -301,14 +316,14 @@ def best_upper_k(
 ) -> tuple[list[BoundResult], Optional[int]]:
     """Evaluate each selected bound and report the minimum applicable cap.
 
-    Results come back in deterministic (alphabetical) bound-id order; a bound
+    Results come back in the order of BOUNDS, alphabetical by id; a bound
     that does not apply contributes a k_max of None without failing the query.
     """
     check_query(n, d, q)
     selected = set(bounds)
-    unknown = selected.difference(BOUND_IDS)
+    unknown = selected.difference(BOUNDS)
     if unknown:
         raise ValueError(f"unknown bound ids: {sorted(unknown)}")
-    results = [_eval_bound(b, n, d, q, variant) for b in sorted(selected, key=BOUND_IDS.index)]
+    results = [evaluate(n, d, q, variant) for b, (_, _, evaluate) in BOUNDS.items() if b in selected]
     applicable = [r.k_max for r in results if r.k_max is not None]
     return results, (min(applicable) if applicable else None)

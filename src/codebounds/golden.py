@@ -4,8 +4,9 @@ table1.csv holds the reference values this package reproduces: four blocks of
 18 rows, each row pairing a competitor bound (g = Griesmer, h = Hamming,
 l = Levenshtein, e = Elias) with the dimension cap of bound A at the same
 (q, n, d).  The file is treated as golden; recomputation diffs against it.
-The block ids, BLOCKS, live in bounds and are re-exported here.  The CLI
-loads this module only for its table1 command.
+The block ids, BLOCKS, are the aliases of the four competitors in the
+table of bounds, bounds.BOUNDS; they live beside it and are re-exported
+here.  The CLI loads this module only for its table1 command.
 
 Three cells of the reference table disagree with exact recomputation and are
 carried as documented allowances rather than silently patched:
@@ -25,8 +26,9 @@ from typing import NamedTuple, Optional
 
 from .bounds import BLOCKS, BOUND_ALIASES, best_upper_k
 
-# Not called here, but bench/tracer.py wraps these names on this module when
-# it installs its spans, so they stay importable from it.
+# Not called here: recompute_row reaches the bounds through best_upper_k and
+# the table of bounds.  bench/tracer.py still wraps these names on this
+# module when it installs its spans, so they stay importable from it.
 from .bounds import (  # noqa: F401
     bound_a_max_k,
     elias_max_size,

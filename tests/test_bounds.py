@@ -1,11 +1,14 @@
 """Bound engine: verdicts, max-k computations, and the module invariants."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from types import ModuleType
 
 import pytest
 from reference import elias_every_radius, enumerate_linear_systematic, tail_mass, weight_count
 
+import codebounds
 from codebounds import bounds
 from codebounds.bounds import (
     FEASIBLE,
@@ -469,6 +472,74 @@ def test_table1_independence_audit():
     assert lower == [("h", 2, 22, 4, 16, 17), ("h", 2, 30, 4, 24, 25),
                      ("h", 2, 52, 4, 45, 46), ("h", 2, 107, 4, 99, 100)]
     assert (ties, weaker) == (33, 35)
+
+
+# q -> largest n of the second-source grid
+_AUDIT_GRID = {2: 60, 3: 40, 4: 34, 5: 40, 7: 30}
+
+
+def _below_the_closure(variant):
+    """Cells (q, n, d) of the grid, 3 <= d <= n, where A's cap is below the
+    closed cap of the bounds that hold for every code, and those where it is
+    below their plain min at (n, d).
+
+    The closed cap is the min of their cap at (n, d), at (n-1, d-1) and 1 +
+    their cap at (n-1, d): puncturing gives A_q(n, d) <= A_q(n-1, d-1) and
+    shortening A_q(n, d) <= q A_q(n-1, d), for every code.
+    """
+    five = [b for b, (_, scope, _) in bounds.BOUNDS.items() if scope == bounds.EVERY_CODE]
+    closed, plain = [], []
+    for q, n_max in _AUDIT_GRID.items():
+        cap = {(n, d): best_upper_k(n, d, q, five)[1] for n in range(2, n_max + 1) for d in range(2, n + 1)}
+        for n in range(4, n_max + 1):
+            for d in range(3, n + 1):
+                near = [cap[n, d], cap[n - 1, d - 1], 1 + cap[n - 1, d] if d < n else None]
+                _, k_a = best_upper_k(n, d, q, ["a"], variant)
+                if k_a < min(k for k in near if k is not None):
+                    closed.append((q, n, d))
+                if k_a < cap[n, d]:
+                    plain.append((q, n, d))
+    return closed, plain
+
+
+def test_second_source_audit():
+    """Bound A against the bounds that hold for every code, on a grid.
+
+    Those five hold for systematic codes too, so each is a second source for
+    A's cap.  Under the weight reading A is strictly below their min at
+    (n, d) in 21 binary cells with d = 4, and never below their closed cap.
+    The literal reading, unsound for q > 2, falls below the closed cap in
+    hundreds of cells, the Reed-Solomon cell (5, 3) at q = 5 among them.
+    """
+    closed, plain = _below_the_closure("weight")
+    assert closed == []
+    assert plain == [(2, n, 4) for n in [*range(22, 31), *range(49, 61)]]
+    closed, _ = _below_the_closure("literal")
+    assert Counter(q for q, _, _ in closed) == {3: 116, 4: 149, 5: 256, 7: 172}
+    assert (5, 5, 3) in closed
+
+
+def test_bound_table_contents():
+    # one table registers every bound: its alias, the codes it holds for and
+    # its evaluator; the id and alias lists are read off it
+    assert {b: (alias, scope) for b, (alias, scope, _) in bounds.BOUNDS.items()} == {
+        "a": (None, bounds.SYSTEMATIC),
+        "elias": ("e", bounds.EVERY_CODE),
+        "griesmer": ("g", bounds.LINEAR),
+        "hamming": ("h", bounds.EVERY_CODE),
+        "levenshtein": ("l", bounds.EVERY_CODE),
+        "plotkin": ("p", bounds.EVERY_CODE),
+        "singleton": ("s", bounds.EVERY_CODE),
+    }
+    assert bounds.BOUND_IDS == tuple(bounds.BOUNDS)
+    assert bounds.BOUND_ALIASES == {alias: b for b, (alias, _, _) in bounds.BOUNDS.items() if alias}
+    assert sorted(bounds.BOUND_ALIASES) == sorted("ghleps")
+    assert set(bounds.BLOCKS) <= set(bounds.BOUND_ALIASES)
+    # the package root has no __all__; its public names are its export list
+    public = {k for k, v in vars(codebounds).items()
+              if not k.startswith("_") and not isinstance(v, ModuleType)}
+    assert public == {"BOUND_IDS", "BoundResult", "best_upper_k"}
+    assert codebounds.BOUND_IDS is bounds.BOUND_IDS
 
 
 class TestResultTypes:

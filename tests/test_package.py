@@ -73,7 +73,9 @@ def test_tracer_wraps_existing_names():
 
 
 def test_tracer_records_one_levenshtein_span_per_table_cell(capsys):
-    # the bound is called, and timed, once per cell
+    # the bound is called, and timed, once per cell; so is every other bound
+    # the tracer wraps on bounds, since the table of bounds looks each bound
+    # function up on the module when it is called
     tracer_module = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
     tracer = tracer_module["Tracer"]()
     modules = {name: _module(name) for name in ("cli", "bounds", "golden", "oracle")}
@@ -87,3 +89,7 @@ def test_tracer_records_one_levenshtein_span_per_table_cell(capsys):
     cells = sum(1 for n in range(4, 13) for d in range(3, 9) if d <= n)
     assert rc == 0
     assert tracer.stats[tracer_module["LEV"]].calls == cells
+    names = ["bound_a_max_k", "elias_max_size", "griesmer_max_k", "hamming_max_size",
+             "plotkin_max_size", "singleton_max_k"]
+    calls = {name: getattr(tracer.stats.get(f"bounds.{name}"), "calls", 0) for name in names}
+    assert calls == dict.fromkeys(names, cells)
