@@ -79,8 +79,8 @@ class BoundResult(NamedTuple):
     bounds also the cap on the number of codewords it was derived from.
 
     witness is Elias's minimizing radius w.  refutation is bound A's verdict
-    at k_max + 1, the dimension its cap blocks, when k_max + 1 <= n - 1; it
-    is None on every other result.
+    at k_max + 1, the dimension its cap blocks, wherever A applies (n >= 4,
+    d >= 3); it is None on every other result.
     """
 
     bound_id: str
@@ -134,19 +134,22 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
 
 
 def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
-    """Largest k in 3..n-1 with C(k, t) unit**t <= (1 + unit)**(n-k), where
+    """Largest k in 3..n-d+1 with C(k, t) unit**t <= (1 + unit)**(n-k), where
     t = (d-1)//2 and unit is as in bound_a_check; 2 when there is none.
 
-    At i = t bound_a_check compares C(k, t)(q-1)**t with outside * tail,
-    where outside * unit**t = (q-1)**t and the tail is at most its sum over
-    every weight, (1 + unit)**(n-k).  So every k above the cap is refuted at
-    some i <= t.  The left side does not fall as k grows and the right side
-    falls, so the inequality holds on a prefix of 3..n-1 and is bisected.
+    Every k above the cap is refuted by bound_a_check.  Above n - d + 1
+    (Singleton's bound) the n - k < d - 1 tail positions cannot carry weight
+    d - 1, so the tail is empty at i = 1.  Elsewhere, at i = t the check
+    compares C(k, t)(q-1)**t with outside * tail, where outside * unit**t =
+    (q-1)**t and the tail is at most its sum over every weight,
+    (1 + unit)**(n-k).  The left side does not fall as k grows and the right
+    side falls, so the inequality holds on a prefix of 3..n-d+1 and is
+    bisected.
     """
     t = (d - 1) // 2
     unit = q - 1 if variant == VARIANT_WEIGHT else 1
     lhs_unit = unit ** t
-    lo, hi = 3, n - 1
+    lo, hi = 3, max(2, n - d + 1)
     while lo <= hi:
         mid = (lo + hi) // 2
         if comb(mid, t) * lhs_unit > (1 + unit) ** (n - mid):
@@ -161,10 +164,10 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
 
     Dimensions k <= 2 are outside the bound's guard and can never be
     constrained, hence the floor of 2.  Refutation is monotone in k (the lhs
-    grows, the tail shrinks), so the answer is found by search.  Every k
-    above _bound_a_cap is refuted without a check, and unless d is large
-    (about 0.4 n and up) the answer is the cap or one below it, so those two
-    are probed first; only when both are refuted is 3..cap-2 bisected.
+    grows, the tail shrinks) and every k above _bound_a_cap is refuted, so
+    the scan steps down from the cap to the first k that bound_a_check
+    admits.  On every cell tested the answer is at most 2 below the cap, so
+    a call makes at most 3 checks.
     """
     check_query(n, d, q)
     if d < 3:
@@ -172,20 +175,10 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
     if n < 4:
         raise ValueError(f"bound A needs n >= 4, got n={n}")
     check_variant(variant)
-    cap = _bound_a_cap(n, d, q, variant)
-    for k in (cap, cap - 1):
-        # k = 2 is reached only when every k >= 3 is refuted
-        if k < 3 or not bound_a_check(n, k, d, q, variant).refuted:
-            return k
-    # every k below lo is feasible, every k above hi refuted
-    lo, hi = 3, cap - 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if bound_a_check(n, mid, d, q, variant).refuted:
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return hi
+    k = _bound_a_cap(n, d, q, variant)
+    while k >= 3 and bound_a_check(n, k, d, q, variant).refuted:
+        k -= 1
+    return k
 
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:
@@ -270,7 +263,7 @@ def _bound_a(n: int, d: int, q: int, variant: str) -> BoundResult:
     if d < 3 or n < 4:
         return BoundResult("a", None)
     k = bound_a_max_k(n, d, q, variant)
-    return BoundResult("a", k, refutation=bound_a_check(n, k + 1, d, q, variant) if k + 1 < n else None)
+    return BoundResult("a", k, refutation=bound_a_check(n, k + 1, d, q, variant))
 
 
 def _sized(bound_id: str, q: int, size: Optional[int], witness: Optional[int] = None) -> BoundResult:

@@ -115,9 +115,17 @@ class TestBoundAMaxK:
                             break
                     assert bound_a_max_k(n, d, q) == linear, (n, d, q)
 
-    def test_capped_search_matches_linear_scan(self):
-        # the probes at the cap and one below it, then the bisection under
-        # them, against the plain scan from k = 3 up
+    def test_capped_search_matches_linear_scan(self, monkeypatch):
+        # the scan down from the cap against the plain scan from k = 3 up;
+        # the answer is never more than 2 below the cap here, so no call
+        # makes more than 3 probes, and the total pins the scan's cost
+        probes = []
+
+        def counting(*args):
+            probes[-1] += 1
+            return bound_a_check(*args)
+
+        monkeypatch.setattr(bounds, "bound_a_check", counting)
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
                 for d in range(3, n + 1):
@@ -127,7 +135,10 @@ class TestBoundAMaxK:
                             if bound_a_check(n, k, d, q, variant).refuted:
                                 break
                             linear = k
+                        probes.append(0)
                         assert bound_a_max_k(n, d, q, variant) == linear, (n, d, q, variant)
+                        assert probes[-1] <= 3, (n, d, q, variant)
+        assert (len(probes), sum(probes)) == (5920, 7804)
 
     def test_every_dimension_above_the_cap_is_refuted(self):
         # the closed form refutes nothing that bound_a_check admits
@@ -136,7 +147,7 @@ class TestBoundAMaxK:
                 for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
                         cap = _bound_a_cap(n, d, q, variant)
-                        assert 2 <= cap <= n - 1, (n, d, q, variant)
+                        assert 2 <= cap <= max(2, n - d + 1) <= n - 1, (n, d, q, variant)
                         for k in range(cap + 1, n):
                             assert bound_a_check(n, k, d, q, variant).refuted, (n, k, d, q, variant)
 
@@ -159,15 +170,16 @@ class TestBoundAMaxK:
 
 class TestBoundARefutation:
     def test_refutation_blocks_the_next_dimension(self):
-        # bound A's result carries the verdict at k_max + 1 whenever that
-        # dimension is below n; no other result carries one
+        # bound A's result carries the verdict at k_max + 1 wherever A
+        # applies (n >= 4, d >= 3); no other result carries one
         for q in (2, 3, 5):
             for n in range(4, 41):
                 for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
                         results, _ = best_upper_k(n, d, q, variant=variant)
                         for res in results:
-                            if res.bound_id == "a" and res.k_max + 1 <= n - 1:
+                            if res.bound_id == "a":
+                                assert res.refutation is not None, (n, d, q, variant)
                                 expect = bound_a_check(n, res.k_max + 1, d, q, variant)
                                 assert expect.refuted, (n, d, q, variant)
                                 assert res.refutation == expect, (n, d, q, variant)

@@ -662,6 +662,8 @@ CLI_DIGEST_COMMANDS = [
     "eval --q 2 --n 600 --d 3 --bounds all",
     "table --q 5 --n-range 4..40 --d-range 3..20 --bounds a --variant-a literal --format csv",
     "oracle best-d --q 5 --n 5 --k 3",
+    "table --q 2 --n-range 100..160 --d-range 45..160 --bounds a --format csv",
+    "table --q 3 --n-range 60..120 --d-range 30..120 --bounds a --variant-a literal --format csv",
     *_ARGPARSE_COMMANDS,
 ]
 
@@ -696,7 +698,10 @@ def test_outputs_match_pinned_digests():
     top, was recorded while the check still shifted its coefficients from
     i = 0 upwards, the literal bound-A table while bound_a_max_k still
     bisected all of 3..n-1, the q = 5 best-d witness while the oracle still
-    returned a generator object, and the help and usage errors of
+    returned a generator object, the two bound-A tables at large d (q = 2
+    under "weight", q = 3 under "literal") while bound_a_max_k still probed
+    its cap and one below it and then bisected under them, as it did in
+    most of their cells, and the help and usage errors of
     _ARGPARSE_COMMANDS while argparse still read every command line.  The
     file was made from the repository root with
 
