@@ -184,19 +184,16 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
 def griesmer_max_k(n: int, d: int, q: int) -> int:
     """Largest k >= 1 with sum_{i=0..k-1} ceil(d / q**i) <= n (linear codes)."""
     check_query(n, d, q)
-    total = 0
-    k = 0
+    total = k = 0
     power = 1
-    while True:
-        term = -(-d // power)  # ceil
+    while (term := -(-d // power)) > 1:  # ceil
         if total + term > n:
             return k
         total += term
         k += 1
-        if term == 1:
-            # every further term is 1: the remaining room is n - total
-            return k + (n - total)
         power *= q
+    # every further term is 1, and total <= n: the remaining room is n - total
+    return k + n - total
 
 
 def singleton_max_k(n: int, d: int) -> int:

@@ -9,9 +9,9 @@ Importing this module loads the bound engine only.  A well-formed command
 line is read against the grammar declared here (`_GRAMMAR`); argparse is
 imported, and its parser built from the same grammar, only for a command line
 that reading leaves out: help, a usage error, or a form such as an
-abbreviated flag or `--flag=value`.  The reference table (`golden`, with csv)
-is loaded by `table1` alone and the oracle by the `oracle` commands alone,
-each on its first use.
+abbreviated flag or `--flag=value`.  The reference table (`golden`) is
+loaded by `table1` alone and the oracle by the `oracle` commands alone, each
+on its first use.
 """
 
 import sys

@@ -16,15 +16,19 @@ The budget must be at least 1.  The alphabet must be prime here
 check_linear_alphabet refuses an alphabet larger than the budget before the
 prime test.
 
-The searches build no code per candidate.  The linear one is a depth-first
-search over the rows of the tail that finds the first code reaching a given
-d; best_linear_d_witness (oracle best-d) runs it for d counting down from
-the Singleton bound.  The nonlinear one is a complete depth-first search
-over prefix-to-tail assignments that skips only the partial assignments
-already holding a pair closer than d.  Each finds the same first code, in
-enumeration order, as scanning every code of its kind.  Every search passes
-the linear search's budget guards first, which also bound the span of up to
-q**k codewords that the linear search checks every candidate row against.
+The searches build no code per candidate, and both run on one loop,
+_first_leaf: a depth-first walk on its own stack, one level per tail entry
+in the linear search and one per prefix in the nonlinear search, so neither
+depends on the recursion limit.  A search is the function that gives a
+node's children.  The linear one walks the rows of the tail to the first
+code reaching a given d; best_linear_d_witness (oracle best-d) runs it for
+d counting down from the Singleton bound.  The nonlinear one is a complete
+search over prefix-to-tail assignments that skips only the partial
+assignments already holding a pair closer than d.  Each finds the same
+first code, in enumeration order, as scanning every code of its kind.
+Every search passes the linear search's budget guards first, which also
+bound the span of up to q**k codewords that the linear search checks every
+candidate row against.
 
 The cross-check runs one search per refuted triple, chosen by the budget:
 the nonlinear search where all systematic codes fit in it, since every
@@ -33,7 +37,6 @@ elsewhere.  It returns None when the search finds no code, else the words
 of the first code it finds.
 """
 
-from collections.abc import Iterator
 from itertools import combinations, product
 from math import isqrt
 from typing import Optional
@@ -133,56 +136,65 @@ def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
     return (n - k) * q ** k <= floor_log_q(budget, q)
 
 
+def _first_leaf(root, children):
+    """The first node, depth first, at which children(node) is None, or None
+    when there is none.
+
+    Each node's children come in the order they are to be tried.  The walk
+    keeps its own stack of child iterators, one per level, so its depth is
+    not bounded by the interpreter's recursion limit.
+    """
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif (kids := children(node)) is None:
+            return node
+        else:
+            stack.append(iter(kids))
+    return None
+
+
 def _first_linear_tail(n: int, k: int, d: int, q: int) -> Optional[tuple[tuple[int, ...], ...]]:
     """The first standard-form tail, in row-major order, whose code has
     minimum distance >= d, or None when there is none.
 
     Depth-first search over the rows of the tail, each row trying tails in
-    ascending order.  A codeword whose last nonzero message symbol sits in
-    row r is a nonzero multiple of e_r plus a message on the earlier rows, so
-    its weight is pw + 1 + dist(t, s) for the row t and some codeword
-    (pw, s), prefix weight and tail, of the span of the earlier rows, zero
-    included.  A row is built one coordinate at a time and dropped as soon
-    as that sum cannot reach d for some such codeword, which loses no code
-    that reaches d.  Permuting the rows or scaling one moves only prefix
-    coordinates and gives a tail no later in the order, so the first code
-    has ascending rows, each zero or with leading nonzero entry 1, and only
-    those are tried.  No budget check here: callers check the span's size
-    first.
+    ascending order, on _first_leaf: a node is the rows so far, the span of
+    their codewords, the row being built and its spare agreements, and one
+    level of the walk is one tail entry.  A codeword whose last nonzero
+    message symbol sits in row r is a nonzero multiple of e_r plus a message
+    on the earlier rows, so its weight is pw + 1 + dist(t, s) for the row t
+    and some codeword (pw, s), prefix weight and tail, of the span of the
+    earlier rows, zero included.  A row is built one coordinate at a time and
+    dropped as soon as that sum cannot reach d for some such codeword, which
+    loses no code that reaches d.  Permuting the rows or scaling one moves
+    only prefix coordinates and gives a tail no later in the order, so the
+    first code has ascending rows, each zero or with leading nonzero entry 1,
+    and only those are tried.  No budget check here: callers check the
+    span's size first.
     """
     m = n - k
 
-    def extend(rows: tuple, span: list, row: tuple, spare: list[int], entries: Iterator[int]):
-        """The state with row extended by the next entry that keeps every
-        codeword far enough, or None when no entry left does."""
-        # spare[i]: coordinates in which row may still agree with span[i]'s tail
-        j = len(row)
-        for a in entries:
-            left = [x - (s[j] == a) for x, (_, s) in zip(spare, span)]
-            if min(left) >= 0:
-                return rows, span, row + (a,), left
-        return None
-
-    # one frame per entry of the tail built so far, each with the entries
-    # it has still to try, so the depth is not bounded by the call stack
-    stack: list[tuple] = []
-    rows, span, row, spare = (), [(0, (0,) * m)], (), [1 + m - d]
-    while True:
-        while len(row) == m:  # a complete row joins the tail, and the next starts empty
+    def children(node: tuple):
+        rows, span, row, spare = node
+        if len(row) == m:  # a complete row ends the tail, or joins it and the next starts empty
+            if len(rows) == k - 1:
+                return None
             rows += (row,)
-            if len(rows) == k:
-                return rows
             span = [(pw + (c > 0), tuple((x + c * y) % q for x, y in zip(s, row)))
                     for c in range(q) for pw, s in span]
             row, spare = (), [pw + 1 + m - d for pw, _ in span]
+        # spare[i]: coordinates in which row may still agree with span[i]'s tail
         j = len(row)
-        tight = rows and row == rows[-1][:j]
-        stack.append((rows, span, row, spare, iter(range(rows[-1][j] if tight else 0, q if any(row) else 2))))
-        while (child := extend(*stack[-1])) is None:
-            stack.pop()
-            if not stack:
-                return None
-        rows, span, row, spare = child
+        first = rows[-1][j] if rows and row == rows[-1][:j] else 0
+        lefts = ((a, [x - (s[j] == a) for x, (_, s) in zip(spare, span)])
+                 for a in range(first, q if any(row) else 2))
+        return ((rows, span, row + (a,), left) for a, left in lefts if min(left) >= 0)
+
+    leaf = _first_leaf(((), [(0, (0,) * m)], (), [1 + m - d]), children)
+    return None if leaf is None else leaf[0] + (leaf[2],)
 
 
 def best_linear_d_witness(n: int, k: int, q: int,
@@ -218,23 +230,16 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tupl
     tails = _all_messages(n - k, q)
     pdist = [[_symbol_distance(u, v) for v in prefixes] for u in prefixes]
     tdist = [[_symbol_distance(u, v) for v in tails] for u in tails]
-    chosen: list[int] = []
 
-    def extend(b: int) -> bool:
+    def children(chosen: tuple[int, ...]):
+        b = len(chosen)
         if b == len(prefixes):
-            return True
+            return None
         need = [(tdist[t], d - pdist[a][b]) for a, t in enumerate(chosen)]
-        for t in range(len(tails)):
-            if all(row[t] >= lo for row, lo in need):
-                chosen.append(t)
-                if extend(b + 1):
-                    return True
-                chosen.pop()
-        return False
+        return (chosen + (t,) for t in range(len(tails)) if all(row[t] >= lo for row, lo in need))
 
-    if not extend(0):
-        return None
-    return tuple(p + tails[t] for p, t in zip(prefixes, chosen))
+    chosen = _first_leaf((), children)
+    return None if chosen is None else tuple(p + tails[t] for p, t in zip(prefixes, chosen))
 
 
 def refutation_crosscheck(

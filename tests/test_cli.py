@@ -489,7 +489,7 @@ class TestEntryPoints:
           ("eval --q 2", None, 2)],
          [], ["codebounds.golden", "codebounds.oracle", "csv", "dataclasses"]),
         ([("table1 --block g --allow-documented", "table1 --block g", 0)],
-         ["codebounds.golden"], ["codebounds.oracle"]),
+         ["codebounds.golden"], ["codebounds.oracle", "csv"]),
         # a well-formed command line is read without argparse, hence without
         # the gettext and locale modules its messages need
         ([("eval --q 2 --n 500 --d 95", "eval --q 2 --n 500 --d 95 --bounds all", 0),

@@ -3,7 +3,9 @@
 A word is a tuple of symbols and a code the tuple of its words, as the
 oracle returns them; reference.Code validates them."""
 
+import inspect
 import random
+import sys
 from itertools import islice, product
 
 import numpy as np
@@ -462,6 +464,21 @@ def test_nonlinear_search_matches_enumeration():
                 missing += 1
                 assert words is None, (n, k, q, d)
     assert found and missing
+
+
+def test_nonlinear_search_needs_no_recursion():
+    # the 16 prefixes of (5, 4) are 16 levels of the walk, and the even-weight
+    # code reaches d = 2; with 12 frames to spare above this test's own, a
+    # search that recursed once per prefix would overflow
+    expected = _first_nonlinear_code(5, 4, 2, 2)
+    assert expected is not None
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 12)
+    try:
+        words = _first_nonlinear_code(5, 4, 2, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert words == expected
 
 
 def _reaches_distance(code, d):
