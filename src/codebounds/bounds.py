@@ -159,15 +159,60 @@ def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
     return hi
 
 
-def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
-    """Largest k in 3..n-1 not refuted by bound A; 2 when even k = 3 fails.
+def _bound_a_pair(n: int, k: int, d: int, q: int,
+                  variant: str) -> tuple[FeasibilityVerdict, FeasibilityVerdict]:
+    """bound_a_check's verdicts at k and k + 1, for 3 <= k <= n - 2 and d >= 3,
+    in one pass.
+
+    The tails over m = n - k - 1 positions are summed from the top as in
+    bound_a_check; those over m + 1 positions follow by Pascal's rule,
+    T_{m+1}(a) = T_m(a) + unit T_m(a - 1), which needs the one term of
+    T_m(a - 1) below T_m(a).  Likewise C(k + 1, i) = C(k, i) + C(k, i - 1).
+    At each i the lhs at k + 1 is no smaller and its rhs no larger, so k + 1
+    fails no later than k and the pass ends where k fails.
+    """
+    m = n - k - 1
+    unit = q - 1 if variant == VARIANT_WEIGHT else 1
+    term = unit ** m
+    tail = 0
+    j = m
+    outside = 1
+    lhs_prev, lhs = 1, k * (q - 1)  # C(k, i-1)(q-1)**(i-1) and C(k, i)(q-1)**i
+    above = FeasibilityVerdict(FEASIBLE)  # the verdict at k + 1
+    for i in range(1, (d - 1) // 2 + 1):
+        outside *= (q - 1) // unit
+        while j >= d - i:
+            tail += term
+            term = term * j // ((m - j + 1) * unit)
+            j -= 1
+        # T_m(d - i - 1): term is its one summand below tail, when m reaches it
+        below = tail + term if j == d - i - 1 else tail
+        if not above.refuted:
+            lhs_above, rhs = lhs + (q - 1) * lhs_prev, outside * tail
+            if lhs_above > rhs:
+                above = FeasibilityVerdict(REFUTED, witness=i, lhs=lhs_above, rhs=rhs)
+        rhs = outside * (tail + unit * below)
+        if lhs > rhs:
+            return FeasibilityVerdict(REFUTED, witness=i, lhs=lhs, rhs=rhs), above
+        lhs_prev, lhs = lhs, lhs * ((k - i) * (q - 1)) // (i + 1)
+    return FeasibilityVerdict(FEASIBLE), above
+
+
+def bound_a_max_k(n: int, d: int, q: int,
+                  variant: str = VARIANT_WEIGHT) -> tuple[int, FeasibilityVerdict]:
+    """Largest k in 3..n-1 not refuted by bound A (2 when even k = 3 fails),
+    with bound_a_check's verdict at that k + 1, which blocks it.
 
     Dimensions k <= 2 are outside the bound's guard and can never be
     constrained, hence the floor of 2.  Refutation is monotone in k (the lhs
     grows, the tail shrinks) and every k above _bound_a_cap is refuted, so
-    the scan steps down from the cap to the first k that bound_a_check
-    admits.  On every cell tested the answer is at most 2 below the cap, so
-    a call makes at most 3 checks.
+    the search starts at the cap, where one pass (_bound_a_pair) gives the
+    verdicts at the cap and the dimension above it.  If the cap stands, the
+    second is the refutation returned; else the scan steps down with single
+    checks to the first k that bound_a_check admits, and the last refuted
+    verdict is returned.  On every cell tested the answer is at most 2 below
+    the cap, so a call makes at most one pass and two single checks.  A cap
+    of 2 is checked at k = 3 alone.
     """
     check_query(n, d, q)
     if d < 3:
@@ -176,9 +221,15 @@ def bound_a_max_k(n: int, d: int, q: int, variant: str = VARIANT_WEIGHT) -> int:
         raise ValueError(f"bound A needs n >= 4, got n={n}")
     check_variant(variant)
     k = _bound_a_cap(n, d, q, variant)
-    while k >= 3 and bound_a_check(n, k, d, q, variant).refuted:
-        k -= 1
-    return k
+    if k < 3:
+        return 2, bound_a_check(n, 3, d, q, variant)
+    verdict, blocked = _bound_a_pair(n, k, d, q, variant)
+    while verdict.refuted:
+        k, blocked = k - 1, verdict
+        if k < 3:
+            break
+        verdict = bound_a_check(n, k, d, q, variant)
+    return k, blocked
 
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:
@@ -229,38 +280,38 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     is returned together with the smallest w attaining it.  w = 0 is always
     admissible, so the bound always applies.
 
-    Scaled by q, with a = (q-1)n = qr: the cap is
-    a*d*q**n / ((q*w*w - 2*a*w + a*d) * V_q(n, w)) for q*w <= a, and w is
+    Scaled by q, with a = (q-1)n = qr: the cap is a*d*q**n / x_w,
+    x_w = (q*w*w - 2*a*w + a*d) * V_q(n, w), for q*w <= a, and w is
     admissible when q*w*w - 2*a*w + a*d > 0.  From w to w + 1 that
     denominator changes by q(2w + 1) - 2a < 0 while q(w + 1) <= a, so the
     admissible radii form a prefix of 0..a//q and the scan stops at the
-    first inadmissible one.
+    first inadmissible one.  The smallest floor is that of the largest x_w,
+    best = a*d*q**n // max x_w, and the x_w that floor to it are exactly those
+    with x_w (best + 1) > a*d*q**n: one big division in all.
     """
     check_query(n, d, q)
     a = (q - 1) * n
     ad_qn = a * d * q ** n
-    # w = 0: denom = a d and V = 1, so the cap is q**n
-    best, best_w = q ** n, 0
-    volume = term = 1  # term = C(n, w)(q-1)**w at current w
-    for w in range(1, a // q + 1):
-        term = term * (n - w + 1) * (q - 1) // w
-        volume += term
+    xs = []  # x_w for each admissible w
+    volume, term = 0, 1  # V_q(n, w - 1) and C(n, w)(q-1)**w
+    for w in range(a // q + 1):
         denom = q * w * w - 2 * a * w + a * d
         if denom <= 0:
             break
-        floored = ad_qn // (denom * volume)
-        if floored < best:
-            best = floored
-            best_w = w
-    return best, best_w
+        volume += term
+        xs.append(denom * volume)
+        term = term * ((n - w) * (q - 1)) // (w + 1)
+    best = ad_qn // max(xs)
+    return best, next(w for w, x in enumerate(xs) if x * (best + 1) > ad_qn)
 
 
 def _bound_a(n: int, d: int, q: int, variant: str) -> BoundResult:
-    """Bound A's result carries the refutation that blocks k_max + 1."""
+    """Bound A's result carries the refutation that blocks k_max + 1, as
+    bound_a_max_k returns it: no check is made here."""
     if d < 3 or n < 4:
         return BoundResult("a", None)
-    k = bound_a_max_k(n, d, q, variant)
-    return BoundResult("a", k, refutation=bound_a_check(n, k + 1, d, q, variant))
+    k, blocked = bound_a_max_k(n, d, q, variant)
+    return BoundResult("a", k, refutation=blocked)
 
 
 def _sized(bound_id: str, q: int, size: Optional[int], witness: Optional[int] = None) -> BoundResult:

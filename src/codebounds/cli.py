@@ -69,6 +69,7 @@ def _fmt_k(k: Optional[int]) -> str:
 def _cmd_eval(args: SimpleNamespace) -> int:
     bounds = _parse_bounds(args.bounds)
     results, k_min = best_upper_k(args.n, args.d, args.q, bounds, args.variant_a)
+    lines = []
     for res in results:
         line = f"{res.bound_id} k_max={_fmt_k(res.k_max)}"
         if res.size_max is not None:
@@ -79,8 +80,9 @@ def _cmd_eval(args: SimpleNamespace) -> int:
         if blocked is not None:
             line += (f" (k={res.k_max + 1} refuted at i={blocked.witness}:"
                      f" lhs={blocked.lhs} > rhs={blocked.rhs})")
-        print(line)
-    print(f"min k_max={_fmt_k(k_min)}")
+        lines.append(line)
+    lines.append(f"min k_max={_fmt_k(k_min)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -338,10 +340,13 @@ def _attach_range_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = _attach_range_values(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the strict reading refuses every argv that _attach_range_values
+    # changes (a range flag followed by a value that starts with "-"), so
+    # only argparse's argv is rewritten
     args = _read_well_formed(argv)
     if args is None:
-        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+        args = SimpleNamespace(**vars(_build_parser().parse_args(_attach_range_values(argv))))
     try:
         return args.func(args)
     except (EnumerationBudgetError, ValueError) as exc:

@@ -84,19 +84,26 @@ def sphere_volume(n: int, r: int, q: int) -> int:
     return total
 
 
-def _log_and_power(M: int, b: int) -> tuple[int, int]:
-    """(k, b**k) for the largest k with b**k <= M: twice that k for b*b, plus
-    one where one more factor b fits."""
-    if b > M:
-        return 0, 1
-    k, power = _log_and_power(M, b * b)
-    more = power * b
-    return (2 * k + 1, more) if more <= M else (2 * k, power)
-
-
 def floor_log_q(M: int, q: int) -> int:
-    """Largest k with q**k <= M.  M must be at least 1."""
+    """Largest k with q**k <= M.  M must be at least 1.
+
+    By repeated squaring: the squares q, q**2, q**4, .. up to M are stored,
+    and from the largest down each doubles k, plus one where one more factor
+    of that square fits under M, so k is read off bit by bit from the top.
+    The loop keeps the call flat, at any size of M.
+    """
     check_alphabet(q)
     if M < 1:
         raise ValueError(f"floor_log_q is undefined for M < 1, got M={M}")
-    return _log_and_power(M, q)[0]
+    squares = []
+    square = q
+    while square <= M:
+        squares.append(square)
+        square *= square
+    k, power = 0, 1  # power = square**k, for the square at hand
+    for square in reversed(squares):
+        k *= 2
+        more = power * square
+        if more <= M:
+            k, power = k + 1, more
+    return k

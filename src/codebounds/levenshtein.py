@@ -231,12 +231,17 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
     at that degree; certified says P_0, .., P_c >= 0 and P_{c+1} <= 0, under
     which every coefficient is nonnegative (module docstring)."""
     s = q - 1
-    n1s, dq = (m + 1) * s, d * q
+    dq = d * q
     scale = d * q ** (n - m)
     # K_c(d - 1) on m, after K_{c-1} (zero at c = 0)
     at, at_prev = 1, 0
-    # lcm(m - c + 1, .., m), den = window s**c, ratio = den / norm_c
-    window = den = ratio = widen = 1
+    # the recurrence's coefficients c + s(m - c) - q(d - 1) and s(m - c + 1)
+    grow, fall = s * m - q * (d - 1), (m + 1) * s
+    # window = lcm(m - c + 1, .., m) and ratio = den / norm_c for the common
+    # denominator den = window s**c, which enters only in N s den (N = m + 1),
+    # so n1s_den carries that product
+    window = ratio = widen = 1
+    n1s_den = (m + 1) * s
     term = s0 = 1  # C(N, c) s**c and its running sum K_c(-1) on m
     s1 = excess = 0
     nonnegative = True  # no P_j < 0 for j <= c
@@ -246,16 +251,17 @@ def _candidates(n: int, m: int, d: int, q: int) -> Iterator[_Candidate]:
             g = gcd(window, k)
             window *= k // g
             widen = k // g * s
-            den *= widen
+            n1s_den *= widen
             ratio = ratio * c // g
-            term = term * (m + 2 - c) * s // c
+            term = term * ((m + 2 - c) * s) // c
             s0 += term
         step = ratio * at
         prev = s1 * widen
         s1 = prev + step * s0
-        excess = excess * widen * widen + step * (dq * (prev + s1) - n1s * den * at)
+        excess = excess * (widen * widen) + step * (dq * (prev + s1) - n1s_den * at)
         # (c+1) K_{c+1}(y) = (c + (q-1)(m - c) - q y) K_c(y) - (q-1)(m - c + 1) K_{c-1}(y)
-        at_next = ((c + s * (m - c) - q * (d - 1)) * at - s * (m - c + 1) * at_prev) // (c + 1)
+        at_next = (grow * at - fall * at_prev) // (c + 1)
+        grow, fall = grow + 1 - s, fall - s
         nonnegative = nonnegative and at >= 0
         if s1 and excess > 0:
             yield (scale * s1 * s1 // excess, c, ratio, s1, at, at_next,

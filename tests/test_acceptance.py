@@ -196,8 +196,8 @@ def test_criterion_4_levenshtein_block():
 
 
 def test_criterion_5_variant_discrimination():
-    weight_k = bound_a_max_k(10, 3, 5, "weight")
-    literal_k = bound_a_max_k(10, 3, 5, "literal")
+    weight_k, _ = bound_a_max_k(10, 3, 5, "weight")
+    literal_k, _ = bound_a_max_k(10, 3, 5, "literal")
     ok = (weight_k, literal_k) == (7, 6)
     _report("criterion-5 (variant discrimination at (10,3,5))", ok,
             f"weight={weight_k}, literal={literal_k}")
@@ -277,7 +277,7 @@ def test_criterion_8_invariant_suites():
                     if refuted_seen and not refuted:
                         failures.append(f"k-monotonicity broken at {(q, n, d, k)}")
                     refuted_seen = refuted_seen or refuted
-                cap = bound_a_max_k(n, d, q)
+                cap, _ = bound_a_max_k(n, d, q)
                 if prev_cap is not None and cap > prev_cap:
                     failures.append(f"d-monotonicity broken at {(q, n, d)}")
                 prev_cap = cap

@@ -17,6 +17,7 @@ from codebounds.bounds import (
     BoundResult,
     FeasibilityVerdict,
     _bound_a_cap,
+    _bound_a_pair,
     best_upper_k,
     bound_a_check,
     bound_a_max_k,
@@ -93,11 +94,11 @@ class TestBoundAMaxK:
         (10, 3, 5, 7),
     ])
     def test_reference_values(self, n, d, q, expected):
-        assert bound_a_max_k(n, d, q) == expected
+        assert bound_a_max_k(n, d, q)[0] == expected
 
     def test_variant_pins_the_exponent_reading(self):
-        assert bound_a_max_k(10, 3, 5, "weight") == 7
-        assert bound_a_max_k(10, 3, 5, "literal") == 6
+        assert bound_a_max_k(10, 3, 5, "weight")[0] == 7
+        assert bound_a_max_k(10, 3, 5, "literal")[0] == 6
 
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
@@ -113,19 +114,24 @@ class TestBoundAMaxK:
                             linear = k
                         else:
                             break
-                    assert bound_a_max_k(n, d, q) == linear, (n, d, q)
+                    assert bound_a_max_k(n, d, q)[0] == linear, (n, d, q)
 
     def test_capped_search_matches_linear_scan(self, monkeypatch):
         # the scan down from the cap against the plain scan from k = 3 up;
-        # the answer is never more than 2 below the cap here, so no call
-        # makes more than 3 probes, and the total pins the scan's cost
+        # a paired pass counts as one probe, the answer is never more than 2
+        # below the cap here, so no call makes more than 3 probes, and the
+        # total pins the scan's cost; each of the 592 cells with a cap of 2
+        # makes the one check at k = 3 that gives the returned verdict
         probes = []
 
-        def counting(*args):
-            probes[-1] += 1
-            return bound_a_check(*args)
+        def counting(check):
+            def probe(*args):
+                probes[-1] += 1
+                return check(*args)
+            return probe
 
-        monkeypatch.setattr(bounds, "bound_a_check", counting)
+        monkeypatch.setattr(bounds, "bound_a_check", counting(bound_a_check))
+        monkeypatch.setattr(bounds, "_bound_a_pair", counting(_bound_a_pair))
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
                 for d in range(3, n + 1):
@@ -136,9 +142,13 @@ class TestBoundAMaxK:
                                 break
                             linear = k
                         probes.append(0)
-                        assert bound_a_max_k(n, d, q, variant) == linear, (n, d, q, variant)
+                        k_max, blocked = bound_a_max_k(n, d, q, variant)
+                        assert k_max == linear, (n, d, q, variant)
                         assert probes[-1] <= 3, (n, d, q, variant)
-        assert (len(probes), sum(probes)) == (5920, 7804)
+                        # the returned verdict is the refutation at k_max + 1
+                        assert blocked.refuted, (n, d, q, variant)
+                        assert blocked == bound_a_check(n, k_max + 1, d, q, variant), (n, d, q, variant)
+        assert (len(probes), sum(probes)) == (5920, 8396)
 
     def test_every_dimension_above_the_cap_is_refuted(self):
         # the closed form refutes nothing that bound_a_check admits
@@ -153,19 +163,34 @@ class TestBoundAMaxK:
 
     @pytest.mark.parametrize("d", [94, 95, 96])
     def test_gate_query_makes_two_probes(self, monkeypatch, d):
-        # bound A's answer at (500, d, 2) is its cap: one probe there, and
-        # the refutation at k_max + 1 that the result carries
+        # bound A's answer at (500, d, 2) is its cap: its two probes, the
+        # cap and the refutation at k_max + 1 that the result carries, are
+        # one paired pass, and no single check is made
         probes = []
-        check = bounds.bound_a_check
 
-        def counting(n, k, *args):
-            probes.append(k)
-            return check(n, k, *args)
+        def counting(name, check):
+            def probe(n, k, *args):
+                probes.append((name, k))
+                return check(n, k, *args)
+            return probe
 
-        monkeypatch.setattr(bounds, "bound_a_check", counting)
+        monkeypatch.setattr(bounds, "bound_a_check", counting("check", bound_a_check))
+        monkeypatch.setattr(bounds, "_bound_a_pair", counting("pair", _bound_a_pair))
         results, _ = best_upper_k(500, d, 2)
         (k_max,) = [r.k_max for r in results if r.bound_id == "a"]
-        assert probes == [k_max, k_max + 1], d
+        assert probes == [("pair", k_max)], d
+
+    def test_pair_matches_two_checks(self):
+        # one pass gives bound_a_check's verdicts at k and k + 1, witness,
+        # lhs and rhs included
+        for q in (2, 3, 4, 5, 7):
+            for n in range(5, 41):
+                for d in range(3, n + 1):
+                    for variant in ("weight", "literal"):
+                        for k in range(3, n - 1):
+                            expect = (bound_a_check(n, k, d, q, variant),
+                                      bound_a_check(n, k + 1, d, q, variant))
+                            assert _bound_a_pair(n, k, d, q, variant) == expect, (n, k, d, q, variant)
 
 
 class TestBoundARefutation:
@@ -381,7 +406,7 @@ class TestMonotonicity:
             for n in range(4, self.N_MAX + 1):
                 prev = None
                 for d in range(3, n + 1):
-                    cap = bound_a_max_k(n, d, q)
+                    cap, _ = bound_a_max_k(n, d, q)
                     if prev is not None:
                         assert cap <= prev, (q, n, d)
                     prev = cap

@@ -817,16 +817,18 @@ _WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_argvs().map(lambda argv: (argv, None)), _mutated_argvs()))
 def test_strict_reading_matches_argparse(argv_kind):
-    """Wherever main reads a command line without argparse, it gets the
-    namespace argparse gives it; every mutation but a dropped flag is left
-    to argparse, unless the abbreviated flag is itself a flag of the
+    """main reads the raw command line strictly and gives argparse the one
+    with its range values attached.  Wherever it reads without argparse, it
+    gets the namespace argparse gives the attached argv; every argv that
+    attaching changes is left to argparse, and so is every mutation but a
+    dropped flag, unless the abbreviated flag is itself a flag of the
     command, as --n of --n-range."""
     argv, kind = argv_kind
-    argv = cli._attach_range_values(argv)
+    attached = cli._attach_range_values(argv)
     args = cli._read_well_formed(argv)
     if args is not None:
-        assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
-    if kind in ("equals", "dash", "repeat", "extra", "help"):
+        assert vars(args) == vars(cli._build_parser().parse_args(attached)), argv
+    if attached != argv or kind in ("equals", "dash", "repeat", "extra", "help"):
         assert args is None, argv
 
 
@@ -842,3 +844,28 @@ def test_strict_reading_takes_the_pinned_and_bench_command_lines():
         args = cli._read_well_formed(argv)
         assert args is not None and vars(args) == vars(cli._build_parser().parse_args(argv)), argv
     assert [cmd for cmd in _ARGPARSE_COMMANDS if cli._read_well_formed(shlex.split(cmd))] == []
+
+
+@pytest.mark.parametrize("workload", ["query", "sweep", "gate"])
+def test_bench_pinned_outputs(capsys, workload):
+    # the outputs bench/expected.json pins, through main: each pinned query
+    # seed's whole output, every sweep row and each gate query, compared by
+    # the digests the bench checks
+    pins = _WORKLOADS["EXPECTED"][workload]
+    if workload == "query":
+        runs = {key: [_WORKLOADS["eval_argv"](*point)
+                      for point in _WORKLOADS["query_points"](*map(int, key.split("/")))]
+                for key in pins}
+    elif workload == "sweep":
+        runs = {n: _WORKLOADS["_sweep_op"](int(n)).argvs for n in pins}
+    else:
+        runs = {d: [_WORKLOADS["eval_argv"](_WORKLOADS["GATE_Q"], _WORKLOADS["GATE_N"], int(d))]
+                for d in pins}
+    assert sorted(runs) == sorted(pins) and runs
+    for key, argvs in runs.items():
+        outs = []
+        for argv in argvs:
+            rc, out, err = run(capsys, *argv)
+            assert (rc, err) == (0, ""), argv
+            outs.append(out)
+        assert _WORKLOADS["digest"]("".join(outs)) == pins[key], (workload, key)

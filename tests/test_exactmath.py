@@ -1,5 +1,7 @@
 """Counting primitives: golden values, enumeration cross-checks, identities."""
 
+import inspect
+import sys
 from itertools import product
 from math import comb
 
@@ -172,6 +174,21 @@ class TestFloorLogQ:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             floor_log_q(0, 2)
+
+    def test_needs_no_recursion(self):
+        # q**(2**12) takes 12 squarings; with 12 frames to spare above this
+        # test's own, a search that recursed once per squaring would overflow
+        cases = [(q ** 2 ** 12 + delta, q, 2 ** 12 - (delta < 0))
+                 for q in (2, 3, 7) for delta in (-1, 1)]
+        got = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 12)
+        try:
+            for M, q, _ in cases:
+                got.append(floor_log_q(M, q))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == [k for _, _, k in cases]
 
     @settings(max_examples=200)
     @given(st.integers(1, 2 ** 4000), st.integers(2, 16))
