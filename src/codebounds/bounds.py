@@ -178,7 +178,7 @@ def _bound_a_pair(n: int, k: int, d: int, q: int,
     j = m
     outside = 1
     lhs_prev, lhs = 1, k * (q - 1)  # C(k, i-1)(q-1)**(i-1) and C(k, i)(q-1)**i
-    above = FeasibilityVerdict(FEASIBLE)  # the verdict at k + 1
+    above = None  # the verdict at k + 1, once refuted
     for i in range(1, (d - 1) // 2 + 1):
         outside *= (q - 1) // unit
         while j >= d - i:
@@ -187,7 +187,7 @@ def _bound_a_pair(n: int, k: int, d: int, q: int,
             j -= 1
         # T_m(d - i - 1): term is its one summand below tail, when m reaches it
         below = tail + term if j == d - i - 1 else tail
-        if not above.refuted:
+        if above is None:
             lhs_above, rhs = lhs + (q - 1) * lhs_prev, outside * tail
             if lhs_above > rhs:
                 above = FeasibilityVerdict(REFUTED, witness=i, lhs=lhs_above, rhs=rhs)
@@ -195,7 +195,8 @@ def _bound_a_pair(n: int, k: int, d: int, q: int,
         if lhs > rhs:
             return FeasibilityVerdict(REFUTED, witness=i, lhs=lhs, rhs=rhs), above
         lhs_prev, lhs = lhs, lhs * ((k - i) * (q - 1)) // (i + 1)
-    return FeasibilityVerdict(FEASIBLE), above
+    feasible = FeasibilityVerdict(FEASIBLE)
+    return feasible, feasible if above is None else above
 
 
 def bound_a_max_k(n: int, d: int, q: int,
@@ -287,7 +288,8 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     admissible radii form a prefix of 0..a//q and the scan stops at the
     first inadmissible one.  The smallest floor is that of the largest x_w,
     best = a*d*q**n // max x_w, and the x_w that floor to it are exactly those
-    with x_w (best + 1) > a*d*q**n: one big division in all.
+    with x_w (best + 1) > a*d*q**n, that is x_w > a*d*q**n // (best + 1): two
+    big divisions in all, not one per radius.
     """
     check_query(n, d, q)
     a = (q - 1) * n
@@ -302,7 +304,12 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
         xs.append(denom * volume)
         term = term * ((n - w) * (q - 1)) // (w + 1)
     best = ad_qn // max(xs)
-    return best, next(w for w, x in enumerate(xs) if x * (best + 1) > ad_qn)
+    # x_w floors to best exactly when x_w (best + 1) > ad_qn, that is when
+    # x_w > ad_qn // (best + 1)
+    bar = ad_qn // (best + 1)
+    for w, x in enumerate(xs):
+        if x > bar:
+            return best, w
 
 
 def _bound_a(n: int, d: int, q: int, variant: str) -> BoundResult:
