@@ -289,7 +289,7 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     first inadmissible one.  The smallest floor is that of the largest x_w,
     best = a*d*q**n // max x_w, and the x_w that floor to it are exactly those
     with x_w (best + 1) > a*d*q**n, that is x_w > a*d*q**n // (best + 1): two
-    big divisions in all, not one per radius.
+    big divisions in all.
     """
     check_query(n, d, q)
     a = (q - 1) * n
@@ -304,8 +304,6 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
         xs.append(denom * volume)
         term = term * ((n - w) * (q - 1)) // (w + 1)
     best = ad_qn // max(xs)
-    # x_w floors to best exactly when x_w (best + 1) > ad_qn, that is when
-    # x_w > ad_qn // (best + 1)
     bar = ad_qn // (best + 1)
     for w, x in enumerate(xs):
         if x > bar:
