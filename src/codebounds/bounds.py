@@ -99,8 +99,8 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     sum C(m, j)(q-1)**j; variant "literal": (q-1)**i * sum C(m, j)).  Returns
     the first violated i as the refutation witness.
 
-    The per-i terms are updated by ratio rather than recomputed, so a full
-    check costs O(n) big-integer operations.
+    The verdict is the second of _bound_a_pair's at k - 1, the one loop over
+    the inequality; a check costs O(n) big-integer operations.
     """
     check_query(n, d, q)
     check_variant(variant)
@@ -108,36 +108,14 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
         raise ValueError(f"dimension must be positive, got k={k}")
     if k <= 2 or k >= n or d < 3:
         return FeasibilityVerdict(NOT_APPLICABLE)
-
-    # Both variants read rhs = outside * sum_{j=d-i..m} C(m, j) unit**j, with
-    # unit = q - 1 and outside = 1 ("weight"), or unit = 1 and outside =
-    # (q-1)**i ("literal").  As i rises the lower limit walks down, so the sum
-    # gains terms; term is its summand at the next j to add.
-    m = n - k
-    unit = q - 1 if variant == VARIANT_WEIGHT else 1
-    term = unit ** m
-    tail = 0
-    j = m
-    outside = 1
-    lhs = k * (q - 1)  # C(k, 1)(q-1)**1
-    for i in range(1, (d - 1) // 2 + 1):
-        outside *= (q - 1) // unit
-        while j >= d - i:
-            tail += term
-            term = term * j // ((m - j + 1) * unit)
-            j -= 1
-        rhs = outside * tail
-        if lhs > rhs:
-            return FeasibilityVerdict(REFUTED, witness=i, lhs=lhs, rhs=rhs)
-        lhs = lhs * (k - i) * (q - 1) // (i + 1)
-    return FeasibilityVerdict(FEASIBLE)
+    return _bound_a_pair(n, k - 1, d, q, variant)[1]
 
 
 def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
     """Largest k in 3..n-d+1 with C(k, t) unit**t <= (1 + unit)**(n-k), where
-    t = (d-1)//2 and unit is as in bound_a_check; 2 when there is none.
+    t = (d-1)//2 and unit is as in _bound_a_pair; 2 when there is none.
 
-    Every k above the cap is refuted by bound_a_check.  Above n - d + 1
+    Every k above the cap is refuted by bound A.  Above n - d + 1
     (Singleton's bound) the n - k < d - 1 tail positions cannot carry weight
     d - 1, so the tail is empty at i = 1.  Elsewhere, at i = t the check
     compares C(k, t)(q-1)**t with outside * tail, where outside * unit**t =
@@ -161,19 +139,24 @@ def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
 
 def _bound_a_pair(n: int, k: int, d: int, q: int,
                   variant: str) -> tuple[FeasibilityVerdict, FeasibilityVerdict]:
-    """bound_a_check's verdicts at k and k + 1, for 3 <= k <= n - 2 and d >= 3,
-    in one pass.
+    """Bound A's verdicts at k and k + 1, for 2 <= k <= n - 2 and d >= 3,
+    in one pass: the one loop over bound A's inequality.
 
-    The tails over m = n - k - 1 positions are summed from the top as in
-    bound_a_check; those over m + 1 positions follow by Pascal's rule,
-    T_{m+1}(a) = T_m(a) + unit T_m(a - 1), which needs the one term of
-    T_m(a - 1) below T_m(a).  Likewise C(k + 1, i) = C(k, i) + C(k, i - 1).
-    At each i the lhs at k + 1 is no smaller and its rhs no larger, so k + 1
-    fails no later than k and the pass ends where k fails.
+    Both variants read rhs = outside * sum_{j=d-i..m} C(m, j) unit**j, with
+    unit = q - 1 and outside = 1 ("weight"), or unit = 1 and outside =
+    (q-1)**i ("literal").  The tails over m = n - k - 1 positions, those of
+    k + 1, are summed from the top: as i rises the lower limit walks down, so
+    the sum gains terms, updated by ratio.  Those over m + 1 positions follow
+    by Pascal's rule, T_{m+1}(a) = T_m(a) + unit T_m(a - 1), which needs the
+    one term of T_m(a - 1) below T_m(a).  Likewise C(k + 1, i) = C(k, i) +
+    C(k, i - 1).  At each i the lhs at k + 1 is no smaller and its rhs no
+    larger, so k + 1 fails no later than k and the pass ends where k fails.
+    At k = 2 the first verdict is not applicable and the pass runs to the
+    last i.
     """
     m = n - k - 1
     unit = q - 1 if variant == VARIANT_WEIGHT else 1
-    term = unit ** m
+    term = unit ** m  # the summand at the next j to add
     tail = 0
     j = m
     outside = 1
@@ -190,13 +173,13 @@ def _bound_a_pair(n: int, k: int, d: int, q: int,
         if above is None:
             lhs_above, rhs = lhs + (q - 1) * lhs_prev, outside * tail
             if lhs_above > rhs:
-                above = FeasibilityVerdict(REFUTED, witness=i, lhs=lhs_above, rhs=rhs)
+                above = FeasibilityVerdict(REFUTED, i, lhs_above, rhs)
         rhs = outside * (tail + unit * below)
-        if lhs > rhs:
-            return FeasibilityVerdict(REFUTED, witness=i, lhs=lhs, rhs=rhs), above
+        if lhs > rhs and k > 2:
+            return FeasibilityVerdict(REFUTED, i, lhs, rhs), above
         lhs_prev, lhs = lhs, lhs * ((k - i) * (q - 1)) // (i + 1)
-    feasible = FeasibilityVerdict(FEASIBLE)
-    return feasible, feasible if above is None else above
+    first = FeasibilityVerdict(FEASIBLE if k > 2 else NOT_APPLICABLE)
+    return first, above or FeasibilityVerdict(FEASIBLE)
 
 
 def bound_a_max_k(n: int, d: int, q: int,
@@ -207,13 +190,12 @@ def bound_a_max_k(n: int, d: int, q: int,
     Dimensions k <= 2 are outside the bound's guard and can never be
     constrained, hence the floor of 2.  Refutation is monotone in k (the lhs
     grows, the tail shrinks) and every k above _bound_a_cap is refuted, so
-    the search starts at the cap, where one pass (_bound_a_pair) gives the
-    verdicts at the cap and the dimension above it.  If the cap stands, the
-    second is the refutation returned; else the scan steps down with single
-    checks to the first k that bound_a_check admits, and the last refuted
-    verdict is returned.  On every cell tested the answer is at most 2 below
-    the cap, so a call makes at most one pass and two single checks.  A cap
-    of 2 is checked at k = 3 alone.
+    the search starts at the cap and probes with passes only: each
+    _bound_a_pair gives the verdicts at k and k + 1, and the first k whose
+    own verdict is not refuted is the answer, blocked by the verdict above
+    it.  The pass at k = 2 is never refuted, which ends the scan at the
+    floor.  On every cell tested the answer is at most 2 below the cap, so a
+    call makes at most three passes.
     """
     check_query(n, d, q)
     if d < 3:
@@ -222,15 +204,11 @@ def bound_a_max_k(n: int, d: int, q: int,
         raise ValueError(f"bound A needs n >= 4, got n={n}")
     check_variant(variant)
     k = _bound_a_cap(n, d, q, variant)
-    if k < 3:
-        return 2, bound_a_check(n, 3, d, q, variant)
-    verdict, blocked = _bound_a_pair(n, k, d, q, variant)
-    while verdict.refuted:
-        k, blocked = k - 1, verdict
-        if k < 3:
-            break
-        verdict = bound_a_check(n, k, d, q, variant)
-    return k, blocked
+    while True:
+        verdict, blocked = _bound_a_pair(n, k, d, q, variant)
+        if not verdict.refuted:
+            return k, blocked
+        k -= 1
 
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:

@@ -45,6 +45,14 @@ def naive_bound_a_check(n, k, d, q, variant="weight"):
     return ()
 
 
+def naive_verdict(n, k, d, q, variant="weight"):
+    """naive_bound_a_check's answer as the FeasibilityVerdict it stands for."""
+    naive = naive_bound_a_check(n, k, d, q, variant)
+    if naive is None:
+        return FeasibilityVerdict(NOT_APPLICABLE)
+    return FeasibilityVerdict(REFUTED, *naive) if naive else FeasibilityVerdict(FEASIBLE)
+
+
 class TestBoundACheck:
     def test_refuted_with_witness(self):
         v = bound_a_check(20, 16, 4, 2)
@@ -84,6 +92,17 @@ class TestBoundACheck:
                             assert got.status == REFUTED
                             assert (got.witness, got.lhs, got.rhs) == expect
 
+    def test_corners_of_the_pass(self):
+        # k = 3 reads the pass at k = 2, whose own verdict is not applicable,
+        # and k = n - 1 the pass at the top of its domain, k = n - 2
+        corners = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
+        for q in (2, 3, 4, 5, 7):
+            for n, k in corners:
+                for d in range(3, n + 1):
+                    for variant in ("weight", "literal"):
+                        expect = naive_verdict(n, k, d, q, variant)
+                        assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
+
 
 class TestBoundAMaxK:
     @pytest.mark.parametrize("n,d,q,expected", [
@@ -118,20 +137,21 @@ class TestBoundAMaxK:
 
     def test_capped_search_matches_linear_scan(self, monkeypatch):
         # the scan down from the cap against the plain scan from k = 3 up;
-        # a paired pass counts as one probe, the answer is never more than 2
-        # below the cap here, so no call makes more than 3 probes, and the
-        # total pins the scan's cost; each of the 592 cells with a cap of 2
-        # makes the one check at k = 3 that gives the returned verdict
-        probes = []
+        # the search probes with paired passes only, the answer is never more
+        # than 2 below the cap here, so no call makes more than 3 passes, and
+        # the total pins the scan's cost; the linear scan's own checks also
+        # run passes, and only the search's are counted
+        calls = Counter()
 
-        def counting(check):
+        def counting(name, check):
             def probe(*args):
-                probes[-1] += 1
+                calls[name] += 1
                 return check(*args)
             return probe
 
-        monkeypatch.setattr(bounds, "bound_a_check", counting(bound_a_check))
-        monkeypatch.setattr(bounds, "_bound_a_pair", counting(_bound_a_pair))
+        monkeypatch.setattr(bounds, "bound_a_check", counting("check", bound_a_check))
+        monkeypatch.setattr(bounds, "_bound_a_pair", counting("pair", _bound_a_pair))
+        probes = []
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
                 for d in range(3, n + 1):
@@ -141,14 +161,32 @@ class TestBoundAMaxK:
                             if bound_a_check(n, k, d, q, variant).refuted:
                                 break
                             linear = k
-                        probes.append(0)
+                        before = calls.copy()
                         k_max, blocked = bound_a_max_k(n, d, q, variant)
+                        used = calls - before
+                        assert set(used) == {"pair"}, (n, d, q, variant)
+                        probes.append(used["pair"])
                         assert k_max == linear, (n, d, q, variant)
                         assert probes[-1] <= 3, (n, d, q, variant)
                         # the returned verdict is the refutation at k_max + 1
                         assert blocked.refuted, (n, d, q, variant)
                         assert blocked == bound_a_check(n, k_max + 1, d, q, variant), (n, d, q, variant)
-        assert (len(probes), sum(probes)) == (5920, 8396)
+        assert (len(probes), sum(probes)) == (5920, 8577)
+
+    def test_cap_of_two_is_the_pass_at_two(self):
+        # a cap of 2 admits no k >= 3; the pass at k = 2 returns the floor
+        # with the verdict at k = 3, which refutes it
+        cells = 0
+        for q in (2, 3, 5, 7):
+            for n in range(4, 41):
+                for d in range(3, n + 1):
+                    for variant in ("weight", "literal"):
+                        if _bound_a_cap(n, d, q, variant) == 2:
+                            cells += 1
+                            expect = naive_verdict(n, 3, d, q, variant)
+                            assert expect.refuted, (n, d, q, variant)
+                            assert bound_a_max_k(n, d, q, variant) == (2, expect), (n, d, q, variant)
+        assert cells == 592
 
     def test_every_dimension_above_the_cap_is_refuted(self):
         # the closed form refutes nothing that bound_a_check admits
@@ -181,15 +219,15 @@ class TestBoundAMaxK:
         assert probes == [("pair", k_max)], d
 
     def test_pair_matches_two_checks(self):
-        # one pass gives bound_a_check's verdicts at k and k + 1, witness,
-        # lhs and rhs included
+        # one pass gives the plain inequality's verdicts at k and k + 1,
+        # witness, lhs and rhs included; at k = 2 the first is not applicable
         for q in (2, 3, 4, 5, 7):
-            for n in range(5, 41):
+            for n in range(4, 41):
                 for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
-                        for k in range(3, n - 1):
-                            expect = (bound_a_check(n, k, d, q, variant),
-                                      bound_a_check(n, k + 1, d, q, variant))
+                        verdicts = [naive_verdict(n, k, d, q, variant) for k in range(2, n)]
+                        for k in range(2, n - 1):
+                            expect = (verdicts[k - 2], verdicts[k - 1])
                             assert _bound_a_pair(n, k, d, q, variant) == expect, (n, k, d, q, variant)
 
 
@@ -554,6 +592,35 @@ def test_second_source_audit():
     closed, _ = _below_the_closure("literal")
     assert Counter(q for q, _, _ in closed) == {3: 116, 4: 149, 5: 256, 7: 172}
     assert (5, 5, 3) in closed
+
+
+# q -> largest n of the independence floor's grid
+_FLOOR_GRID = {2: 140, 3: 90, 4: 70, 5: 60, 7: 50}
+
+
+def test_independence_floor():
+    """Bound A's cap never falls below three cheap caps that hold for every
+    code, on a grid past the second-source audit's n <= 60.
+
+    The floor is min(H(n, d), H(n-1, d-1), n - d + 1), where H is the
+    floored sphere-packing cap on k and the middle term is one puncture.
+    Under the weight reading A is never below it, on 18 735 cells.  The
+    literal reading, unsound for q > 2, is below it in over a thousand cells
+    at each q > 2.
+    """
+    below, cells = Counter(), 0
+    for q, n_max in _FLOOR_GRID.items():
+        h = {(n, d): floor_log_q(hamming_max_size(n, d, q), q)
+             for n in range(3, n_max + 1) for d in range(2, n + 1)}
+        for n in range(4, n_max + 1):
+            for d in range(3, n + 1):
+                cells += 1
+                floor = min(h[n, d], h[n - 1, d - 1], n - d + 1)
+                for variant in ("weight", "literal"):
+                    if bound_a_max_k(n, d, q, variant)[0] < floor:
+                        below[q, variant] += 1
+    assert cells == 18735
+    assert below == {(3, "literal"): 1155, (4, "literal"): 1229, (5, "literal"): 1175, (7, "literal"): 1050}
 
 
 def test_bound_table_contents():

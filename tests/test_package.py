@@ -3,7 +3,9 @@ names that bench/tracer.py wraps."""
 
 import ast
 import importlib
+import io
 import runpy
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +20,27 @@ def _imports(path: Path) -> list[ast.Import | ast.ImportFrom]:
     """Every import statement of a file, those inside functions included."""
     return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _code_lines(path: Path) -> int:
+    """Lines of a file that are neither blank, comment nor docstring."""
+    text = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    lines = {line for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+             if tok.type not in layout for line in range(tok.start[0], tok.end[0] + 1)}
+    return len(lines - docstrings)
+
+
+def test_code_line_count_pinned():
+    # the package's size in code lines; a change that moves it updates the
+    # pin and reports the count before and after
+    assert sum(_code_lines(path) for path in PACKAGE.glob("*.py")) == 807
 
 
 def test_exported_names_exist():
