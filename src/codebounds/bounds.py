@@ -99,8 +99,9 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     sum C(m, j)(q-1)**j; variant "literal": (q-1)**i * sum C(m, j)).  Returns
     the first violated i as the refutation witness.
 
-    The verdict is the second of _bound_a_pair's at k - 1, the one loop over
-    the inequality; a check costs O(n) big-integer operations.
+    The verdict is the first of _bound_a_pair's at k, the one loop over the
+    inequality, which ends at k's own witness; a check costs O(n) big-integer
+    operations.
     """
     check_query(n, d, q)
     check_variant(variant)
@@ -108,7 +109,7 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
         raise ValueError(f"dimension must be positive, got k={k}")
     if k <= 2 or k >= n or d < 3:
         return FeasibilityVerdict(NOT_APPLICABLE)
-    return _bound_a_pair(n, k - 1, d, q, variant)[1]
+    return _bound_a_pair(n, k, d, q, variant)[0]
 
 
 def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
@@ -139,7 +140,7 @@ def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
 
 def _bound_a_pair(n: int, k: int, d: int, q: int,
                   variant: str) -> tuple[FeasibilityVerdict, FeasibilityVerdict]:
-    """Bound A's verdicts at k and k + 1, for 2 <= k <= n - 2 and d >= 3,
+    """Bound A's verdicts at k and k + 1, for 3 <= k <= n - 1 and d >= 3,
     in one pass: the one loop over bound A's inequality.
 
     Both variants read rhs = outside * sum_{j=d-i..m} C(m, j) unit**j, with
@@ -151,8 +152,8 @@ def _bound_a_pair(n: int, k: int, d: int, q: int,
     one term of T_m(a - 1) below T_m(a).  Likewise C(k + 1, i) = C(k, i) +
     C(k, i - 1).  At each i the lhs at k + 1 is no smaller and its rhs no
     larger, so k + 1 fails no later than k and the pass ends where k fails.
-    At k = 2 the first verdict is not applicable and the pass runs to the
-    last i.
+    At k = n - 1, m = 0 and k is refuted at i = 1 with rhs = 0; the verdict
+    at k + 1 = n, outside bound_a_check's guard, is read by no caller.
     """
     m = n - k - 1
     unit = q - 1 if variant == VARIANT_WEIGHT else 1
@@ -175,11 +176,10 @@ def _bound_a_pair(n: int, k: int, d: int, q: int,
             if lhs_above > rhs:
                 above = FeasibilityVerdict(REFUTED, i, lhs_above, rhs)
         rhs = outside * (tail + unit * below)
-        if lhs > rhs and k > 2:
+        if lhs > rhs:
             return FeasibilityVerdict(REFUTED, i, lhs, rhs), above
         lhs_prev, lhs = lhs, lhs * ((k - i) * (q - 1)) // (i + 1)
-    first = FeasibilityVerdict(FEASIBLE if k > 2 else NOT_APPLICABLE)
-    return first, above or FeasibilityVerdict(FEASIBLE)
+    return FeasibilityVerdict(FEASIBLE), above or FeasibilityVerdict(FEASIBLE)
 
 
 def bound_a_max_k(n: int, d: int, q: int,
@@ -193,9 +193,10 @@ def bound_a_max_k(n: int, d: int, q: int,
     the search starts at the cap and probes with passes only: each
     _bound_a_pair gives the verdicts at k and k + 1, and the first k whose
     own verdict is not refuted is the answer, blocked by the verdict above
-    it.  The pass at k = 2 is never refuted, which ends the scan at the
-    floor.  On every cell tested the answer is at most 2 below the cap, so a
-    call makes at most three passes.
+    it.  When the pass at k = 3 refutes 3 too, the answer is the floor,
+    blocked by that verdict; a cap of 2 is the pass at 3 alone.  On every
+    cell tested the answer is at most 2 below the cap, so a call makes at
+    most three passes.
     """
     check_query(n, d, q)
     if d < 3:
@@ -203,12 +204,11 @@ def bound_a_max_k(n: int, d: int, q: int,
     if n < 4:
         raise ValueError(f"bound A needs n >= 4, got n={n}")
     check_variant(variant)
-    k = _bound_a_cap(n, d, q, variant)
-    while True:
+    for k in range(max(3, _bound_a_cap(n, d, q, variant)), 2, -1):
         verdict, blocked = _bound_a_pair(n, k, d, q, variant)
         if not verdict.refuted:
             return k, blocked
-        k -= 1
+    return 2, verdict
 
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:

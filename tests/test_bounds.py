@@ -53,6 +53,10 @@ def naive_verdict(n, k, d, q, variant="weight"):
     return FeasibilityVerdict(REFUTED, *naive) if naive else FeasibilityVerdict(FEASIBLE)
 
 
+# (n, k) at the ends of the pass's domain 3 <= k <= n - 1
+_PASS_CORNERS = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
+
+
 class TestBoundACheck:
     def test_refuted_with_witness(self):
         v = bound_a_check(20, 16, 4, 2)
@@ -93,15 +97,32 @@ class TestBoundACheck:
                             assert (got.witness, got.lhs, got.rhs) == expect
 
     def test_corners_of_the_pass(self):
-        # k = 3 reads the pass at k = 2, whose own verdict is not applicable,
-        # and k = n - 1 the pass at the top of its domain, k = n - 2
-        corners = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
+        # k = 3 is the bottom of the pass's domain, and k = n - 1 its top,
+        # where the tail over n - k - 1 = 0 positions is empty
         for q in (2, 3, 4, 5, 7):
-            for n, k in corners:
+            for n, k in _PASS_CORNERS:
                 for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
                         expect = naive_verdict(n, k, d, q, variant)
                         assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
+
+    def test_check_makes_one_pass_at_its_own_dimension(self, monkeypatch):
+        # a check is the first verdict of the pass at its own k, not the
+        # second of the pass below it
+        passes = []
+
+        def recording(n, k, *args):
+            passes.append(k)
+            return _bound_a_pair(n, k, *args)
+
+        monkeypatch.setattr(bounds, "_bound_a_pair", recording)
+        for q in (2, 3, 4, 5, 7):
+            for n, k in _PASS_CORNERS:
+                for d in range(3, n + 1):
+                    for variant in ("weight", "literal"):
+                        passes.clear()
+                        bound_a_check(n, k, d, q, variant)
+                        assert passes == [k], (n, k, d, q, variant)
 
 
 class TestBoundAMaxK:
@@ -171,11 +192,18 @@ class TestBoundAMaxK:
                         # the returned verdict is the refutation at k_max + 1
                         assert blocked.refuted, (n, d, q, variant)
                         assert blocked == bound_a_check(n, k_max + 1, d, q, variant), (n, d, q, variant)
-        assert (len(probes), sum(probes)) == (5920, 8577)
+        assert (len(probes), sum(probes)) == (5920, 8396)
 
-    def test_cap_of_two_is_the_pass_at_two(self):
-        # a cap of 2 admits no k >= 3; the pass at k = 2 returns the floor
-        # with the verdict at k = 3, which refutes it
+    def test_cap_of_two_is_the_pass_at_three(self, monkeypatch):
+        # a cap of 2 admits no k >= 3; the one pass, at k = 3, refutes 3 and
+        # the search returns the floor with that verdict
+        passes = []
+
+        def recording(n, k, *args):
+            passes.append(k)
+            return _bound_a_pair(n, k, *args)
+
+        monkeypatch.setattr(bounds, "_bound_a_pair", recording)
         cells = 0
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
@@ -185,7 +213,9 @@ class TestBoundAMaxK:
                             cells += 1
                             expect = naive_verdict(n, 3, d, q, variant)
                             assert expect.refuted, (n, d, q, variant)
+                            passes.clear()
                             assert bound_a_max_k(n, d, q, variant) == (2, expect), (n, d, q, variant)
+                            assert passes == [3], (n, d, q, variant)
         assert cells == 592
 
     def test_every_dimension_above_the_cap_is_refuted(self):
@@ -200,10 +230,10 @@ class TestBoundAMaxK:
                             assert bound_a_check(n, k, d, q, variant).refuted, (n, k, d, q, variant)
 
     @pytest.mark.parametrize("d", [94, 95, 96])
-    def test_gate_query_makes_two_probes(self, monkeypatch, d):
-        # bound A's answer at (500, d, 2) is its cap: its two probes, the
-        # cap and the refutation at k_max + 1 that the result carries, are
-        # one paired pass, and no single check is made
+    def test_gate_query_makes_one_pass(self, monkeypatch, d):
+        # bound A's answer at (500, d, 2) is its cap: the cap and the
+        # refutation at k_max + 1 that the result carries come from one
+        # paired pass, and no single check is made
         probes = []
 
         def counting(name, check):
@@ -220,15 +250,18 @@ class TestBoundAMaxK:
 
     def test_pair_matches_two_checks(self):
         # one pass gives the plain inequality's verdicts at k and k + 1,
-        # witness, lhs and rhs included; at k = 2 the first is not applicable
+        # witness, lhs and rhs included, for 3 <= k <= n - 1; the verdict at
+        # k + 1 = n is outside the check's guard and read by no caller
         for q in (2, 3, 4, 5, 7):
             for n in range(4, 41):
                 for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
-                        verdicts = [naive_verdict(n, k, d, q, variant) for k in range(2, n)]
-                        for k in range(2, n - 1):
-                            expect = (verdicts[k - 2], verdicts[k - 1])
-                            assert _bound_a_pair(n, k, d, q, variant) == expect, (n, k, d, q, variant)
+                        verdicts = {k: naive_verdict(n, k, d, q, variant) for k in range(3, n)}
+                        for k in range(3, n):
+                            first, second = _bound_a_pair(n, k, d, q, variant)
+                            assert first == verdicts[k], (n, k, d, q, variant)
+                            if k <= n - 2:
+                                assert second == verdicts[k + 1], (n, k, d, q, variant)
 
 
 class TestBoundARefutation:
@@ -621,6 +654,39 @@ def test_independence_floor():
                         below[q, variant] += 1
     assert cells == 18735
     assert below == {(3, "literal"): 1155, (4, "literal"): 1229, (5, "literal"): 1175, (7, "literal"): 1050}
+
+
+# q -> largest n of the grid on which Hamming's bound implies A's i = t test
+_HAMMING_GRID = {2: 84, 3: 54, 4: 42, 5: 36, 7: 30}
+
+
+def test_hamming_implies_the_last_test_of_a():
+    """At odd d = 2t + 1, wherever Hamming's bound admits k, bound A's
+    inequality at i = t holds under the weight reading.
+
+    Vandermonde's identity splits a radius-t ball over n = k + m positions by
+    the weight a in the first k:  V_n(t) = sum_{a + b <= t} C(k, a) C(m, b)
+    (q-1)**(a+b) >= V_m(t) + C(k, t)(q-1)**t.  Hamming at k is q**k V_n(t)
+    <= q**n, so C(k, t)(q-1)**t <= q**m - V_m(t), the tail of weight >= t + 1
+    = d - t over m positions: A's rhs at i = t.  So wherever A refutes a k
+    that Hamming admits, its witness is below t: on this grid A refutes 539
+    of the 44 206 dimensions Hamming admits.
+    """
+    cells = below = 0
+    for q, n_max in _HAMMING_GRID.items():
+        for n in range(4, n_max + 1):
+            for d in range(3, n + 1, 2):
+                t = (d - 1) // 2
+                for k in range(3, min(floor_log_q(hamming_max_size(n, d, q), q), n - 1) + 1):
+                    cells += 1
+                    m = n - k
+                    tail = sum(comb(m, j) * (q - 1) ** j for j in range(t + 1, m + 1))
+                    assert comb(k, t) * (q - 1) ** t <= tail, (n, k, d, q)
+                    verdict = bound_a_check(n, k, d, q)
+                    if verdict.refuted:
+                        below += 1
+                        assert verdict.witness < t, (n, k, d, q)
+    assert (cells, below) == (44206, 539)
 
 
 def test_bound_table_contents():
