@@ -53,6 +53,18 @@ def naive_verdict(n, k, d, q, variant="weight"):
     return FeasibilityVerdict(REFUTED, *naive) if naive else FeasibilityVerdict(FEASIBLE)
 
 
+def _record_passes(monkeypatch):
+    """The list to which each later _bound_a_pair call appends its k."""
+    passes = []
+
+    def recording(n, k, *args):
+        passes.append(k)
+        return _bound_a_pair(n, k, *args)
+
+    monkeypatch.setattr(bounds, "_bound_a_pair", recording)
+    return passes
+
+
 # (n, k) at the ends of the pass's domain 3 <= k <= n - 1
 _PASS_CORNERS = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
 
@@ -109,13 +121,7 @@ class TestBoundACheck:
     def test_check_makes_one_pass_at_its_own_dimension(self, monkeypatch):
         # a check is the first verdict of the pass at its own k, not the
         # second of the pass below it
-        passes = []
-
-        def recording(n, k, *args):
-            passes.append(k)
-            return _bound_a_pair(n, k, *args)
-
-        monkeypatch.setattr(bounds, "_bound_a_pair", recording)
+        passes = _record_passes(monkeypatch)
         for q in (2, 3, 4, 5, 7):
             for n, k in _PASS_CORNERS:
                 for d in range(3, n + 1):
@@ -197,13 +203,7 @@ class TestBoundAMaxK:
     def test_cap_of_two_is_the_pass_at_three(self, monkeypatch):
         # a cap of 2 admits no k >= 3; the one pass, at k = 3, refutes 3 and
         # the search returns the floor with that verdict
-        passes = []
-
-        def recording(n, k, *args):
-            passes.append(k)
-            return _bound_a_pair(n, k, *args)
-
-        monkeypatch.setattr(bounds, "_bound_a_pair", recording)
+        passes = _record_passes(monkeypatch)
         cells = 0
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
