@@ -176,6 +176,7 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
     check_linear_alphabet(args.q, args.budget)
     failures = 0
     checked = 0
+    confirmed = None  # the last (n, k) whose search found no code
     for n in range(4, args.n_max + 1):
         refuted = [(k, d) for k in range(3, min(args.k_max, n - 1) + 1)
                    for d in range(3, min(args.d_max, n) + 1)
@@ -185,10 +186,15 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
         # no longer n has a refutation either
         if not refuted and n > args.k_max and n >= args.d_max:
             break
+        # the d of each (n, k) come in ascending order, and a code reaching d
+        # reaches every smaller d: once a search at (n, k) finds no code,
+        # every larger refuted d of that (n, k) is confirmed without one
         for k, d in refuted:
-            code = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
+            if (n, k) != confirmed:
+                code = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
             checked += 1
             if code is None:
+                confirmed = (n, k)
                 print(f"(n={n}, k={k}, d={d}) refuted: confirmed")
             else:
                 failures += 1

@@ -34,11 +34,14 @@ The cross-check runs one search per refuted triple, chosen by the budget:
 the nonlinear search where all systematic codes fit in it, since every
 standard-form code is one of them, and the linear search at the refuted d
 elsewhere.  It returns None when the search finds no code, else the words
-of the first code it finds.
+of the first code it finds.  A code reaching d reaches every smaller d, so
+oracle refute-check cross-checks each (n, k) at its smallest refuted d
+only, and at a larger d only after a search there found a code.
 """
 
 from itertools import combinations, product
 from math import isqrt
+from operator import ne
 from typing import Optional
 
 from .bounds import bound_a_check
@@ -87,7 +90,7 @@ def check_linear_alphabet(q: int, budget: int) -> None:
 
 
 def _symbol_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(1 for a, b in zip(u, v) if a != b)
+    return sum(map(ne, u, v))
 
 
 def min_distance(words: tuple[tuple[int, ...], ...]) -> int:

@@ -11,6 +11,8 @@ import shlex
 import subprocess
 import sys
 import threading
+from collections import Counter
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +24,7 @@ from conftest import refuting_also
 from codebounds import cli, golden, levenshtein, oracle
 from codebounds.bounds import bound_a_check, best_upper_k
 from codebounds.cli import main
+from codebounds.exactmath import EnumerationBudgetError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -326,27 +329,67 @@ class TestOracleCommands:
                            "--n-max", n_max, "--k-max", k_max, "--d-max", "2")
         assert (rc, out, err) == (2, "", f"error: linear enumeration needs a prime alphabet, got q={q}\n")
 
-    def test_refute_check_one_linear_search_per_refutation(self, capsys, monkeypatch):
-        # the bench's q = 3 box: no nonlinear search fits, so each of its 33
-        # refutations makes exactly one linear search, at its own d
-        calls = {"tail": 0, "best_d": 0}
-        first_tail, best_d = oracle._first_linear_tail, oracle.best_linear_d_witness
-
-        def tail(*args):
-            calls["tail"] += 1
-            return first_tail(*args)
-
-        def best(*args, **kwargs):
-            calls["best_d"] += 1
-            return best_d(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_first_linear_tail", tail)
-        monkeypatch.setattr(oracle, "best_linear_d_witness", best)
-        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "3", "--n-max", "7",
-                         "--k-max", "6", "--d-max", "7")
+    @pytest.mark.parametrize("box,refutations,searches", [
+        # the bench's q = 2 box: all systematic codes fit the budget, and its
+        # 2 refutations lie at 2 (n, k), so 2 nonlinear searches
+        (("2", "5", "3", "3"), 2, {"_first_nonlinear_code": 2}),
+        # the bench's q = 3 box: no nonlinear search fits; its 33
+        # refutations lie at 10 (n, k), each confirmed by one linear search
+        # at its smallest refuted d
+        (("3", "7", "6", "7"), 33, {"_first_linear_tail": 10}),
+    ], ids=["q2", "q3"])
+    def test_refute_check_one_search_per_n_k(self, capsys, monkeypatch, box, refutations, searches):
+        log = _record_searches(monkeypatch)
+        q, n_max, k_max, d_max = box
+        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", q, "--n-max", n_max,
+                         "--k-max", k_max, "--d-max", d_max)
         assert rc == 0
-        assert out.endswith("33 refutations cross-checked, 0 contradictions\n")
-        assert calls == {"tail": 33, "best_d": 0}
+        assert out.endswith(f"{refutations} refutations cross-checked, 0 contradictions\n")
+        assert Counter(name for name, *_ in log) == searches
+
+    def test_contradiction_searches_the_next_d(self, capsys, monkeypatch):
+        # the literal box of test_literal_contradiction_output: (4, 3) is
+        # confirmed at d = 3 alone; at (5, 3) the search at d = 3 finds the
+        # Reed-Solomon code, so d = 4 gets a search of its own, which
+        # confirms it and with it d = 5: 3 searches for 5 refutations
+        log = _record_searches(monkeypatch)
+        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "5", "--n-max", "5",
+                         "--k-max", "3", "--d-max", "5", "--variant-a", "literal")
+        assert rc == 1
+        assert out.endswith("5 refutations cross-checked, 1 contradictions\n")
+        assert log == [("_first_linear_tail", 4, 3, 3), ("_first_linear_tail", 5, 3, 3),
+                       ("_first_linear_tail", 5, 3, 4)]
+
+    @pytest.mark.parametrize("variant", ["weight", "literal"])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_refute_check_matches_a_search_per_triple(self, capsys, q, variant):
+        # the command against a loop that cross-checks every refuted triple
+        # of the box on its own; boxes that end in a budget refusal and
+        # boxes that hold a contradiction (q = 5 under "literal") are among
+        # them, and the budget of 2**12 admits the nonlinear search at
+        # (n, k) = (4, 3) over q = 2 only
+        for (n_max, k_max, d_max), budget in product(
+                [(5, 3, 5), (6, 5, 4), (7, 6, 7), (8, 4, 8), (8, 7, 3)], [10 ** 7, 2 ** 12]):
+            lines, failures = [], 0
+            try:
+                for n in range(4, n_max + 1):
+                    for k in range(3, min(k_max, n - 1) + 1):
+                        for d in range(3, min(d_max, n) + 1):
+                            if bound_a_check(n, k, d, q, variant).refuted:
+                                code = oracle.refutation_crosscheck(n, k, d, q, variant, budget)
+                                failures += code is not None
+                                lines.append(f"(n={n}, k={k}, d={d}) refuted: " + (
+                                    "confirmed" if code is None else
+                                    f"CONTRADICTION, oracle found a code with distance >= {d}"))
+                lines.append(f"{len(lines)} refutations cross-checked, {failures} contradictions")
+                rc = 1 if failures else 0
+            except EnumerationBudgetError:
+                rc = 2
+            expected = "".join(line + "\n" for line in lines)
+            got = run(capsys, "oracle", "refute-check", "--q", str(q), "--n-max", str(n_max),
+                      "--k-max", str(k_max), "--d-max", str(d_max), "--variant-a", variant,
+                      "--budget", str(budget))
+            assert got[:2] == (rc, expected), (n_max, k_max, d_max, budget)
 
     def test_nonlinear_contradiction_output(self, capsys, monkeypatch):
         # bound A made unsound at (6, 3, 3) over q = 2, where a code of
@@ -401,6 +444,19 @@ class TestOracleCommands:
             "(n=5, k=3, d=5) refuted: confirmed\n"
             "5 refutations cross-checked, 1 contradictions\n"
         )
+
+
+def _record_searches(monkeypatch):
+    """Log each call of the oracle's two searches as (search, n, k, d), and
+    of best_linear_d_witness as (name, n, k, q)."""
+    log = []
+    for name in ("_first_linear_tail", "_first_nonlinear_code", "best_linear_d_witness"):
+        def logged(n, k, *args, _name=name, _search=getattr(oracle, name), **kwargs):
+            log.append((_name, n, k, args[0]))
+            return _search(n, k, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, logged)
+    return log
 
 
 def _python(*args, timeout=60):
@@ -624,7 +680,7 @@ class TestParserReuse:
         runs = {cmd: {"stdout": hashlib.sha256(out.encode()).hexdigest(),
                       "stderr": hashlib.sha256(err.encode()).hexdigest(), "exit": rc}
                 for cmd, (out, err, rc) in zip(_REUSE_COMMANDS, fresh) if cmd in pinned}
-        assert len(runs) == 4 and runs == {cmd: pinned[cmd] for cmd in runs}
+        assert len(runs) == 5 and runs == {cmd: pinned[cmd] for cmd in runs}
 
 
 # help and usage errors, whose text argparse alone writes; recorded before the
@@ -664,6 +720,7 @@ CLI_DIGEST_COMMANDS = [
     "oracle best-d --q 5 --n 5 --k 3",
     "table --q 2 --n-range 100..160 --d-range 45..160 --bounds a --format csv",
     "table --q 3 --n-range 60..120 --d-range 30..120 --bounds a --variant-a literal --format csv",
+    "oracle refute-check --q 5 --n-max 5 --k-max 3 --d-max 5 --variant-a literal",
     *_ARGPARSE_COMMANDS,
 ]
 
@@ -701,9 +758,10 @@ def test_outputs_match_pinned_digests():
     returned a generator object, the two bound-A tables at large d (q = 2
     under "weight", q = 3 under "literal") while bound_a_max_k still probed
     its cap and one below it and then bisected under them, as it did in
-    most of their cells, and the help and usage errors of
-    _ARGPARSE_COMMANDS while argparse still read every command line.  The
-    file was made from the repository root with
+    most of their cells, the literal-variant contradiction box while
+    refute-check still searched at every refuted d, and the help and usage
+    errors of _ARGPARSE_COMMANDS while argparse still read every command
+    line.  The file was made from the repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
     """

@@ -59,6 +59,14 @@ class TestWord:
         assert weight((0, 0, 0)) == 0
         assert weight(u) == 3
 
+    def test_symbol_distance_matches_reference(self):
+        # the distance the nonlinear search builds its tables from, against
+        # the reference on every pair of words
+        for q, length in product((2, 3), range(5)):
+            words = list(product(range(q), repeat=length))
+            assert all(oracle._symbol_distance(u, v) == hamming_distance(u, v)
+                       for u in words for v in words), (q, length)
+
     def test_incompatible_words_rejected(self):
         with pytest.raises(ValueError):
             hamming_distance((0, 1), (0, 1, 0))
