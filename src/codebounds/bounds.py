@@ -99,9 +99,9 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
     sum C(m, j)(q-1)**j; variant "literal": (q-1)**i * sum C(m, j)).  Returns
     the first violated i as the refutation witness.
 
-    The verdict is the first of _bound_a_pair's at k, the one loop over the
-    inequality, which ends at k's own witness; a check costs O(n) big-integer
-    operations.
+    This is the one loop over the inequality.  The per-i terms are updated
+    by ratio rather than recomputed, so a full check costs O(n) big-integer
+    operations, and a check ends at its own witness.
     """
     check_query(n, d, q)
     check_variant(variant)
@@ -109,14 +109,36 @@ def bound_a_check(n: int, k: int, d: int, q: int, variant: str = VARIANT_WEIGHT)
         raise ValueError(f"dimension must be positive, got k={k}")
     if k <= 2 or k >= n or d < 3:
         return FeasibilityVerdict(NOT_APPLICABLE)
-    return _bound_a_pair(n, k, d, q, variant)[0]
+
+    # Both variants read rhs = outside * sum_{j=d-i..m} C(m, j) unit**j, with
+    # unit = q - 1 and outside = 1 ("weight"), or unit = 1 and outside =
+    # (q-1)**i ("literal").  As i rises the lower limit walks down, so the sum
+    # gains terms; term is its summand at the next j to add.
+    m = n - k
+    unit = q - 1 if variant == VARIANT_WEIGHT else 1
+    term = unit ** m
+    tail = 0
+    j = m
+    outside = 1
+    lhs = k * (q - 1)  # C(k, 1)(q-1)**1
+    for i in range(1, (d - 1) // 2 + 1):
+        outside *= (q - 1) // unit
+        while j >= d - i:
+            tail += term
+            term = term * j // ((m - j + 1) * unit)
+            j -= 1
+        rhs = outside * tail
+        if lhs > rhs:
+            return FeasibilityVerdict(REFUTED, i, lhs, rhs)
+        lhs = lhs * ((k - i) * (q - 1)) // (i + 1)
+    return FeasibilityVerdict(FEASIBLE)
 
 
 def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
     """Largest k in 3..n-d+1 with C(k, t) unit**t <= (1 + unit)**(n-k), where
-    t = (d-1)//2 and unit is as in _bound_a_pair; 2 when there is none.
+    t = (d-1)//2 and unit is as in bound_a_check; 2 when there is none.
 
-    Every k above the cap is refuted by bound A.  Above n - d + 1
+    Every k above the cap is refuted by bound_a_check.  Above n - d + 1
     (Singleton's bound) the n - k < d - 1 tail positions cannot carry weight
     d - 1, so the tail is empty at i = 1.  Elsewhere, at i = t the check
     compares C(k, t)(q-1)**t with outside * tail, where outside * unit**t =
@@ -138,50 +160,6 @@ def _bound_a_cap(n: int, d: int, q: int, variant: str) -> int:
     return hi
 
 
-def _bound_a_pair(n: int, k: int, d: int, q: int,
-                  variant: str) -> tuple[FeasibilityVerdict, FeasibilityVerdict]:
-    """Bound A's verdicts at k and k + 1, for 3 <= k <= n - 1 and d >= 3,
-    in one pass: the one loop over bound A's inequality.
-
-    Both variants read rhs = outside * sum_{j=d-i..m} C(m, j) unit**j, with
-    unit = q - 1 and outside = 1 ("weight"), or unit = 1 and outside =
-    (q-1)**i ("literal").  The tails over m = n - k - 1 positions, those of
-    k + 1, are summed from the top: as i rises the lower limit walks down, so
-    the sum gains terms, updated by ratio.  Those over m + 1 positions follow
-    by Pascal's rule, T_{m+1}(a) = T_m(a) + unit T_m(a - 1), which needs the
-    one term of T_m(a - 1) below T_m(a).  Likewise C(k + 1, i) = C(k, i) +
-    C(k, i - 1).  At each i the lhs at k + 1 is no smaller and its rhs no
-    larger, so k + 1 fails no later than k and the pass ends where k fails.
-    At k = n - 1, m = 0 and k is refuted at i = 1 with rhs = 0; the verdict
-    at k + 1 = n, outside bound_a_check's guard, is read by no caller.
-    """
-    m = n - k - 1
-    unit = q - 1 if variant == VARIANT_WEIGHT else 1
-    term = unit ** m  # the summand at the next j to add
-    tail = 0
-    j = m
-    outside = 1
-    lhs_prev, lhs = 1, k * (q - 1)  # C(k, i-1)(q-1)**(i-1) and C(k, i)(q-1)**i
-    above = None  # the verdict at k + 1, once refuted
-    for i in range(1, (d - 1) // 2 + 1):
-        outside *= (q - 1) // unit
-        while j >= d - i:
-            tail += term
-            term = term * j // ((m - j + 1) * unit)
-            j -= 1
-        # T_m(d - i - 1): term is its one summand below tail, when m reaches it
-        below = tail + term if j == d - i - 1 else tail
-        if above is None:
-            lhs_above, rhs = lhs + (q - 1) * lhs_prev, outside * tail
-            if lhs_above > rhs:
-                above = FeasibilityVerdict(REFUTED, i, lhs_above, rhs)
-        rhs = outside * (tail + unit * below)
-        if lhs > rhs:
-            return FeasibilityVerdict(REFUTED, i, lhs, rhs), above
-        lhs_prev, lhs = lhs, lhs * ((k - i) * (q - 1)) // (i + 1)
-    return FeasibilityVerdict(FEASIBLE), above or FeasibilityVerdict(FEASIBLE)
-
-
 def bound_a_max_k(n: int, d: int, q: int,
                   variant: str = VARIANT_WEIGHT) -> tuple[int, FeasibilityVerdict]:
     """Largest k in 3..n-1 not refuted by bound A (2 when even k = 3 fails),
@@ -190,13 +168,12 @@ def bound_a_max_k(n: int, d: int, q: int,
     Dimensions k <= 2 are outside the bound's guard and can never be
     constrained, hence the floor of 2.  Refutation is monotone in k (the lhs
     grows, the tail shrinks) and every k above _bound_a_cap is refuted, so
-    the search starts at the cap and probes with passes only: each
-    _bound_a_pair gives the verdicts at k and k + 1, and the first k whose
-    own verdict is not refuted is the answer, blocked by the verdict above
-    it.  When the pass at k = 3 refutes 3 too, the answer is the floor,
-    blocked by that verdict; a cap of 2 is the pass at 3 alone.  On every
-    cell tested the answer is at most 2 below the cap, so a call makes at
-    most three passes.
+    the search checks the cap, cap - 1, ... down to the first k that
+    bound_a_check does not refute, or to the floor; the verdict that blocks
+    the answer is that of the step before.  When the cap stands, it comes
+    from one more check at cap + 1, which is at most n - d + 2 <= n - 1; a
+    cap of 2 is the check at 3 alone.  On every cell tested the answer is at
+    most 2 below the cap, so a call makes at most three checks.
     """
     check_query(n, d, q)
     if d < 3:
@@ -204,11 +181,11 @@ def bound_a_max_k(n: int, d: int, q: int,
     if n < 4:
         raise ValueError(f"bound A needs n >= 4, got n={n}")
     check_variant(variant)
-    for k in range(max(3, _bound_a_cap(n, d, q, variant)), 2, -1):
-        verdict, blocked = _bound_a_pair(n, k, d, q, variant)
-        if not verdict.refuted:
-            return k, blocked
-    return 2, verdict
+    k = _bound_a_cap(n, d, q, variant)
+    blocked = None
+    while k >= 3 and (verdict := bound_a_check(n, k, d, q, variant)).refuted:
+        k, blocked = k - 1, verdict
+    return k, blocked or bound_a_check(n, k + 1, d, q, variant)
 
 
 def griesmer_max_k(n: int, d: int, q: int) -> int:

@@ -17,7 +17,6 @@ from codebounds.bounds import (
     BoundResult,
     FeasibilityVerdict,
     _bound_a_cap,
-    _bound_a_pair,
     best_upper_k,
     bound_a_check,
     bound_a_max_k,
@@ -53,20 +52,21 @@ def naive_verdict(n, k, d, q, variant="weight"):
     return FeasibilityVerdict(REFUTED, *naive) if naive else FeasibilityVerdict(FEASIBLE)
 
 
-def _record_passes(monkeypatch):
-    """The list to which each later _bound_a_pair call appends its k."""
-    passes = []
+def _record_checks(monkeypatch):
+    """The list to which each later bound_a_check call on the module
+    appends its k."""
+    checks = []
 
     def recording(n, k, *args):
-        passes.append(k)
-        return _bound_a_pair(n, k, *args)
+        checks.append(k)
+        return bound_a_check(n, k, *args)
 
-    monkeypatch.setattr(bounds, "_bound_a_pair", recording)
-    return passes
+    monkeypatch.setattr(bounds, "bound_a_check", recording)
+    return checks
 
 
-# (n, k) at the ends of the pass's domain 3 <= k <= n - 1
-_PASS_CORNERS = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
+# (n, k) at the ends of the check's domain 3 <= k <= n - 1
+_CHECK_CORNERS = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
 
 
 class TestBoundACheck:
@@ -93,42 +93,26 @@ class TestBoundACheck:
         with pytest.raises(ValueError):
             bound_a_check(5, 3, 6, 2)
 
-    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
     def test_incremental_matches_naive(self, q):
-        # the ratio-update arithmetic against the plain formula, both variants
-        for n in range(4, 26):
+        # the ratio-update arithmetic against the plain formula, witness,
+        # lhs and rhs included, at every k of the check's domain, both variants
+        for n in range(4, 41):
             for d in range(3, n + 1):
                 for k in range(3, n):
-                    for variant in ("weight", "literal"):
-                        expect = naive_bound_a_check(n, k, d, q, variant)
-                        got = bound_a_check(n, k, d, q, variant)
-                        if expect == ():
-                            assert got.status == FEASIBLE, (n, k, d, q, variant)
-                        else:
-                            assert got.status == REFUTED
-                            assert (got.witness, got.lhs, got.rhs) == expect
-
-    def test_corners_of_the_pass(self):
-        # k = 3 is the bottom of the pass's domain, and k = n - 1 its top,
-        # where the tail over n - k - 1 = 0 positions is empty
-        for q in (2, 3, 4, 5, 7):
-            for n, k in _PASS_CORNERS:
-                for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
                         expect = naive_verdict(n, k, d, q, variant)
                         assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
 
-    def test_check_makes_one_pass_at_its_own_dimension(self, monkeypatch):
-        # a check is the first verdict of the pass at its own k, not the
-        # second of the pass below it
-        passes = _record_passes(monkeypatch)
+    def test_corners_of_the_pass(self):
+        # k = 3 is the bottom of the check's domain, and k = n - 1 its top,
+        # where the tail over n - k = 1 position carries weight 1 at most
         for q in (2, 3, 4, 5, 7):
-            for n, k in _PASS_CORNERS:
+            for n, k in _CHECK_CORNERS:
                 for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
-                        passes.clear()
-                        bound_a_check(n, k, d, q, variant)
-                        assert passes == [k], (n, k, d, q, variant)
+                        expect = naive_verdict(n, k, d, q, variant)
+                        assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
 
 
 class TestBoundAMaxK:
@@ -164,20 +148,11 @@ class TestBoundAMaxK:
 
     def test_capped_search_matches_linear_scan(self, monkeypatch):
         # the scan down from the cap against the plain scan from k = 3 up;
-        # the search probes with paired passes only, the answer is never more
-        # than 2 below the cap here, so no call makes more than 3 passes, and
-        # the total pins the scan's cost; the linear scan's own checks also
-        # run passes, and only the search's are counted
-        calls = Counter()
-
-        def counting(name, check):
-            def probe(*args):
-                calls[name] += 1
-                return check(*args)
-            return probe
-
-        monkeypatch.setattr(bounds, "bound_a_check", counting("check", bound_a_check))
-        monkeypatch.setattr(bounds, "_bound_a_pair", counting("pair", _bound_a_pair))
+        # the search probes through bound_a_check on the module, the answer
+        # is never more than 2 below the cap here, so no call makes more than
+        # 3 checks, and the total pins the scan's cost; the linear scan calls
+        # the check it imported, so only the search's checks are recorded
+        checks = _record_checks(monkeypatch)
         probes = []
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
@@ -188,22 +163,20 @@ class TestBoundAMaxK:
                             if bound_a_check(n, k, d, q, variant).refuted:
                                 break
                             linear = k
-                        before = calls.copy()
+                        checks.clear()
                         k_max, blocked = bound_a_max_k(n, d, q, variant)
-                        used = calls - before
-                        assert set(used) == {"pair"}, (n, d, q, variant)
-                        probes.append(used["pair"])
+                        probes.append(len(checks))
                         assert k_max == linear, (n, d, q, variant)
                         assert probes[-1] <= 3, (n, d, q, variant)
                         # the returned verdict is the refutation at k_max + 1
                         assert blocked.refuted, (n, d, q, variant)
                         assert blocked == bound_a_check(n, k_max + 1, d, q, variant), (n, d, q, variant)
-        assert (len(probes), sum(probes)) == (5920, 8396)
+        assert (len(probes), sum(probes)) == (5920, 11077)
 
     def test_cap_of_two_is_the_pass_at_three(self, monkeypatch):
-        # a cap of 2 admits no k >= 3; the one pass, at k = 3, refutes 3 and
+        # a cap of 2 admits no k >= 3; the one check, at k = 3, refutes 3 and
         # the search returns the floor with that verdict
-        passes = _record_passes(monkeypatch)
+        checks = _record_checks(monkeypatch)
         cells = 0
         for q in (2, 3, 5, 7):
             for n in range(4, 41):
@@ -213,9 +186,9 @@ class TestBoundAMaxK:
                             cells += 1
                             expect = naive_verdict(n, 3, d, q, variant)
                             assert expect.refuted, (n, d, q, variant)
-                            passes.clear()
+                            checks.clear()
                             assert bound_a_max_k(n, d, q, variant) == (2, expect), (n, d, q, variant)
-                            assert passes == [3], (n, d, q, variant)
+                            assert checks == [3], (n, d, q, variant)
         assert cells == 592
 
     def test_every_dimension_above_the_cap_is_refuted(self):
@@ -230,38 +203,14 @@ class TestBoundAMaxK:
                             assert bound_a_check(n, k, d, q, variant).refuted, (n, k, d, q, variant)
 
     @pytest.mark.parametrize("d", [94, 95, 96])
-    def test_gate_query_makes_one_pass(self, monkeypatch, d):
-        # bound A's answer at (500, d, 2) is its cap: the cap and the
-        # refutation at k_max + 1 that the result carries come from one
-        # paired pass, and no single check is made
-        probes = []
-
-        def counting(name, check):
-            def probe(n, k, *args):
-                probes.append((name, k))
-                return check(n, k, *args)
-            return probe
-
-        monkeypatch.setattr(bounds, "bound_a_check", counting("check", bound_a_check))
-        monkeypatch.setattr(bounds, "_bound_a_pair", counting("pair", _bound_a_pair))
+    def test_gate_query_makes_two_checks(self, monkeypatch, d):
+        # bound A's answer at (500, d, 2) is its cap: the search checks the
+        # cap, which stands, and then k_max + 1 for the refutation that the
+        # result carries
+        checks = _record_checks(monkeypatch)
         results, _ = best_upper_k(500, d, 2)
         (k_max,) = [r.k_max for r in results if r.bound_id == "a"]
-        assert probes == [("pair", k_max)], d
-
-    def test_pair_matches_two_checks(self):
-        # one pass gives the plain inequality's verdicts at k and k + 1,
-        # witness, lhs and rhs included, for 3 <= k <= n - 1; the verdict at
-        # k + 1 = n is outside the check's guard and read by no caller
-        for q in (2, 3, 4, 5, 7):
-            for n in range(4, 41):
-                for d in range(3, n + 1):
-                    for variant in ("weight", "literal"):
-                        verdicts = {k: naive_verdict(n, k, d, q, variant) for k in range(3, n)}
-                        for k in range(3, n):
-                            first, second = _bound_a_pair(n, k, d, q, variant)
-                            assert first == verdicts[k], (n, k, d, q, variant)
-                            if k <= n - 2:
-                                assert second == verdicts[k + 1], (n, k, d, q, variant)
+        assert checks == [k_max, k_max + 1], d
 
 
 class TestBoundARefutation:

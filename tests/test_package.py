@@ -42,9 +42,9 @@ def test_code_line_count_pinned():
     # the module that moved; a change that moves it updates the pin and
     # reports the counts before and after
     lines = {path.stem: _code_lines(path) for path in PACKAGE.glob("*.py")}
-    assert lines == {"__init__": 2, "__main__": 3, "bounds": 185, "cli": 258, "exactmath": 61,
+    assert lines == {"__init__": 2, "__main__": 3, "bounds": 176, "cli": 258, "exactmath": 61,
                      "golden": 71, "levenshtein": 106, "oracle": 123}
-    assert sum(lines.values()) == 809
+    assert sum(lines.values()) == 800
 
 
 def test_exported_names_exist():
@@ -99,10 +99,11 @@ def test_tracer_wraps_existing_names():
     assert wraps and not missing
 
 
-def test_tracer_records_one_levenshtein_span_per_table_cell(capsys):
+def test_tracer_records_one_levenshtein_span_per_table_cell(capsys, monkeypatch):
     # the bound is called, and timed, once per cell; so is every other bound
     # the tracer wraps on bounds, since the table of bounds looks each bound
-    # function up on the module when it is called
+    # function up on the module when it is called; bound A's search looks up
+    # bound_a_check the same way, so the tracer sees each of its checks
     tracer_module = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
     tracer = tracer_module["Tracer"]()
     modules = {name: _module(name) for name in ("cli", "bounds", "golden", "oracle")}
@@ -120,3 +121,16 @@ def test_tracer_records_one_levenshtein_span_per_table_cell(capsys):
              "plotkin_max_size", "singleton_max_k"]
     calls = {name: getattr(tracer.stats.get(f"bounds.{name}"), "calls", 0) for name in names}
     assert calls == dict.fromkeys(names, cells)
+    bounds = modules["bounds"]
+    checks = []
+
+    def recording(n, k, *args, check=bounds.bound_a_check):
+        checks.append(k)
+        return check(n, k, *args)
+
+    monkeypatch.setattr(bounds, "bound_a_check", recording)
+    for n in range(4, 13):
+        for d in range(3, min(n, 8) + 1):
+            bounds.bound_a_max_k(n, d, 2)
+    traced = getattr(tracer.stats.get("bounds.bound_a_check"), "calls", 0)
+    assert traced == len(checks) >= cells
