@@ -32,24 +32,16 @@ from codebounds.levenshtein import levenshtein_max_size
 from codebounds.oracle import best_linear_d_witness, min_distance
 
 
-def naive_bound_a_check(n, k, d, q, variant="weight"):
+def naive_verdict(n, k, d, q, variant="weight"):
     """Straight re-statement of the inequality, no incremental updates."""
     if k <= 2 or k >= n or d < 3:
-        return None
+        return FeasibilityVerdict(NOT_APPLICABLE)
     for i in range(1, (d - 1) // 2 + 1):
         lhs = weight_count(k, i, q)
         rhs = tail_mass(n - k, d - i, q, variant, i)
         if lhs > rhs:
-            return (i, lhs, rhs)
-    return ()
-
-
-def naive_verdict(n, k, d, q, variant="weight"):
-    """naive_bound_a_check's answer as the FeasibilityVerdict it stands for."""
-    naive = naive_bound_a_check(n, k, d, q, variant)
-    if naive is None:
-        return FeasibilityVerdict(NOT_APPLICABLE)
-    return FeasibilityVerdict(REFUTED, *naive) if naive else FeasibilityVerdict(FEASIBLE)
+            return FeasibilityVerdict(REFUTED, i, lhs, rhs)
+    return FeasibilityVerdict(FEASIBLE)
 
 
 def _record_checks(monkeypatch):
@@ -63,10 +55,6 @@ def _record_checks(monkeypatch):
 
     monkeypatch.setattr(bounds, "bound_a_check", recording)
     return checks
-
-
-# (n, k) at the ends of the check's domain 3 <= k <= n - 1
-_CHECK_CORNERS = [(4, 3), (5, 3)] + [(n, n - 1) for n in range(4, 41)]
 
 
 class TestBoundACheck:
@@ -96,20 +84,11 @@ class TestBoundACheck:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
     def test_incremental_matches_naive(self, q):
         # the ratio-update arithmetic against the plain formula, witness,
-        # lhs and rhs included, at every k of the check's domain, both variants
+        # lhs and rhs included, at every k of the check's domain
+        # 3 <= k <= n - 1, both ends included, both variants
         for n in range(4, 41):
             for d in range(3, n + 1):
                 for k in range(3, n):
-                    for variant in ("weight", "literal"):
-                        expect = naive_verdict(n, k, d, q, variant)
-                        assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
-
-    def test_corners_of_the_pass(self):
-        # k = 3 is the bottom of the check's domain, and k = n - 1 its top,
-        # where the tail over n - k = 1 position carries weight 1 at most
-        for q in (2, 3, 4, 5, 7):
-            for n, k in _CHECK_CORNERS:
-                for d in range(3, n + 1):
                     for variant in ("weight", "literal"):
                         expect = naive_verdict(n, k, d, q, variant)
                         assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
@@ -133,18 +112,6 @@ class TestBoundAMaxK:
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
             bound_a_max_k(10, 2, 2)
-
-    def test_binary_search_matches_linear_scan(self):
-        for q in (2, 3, 5):
-            for n in range(4, 32):
-                for d in range(3, n + 1):
-                    linear = 2
-                    for k in range(3, n):
-                        if bound_a_check(n, k, d, q).status == FEASIBLE:
-                            linear = k
-                        else:
-                            break
-                    assert bound_a_max_k(n, d, q)[0] == linear, (n, d, q)
 
     def test_capped_search_matches_linear_scan(self, monkeypatch):
         # the scan down from the cap against the plain scan from k = 3 up;

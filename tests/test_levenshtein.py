@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, gcd, lcm
@@ -53,10 +52,6 @@ def test_binary_perfect_code_floor():
     assert levenshtein_max_size(7, 3, 2) >= 16
 
 
-def test_deterministic():
-    assert levenshtein_max_size(24, 5, 2) == levenshtein_max_size(24, 5, 2)
-
-
 @cache
 def _reference_rows(m, q, n, shift):
     """K_c(x - shift) on m from the explicit sum, c = 0..m, at x = 0..n."""
@@ -68,13 +63,6 @@ def _next_p(m, q, n, c, d):
     sum_{t <= c+1} K_t(d) on m + 1, which also gives the degree m + 1 that
     c = m needs (see test_prefix_sum_identities)."""
     return sum(row[d] for row in _reference_rows(m + 1, q, n, 0)[:c + 2])
-
-
-def _certificate_holds(m, q, n, c, d):
-    """P_0, .., P_c >= 0 and P_{c+1} <= 0, with P_j = K_j(d - 1) on m from
-    the explicit sum."""
-    rows = _reference_rows(m, q, n, 1)
-    return all(rows[j][d] >= 0 for j in range(c + 1)) and _next_p(m, q, n, c, d) <= 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -189,42 +177,6 @@ def test_window_lcm_is_a_multiple_of_the_binomial():
             assert window % comb(m, j) == 0, (m, j)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_running_sums_match_direct_kernel_sum(q):
-    # at every degree of both branches, against the kernel summed here from
-    # the explicit Krawtchouk sum over one fixed denominator: the scan's
-    # candidate test and value equal those of f = wf * kernel**2 summed over
-    # all n + 1 points, the candidate carries den / norm_c, S1 = num(0) and
-    # the pair P_c = K_c(d - 1), P_{c+1}, and nothing else, and is certified
-    # iff P_0, .., P_c >= 0 and P_{c+1} <= 0, and the numerators, c = m
-    # included, are a positive multiple of the kernel wherever f need not
-    # vanish.  They equal it times den / scale at every x but x = d and, on
-    # the even branch, x = n, where they are 0, so each floor division in
-    # them was exact.
-    for n in range(3, 31):
-        weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
-        for d in range(2, n + 1):
-            candidates = {(m, c): (value, *rest) for m in (n - 1, n - 2)
-                          for value, c, *rest in _candidates(n, m, d, q)}
-            for m, factor, c, scale, den_c, kernel in _reference_kernels(n, d, q):
-                g = [w * f * v * v for w, f, v in zip(weights, factor, kernel)]
-                total = sum(g)
-                direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
-                value, *rest = candidates.get((m, c), (None,))
-                assert value == direct, (q, n, d, m, c)
-                s1_c = kernel[0] * den_c // scale
-                rows = _reference_rows(m, q, n, 1)
-                p_c = rows[c][d]
-                p_next = _next_p(m, q, n, c, d)
-                certified = _certificate_holds(m, q, n, c, d)
-                ratio = den_c // comb(m, c) // (q - 1) ** c
-                assert value is None or rest == [ratio, s1_c, p_c, p_next, certified], (q, n, d, m, c)
-                num = _numerators(m, d, q, (value, c, ratio, s1_c, p_c, p_next, certified), n)
-                zeros = {d, n} if m == n - 2 else {d}
-                assert [v * scale for v in num] == [0 if x in zeros else t * den_c
-                                                    for x, t in enumerate(kernel)], (q, n, d, m, c)
-
-
 # per q: candidates checked, decided by the test on the two leading
 # coefficients, and refused by it, over n = 3..30 and every d
 _REFUSAL_COUNTS = {2: (15078, 6363, 724), 3: (13765, 5455, 412), 4: (12868, 4796, 282),
@@ -234,19 +186,33 @@ _REFUSAL_COUNTS = {2: (15078, 6363, 724), 3: (13765, 5455, 412), 4: (12868, 4796
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_coefficients_match_direct_sums(monkeypatch, q):
-    # every coefficient of every candidate of both branches, the value and
-    # not only its sign, against sum_x w(x) f(x) K_i(x) with f from the
-    # kernel summed here and K_i from the explicit sum, up to the square of
-    # the gcd of the numerators the check uses, taken over the points where
-    # f need not vanish (all but x = d and, on the even branch, x = n); they
-    # come from i = D down to 1, the sum at i = 0 is positive, as the scan's
-    # candidate test says, and the sums above D are zero.  Wherever the test
-    # on the two leading coefficients decides, the first coefficient yielded
-    # is positive and the test says negative exactly when the sum at
-    # i = D - 1 is negative: that is the second one yielded, or, at D = 1,
-    # the sum at i = 0.  The counts of candidates it decides and refuses
-    # are pinned exactly per q.  No kernel row is asked for past y = m
-    checked = decided = refused = 0
+    # at every degree c of both branches, against the direct sums
+    # F_i = sum_x w(x) f(x) K_i(x), with f = factor * kernel**2 from the
+    # kernel summed here over one fixed denominator and K_i from the
+    # explicit sum, each F_i computed once:
+    # - the scan's candidate test and value are those of f(0) and F_0; a
+    #   candidate carries den / norm_c, S1 = num(0) and the pair
+    #   P_c = K_c(d - 1), P_{c+1}, and nothing else, and is certified iff
+    #   P_0, .., P_c >= 0 and P_{c+1} <= 0; every degree with those signs is
+    #   a candidate;
+    # - the numerators, c = m included, are a positive multiple of the
+    #   kernel wherever f need not vanish: they equal it times den / scale at
+    #   every x but x = d and, on the even branch, x = n, where they are 0,
+    #   so each floor division in them was exact;
+    # - every coefficient of every candidate, the value and not only its
+    #   sign, is F_i up to q**(n - D) and the square of the gcd of the
+    #   numerators the check uses, for i = D down to 1; F_0 > 0, as the
+    #   candidate test says, and the sums above D are zero;
+    # - wherever the test on the two leading coefficients decides, the
+    #   first coefficient yielded is positive and the test says negative
+    #   exactly when F_{D-1} is negative: that is the second one yielded,
+    #   or, at D = 1, F_0.  The counts of candidates it decides and refuses
+    #   are pinned exactly per q;
+    # - wherever the certificate holds, every F_i is >= 0; the floor keeps
+    #   this from passing with nothing certified;
+    # - no kernel row is asked for past y = m, and the numerators are built
+    #   once per check (and once per degree here)
+    checked = decided = refused = holds = built = 0
     rows_asked = []  # (m, last) per _kernel_row call
     kernel_row = levenshtein._kernel_row
 
@@ -259,55 +225,49 @@ def test_coefficients_match_direct_sums(monkeypatch, q):
         weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
         rows = _reference_rows(n, q, n, 0)
         for d in range(2, n + 1):
-            kernels = {(m, c): (factor, scale, kernel)
-                       for m, factor, c, scale, _, kernel in _reference_kernels(n, d, q)}
-            for m in (n - 1, n - 2):
-                for candidate in _candidates(n, m, d, q):
-                    c, ratio = candidate[1:3]
-                    den = ratio * comb(m, c) * (q - 1) ** c
-                    factor, scale, kernel = kernels[m, c]
-                    g = [w * f * (t * den // scale) ** 2 for w, f, t in zip(weights, factor, kernel)]
-                    direct = [sum(map(mul, g, row)) for row in rows]
-                    coefficients = list(_coefficients(n, m, d, q, candidate))
-                    top = len(coefficients)
-                    assert top == min(2 * c + n - m, n), (q, n, d, m, c)
-                    zeros = {d, n} if m == n - 2 else {d}
-                    common = gcd(*(t * den // scale for x, t in enumerate(kernel[:top + 1]) if x not in zeros))
-                    assert [a * q ** (n - top) * common ** 2 for a in coefficients] == direct[top:0:-1], (q, n, d, m, c)
-                    assert direct[0] > 0 and not any(direct[top + 1:]), (q, n, d, m, c)
-                    checked += 1
-                    second_negative = _second_negative(n, m, d, q, candidate)
-                    if second_negative is not None:
-                        assert coefficients[0] > 0, (q, n, d, m, c)
-                        assert second_negative == (direct[top - 1] < 0), (q, n, d, m, c)
-                        decided += 1
-                        refused += second_negative
-    assert (checked, decided, refused) == _REFUSAL_COUNTS[q]
-    assert len(rows_asked) == 2 * checked and all(last <= m for m, last in rows_asked)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_certificate_implies_nonnegative_sums(q):
-    # wherever P_0, .., P_c >= 0 and P_{c+1} <= 0, at every degree of both
-    # branches, every sum_x w(x) f(x) K_i(x) is >= 0, with f from the kernel
-    # summed here and K_i from the explicit sum.  Every such degree is a
-    # candidate (its sum at i = 0 is even > 0), and the scan certifies
-    # exactly those.  The floor keeps the test from passing with nothing
-    # certified
-    holds = 0
-    for n in range(3, 31):
-        weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
-        rows = _reference_rows(n, q, n, 0)
-        for d in range(2, n + 1):
-            flags = {(m, t[1]): t[-1] for m in (n - 1, n - 2) for t in _candidates(n, m, d, q)}
-            for m, factor, c, _, _, kernel in _reference_kernels(n, d, q):
-                proven = _certificate_holds(m, q, n, c, d)
-                assert flags.get((m, c), False) == proven, (q, n, d, m, c)
-                if proven:
-                    g = [w * f * t * t for w, f, t in zip(weights, factor, kernel)]
-                    assert all(sum(map(mul, g, row)) >= 0 for row in rows), (q, n, d, m, c)
+            candidates = {(m, t[1]): t for m in (n - 1, n - 2) for t in _candidates(n, m, d, q)}
+            for m, factor, c, scale, den, kernel in _reference_kernels(n, d, q):
+                g = [w * f * t * t for w, f, t in zip(weights, factor, kernel)]
+                total = sum(g)
+                direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
+                shifted = _reference_rows(m, q, n, 1)
+                p_next = _next_p(m, q, n, c, d)
+                certified = all(row[d] >= 0 for row in shifted[:c + 1]) and p_next <= 0
+                ratio = den // comb(m, c) // (q - 1) ** c
+                reference = (direct, c, ratio, kernel[0] * den // scale, shifted[c][d], p_next, certified)
+                candidate = candidates.get((m, c))
+                assert candidate == (None if direct is None else reference), (q, n, d, m, c)
+                assert candidate or not certified, (q, n, d, m, c)
+                num = _numerators(m, d, q, reference, n)
+                built += 1
+                zeros = {d, n} if m == n - 2 else {d}
+                assert [v * scale for v in num] == [0 if x in zeros else t * den
+                                                    for x, t in enumerate(kernel)], (q, n, d, m, c)
+                if candidate is None:
+                    continue
+                sums = [total] + [sum(map(mul, g, row)) for row in rows[1:]]
+                coefficients = list(_coefficients(n, m, d, q, candidate))
+                top = len(coefficients)
+                assert top == min(2 * c + n - m, n), (q, n, d, m, c)
+                # num is den / scale times the kernel, so its gcd up to top,
+                # times scale, is that of the kernel times den
+                common = gcd(*num[:top + 1]) * scale
+                assert [a * q ** (n - top) * common ** 2 for a in coefficients] == [
+                    s * den ** 2 for s in sums[top:0:-1]], (q, n, d, m, c)
+                assert sums[0] > 0 and not any(sums[top + 1:]), (q, n, d, m, c)
+                checked += 1
+                second_negative = _second_negative(n, m, d, q, candidate)
+                if second_negative is not None:
+                    assert coefficients[0] > 0, (q, n, d, m, c)
+                    assert second_negative == (sums[top - 1] < 0), (q, n, d, m, c)
+                    decided += 1
+                    refused += second_negative
+                if certified:
+                    assert min(sums) >= 0, (q, n, d, m, c)
                     holds += 1
+    assert (checked, decided, refused) == _REFUSAL_COUNTS[q]
     assert holds > 800, holds
+    assert len(rows_asked) == 2 * (checked + built) and all(last <= m for m, last in rows_asked)
 
 
 def test_gate_builds_few_polynomials(monkeypatch):
@@ -404,27 +364,22 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
 def _every_degree_reference(n, d, q):
     """The bound over every degree of both branches, each candidate checked
     against the definition: f(0) > 0, f(j) <= 0 for j = d..n, f_0 > 0 and
-    f_i >= 0 for i = 1..n.  The kernel is summed in Fractions, and every
-    Krawtchouk value comes from the explicit sum, not from the module."""
+    f_i >= 0 for i = 1..n.  f comes from _reference_kernels, a positive
+    multiple of the rational kernel, which leaves f(0) / f_0 and every sign
+    as they are; every Krawtchouk value comes from the explicit sum, not from
+    the module."""
     weighted = [[comb(n, x) * (q - 1) ** x * k for x, k in enumerate(row)]
                 for row in _reference_rows(n, q, n, 0)]
     best = q ** n
-    for m, factor in ((n - 1, [d - x for x in range(n + 1)]),
-                      (n - 2, [(d - x) * (n - x) for x in range(n + 1)])):
-        kernel = [Fraction(0)] * (n + 1)
-        for c, row in enumerate(_reference_rows(m, q, n, 1)):
-            a = Fraction(row[d], comb(m, c) * (q - 1) ** c)
-            kernel = [t + a * r for t, r in zip(kernel, row)]
-            scale = lcm(*(t.denominator for t in kernel))
-            f = [u * (t.numerator * (scale // t.denominator)) ** 2
-                 for u, t in zip(factor, kernel)]
-            f0 = sum(map(mul, f, weighted[0]))
-            if f[0] <= 0 or f0 <= 0 or f0 * best <= f[0] * q ** n:
-                continue  # not a candidate, or cannot lower the minimum
-            if all(v <= 0 for v in f[d:]) and all(
-                sum(map(mul, f, weighted[i])) >= 0 for i in range(1, n + 1)
-            ):
-                best = f[0] * q ** n // f0
+    for _, factor, _, _, _, kernel in _reference_kernels(n, d, q):
+        f = [u * t * t for u, t in zip(factor, kernel)]
+        f0 = sum(map(mul, f, weighted[0]))
+        if f[0] <= 0 or f0 <= 0 or f0 * best <= f[0] * q ** n:
+            continue  # not a candidate, or cannot lower the minimum
+        if all(v <= 0 for v in f[d:]) and all(
+            sum(map(mul, f, weighted[i])) >= 0 for i in range(1, n + 1)
+        ):
+            best = f[0] * q ** n // f0
     return best
 
 

@@ -456,12 +456,19 @@ def _first_nonlinear_codes(n, k, q):
 
 
 def test_nonlinear_search_matches_enumeration():
+    # a (n, k, d) that bound A refutes is reached by no systematic code,
+    # linear or not: expected has no key d, so no code of the whole
+    # enumeration reaches d
     cases = [(n, k, 2) for n in range(2, 6) for k in range(1, n)]
     cases += [(n, 1, 3) for n in range(2, 5)]
     found = missing = 0
+    refuted = []
     for n, k, q in cases:
         expected = _first_nonlinear_codes(n, k, q)
         for d in range(1, n + 1):
+            if bound_a_check(n, k, d, q).refuted:
+                refuted.append((n, k, d, q))
+                assert d not in expected, (n, k, q, d)
             words = _first_nonlinear_code(n, k, d, q)
             if d in expected:
                 found += 1
@@ -472,6 +479,8 @@ def test_nonlinear_search_matches_enumeration():
                 missing += 1
                 assert words is None, (n, k, q, d)
     assert found and missing
+    assert refuted == [(4, 3, 3, 2), (4, 3, 4, 2), (5, 3, 3, 2), (5, 3, 4, 2), (5, 3, 5, 2),
+                       (5, 4, 3, 2), (5, 4, 4, 2), (5, 4, 5, 2)]
 
 
 def test_nonlinear_search_needs_no_recursion():
@@ -498,16 +507,3 @@ def _reaches_distance(code, d):
             if sum(1 for x, y in zip(sa, ws[b]) if x != y) < d:
                 return False
     return True
-
-
-def test_nonlinear_enumeration_confirms_refutations():
-    # refuted (n, k, d) must stay unreachable over *all* systematic codes,
-    # not just linear ones, wherever the full nonlinear sweep fits in budget
-    for n, k in [(4, 3), (5, 3), (5, 4)]:
-        refuted_ds = [
-            d for d in range(3, n + 1) if bound_a_check(n, k, d, 2).refuted
-        ]
-        assert refuted_ds, (n, k)
-        d_min = min(refuted_ds)
-        for code in enumerate_systematic_nonlinear(n, k, 2):
-            assert not _reaches_distance(code, d_min), (n, k, code.words)
