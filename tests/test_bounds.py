@@ -113,6 +113,18 @@ class TestBoundAMaxK:
         with pytest.raises(ValueError):
             bound_a_max_k(10, 2, 2)
 
+    def test_binary_search_matches_linear_scan(self):
+        for q in (2, 3, 5):
+            for n in range(4, 32):
+                for d in range(3, n + 1):
+                    linear = 2
+                    for k in range(3, n):
+                        if bound_a_check(n, k, d, q).status == FEASIBLE:
+                            linear = k
+                        else:
+                            break
+                    assert bound_a_max_k(n, d, q)[0] == linear, (n, d, q)
+
     def test_capped_search_matches_linear_scan(self, monkeypatch):
         # the scan down from the cap against the plain scan from k = 3 up;
         # the search probes through bound_a_check on the module, the answer

@@ -184,34 +184,15 @@ _REFUSAL_COUNTS = {2: (15078, 6363, 724), 3: (13765, 5455, 412), 4: (12868, 4796
                    9: (11188, 3644, 129)}
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_coefficients_match_direct_sums(monkeypatch, q):
-    # at every degree c of both branches, against the direct sums
-    # F_i = sum_x w(x) f(x) K_i(x), with f = factor * kernel**2 from the
-    # kernel summed here over one fixed denominator and K_i from the
-    # explicit sum, each F_i computed once:
-    # - the scan's candidate test and value are those of f(0) and F_0; a
-    #   candidate carries den / norm_c, S1 = num(0) and the pair
-    #   P_c = K_c(d - 1), P_{c+1}, and nothing else, and is certified iff
-    #   P_0, .., P_c >= 0 and P_{c+1} <= 0; every degree with those signs is
-    #   a candidate;
-    # - the numerators, c = m included, are a positive multiple of the
-    #   kernel wherever f need not vanish: they equal it times den / scale at
-    #   every x but x = d and, on the even branch, x = n, where they are 0,
-    #   so each floor division in them was exact;
-    # - every coefficient of every candidate, the value and not only its
-    #   sign, is F_i up to q**(n - D) and the square of the gcd of the
-    #   numerators the check uses, for i = D down to 1; F_0 > 0, as the
-    #   candidate test says, and the sums above D are zero;
-    # - wherever the test on the two leading coefficients decides, the
-    #   first coefficient yielded is positive and the test says negative
-    #   exactly when F_{D-1} is negative: that is the second one yielded,
-    #   or, at D = 1, F_0.  The counts of candidates it decides and refuses
-    #   are pinned exactly per q;
-    # - wherever the certificate holds, every F_i is >= 0; the floor keeps
-    #   this from passing with nothing certified;
-    # - no kernel row is asked for past y = m, and the numerators are built
-    #   once per check (and once per degree here)
+@cache
+def _degree_grid_walk(q):
+    """One walk over n = 3..30, every d, both branches and every degree c,
+    against the direct sums F_i = sum_x w(x) f(x) K_i(x), with f = factor *
+    kernel**2 from the kernel summed here over one fixed denominator and K_i
+    from the explicit sum, each F_i computed once.  Returns, per test below,
+    the (n, d, m, c) where one of its checks fails, and the counts it pins;
+    the three tests read the same walk."""
+    failed = {"running": [], "coefficients": [], "certificate": []}
     checked = decided = refused = holds = built = 0
     rows_asked = []  # (m, last) per _kernel_row call
     kernel_row = levenshtein._kernel_row
@@ -220,54 +201,103 @@ def test_coefficients_match_direct_sums(monkeypatch, q):
         rows_asked.append((m, last))
         return kernel_row(m, q, c, last)
 
-    monkeypatch.setattr(levenshtein, "_kernel_row", counting_kernel_row)
-    for n in range(3, 31):
-        weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
-        rows = _reference_rows(n, q, n, 0)
-        for d in range(2, n + 1):
-            candidates = {(m, t[1]): t for m in (n - 1, n - 2) for t in _candidates(n, m, d, q)}
-            for m, factor, c, scale, den, kernel in _reference_kernels(n, d, q):
-                g = [w * f * t * t for w, f, t in zip(weights, factor, kernel)]
-                total = sum(g)
-                direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
-                shifted = _reference_rows(m, q, n, 1)
-                p_next = _next_p(m, q, n, c, d)
-                certified = all(row[d] >= 0 for row in shifted[:c + 1]) and p_next <= 0
-                ratio = den // comb(m, c) // (q - 1) ** c
-                reference = (direct, c, ratio, kernel[0] * den // scale, shifted[c][d], p_next, certified)
-                candidate = candidates.get((m, c))
-                assert candidate == (None if direct is None else reference), (q, n, d, m, c)
-                assert candidate or not certified, (q, n, d, m, c)
-                num = _numerators(m, d, q, reference, n)
-                built += 1
-                zeros = {d, n} if m == n - 2 else {d}
-                assert [v * scale for v in num] == [0 if x in zeros else t * den
-                                                    for x, t in enumerate(kernel)], (q, n, d, m, c)
-                if candidate is None:
-                    continue
-                sums = [total] + [sum(map(mul, g, row)) for row in rows[1:]]
-                coefficients = list(_coefficients(n, m, d, q, candidate))
-                top = len(coefficients)
-                assert top == min(2 * c + n - m, n), (q, n, d, m, c)
-                # num is den / scale times the kernel, so its gcd up to top,
-                # times scale, is that of the kernel times den
-                common = gcd(*num[:top + 1]) * scale
-                assert [a * q ** (n - top) * common ** 2 for a in coefficients] == [
-                    s * den ** 2 for s in sums[top:0:-1]], (q, n, d, m, c)
-                assert sums[0] > 0 and not any(sums[top + 1:]), (q, n, d, m, c)
-                checked += 1
-                second_negative = _second_negative(n, m, d, q, candidate)
-                if second_negative is not None:
-                    assert coefficients[0] > 0, (q, n, d, m, c)
-                    assert second_negative == (sums[top - 1] < 0), (q, n, d, m, c)
-                    decided += 1
-                    refused += second_negative
-                if certified:
-                    assert min(sums) >= 0, (q, n, d, m, c)
-                    holds += 1
-    assert (checked, decided, refused) == _REFUSAL_COUNTS[q]
-    assert holds > 800, holds
-    assert len(rows_asked) == 2 * (checked + built) and all(last <= m for m, last in rows_asked)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levenshtein, "_kernel_row", counting_kernel_row)
+        for n in range(3, 31):
+            weights = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+            rows = _reference_rows(n, q, n, 0)
+            for d in range(2, n + 1):
+                candidates = {(m, t[1]): t for m in (n - 1, n - 2) for t in _candidates(n, m, d, q)}
+                for m, factor, c, scale, den, kernel in _reference_kernels(n, d, q):
+                    case = (n, d, m, c)
+                    g = [w * f * t * t for w, f, t in zip(weights, factor, kernel)]
+                    total = sum(g)
+                    direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
+                    shifted = _reference_rows(m, q, n, 1)
+                    p_next = _next_p(m, q, n, c, d)
+                    certified = all(row[d] >= 0 for row in shifted[:c + 1]) and p_next <= 0
+                    ratio = den // comb(m, c) // (q - 1) ** c
+                    reference = (direct, c, ratio, kernel[0] * den // scale, shifted[c][d], p_next, certified)
+                    candidate = candidates.get((m, c))
+                    if candidate != (None if direct is None else reference):
+                        failed["running"].append(case)
+                    if bool(candidate and candidate[-1]) != certified:
+                        failed["certificate"].append(case)
+                    num = _numerators(m, d, q, reference, n)
+                    built += 1
+                    zeros = {d, n} if m == n - 2 else {d}
+                    if [v * scale for v in num] != [0 if x in zeros else t * den for x, t in enumerate(kernel)]:
+                        failed["running"].append(case)
+                    if candidate is None:
+                        continue
+                    sums = [total] + [sum(map(mul, g, row)) for row in rows[1:]]
+                    coefficients = list(_coefficients(n, m, d, q, candidate))
+                    top = len(coefficients)
+                    # num is den / scale times the kernel, so its gcd up to
+                    # top, times scale, is that of the kernel times den
+                    common = gcd(*num[:top + 1]) * scale
+                    if (top != min(2 * c + n - m, n)
+                            or [a * q ** (n - top) * common ** 2 for a in coefficients]
+                            != [s * den ** 2 for s in sums[top:0:-1]]
+                            or not sums[0] > 0 or any(sums[top + 1:])):
+                        failed["coefficients"].append(case)
+                    checked += 1
+                    second_negative = _second_negative(n, m, d, q, candidate)
+                    if second_negative is not None:
+                        if not coefficients[0] > 0 or second_negative != (sums[top - 1] < 0):
+                            failed["coefficients"].append(case)
+                        decided += 1
+                        refused += second_negative
+                    if certified:
+                        if min(sums) < 0:
+                            failed["certificate"].append(case)
+                        holds += 1
+    return {**failed, "counts": (checked, decided, refused), "holds": holds,
+            "rows_asked": (len(rows_asked) - 2 * (checked + built),
+                           sum(last > m for m, last in rows_asked))}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_running_sums_match_direct_kernel_sum(q):
+    # at every degree of both branches: the scan's candidate test and value
+    # are those of f(0) and F_0; a candidate carries den / norm_c, S1 =
+    # num(0) and the pair P_c = K_c(d - 1), P_{c+1}, and nothing else, and is
+    # certified iff P_0, .., P_c >= 0 and P_{c+1} <= 0.  The numerators,
+    # c = m included, are a positive multiple of the kernel wherever f need
+    # not vanish: they equal it times den / scale at every x but x = d and,
+    # on the even branch, x = n, where they are 0, so each floor division in
+    # them was exact
+    failed = _degree_grid_walk(q)["running"]
+    assert not failed, failed[:5]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_coefficients_match_direct_sums(q):
+    # every coefficient of every candidate, the value and not only its sign,
+    # is F_i up to q**(n - D) and the square of the gcd of the numerators the
+    # check uses, for i = D down to 1; F_0 > 0, as the candidate test says,
+    # and the sums above D are zero.  Wherever the test on the two leading
+    # coefficients decides, the first coefficient yielded is positive and the
+    # test says negative exactly when F_{D-1} is negative: that is the second
+    # one yielded, or, at D = 1, F_0.  The counts of candidates it decides
+    # and refuses are pinned exactly per q.  No kernel row is asked for past
+    # y = m, and the numerators are built once per check (and once per
+    # degree in the walk)
+    walk = _degree_grid_walk(q)
+    assert not walk["coefficients"], walk["coefficients"][:5]
+    assert walk["counts"] == _REFUSAL_COUNTS[q]
+    assert walk["rows_asked"] == (0, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_certificate_implies_nonnegative_sums(q):
+    # the scan certifies exactly the degrees where P_0, .., P_c >= 0 and
+    # P_{c+1} <= 0, every such degree is a candidate (its F_0 is even > 0),
+    # and there every F_i is >= 0.  The floor keeps this from passing with
+    # nothing certified
+    walk = _degree_grid_walk(q)
+    assert not walk["certificate"], walk["certificate"][:5]
+    assert walk["holds"] > 800, walk["holds"]
 
 
 def test_gate_builds_few_polynomials(monkeypatch):

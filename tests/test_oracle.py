@@ -6,6 +6,7 @@ oracle returns them; reference.Code validates them."""
 import inspect
 import random
 import sys
+from functools import cache
 from itertools import islice, product
 
 import numpy as np
@@ -441,6 +442,7 @@ def _tail_matrix(code):
     return tuple(tails[tuple(int(c == r) for c in range(k))] for r in range(k))
 
 
+@cache
 def _first_nonlinear_codes(n, k, q):
     """d -> first code of the nonlinear enumeration with minimum distance
     >= d, for every d in 1..n that some code reaches; one pass.  The keys
@@ -455,20 +457,15 @@ def _first_nonlinear_codes(n, k, q):
     return first
 
 
+# every (n, k) over q whose nonlinear enumeration fits in the budget
+_NONLINEAR_CASES = [(n, k, 2) for n in range(2, 6) for k in range(1, n)] + [(n, 1, 3) for n in range(2, 5)]
+
+
 def test_nonlinear_search_matches_enumeration():
-    # a (n, k, d) that bound A refutes is reached by no systematic code,
-    # linear or not: expected has no key d, so no code of the whole
-    # enumeration reaches d
-    cases = [(n, k, 2) for n in range(2, 6) for k in range(1, n)]
-    cases += [(n, 1, 3) for n in range(2, 5)]
     found = missing = 0
-    refuted = []
-    for n, k, q in cases:
+    for n, k, q in _NONLINEAR_CASES:
         expected = _first_nonlinear_codes(n, k, q)
         for d in range(1, n + 1):
-            if bound_a_check(n, k, d, q).refuted:
-                refuted.append((n, k, d, q))
-                assert d not in expected, (n, k, q, d)
             words = _first_nonlinear_code(n, k, d, q)
             if d in expected:
                 found += 1
@@ -479,6 +476,19 @@ def test_nonlinear_search_matches_enumeration():
                 missing += 1
                 assert words is None, (n, k, q, d)
     assert found and missing
+
+
+def test_nonlinear_enumeration_confirms_refutations():
+    # a (n, k, d) that bound A refutes is reached by no systematic code,
+    # linear or not, wherever the full nonlinear sweep fits in budget: the
+    # enumeration's first codes have no key d, so none of its codes reaches d
+    refuted = []
+    for n, k, q in _NONLINEAR_CASES:
+        expected = _first_nonlinear_codes(n, k, q)
+        for d in range(1, n + 1):
+            if bound_a_check(n, k, d, q).refuted:
+                refuted.append((n, k, d, q))
+                assert d not in expected, (n, k, q, d)
     assert refuted == [(4, 3, 3, 2), (4, 3, 4, 2), (5, 3, 3, 2), (5, 3, 4, 2), (5, 3, 5, 2),
                        (5, 4, 3, 2), (5, 4, 4, 2), (5, 4, 5, 2)]
 
