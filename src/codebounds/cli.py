@@ -66,6 +66,21 @@ def _fmt_k(k: Optional[int]) -> str:
     return "n/a" if k is None else str(k)
 
 
+def _exact(x: int) -> str:
+    """The decimal digits of a nonnegative integer of any length.
+
+    str refuses an integer of more digits than the interpreter's limit (4300
+    by default where there is one); past it, x is split at 10**e, about half
+    its digits, and each part written on its own.  The other integers eval
+    writes are at most n, which was read from a decimal string.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        hi, lo = divmod(x, 10 ** (e := x.bit_length() * 3 // 20))
+        return _exact(hi) + _exact(lo).zfill(e)
+
+
 def _cmd_eval(args: SimpleNamespace) -> int:
     bounds = _parse_bounds(args.bounds)
     results, k_min = best_upper_k(args.n, args.d, args.q, bounds, args.variant_a)
@@ -73,13 +88,13 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     for res in results:
         line = f"{res.bound_id} k_max={_fmt_k(res.k_max)}"
         if res.size_max is not None:
-            line += f" size_max={res.size_max}"
+            line += f" size_max={_exact(res.size_max)}"
         if res.witness is not None:
             line += f" w={res.witness}"
         blocked = res.refutation
         if blocked is not None:
             line += (f" (k={res.k_max + 1} refuted at i={blocked.witness}:"
-                     f" lhs={blocked.lhs} > rhs={blocked.rhs})")
+                     f" lhs={_exact(blocked.lhs)} > rhs={_exact(blocked.rhs)})")
         lines.append(line)
     lines.append(f"min k_max={_fmt_k(k_min)}")
     print("\n".join(lines))
@@ -169,37 +184,63 @@ def refutation_crosscheck(*args, **kwargs) -> Optional[tuple]:
 
 
 def _cmd_refute_check(args: SimpleNamespace) -> int:
-    from .oracle import check_linear_alphabet
+    """Cross-check every bound-A refutation of the box, one line each.
+
+    A refuted triple is confirmed by a search (refutation_crosscheck) or from
+    a triple already confirmed; confirmed[(n, k)] is the smallest d at which
+    no code was found.  What a search at (n, k) finds no code among is every
+    systematic code where the nonlinear search fits the budget, and every
+    standard-form code elsewhere.  A refuted (n, k, d) is confirmed without a
+    search when
+    - (n, k) is confirmed at a smaller d: a code reaching d reaches every
+      smaller d;
+    - (n-1, k) is confirmed at d-1 or below: puncturing a tail coordinate of
+      an (n, k) code that reaches d gives an (n-1, k) code that reaches d-1;
+    - (n-1, k-1) is confirmed at d or below: shortening on a prefix
+      coordinate, keeping the words with symbol 0 there and deleting it,
+      gives an (n-1, k-1) code that reaches d.
+    Both operations keep a systematic code systematic and a standard-form
+    code in standard form.  The nonlinear search fits the budget at (n-1, k)
+    and at (n-1, k-1) wherever it fits at (n, k), as the exponent (n-k) q**k
+    is larger at (n, k) than at either; so the confirmation at the smaller
+    pair covers every code that a search at (n, k) would, and the verdict is
+    the search's.  Such an (n, k) still passes the search's budget guard,
+    once, at its first refuted d, so a budget refusal comes at the same line
+    as a search's.
+    """
+    from .oracle import check_linear_alphabet, check_search_budget
 
     # q and the budget are checked even when the box holds no refutation
     check_alphabet(args.q)
     check_linear_alphabet(args.q, args.budget)
     failures = 0
     checked = 0
-    confirmed = None  # the last (n, k) whose search found no code
+    confirmed = {}  # (n, k) -> the smallest d at which no code was found
     for n in range(4, args.n_max + 1):
-        refuted = [(k, d) for k in range(3, min(args.k_max, n - 1) + 1)
-                   for d in range(3, min(args.d_max, n) + 1)
-                   if bound_a_check(n, k, d, args.q, args.variant_a).refuted]
+        refuted = {k: [d for d in range(3, min(args.d_max, n) + 1)
+                       if bound_a_check(n, k, d, args.q, args.variant_a).refuted]
+                   for k in range(3, min(args.k_max, n - 1) + 1)}
         # at fixed (k, d) the tail mass over n - k positions only grows with
         # n, so once this n has every (k, d) of the box and none is refuted,
         # no longer n has a refutation either
-        if not refuted and n > args.k_max and n >= args.d_max:
+        if not any(refuted.values()) and n > args.k_max and n >= args.d_max:
             break
-        # the d of each (n, k) come in ascending order, and a code reaching d
-        # reaches every smaller d: once a search at (n, k) finds no code,
-        # every larger refuted d of that (n, k) is confirmed without one
-        for k, d in refuted:
-            if (n, k) != confirmed:
-                code = refutation_crosscheck(n, k, d, args.q, args.variant_a, budget=args.budget)
-            checked += 1
-            if code is None:
-                confirmed = (n, k)
-                print(f"(n={n}, k={k}, d={d}) refuted: confirmed")
-            else:
-                failures += 1
-                print(f"(n={n}, k={k}, d={d}) refuted: CONTRADICTION, "
-                      f"oracle found a code with distance >= {d}")
+        for k, ds in refuted.items():
+            for d in ds:
+                implied = (confirmed.get((n, k), d) < d or confirmed.get((n - 1, k), d) < d
+                           or confirmed.get((n - 1, k - 1), d + 1) <= d)
+                if implied and d == ds[0]:  # the search's budget guard, once per (n, k)
+                    check_search_budget(n, k, args.q, args.budget)
+                code = None if implied else refutation_crosscheck(n, k, d, args.q, args.variant_a,
+                                                                  budget=args.budget)
+                checked += 1
+                if code is None:
+                    confirmed.setdefault((n, k), d)
+                    print(f"(n={n}, k={k}, d={d}) refuted: confirmed")
+                else:
+                    failures += 1
+                    print(f"(n={n}, k={k}, d={d}) refuted: CONTRADICTION, "
+                          f"oracle found a code with distance >= {d}")
     print(f"{checked} refutations cross-checked, {failures} contradictions")
     return 1 if failures else 0
 

@@ -23,20 +23,24 @@ depends on the recursion limit.  A search is the function that gives a
 node's children.  The linear one walks the rows of the tail to the first
 code reaching a given d; best_linear_d_witness (oracle best-d) runs it for
 d counting down from the Singleton bound.  The nonlinear one is a complete
-search over prefix-to-tail assignments that skips only the partial
-assignments already holding a pair closer than d.  Each finds the same
+search over prefix-to-tail assignments that skips the partial assignments
+already holding a pair closer than d, and fixes two symmetries: tail 0 at
+prefix 0, and a tail 0...01...1 at prefix 0...01.  Each finds the same
 first code, in enumeration order, as scanning every code of its kind.
-Every search passes the linear search's budget guards first, which also
-bound the span of up to q**k codewords that the linear search checks every
+Every search passes the budget guard check_search_budget first, which also
+bounds the span of up to q**k codewords that the linear search checks every
 candidate row against.
 
 The cross-check runs one search per refuted triple, chosen by the budget:
 the nonlinear search where all systematic codes fit in it, since every
 standard-form code is one of them, and the linear search at the refuted d
 elsewhere.  It returns None when the search finds no code, else the words
-of the first code it finds.  A code reaching d reaches every smaller d, so
-oracle refute-check cross-checks each (n, k) at its smallest refuted d
-only, and at a larger d only after a search there found a code.
+of the first code it finds.  oracle refute-check confirms a triple by such
+a search, or from a triple it has confirmed: by d-monotonicity (a code
+reaching d reaches every smaller d), by puncturing (an (n, k) code reaching
+d gives an (n-1, k) code reaching d-1) or by shortening (it gives an
+(n-1, k-1) code reaching d).  The bench's q = 3 box confirms its 33
+refutations with 2 searches.
 """
 
 from itertools import combinations, product
@@ -57,6 +61,7 @@ from .exactmath import (
 __all__ = [
     "min_distance",
     "check_linear_alphabet",
+    "check_search_budget",
     "best_linear_d_witness",
     "refutation_crosscheck",
 ]
@@ -112,9 +117,10 @@ def _encode(tail: tuple[tuple[int, ...], ...], q: int) -> tuple[tuple[int, ...],
                  for v in _all_messages(len(tail), q))
 
 
-def _linear_count_within(n: int, k: int, q: int, budget: int) -> None:
-    """Refuse the search unless q passes check_linear_alphabet, 1 <= k < n,
-    and the q**(k(n-k)) standard-form codes fit in the budget.
+def check_search_budget(n: int, k: int, q: int, budget: int) -> None:
+    """The budget guard of every search at (n, k): refuse it unless q passes
+    check_linear_alphabet, 1 <= k < n, and the q**(k(n-k)) standard-form
+    codes fit in the budget.
 
     (q**k - 1) x q**k, one per ordered pair of distinct codewords, must fit
     too: the linear search checks each candidate row against the span of the
@@ -135,7 +141,11 @@ def _linear_count_within(n: int, k: int, q: int, budget: int) -> None:
 
 def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
     """Whether all (q**(n-k))**(q**k) = q**((n-k) q**k) systematic codes fit
-    in the budget, once _linear_count_within has passed."""
+    in the budget, once check_search_budget has passed.
+
+    The exponent (n-k) q**k is larger at (n, k) than at (n-1, k) and at
+    (n-1, k-1), so where the search fits at (n, k) it fits at both.
+    """
     return (n - k) * q ** k <= floor_log_q(budget, q)
 
 
@@ -207,9 +217,9 @@ def best_linear_d_witness(n: int, k: int, q: int,
     it.
 
     Counts down from the Singleton bound n - k + 1 to the first d that some
-    code reaches, under the guards of _linear_count_within.
+    code reaches, under the guards of check_search_budget.
     """
-    _linear_count_within(n, k, q, budget)
+    check_search_budget(n, k, q, budget)
     d = n - k + 1
     while (tail := _first_linear_tail(n, k, d, q)) is None:
         d -= 1
@@ -225,9 +235,22 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tupl
     search assigning tails to prefixes in that order, each prefix trying
     tails in ascending order.  The distance of two words is the prefix
     distance plus the tail distance, so a partial assignment holding a pair
-    a < b with P[a][b] + T[t_a][t_b] < d has no completion reaching d; only
-    those are skipped, so the search is complete.  No budget check here:
-    callers check _nonlinear_within first.
+    a < b with P[a][b] + T[t_a][t_b] < d has no completion reaching d; those
+    are skipped.
+
+    Prefix 0 tries only tail 0, and prefix 0...01 only the tails 0...01...1
+    of w ones, of which those with w >= d - 1 pass the distance check.  This
+    loses no code, and not the first one: translating every tail by one
+    vector keeps every distance, and so do permuting the tail coordinates
+    and permuting the nonzero symbols within one coordinate; each keeps the
+    prefixes, so the code stays systematic.  Translating the first code by
+    its tail at prefix 0 would give tail 0 there, which is first of all
+    tails, so that tail is already 0.  Then the tail at prefix 0...01 has
+    some weight w, and a coordinate and symbol permutation, which keeps tail
+    0, maps it to 0...01...1, the first tail of weight w; so it is already
+    that tail.  Hence the search is complete and finds the same first code
+    as one without these restrictions.  No budget check here: callers check
+    _nonlinear_within first.
     """
     prefixes = _all_messages(k, q)
     tails = _all_messages(n - k, q)
@@ -239,7 +262,9 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tupl
         if b == len(prefixes):
             return None
         need = [(tdist[t], d - pdist[a][b]) for a, t in enumerate(chosen)]
-        return (chosen + (t,) for t in range(len(tails)) if all(row[t] >= lo for row, lo in need))
+        # prefix 0 tries tail 0 alone, and prefix 0...01 the tails 0...01...1
+        tries = ((q ** w - 1) // (q - 1) for w in range(b * (n - k) + 1)) if b < 2 else range(len(tails))
+        return (chosen + (t,) for t in tries if all(row[t] >= lo for row, lo in need))
 
     chosen = _first_leaf((), children)
     return None if chosen is None else tuple(p + tails[t] for p, t in zip(prefixes, chosen))
@@ -256,7 +281,7 @@ def refutation_crosscheck(
     """Exhaustively confirm a refutation: no systematic code can reach d.
 
     Requires bound_a_check(n, k, d, q, variant) to be a refutation, and the
-    guards of _linear_count_within.  Runs one search: where all nonlinear
+    guards of check_search_budget.  Runs one search: where all nonlinear
     systematic codes fit in the budget, the first of them with minimum
     distance >= d (every standard-form code is among them); elsewhere the
     first standard-form code with minimum distance >= d.  The nonlinear
@@ -264,10 +289,15 @@ def refutation_crosscheck(
     those guards first refuses nothing more.  Returns None when the search
     finds no code, else the words of the first code in that search's own
     order, not necessarily a best linear code.
+
+    oracle refute-check calls it only for a triple that it cannot confirm
+    from a triple already confirmed, by d-monotonicity, puncturing or
+    shortening; it runs check_search_budget alone for the first refuted d of
+    an (n, k) that it confirms that way.
     """
     if not bound_a_check(n, k, d, q, variant).refuted:
         raise ValueError(f"({n}, {k}, {d}) over q={q} is not refuted; nothing to cross-check")
-    _linear_count_within(n, k, q, budget)
+    check_search_budget(n, k, q, budget)
     if _nonlinear_within(n, k, q, budget):
         return _first_nonlinear_code(n, k, d, q)
     tail = _first_linear_tail(n, k, d, q)

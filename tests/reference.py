@@ -45,9 +45,9 @@ from codebounds.oracle import (
     _all_messages,
     _check_prime,
     _check_systematic,
-    _linear_count_within,
     _nonlinear_within,
     best_linear_d_witness,
+    check_search_budget,
     min_distance,
 )
 
@@ -259,7 +259,7 @@ def _tail_matrix(index: int, k: int, m: int, q: int) -> tuple[tuple[int, ...], .
 def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every standard-form linear code, one per tail matrix, in
     ascending mixed-radix order of the tail entries."""
-    _linear_count_within(n, k, q, budget)
+    check_search_budget(n, k, q, budget)
 
     def gen() -> Iterator[Code]:
         for idx in range(q ** (k * (n - k))):

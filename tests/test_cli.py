@@ -70,6 +70,16 @@ class TestEval:
             main(["eval", "--q", "2"])
         assert exc.value.code == 2
 
+    def test_integers_past_the_digit_limit_written_exactly(self):
+        # str refuses more than 4300 digits where the interpreter has a limit,
+        # so each value is built from its digits 1000 at a time
+        for digits in ["1" + "0" * 9000, "9" * 4301,
+                       "".join(str(i * i % 7 + 1) + "0" * (i % 3) for i in range(6000))]:
+            value = 0
+            for at in range(0, len(digits), 1000):
+                value = value * 10 ** len(digits[at:at + 1000]) + int(digits[at:at + 1000])
+            assert cli._exact(value) == digits
+
 
 class TestTable:
     def test_csv_single_row(self, capsys):
@@ -329,36 +339,60 @@ class TestOracleCommands:
                            "--n-max", n_max, "--k-max", k_max, "--d-max", "2")
         assert (rc, out, err) == (2, "", f"error: linear enumeration needs a prime alphabet, got q={q}\n")
 
-    @pytest.mark.parametrize("box,refutations,searches", [
+    @pytest.mark.parametrize("box,refutations,searches,implied", [
         # the bench's q = 2 box: all systematic codes fit the budget, and its
-        # 2 refutations lie at 2 (n, k), so 2 nonlinear searches
-        (("2", "5", "3", "3"), 2, {"_first_nonlinear_code": 2}),
+        # 2 refutations lie at 2 (n, k), (4, 3) and (5, 3), neither implied
+        # by the other, so 2 nonlinear searches
+        (("2", "5", "3", "3"), 2, {"_first_nonlinear_code": 2}, 0),
         # the bench's q = 3 box: no nonlinear search fits; its 33
-        # refutations lie at 10 (n, k), each confirmed by one linear search
-        # at its smallest refuted d
-        (("3", "7", "6", "7"), 33, {"_first_linear_tail": 10}),
+        # refutations lie at 10 (n, k), of which (4, 3) and (5, 3) are
+        # searched at their smallest refuted d and the other 8 follow by
+        # puncturing or shortening, each passing the budget guard once
+        (("3", "7", "6", "7"), 33, {"_first_linear_tail": 2}, 8),
     ], ids=["q2", "q3"])
-    def test_refute_check_one_search_per_n_k(self, capsys, monkeypatch, box, refutations, searches):
+    def test_refute_check_one_search_per_n_k(self, capsys, monkeypatch, box, refutations, searches,
+                                             implied):
         log = _record_searches(monkeypatch)
         q, n_max, k_max, d_max = box
         rc, out, _ = run(capsys, "oracle", "refute-check", "--q", q, "--n-max", n_max,
                          "--k-max", k_max, "--d-max", d_max)
         assert rc == 0
         assert out.endswith(f"{refutations} refutations cross-checked, 0 contradictions\n")
-        assert Counter(name for name, *_ in log) == searches
+        guards = [(n, k) for name, n, k, _ in log if name == "check_search_budget"]
+        searched = {(n, k) for name, n, k, _ in log if name != "check_search_budget"}
+        assert Counter(name for name, *_ in log if name != "check_search_budget") == searches
+        # one guard per (n, k): inside its search, or alone where it is implied
+        assert len(guards) == len(set(guards)) and searched <= set(guards)
+        assert len(set(guards) - searched) == implied
 
     def test_contradiction_searches_the_next_d(self, capsys, monkeypatch):
         # the literal box of test_literal_contradiction_output: (4, 3) is
         # confirmed at d = 3 alone; at (5, 3) the search at d = 3 finds the
-        # Reed-Solomon code, so d = 4 gets a search of its own, which
-        # confirms it and with it d = 5: 3 searches for 5 refutations
+        # Reed-Solomon code, and d = 4 follows from (4, 3) at d = 3 by
+        # puncturing, and d = 5 from d = 4: 2 searches for 5 refutations,
+        # each behind the budget guard
         log = _record_searches(monkeypatch)
         rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "5", "--n-max", "5",
                          "--k-max", "3", "--d-max", "5", "--variant-a", "literal")
         assert rc == 1
         assert out.endswith("5 refutations cross-checked, 1 contradictions\n")
-        assert log == [("_first_linear_tail", 4, 3, 3), ("_first_linear_tail", 5, 3, 3),
-                       ("_first_linear_tail", 5, 3, 4)]
+        assert log == [("check_search_budget", 4, 3, 5), ("_first_linear_tail", 4, 3, 3),
+                       ("check_search_budget", 5, 3, 5), ("_first_linear_tail", 5, 3, 3)]
+
+    def test_implied_n_k_meets_the_budget_guard(self, capsys, monkeypatch):
+        # in the pinned q = 2 box that ends in a budget refusal, (10, 5) is
+        # refuted first at d = 6, which follows from (9, 5) at d = 5 by
+        # puncturing; no search runs there, but the guard refuses it, as
+        # the search would have
+        log = _record_searches(monkeypatch)
+        rc, out, err = run(capsys, "oracle", "refute-check", "--q", "2", "--n-max", "12",
+                           "--k-max", "9", "--d-max", "6")
+        assert rc == 2
+        assert len(out.splitlines()) == 62
+        assert err == ("error: enumerating q**(k(n-k)) = 2**25 standard-form codes exceeds the"
+                       " budget of 10000000\n")
+        assert log[-1] == ("check_search_budget", 10, 5, 2)
+        assert ("_first_linear_tail", 10, 5, 6) not in log
 
     @pytest.mark.parametrize("variant", ["weight", "literal"])
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -412,8 +446,11 @@ class TestOracleCommands:
     @pytest.mark.parametrize("q", [2, 3])
     def test_refute_check_scans_every_refuted_triple(self, capsys, monkeypatch, q, variant):
         # the n scan stops early once a whole (k, d) box is unrefuted; the
-        # triples it prints must still be every refutation of a full scan
+        # triples it prints must still be every refutation of a full scan;
+        # the search, and the budget guard that an implied (n, k) passes
+        # alone, are both stubbed
         monkeypatch.setattr(cli, "refutation_crosscheck", lambda *args, **kwargs: None)
+        monkeypatch.setattr(oracle, "check_search_budget", lambda *args: None)
         for n_max in range(4, 13):
             for k_max in (2, 3, 4, 6, 12):
                 for d_max in (2, 3, 5, 8, 12):
@@ -448,9 +485,11 @@ class TestOracleCommands:
 
 def _record_searches(monkeypatch):
     """Log each call of the oracle's two searches as (search, n, k, d), and
-    of best_linear_d_witness as (name, n, k, q)."""
+    of best_linear_d_witness and of the budget guard check_search_budget as
+    (name, n, k, q)."""
     log = []
-    for name in ("_first_linear_tail", "_first_nonlinear_code", "best_linear_d_witness"):
+    for name in ("_first_linear_tail", "_first_nonlinear_code", "best_linear_d_witness",
+                 "check_search_budget"):
         def logged(n, k, *args, _name=name, _search=getattr(oracle, name), **kwargs):
             log.append((_name, n, k, args[0]))
             return _search(n, k, *args, **kwargs)
@@ -723,6 +762,8 @@ CLI_DIGEST_COMMANDS = [
     "table --q 2 --n-range 100..160 --d-range 45..160 --bounds a --format csv",
     "table --q 3 --n-range 60..120 --d-range 30..120 --bounds a --variant-a literal --format csv",
     "oracle refute-check --q 5 --n-max 5 --k-max 3 --d-max 5 --variant-a literal",
+    "oracle refute-check --q 2 --n-max 12 --k-max 9 --d-max 6",
+    "eval --q 2 --n 15000 --d 3 --bounds h",
     *_ARGPARSE_COMMANDS,
 ]
 
@@ -761,9 +802,12 @@ def test_outputs_match_pinned_digests():
     under "weight", q = 3 under "literal") while bound_a_max_k still probed
     its cap and one below it and then bisected under them, as it did in
     most of their cells, the literal-variant contradiction box while
-    refute-check still searched at every refuted d, and the help and usage
+    refute-check still searched at every refuted d, the help and usage
     errors of _ARGPARSE_COMMANDS while argparse still read every command
-    line.  The file was made from the repository root with
+    line, and the q = 2 box that ends in a budget refusal while refute-check
+    still searched every (n, k) it confirmed.  The length-15000 Hamming cap,
+    of more than 4300 digits, was recorded once eval wrote it exactly; before
+    that eval exited 2 on it.  The file was made from the repository root with
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
     """

@@ -508,6 +508,57 @@ def test_nonlinear_search_needs_no_recursion():
     assert words == expected
 
 
+def _tails_tried_first(monkeypatch, n, k, d, q):
+    """The tails the nonlinear search tries at prefix 0 and at prefix
+    0...01, read off the children it gives the walk."""
+    tried = ([], [])
+    walk = oracle._first_leaf
+
+    def recording(root, children):
+        def logged(chosen):
+            kids = children(chosen)
+            if kids is None or len(chosen) > 1:
+                return kids
+            kids = list(kids)
+            tried[len(chosen)].extend(kid[-1] for kid in kids)
+            return kids
+
+        return walk(root, logged)
+
+    monkeypatch.setattr(oracle, "_first_leaf", recording)
+    _first_nonlinear_code(n, k, d, q)
+    monkeypatch.undo()
+    return tried
+
+
+def test_nonlinear_search_fixes_its_two_symmetries(monkeypatch):
+    # prefix 0 tries tail 0 alone, and prefix 0...01 the tails 0...01...1
+    # of w >= d - 1 ones alone, in ascending order
+    for n, k, q in _NONLINEAR_CASES + [(3, 1, 5), (4, 2, 3)]:
+        tails = list(product(range(q), repeat=n - k))
+        for d in range(1, n + 1):
+            at_zero, at_unit = _tails_tried_first(monkeypatch, n, k, d, q)
+            assert at_zero == [0], (n, k, d, q)
+            assert [tails[t] for t in at_unit] == [(0,) * (n - k - w) + (1,) * w
+                                                   for w in range(d - 1, n - k + 1)], (n, k, d, q)
+
+
+def test_nonlinear_fit_carries_to_the_smaller_pairs():
+    # where all systematic codes fit at (n, k) they fit at (n-1, k) and at
+    # (n-1, k-1), the pairs refute-check confirms (n, k) from by puncturing
+    # and shortening, so their verdicts cover every code a search at (n, k)
+    # would try
+    fits = 0
+    for q, budget in product([2, 3, 5, 7], [1, 2 ** 12, 10 ** 5, 10 ** 7, 10 ** 60]):
+        for n in range(3, 60):
+            for k in range(2, n):
+                if oracle._nonlinear_within(n, k, q, budget):
+                    fits += 1
+                    assert k == n - 1 or oracle._nonlinear_within(n - 1, k, q, budget), (n, k, q)
+                    assert oracle._nonlinear_within(n - 1, k - 1, q, budget), (n, k, q)
+    assert fits > 50
+
+
 def _reaches_distance(code, d):
     """Early-exit pairwise check: does every pair sit at distance >= d?"""
     ws = code.words
