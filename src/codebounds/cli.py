@@ -206,7 +206,9 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
     pair covers every code that a search at (n, k) would, and the verdict is
     the search's.  Such an (n, k) still passes the search's budget guard,
     once, at its first refuted d, so a budget refusal comes at the same line
-    as a search's.
+    as a search's.  The guard is also the command's cost bound: it ends a box
+    whose refutations all follow from a few small searches, which puncturing
+    would otherwise go on confirming at every n up to --n-max.
     """
     from .oracle import check_linear_alphabet, check_search_budget
 

@@ -16,20 +16,21 @@ The budget must be at least 1.  The alphabet must be prime here
 check_linear_alphabet refuses an alphabet larger than the budget before the
 prime test.
 
-The searches build no code per candidate, and both run on one loop,
-_first_leaf: a depth-first walk on its own stack, one level per tail entry
-in the linear search and one per prefix in the nonlinear search, so neither
-depends on the recursion limit.  A search is the function that gives a
-node's children.  The linear one walks the rows of the tail to the first
-code reaching a given d; best_linear_d_witness (oracle best-d) runs it for
-d counting down from the Singleton bound.  The nonlinear one is a complete
-search over prefix-to-tail assignments that skips the partial assignments
-already holding a pair closer than d, and fixes two symmetries: tail 0 at
-prefix 0, and a tail 0...01...1 at prefix 0...01.  Each finds the same
-first code, in enumeration order, as scanning every code of its kind.
-Every search passes the budget guard check_search_budget first, which also
-bounds the span of up to q**k codewords that the linear search checks every
-candidate row against.
+The searches build no code per candidate and no table, and both run on one
+loop, _first_leaf: a depth-first walk on its own stack, one level per tail
+entry in the linear search and one per prefix in the nonlinear search, so
+neither depends on the recursion limit.  A search is the function that
+gives a node's children, and holds only its path.  The linear one walks the
+rows of the tail to the first code reaching a given d; best_linear_d_witness
+(oracle best-d) runs it for d counting down from the Singleton bound.  The
+nonlinear one is a complete search over prefix-to-tail assignments that
+tries tails as tuples, compares each pair of words when the walk reaches
+it, skips the partial assignments already holding a pair closer than d,
+and fixes two symmetries: tail 0 at prefix 0, and a tail 0...01...1 at
+prefix 0...01.  Each finds the same first code, in enumeration order, as
+scanning every code of its kind.  Every search passes the budget guard
+check_search_budget first, which also bounds the span of up to q**k
+codewords that the linear search checks every candidate row against.
 
 The cross-check runs one search per refuted triple, chosen by the budget:
 the nonlinear search where all systematic codes fit in it, since every
@@ -233,41 +234,42 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tupl
     Codes are ordered as their tuples of tails, one per prefix with the
     prefixes in ascending order, compared lexicographically.  Depth-first
     search assigning tails to prefixes in that order, each prefix trying
-    tails in ascending order.  The distance of two words is the prefix
-    distance plus the tail distance, so a partial assignment holding a pair
-    a < b with P[a][b] + T[t_a][t_b] < d has no completion reaching d; those
-    are skipped.
+    tails in ascending order, as product(range(q), repeat=n-k) gives them.
+    The distance of two words is the prefix distance plus the tail distance,
+    so a partial assignment holding a pair a < b with
+    dist(p_a, p_b) + dist(t_a, t_b) < d has no completion reaching d; those
+    are skipped.  Each pair is compared when the walk reaches it, so the
+    search holds only its path: no table of distances, no list of tails.
 
-    Prefix 0 tries only tail 0, and prefix 0...01 only the tails 0...01...1
-    of w ones, of which those with w >= d - 1 pass the distance check.  This
-    loses no code, and not the first one: translating every tail by one
-    vector keeps every distance, and so do permuting the tail coordinates
-    and permuting the nonzero symbols within one coordinate; each keeps the
-    prefixes, so the code stays systematic.  Translating the first code by
-    its tail at prefix 0 would give tail 0 there, which is first of all
-    tails, so that tail is already 0.  Then the tail at prefix 0...01 has
-    some weight w, and a coordinate and symbol permutation, which keeps tail
-    0, maps it to 0...01...1, the first tail of weight w; so it is already
-    that tail.  Hence the search is complete and finds the same first code
-    as one without these restrictions.  No budget check here: callers check
+    Prefix 0 tries only the tail (0,) * (n-k), and prefix 0...01 only the
+    tails (0,) * (n-k-w) + (1,) * w, 0...01...1 of w ones, of which those
+    with w >= d - 1 pass the distance check.  This loses no code, and not
+    the first one: translating every tail by one vector keeps every
+    distance, and so do permuting the tail coordinates and permuting the
+    nonzero symbols within one coordinate; each keeps the prefixes, so the
+    code stays systematic.  Translating the first code by its tail at prefix
+    0 would give tail 0 there, which is first of all tails, so that tail is
+    already 0.  Then the tail at prefix 0...01 has some weight w, and a
+    coordinate and symbol permutation, which keeps tail 0, maps it to
+    0...01...1, the first tail of weight w; so it is already that tail.
+    Hence the search is complete and finds the same first code as one
+    without these restrictions.  No budget check here: callers check
     _nonlinear_within first.
     """
+    m = n - k
     prefixes = _all_messages(k, q)
-    tails = _all_messages(n - k, q)
-    pdist = [[_symbol_distance(u, v) for v in prefixes] for u in prefixes]
-    tdist = [[_symbol_distance(u, v) for v in tails] for u in tails]
 
-    def children(chosen: tuple[int, ...]):
+    def children(chosen: tuple[tuple[int, ...], ...]):
         b = len(chosen)
         if b == len(prefixes):
             return None
-        need = [(tdist[t], d - pdist[a][b]) for a, t in enumerate(chosen)]
+        need = [(s, d - _symbol_distance(p, prefixes[b])) for p, s in zip(prefixes, chosen)]
         # prefix 0 tries tail 0 alone, and prefix 0...01 the tails 0...01...1
-        tries = ((q ** w - 1) // (q - 1) for w in range(b * (n - k) + 1)) if b < 2 else range(len(tails))
-        return (chosen + (t,) for t in tries if all(row[t] >= lo for row, lo in need))
+        tries = ((0,) * (m - w) + (1,) * w for w in range(b * m + 1)) if b < 2 else product(range(q), repeat=m)
+        return (chosen + (t,) for t in tries if all(sum(map(ne, s, t)) >= lo for s, lo in need))
 
     chosen = _first_leaf((), children)
-    return None if chosen is None else tuple(p + tails[t] for p, t in zip(prefixes, chosen))
+    return None if chosen is None else tuple(p + t for p, t in zip(prefixes, chosen))
 
 
 def refutation_crosscheck(

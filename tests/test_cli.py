@@ -555,6 +555,20 @@ class TestEntryPoints:
         assert proc.stdout == b"0 refutations cross-checked, 0 contradictions\n"
         assert proc.stderr == b""
 
+    def test_refute_check_budget_guard_bounds_its_cost(self):
+        # past the searches at (4, 3, 3) and (5, 3, 3), every refutation of
+        # this box follows from a smaller one by puncturing, so only the
+        # search's budget guard, met once per (n, k), ends it: at (11, 3),
+        # after 20 lines, instead of confirming triples up to n = 10**8
+        proc = _python("-m", "codebounds", "oracle", "refute-check", "--q", "2", "--n-max",
+                       "100000000", "--k-max", "3", "--d-max", "100000000", timeout=10)
+        assert proc.returncode == 2
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 20
+        assert lines[-1] == b"(n=10, k=3, d=10) refuted: confirmed"
+        assert proc.stderr == (b"error: enumerating q**(k(n-k)) = 2**24 standard-form codes"
+                               b" exceeds the budget of 10000000\n")
+
     def test_oracle_commands_run_without_numpy(self):
         # numpy is a test dependency only: with every numpy import failing,
         # both oracle commands print their pinned output

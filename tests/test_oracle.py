@@ -6,6 +6,7 @@ oracle returns them; reference.Code validates them."""
 import inspect
 import random
 import sys
+import tracemalloc
 from functools import cache
 from itertools import islice, product
 
@@ -29,7 +30,7 @@ from reference import (
 
 from codebounds import oracle
 from codebounds.bounds import bound_a_check
-from codebounds.exactmath import EnumerationBudgetError
+from codebounds.exactmath import DEFAULT_BUDGET, EnumerationBudgetError
 from codebounds.oracle import (
     best_linear_d_witness,
     min_distance,
@@ -242,13 +243,17 @@ class TestBestLinearD:
         assert sum(e * q ** p for p, e in enumerate(reversed(flat))) == ref_idx
 
 
-def _first_tails_by_enumeration(n, k, q):
-    """d -> tail of the first code of the linear enumeration with minimum
-    distance >= d, for every d in 1..n that some code reaches; one pass."""
+def _first_codes(codes, n):
+    """d -> first of the codes, in their order, with minimum distance >= d,
+    for every d in 1..n that some code reaches; one pass.  The keys are
+    always 1..len(first), so a code matters only if it reaches the next."""
     first = {}
-    for code in enumerate_linear_systematic(n, k, q):
-        for d in range(len(first) + 1, min_distance(code.words) + 1):
-            first[d] = _tail_matrix(code)
+    for code in codes:
+        if _reaches_distance(code, len(first) + 1):
+            for d in range(len(first) + 1, min_distance(code.words) + 1):
+                first[d] = code
+            if len(first) == n:
+                break
     return first
 
 
@@ -258,7 +263,8 @@ def test_row_search_matches_enumeration_below_the_optimum(q, n_hi):
     # first code at any d, not only at the best one
     for n in range(2, n_hi + 1):
         for k in range(1, n):
-            expected = _first_tails_by_enumeration(n, k, q)
+            first = _first_codes(enumerate_linear_systematic(n, k, q), n)
+            expected = {d: _tail_matrix(code) for d, code in first.items()}
             for d in range(1, n - k + 3):
                 assert _first_linear_tail(n, k, d, q) == expected.get(d), (n, k, q, d)
 
@@ -444,17 +450,7 @@ def _tail_matrix(code):
 
 @cache
 def _first_nonlinear_codes(n, k, q):
-    """d -> first code of the nonlinear enumeration with minimum distance
-    >= d, for every d in 1..n that some code reaches; one pass.  The keys
-    are always 1..len(first), so a code matters only if it reaches the next."""
-    first = {}
-    for code in enumerate_systematic_nonlinear(n, k, q):
-        if _reaches_distance(code, len(first) + 1):
-            for d in range(len(first) + 1, min_distance(code.words) + 1):
-                first[d] = code
-            if len(first) == n:
-                break
-    return first
+    return _first_codes(enumerate_systematic_nonlinear(n, k, q), n)
 
 
 # every (n, k) over q whose nonlinear enumeration fits in the budget
@@ -494,15 +490,15 @@ def test_nonlinear_enumeration_confirms_refutations():
 
 
 def test_nonlinear_search_needs_no_recursion():
-    # the 16 prefixes of (5, 4) are 16 levels of the walk, and the even-weight
-    # code reaches d = 2; with 12 frames to spare above this test's own, a
+    # the 32 prefixes of (6, 5) are 32 levels of the walk, and the even-weight
+    # code reaches d = 2; with 16 frames to spare above this test's own, a
     # search that recursed once per prefix would overflow
-    expected = _first_nonlinear_code(5, 4, 2, 2)
+    expected = _first_nonlinear_code(6, 5, 2, 2)
     assert expected is not None
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 12)
+    sys.setrecursionlimit(len(inspect.stack()) + 16)
     try:
-        words = _first_nonlinear_code(5, 4, 2, 2)
+        words = _first_nonlinear_code(6, 5, 2, 2)
     finally:
         sys.setrecursionlimit(limit)
     assert words == expected
@@ -535,12 +531,26 @@ def test_nonlinear_search_fixes_its_two_symmetries(monkeypatch):
     # prefix 0 tries tail 0 alone, and prefix 0...01 the tails 0...01...1
     # of w >= d - 1 ones alone, in ascending order
     for n, k, q in _NONLINEAR_CASES + [(3, 1, 5), (4, 2, 3)]:
-        tails = list(product(range(q), repeat=n - k))
         for d in range(1, n + 1):
             at_zero, at_unit = _tails_tried_first(monkeypatch, n, k, d, q)
-            assert at_zero == [0], (n, k, d, q)
-            assert [tails[t] for t in at_unit] == [(0,) * (n - k - w) + (1,) * w
-                                                   for w in range(d - 1, n - k + 1)], (n, k, d, q)
+            assert at_zero == [(0,) * (n - k)], (n, k, d, q)
+            assert at_unit == [(0,) * (n - k - w) + (1,) * w
+                               for w in range(d - 1, n - k + 1)], (n, k, d, q)
+
+
+def test_nonlinear_search_memory_follows_the_walk():
+    # the default budget admits (10, 1) over q = 2, as (n-k) q**k = 18 <= 23;
+    # its 512 tails would give a table of 512 x 512 distances, while the walk
+    # holds two prefixes and the tail it tries
+    assert oracle._nonlinear_within(10, 1, 2, DEFAULT_BUDGET)
+    tracemalloc.start()
+    try:
+        words = _first_nonlinear_code(10, 1, 10, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == ((0,) * 10, (1,) * 10)
+    assert peak < 64 * 1024
 
 
 def test_nonlinear_fit_carries_to_the_smaller_pairs():
