@@ -29,8 +29,9 @@ it, skips the partial assignments already holding a pair closer than d,
 and fixes two symmetries: tail 0 at prefix 0, and a tail 0...01...1 at
 prefix 0...01.  Each finds the same first code, in enumeration order, as
 scanning every code of its kind.  Every search passes the budget guard
-check_search_budget first, which also bounds the span of up to q**k
-codewords that the linear search checks every candidate row against.
+check_search_budget first, which also bounds the span of up to q**(k-1)
+codewords that the linear search checks every candidate row against: the
+k-th row ends the tail before it would join the span.
 
 The cross-check runs one search per refuted triple, chosen by the budget:
 the nonlinear search where all systematic codes fit in it, since every
@@ -125,7 +126,8 @@ def check_search_budget(n: int, k: int, q: int, budget: int) -> None:
 
     (q**k - 1) x q**k, one per ordered pair of distinct codewords, must fit
     too: the linear search checks each candidate row against the span of the
-    rows before it, up to q**k codewords.
+    rows before it, up to q**(k-1) codewords, as the k-th row ends the tail
+    before it would join the span.
     """
     check_linear_alphabet(q, budget)
     _check_systematic(n, k, q)

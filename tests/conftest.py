@@ -1,12 +1,32 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the sweeps that more than one test file reads.
+
+Each sweep runs once per session and returns, per property it checks, the
+inputs at which the check fails; the unit tests and the acceptance criteria
+that assert a property read the same sweep."""
 
 import random
+from collections import Counter
+from fractions import Fraction
+from functools import cache
 from itertools import product
 
-from reference import Code
+from reference import (
+    Code,
+    binomial,
+    contains,
+    contains_zero,
+    distance_multiset,
+    enumerate_linear_systematic,
+    krawtchouk,
+    tail_mass,
+    translate_code,
+    verify_injection_property,
+    weight_count,
+)
 
-from codebounds.bounds import REFUTED, FeasibilityVerdict, bound_a_check
-from codebounds.exactmath import VARIANT_WEIGHT
+from codebounds.bounds import REFUTED, FeasibilityVerdict, bound_a_check, bound_a_max_k, elias_max_size
+from codebounds.exactmath import VARIANT_WEIGHT, floor_log_q, sphere_volume
+from codebounds.oracle import min_distance
 
 
 def random_systematic_code(rng: random.Random) -> Code:
@@ -30,3 +50,142 @@ def refuting_also(n: int, k: int, d: int):
         return bound_a_check(n_, k_, d_, q, variant)
 
     return check
+
+
+@cache
+def bound_a_monotonicity():
+    """Bound A on q = 2, 3, 5 and n = 4..60: the (q, n, d, k) where a
+    refuted k is followed by an unrefuted one, and the (q, n, d) where the
+    cap grows with d."""
+    failed = {"k-monotonicity": [], "d-monotonicity": []}
+    for q in (2, 3, 5):
+        for n in range(4, 61):
+            prev_cap = None
+            for d in range(3, n + 1):
+                refuted_seen = False
+                for k in range(3, n):
+                    refuted = bound_a_check(n, k, d, q).refuted
+                    if refuted_seen and not refuted:
+                        failed["k-monotonicity"].append((q, n, d, k))
+                    refuted_seen = refuted_seen or refuted
+                cap, _ = bound_a_max_k(n, d, q)
+                if prev_cap is not None and cap > prev_cap:
+                    failed["d-monotonicity"].append((q, n, d))
+                prev_cap = cap
+    return failed
+
+
+def _floor_log_q_draws():
+    """(q, M) pairs from one seeded stream: 300 with M <= 10**60 and q in
+    {2, 3, 5, 11}, then 200 with M <= 2**4000, of a size drawn first, and q
+    in 2..16."""
+    rng = random.Random(29)
+    draws = [(rng.choice([2, 3, 5, 11]), rng.randint(1, 10 ** 60)) for _ in range(300)]
+    return draws + [(rng.randint(2, 16), rng.randint(1, 2 ** rng.randint(0, 4000))) for _ in range(200)]
+
+
+@cache
+def exact_identities():
+    """The identities of the exact primitives, each over every input a test
+    gives it: per identity, the inputs where it fails."""
+    failed = {name: [] for name in ("Pascal", "completeness", "full sphere", "tail mass edges",
+                                    "orthogonality", "floor_log_q round trip")}
+    # every (m, r) with 1 <= r <= m <= 60
+    failed["Pascal"] = [(m, r) for m in range(1, 61) for r in range(1, m + 1)
+                        if binomial(m, r) != binomial(m - 1, r - 1) + binomial(m - 1, r)]
+    for q in (2, 3, 5):
+        # the weights of all q**m words partition them
+        failed["completeness"] += [(m, q) for m in range(21)
+                                   if sum(weight_count(m, j, q) for j in range(m + 1)) != q ** m]
+        # sum_x w(x) K_r(x) K_s(x) = q**n * w-mass of weight r, iff r = s
+        for n in (4, 6, 7, 10):
+            for r in range(n + 1):
+                for s in range(r, n + 1):
+                    total = sum(weight_count(n, x, q) * krawtchouk(n, q, r, x) * krawtchouk(n, q, s, x)
+                                for x in range(n + 1))
+                    if total != (q ** n * weight_count(n, r, q) if r == s else 0):
+                        failed["orthogonality"].append((q, n, r, s))
+    full = {(n, q) for n in (1, 4, 9) for q in (2, 3, 5)} | {(6, 2), (5, 3)}
+    failed["full sphere"] = sorted((n, q) for n, q in full if sphere_volume(n, n, q) != q ** n)
+    for m, q in [(4, 2), (5, 3), (3, 5), (7, 2), (7, 3), (7, 5)]:
+        if (tail_mass(m, 0, q, "weight", 0) != q ** m or tail_mass(m, m + 1, q, "weight", 1) != 0
+                or tail_mass(m, m + 3, q, "literal", 2) != 0):
+            failed["tail mass edges"].append((m, q))
+    for q, M in _floor_log_q_draws():
+        k = floor_log_q(M, q)
+        if not q ** k <= M < q ** (k + 1):
+            failed["floor_log_q round trip"].append((M, q))
+    return failed
+
+
+# (n, d, q) at which TestElias checks the witness, one test each; the cap at
+# the reported w is an integer at the last two, so the floor is exact there
+ELIAS_WITNESS_POINTS = [(7, 3, 2), (12, 3, 2), (16, 3, 5), (30, 5, 3), (47, 7, 2), (54, 50, 5),
+                        (7, 4, 2), (11, 4, 3)]
+
+
+@cache
+def elias_witnesses():
+    """Per (n, d, q) of ELIAS_WITNESS_POINTS and of the grid q in {2, 3, 5},
+    n in {7, 16, 31}, d in {3, 5, n}: the ways in which the reported witness
+    w is not admissible, does not give the reported size, or is beaten by
+    another admissible w, against the textbook form with r = (1 - 1/q)n as
+    an exact rational."""
+    grid = [(n, d, q) for q in (2, 3, 5) for n in (7, 16, 31) for d in (3, 5, n)]
+    problems = {}
+    for n, d, q in dict.fromkeys(ELIAS_WITNESS_POINTS + grid):
+        r = Fraction((q - 1) * n, q)
+
+        def floored_cap(w):
+            value = r * d / (w * w - 2 * r * w + r * d) * Fraction(q ** n, sphere_volume(n, w, q))
+            return value.numerator // value.denominator
+
+        size, w = elias_max_size(n, d, q)
+        found = problems[n, d, q] = []
+        if not (0 <= w <= r and Fraction(w * w) - 2 * r * w + r * d > 0):
+            found.append(f"w={w} inadmissible")
+        elif size != floored_cap(w):
+            found.append(f"size {size} is not the cap at w={w}")
+        found += [f"w={w2} does better" for w2 in range(0, int(r) + 1)
+                  if Fraction(w2 * w2) - 2 * r * w2 + r * d > 0 and floored_cap(w2) < size]
+    return problems
+
+
+@cache
+def translation_failures():
+    """Random systematic codes, each translated by a random word: 200 from
+    seed 20260808 and 1000 from seed 987654321.  Returns (seed, trial, what)
+    wherever the distance multiset, the systematic structure or the
+    zero-containment rule is lost."""
+    failures = []
+    for seed, trials in ((20260808, 200), (987654321, 1000)):
+        rng = random.Random(seed)
+        for trial in range(trials):
+            code = random_systematic_code(rng)
+            t = tuple(rng.randrange(code.q) for _ in range(code.n))
+            moved = translate_code(code, t)
+            if distance_multiset(moved) != distance_multiset(code):
+                failures.append((seed, trial, "distance multiset changed"))
+            if moved.systematic_k != code.systematic_k:
+                failures.append((seed, trial, "systematic structure lost"))
+            if contains_zero(moved) != contains(code, t):
+                failures.append((seed, trial, "zero-containment wrong"))
+    return failures
+
+
+@cache
+def injection_sweep():
+    """The injection property on every standard-form code of (n, k, q) =
+    (6, 3, 2), (7, 4, 2), (8, 2, 2) and (8, 1, 3), at every i with
+    2i + 1 <= d: the checks made per (n, k, q, i), and the (n, k, q, i,
+    report) of each that did not pass."""
+    checked, failures = Counter(), []
+    for n, k, q in [(6, 3, 2), (7, 4, 2), (8, 2, 2), (8, 1, 3)]:
+        for code in enumerate_linear_systematic(n, k, q):
+            d = min_distance(code.words)
+            for i in range(1, (d - 1) // 2 + 1):
+                checked[n, k, q, i] += 1
+                outcome = verify_injection_property(code, i)
+                if outcome.status != "pass":
+                    failures.append((n, k, q, i, outcome))
+    return checked, failures

@@ -269,7 +269,11 @@ def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BU
 
 
 def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Best achievable minimum distance over all standard-form (n, k) codes."""
+    """Best achievable minimum distance over all standard-form (n, k) codes,
+    as the package's own search finds it: best_linear_d_witness, not an
+    independent reference.  Its independent check is
+    test_oracle.py::TestBestLinearD::test_search_matches_every_code, which
+    enumerates every code."""
     return best_linear_d_witness(n, k, q, budget)[0]
 
 

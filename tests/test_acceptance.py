@@ -24,26 +24,17 @@ that ``table1`` still reports all three as documented differences, and the
 errata here must cover exactly golden.DOCUMENTED_ALLOWANCES.
 """
 
-import random
 import time
-from fractions import Fraction
 from math import comb
 
-import pytest
-from conftest import random_systematic_code
-from reference import (
-    binomial,
-    best_linear_d,
-    contains,
-    contains_zero,
-    distance_multiset,
-    enumerate_linear_systematic,
-    krawtchouk,
-    tail_mass,
-    translate_code,
-    verify_injection_property,
-    weight_count,
+from conftest import (
+    bound_a_monotonicity,
+    elias_witnesses,
+    exact_identities,
+    injection_sweep,
+    translation_failures,
 )
+from reference import best_linear_d
 
 from codebounds.bounds import (
     best_upper_k,
@@ -51,9 +42,8 @@ from codebounds.bounds import (
     bound_a_max_k,
     elias_max_size,
 )
-from codebounds.exactmath import floor_log_q, sphere_volume
+from codebounds.exactmath import floor_log_q
 from codebounds.golden import DOCUMENTED_ALLOWANCES, load_table1, recompute_row
-from codebounds.oracle import min_distance
 
 BUDGET = 10 ** 7
 
@@ -234,113 +224,27 @@ def test_criterion_6_oracle_soundness_sweep():
 
 
 def test_criterion_7_proof_mechanics():
-    failures = []
-    rng = random.Random(987654321)
-    for trial in range(1000):
-        code = random_systematic_code(rng)
-        t = tuple(rng.randrange(code.q) for _ in range(code.n))
-        moved = translate_code(code, t)
-        if distance_multiset(moved) != distance_multiset(code):
-            failures.append(f"trial {trial}: distance multiset changed")
-        if moved.systematic_k != code.systematic_k:
-            failures.append(f"trial {trial}: systematic structure lost")
-        if contains_zero(moved) != contains(code, t):
-            failures.append(f"trial {trial}: zero-containment wrong")
-    checked = 0
-    sweeps = [(6, 3, 2), (7, 4, 2), (8, 2, 2), (8, 1, 3)]
-    for n, k, q in sweeps:
-        for code in enumerate_linear_systematic(n, k, q, budget=BUDGET):
-            d = min_distance(code.words)
-            for i in range(1, (d - 1) // 2 + 1):
-                checked += 1
-                outcome = verify_injection_property(code, i)
-                if outcome.status != "pass":
-                    failures.append(f"injection failed on ({n},{k},{q}) i={i}: {outcome}")
-    ok = not failures and checked > 0
-    _report("criterion-7 (translation invariance x1000, injection property)", ok,
-            f"{checked} injection checks")
-    assert checked > 0
+    # the sweeps test_oracle.py reads too: translation invariance on 1200
+    # random codes, and the injection property on every standard-form code
+    # of four (n, k, q)
+    failures = [f"seed {seed} trial {trial}: {what}" for seed, trial, what in translation_failures()]
+    checked, broken = injection_sweep()
+    failures += [f"injection failed on ({n},{k},{q}) i={i}: {outcome}" for n, k, q, i, outcome in broken]
+    ok = not failures and checked.total() > 0
+    _report("criterion-7 (translation invariance x1200, injection property)", ok,
+            f"{checked.total()} injection checks")
+    assert checked.total() > 0
     assert not failures, "; ".join(failures[:10])
 
 
 def test_criterion_8_invariant_suites():
-    failures = []
-
-    # bound-A refutation monotone in k; cap monotone in d (n <= 60 sweep)
-    for q in (2, 3, 5):
-        for n in range(4, 61):
-            prev_cap = None
-            for d in range(3, n + 1):
-                refuted_seen = False
-                for k in range(3, n):
-                    refuted = bound_a_check(n, k, d, q).refuted
-                    if refuted_seen and not refuted:
-                        failures.append(f"k-monotonicity broken at {(q, n, d, k)}")
-                    refuted_seen = refuted_seen or refuted
-                cap, _ = bound_a_max_k(n, d, q)
-                if prev_cap is not None and cap > prev_cap:
-                    failures.append(f"d-monotonicity broken at {(q, n, d)}")
-                prev_cap = cap
-
-    # Pascal identity, randomized sweep
-    rng = random.Random(13)
-    for _ in range(500):
-        m = rng.randint(1, 60)
-        r = rng.randint(1, m)
-        if binomial(m, r) != binomial(m - 1, r - 1) + binomial(m - 1, r):
-            failures.append(f"Pascal identity broken at {(m, r)}")
-
-    # weight completeness and sphere volumes
-    for q in (2, 3, 5):
-        for m in range(21):
-            if sum(weight_count(m, j, q) for j in range(m + 1)) != q ** m:
-                failures.append(f"completeness broken at {(m, q)}")
-        for n in (1, 4, 9):
-            if sphere_volume(n, n, q) != q ** n:
-                failures.append(f"full sphere broken at {(n, q)}")
-        if tail_mass(7, 0, q, "weight", 0) != q ** 7 or tail_mass(7, 8, q, "weight", 1) != 0:
-            failures.append(f"tail mass edges broken at q={q}")
-
-    # Krawtchouk orthogonality up to n = 10
-    for q in (2, 3, 5):
-        for n in (6, 10):
-            for r_deg in range(n + 1):
-                for s_deg in range(r_deg, n + 1):
-                    total = sum(
-                        weight_count(n, x, q)
-                        * krawtchouk(n, q, r_deg, x)
-                        * krawtchouk(n, q, s_deg, x)
-                        for x in range(n + 1)
-                    )
-                    expected = q ** n * weight_count(n, r_deg, q) if r_deg == s_deg else 0
-                    if total != expected:
-                        failures.append(f"orthogonality broken at {(q, n, r_deg, s_deg)}")
-
-    # floor_log_q round trip
-    rng = random.Random(29)
-    for _ in range(300):
-        q = rng.choice([2, 3, 5, 11])
-        M = rng.randint(1, 10 ** 60)
-        k = floor_log_q(M, q)
-        if not q ** k <= M < q ** (k + 1):
-            failures.append(f"floor_log_q round trip broken at {(M, q)}")
-
-    # Elias witness validity across a grid
-    for q in (2, 3, 5):
-        for n in (7, 16, 31):
-            for d in (3, 5, n):
-                size, w = elias_max_size(n, d, q)
-                r = Fraction((q - 1) * n, q)
-                if not (0 <= w <= r and Fraction(w * w) - 2 * r * w + r * d > 0):
-                    failures.append(f"Elias witness inadmissible at {(n, d, q)}")
-                for w2 in range(0, int(r) + 1):
-                    denom = Fraction(w2 * w2) - 2 * r * w2 + r * d
-                    if denom <= 0:
-                        continue
-                    value = r * d / denom * Fraction(q ** n, sphere_volume(n, w2, q))
-                    if value.numerator // value.denominator < size:
-                        failures.append(f"Elias witness suboptimal at {(n, d, q)}: w={w2}")
-
+    # the sweeps the unit tests of bounds and exactmath read too: bound A's
+    # monotonicity in k and d, the identities of the exact primitives, and
+    # the Elias witnesses
+    failures = [f"{name} broken at {case}" for sweep in (bound_a_monotonicity(), exact_identities())
+                for name, cases in sweep.items() for case in cases]
+    failures += [f"Elias witness at {point}: {problem}"
+                 for point, problems in elias_witnesses().items() for problem in problems]
     ok = not failures
     _report("criterion-8 (invariant suites)", ok, "; ".join(failures[:5]))
     assert not failures, "; ".join(failures[:20])

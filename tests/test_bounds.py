@@ -2,10 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 from types import ModuleType
 
 import pytest
+from conftest import ELIAS_WITNESS_POINTS, bound_a_monotonicity, elias_witnesses
 from reference import elias_every_radius, enumerate_linear_systematic, tail_mass, weight_count
 
 import codebounds
@@ -26,7 +28,7 @@ from codebounds.bounds import (
     plotkin_max_size,
     singleton_max_k,
 )
-from codebounds.exactmath import EnumerationBudgetError, floor_log_q, sphere_volume
+from codebounds.exactmath import EnumerationBudgetError, floor_log_q
 from codebounds.golden import Mismatch, TableRow, load_table1
 from codebounds.levenshtein import levenshtein_max_size
 from codebounds.oracle import best_linear_d_witness, min_distance
@@ -57,6 +59,70 @@ def _record_checks(monkeypatch):
     return checks
 
 
+# the alphabets of the bound-A verdict walk
+_WALK_QS = (2, 3, 4, 5, 7)
+
+
+@cache
+def _verdict_walk(q):
+    """One walk over n = 4..40, every d >= 3 and both variants at q.  Every
+    bound_a_check verdict, k = 3..n-1, is computed once and compared with
+    naive_verdict; bound A's search, with the checks it makes, with the scan
+    up from k = 3 over those verdicts; the closed-form cap with the verdicts
+    above it; and, at q = 2, 3, 5, the refutation each result of
+    best_upper_k carries with the verdict at k_max + 1.  Returns, per check, the cells where it fails,
+    and what the tests below pin: the checks per search, and the cells whose
+    cap is 2."""
+    failed = {name: [] for name in ("naive", "linear", "search", "cap", "cap of two", "refutation")}
+    probes, cap_two = [], 0
+    with pytest.MonkeyPatch.context() as mp:
+        # the search's checks, made through the module; the walk's own calls
+        # use the name imported here and are not recorded
+        checks = _record_checks(mp)
+        for n in range(4, 41):
+            for d in range(3, n + 1):
+                for variant in ("weight", "literal"):
+                    cell = (n, d, q, variant)
+                    verdicts = {k: bound_a_check(n, k, d, q, variant) for k in range(3, n)}
+                    naive = {k: naive_verdict(n, k, d, q, variant) for k in range(3, n)}
+                    failed["naive"] += [(n, k, d, q, variant) for k in verdicts if verdicts[k] != naive[k]]
+                    checks.clear()
+                    k_max, blocked = bound_a_max_k(n, d, q, variant)
+                    probes.append(len(checks))
+                    # the scan stops below the first refuted k
+                    if k_max != next((k - 1 for k, v in verdicts.items() if v.refuted), n - 1):
+                        failed["linear"].append(cell)
+                    # no more than 3 checks, and the verdict returned is the
+                    # refutation at k_max + 1
+                    if len(checks) > 3 or not blocked.refuted or blocked != verdicts.get(k_max + 1):
+                        failed["search"].append(cell)
+                    # the closed form refutes nothing that bound_a_check admits
+                    cap = _bound_a_cap(n, d, q, variant)
+                    if not (2 <= cap <= max(2, n - d + 1) <= n - 1
+                            and all(verdicts[k].refuted for k in range(cap + 1, n))):
+                        failed["cap"].append(cell)
+                    # a cap of 2 admits no k >= 3; the one check, at k = 3,
+                    # refutes 3 and the search returns the floor with it
+                    if cap == 2:
+                        cap_two += 1
+                        if not naive[3].refuted or (k_max, blocked) != (2, naive[3]) or checks != [3]:
+                            failed["cap of two"].append(cell)
+                    # best_upper_k runs every bound, so the refutation test
+                    # keeps to its own alphabets
+                    results = best_upper_k(n, d, q, variant=variant)[0] if q in (2, 3, 5) else []
+                    for res in results:
+                        expect = verdicts.get(res.k_max + 1) if res.bound_id == "a" else None
+                        if (res.refutation != expect
+                                or res.bound_id == "a" and (expect is None or not expect.refuted)):
+                            failed["refutation"].append((res.bound_id, *cell))
+    return {**failed, "probes": probes, "cells at cap 2": cap_two}
+
+
+def _walk_failures(check):
+    """The cells of every walk at which check fails."""
+    return [cell for q in _WALK_QS for cell in _verdict_walk(q)[check]]
+
+
 class TestBoundACheck:
     def test_refuted_with_witness(self):
         v = bound_a_check(20, 16, 4, 2)
@@ -81,17 +147,13 @@ class TestBoundACheck:
         with pytest.raises(ValueError):
             bound_a_check(5, 3, 6, 2)
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("q", _WALK_QS)
     def test_incremental_matches_naive(self, q):
         # the ratio-update arithmetic against the plain formula, witness,
         # lhs and rhs included, at every k of the check's domain
-        # 3 <= k <= n - 1, both ends included, both variants
-        for n in range(4, 41):
-            for d in range(3, n + 1):
-                for k in range(3, n):
-                    for variant in ("weight", "literal"):
-                        expect = naive_verdict(n, k, d, q, variant)
-                        assert bound_a_check(n, k, d, q, variant) == expect, (n, k, d, q, variant)
+        # 3 <= k <= n - 1, both ends included, both variants, n <= 40
+        failed = _verdict_walk(q)["naive"]
+        assert not failed, failed[:5]
 
 
 class TestBoundAMaxK:
@@ -114,72 +176,26 @@ class TestBoundAMaxK:
             bound_a_max_k(10, 2, 2)
 
     def test_binary_search_matches_linear_scan(self):
-        for q in (2, 3, 5):
-            for n in range(4, 32):
-                for d in range(3, n + 1):
-                    linear = 2
-                    for k in range(3, n):
-                        if bound_a_check(n, k, d, q).status == FEASIBLE:
-                            linear = k
-                        else:
-                            break
-                    assert bound_a_max_k(n, d, q)[0] == linear, (n, d, q)
+        # on the verdict walk: bound A's answer is where the scan from k = 3
+        # up stops
+        assert not _walk_failures("linear")
 
-    def test_capped_search_matches_linear_scan(self, monkeypatch):
+    def test_capped_search_matches_linear_scan(self):
         # the scan down from the cap against the plain scan from k = 3 up;
-        # the search probes through bound_a_check on the module, the answer
-        # is never more than 2 below the cap here, so no call makes more than
-        # 3 checks, and the total pins the scan's cost; the linear scan calls
-        # the check it imported, so only the search's checks are recorded
-        checks = _record_checks(monkeypatch)
-        probes = []
-        for q in (2, 3, 5, 7):
-            for n in range(4, 41):
-                for d in range(3, n + 1):
-                    for variant in ("weight", "literal"):
-                        linear = 2
-                        for k in range(3, n):
-                            if bound_a_check(n, k, d, q, variant).refuted:
-                                break
-                            linear = k
-                        checks.clear()
-                        k_max, blocked = bound_a_max_k(n, d, q, variant)
-                        probes.append(len(checks))
-                        assert k_max == linear, (n, d, q, variant)
-                        assert probes[-1] <= 3, (n, d, q, variant)
-                        # the returned verdict is the refutation at k_max + 1
-                        assert blocked.refuted, (n, d, q, variant)
-                        assert blocked == bound_a_check(n, k_max + 1, d, q, variant), (n, d, q, variant)
+        # the answer is never more than 2 below the cap here, so no call
+        # makes more than 3 checks, and the total over q = 2, 3, 5, 7 pins
+        # the scan's cost
+        assert not _walk_failures("linear") + _walk_failures("search")
+        probes = [p for q in (2, 3, 5, 7) for p in _verdict_walk(q)["probes"]]
         assert (len(probes), sum(probes)) == (5920, 11077)
 
-    def test_cap_of_two_is_the_pass_at_three(self, monkeypatch):
-        # a cap of 2 admits no k >= 3; the one check, at k = 3, refutes 3 and
-        # the search returns the floor with that verdict
-        checks = _record_checks(monkeypatch)
-        cells = 0
-        for q in (2, 3, 5, 7):
-            for n in range(4, 41):
-                for d in range(3, n + 1):
-                    for variant in ("weight", "literal"):
-                        if _bound_a_cap(n, d, q, variant) == 2:
-                            cells += 1
-                            expect = naive_verdict(n, 3, d, q, variant)
-                            assert expect.refuted, (n, d, q, variant)
-                            checks.clear()
-                            assert bound_a_max_k(n, d, q, variant) == (2, expect), (n, d, q, variant)
-                            assert checks == [3], (n, d, q, variant)
-        assert cells == 592
+    def test_cap_of_two_is_the_pass_at_three(self):
+        # 592 cells over q = 2, 3, 5, 7 have a cap of 2
+        assert not _walk_failures("cap of two")
+        assert sum(_verdict_walk(q)["cells at cap 2"] for q in (2, 3, 5, 7)) == 592
 
     def test_every_dimension_above_the_cap_is_refuted(self):
-        # the closed form refutes nothing that bound_a_check admits
-        for q in (2, 3, 5, 7):
-            for n in range(4, 41):
-                for d in range(3, n + 1):
-                    for variant in ("weight", "literal"):
-                        cap = _bound_a_cap(n, d, q, variant)
-                        assert 2 <= cap <= max(2, n - d + 1) <= n - 1, (n, d, q, variant)
-                        for k in range(cap + 1, n):
-                            assert bound_a_check(n, k, d, q, variant).refuted, (n, k, d, q, variant)
+        assert not _walk_failures("cap")
 
     @pytest.mark.parametrize("d", [94, 95, 96])
     def test_gate_query_makes_two_checks(self, monkeypatch, d):
@@ -196,19 +212,7 @@ class TestBoundARefutation:
     def test_refutation_blocks_the_next_dimension(self):
         # bound A's result carries the verdict at k_max + 1 wherever A
         # applies (n >= 4, d >= 3); no other result carries one
-        for q in (2, 3, 5):
-            for n in range(4, 41):
-                for d in range(3, n + 1):
-                    for variant in ("weight", "literal"):
-                        results, _ = best_upper_k(n, d, q, variant=variant)
-                        for res in results:
-                            if res.bound_id == "a":
-                                assert res.refutation is not None, (n, d, q, variant)
-                                expect = bound_a_check(n, res.k_max + 1, d, q, variant)
-                                assert expect.refuted, (n, d, q, variant)
-                                assert res.refutation == expect, (n, d, q, variant)
-                            else:
-                                assert res.refutation is None, (res.bound_id, n, d, q, variant)
+        assert not _walk_failures("refutation")
 
     def test_small_queries_carry_none(self):
         # d < 3 or n < 4: bound A does not apply, so there is nothing to block
@@ -314,28 +318,11 @@ class TestElias:
         size, _ = elias_max_size(n, d, q)
         assert floor_log_q(size, q) == k_expected
 
-    @pytest.mark.parametrize("n,d,q", [
-        (7, 3, 2), (12, 3, 2), (16, 3, 5), (30, 5, 3), (47, 7, 2), (54, 50, 5),
-        # the cap at the reported w is an integer here, so the floor is exact
-        (7, 4, 2), (11, 4, 3),
-    ])
+    @pytest.mark.parametrize("n,d,q", ELIAS_WITNESS_POINTS)
     def test_witness_is_admissible_and_optimal(self, n, d, q):
-        # the textbook form, with r = (1 - 1/q)n as an exact rational
-        r = Fraction((q - 1) * n, q)
-
-        def floored_cap(w):
-            value = r * d / (w * w - 2 * r * w + r * d) * Fraction(q ** n, sphere_volume(n, w, q))
-            return value.numerator // value.denominator
-
-        size, w = elias_max_size(n, d, q)
-        assert 0 <= w <= r
-        assert Fraction(w * w) - 2 * r * w + r * d > 0
-        assert size == floored_cap(w)
-        # no admissible w does strictly better than the reported one
-        for w2 in range(0, int(r) + 1):
-            if Fraction(w2 * w2) - 2 * r * w2 + r * d <= 0:
-                continue
-            assert floored_cap(w2) >= size
+        # w is admissible, its floored cap is the size, and no admissible w
+        # does strictly better, on the sweep criterion 8 reads too
+        assert elias_witnesses()[n, d, q] == []
 
     def test_matches_every_radius_reference(self):
         # stopping at the first inadmissible radius loses no admissible one
@@ -385,34 +372,18 @@ class TestBestUpperK:
 
 class TestMonotonicity:
     """Refutation is monotone: once a dimension is refuted, so is every
-    larger one, and growing the distance can only shrink the cap."""
-
-    QS = (2, 3, 5)
-    N_MAX = 60
+    larger one, and growing the distance can only shrink the cap (q = 2, 3,
+    5 and n <= 60, on the sweep criterion 8 reads too)."""
 
     def test_refutation_monotone_in_k(self):
-        for q in self.QS:
-            for n in range(4, self.N_MAX + 1):
-                for d in range(3, n + 1):
-                    refuted_seen = False
-                    for k in range(3, n):
-                        refuted = bound_a_check(n, k, d, q).refuted
-                        assert not (refuted_seen and not refuted), (q, n, d, k)
-                        refuted_seen = refuted or refuted_seen
+        assert not bound_a_monotonicity()["k-monotonicity"]
 
     def test_cap_monotone_in_d(self):
-        for q in self.QS:
-            for n in range(4, self.N_MAX + 1):
-                prev = None
-                for d in range(3, n + 1):
-                    cap, _ = bound_a_max_k(n, d, q)
-                    if prev is not None:
-                        assert cap <= prev, (q, n, d)
-                    prev = cap
+        assert not bound_a_monotonicity()["d-monotonicity"]
 
     def test_variants_agree_at_q2(self):
         # (q-1)**i and (q-1)**j are both 1, so the verdicts must be identical
-        for n in range(4, self.N_MAX + 1):
+        for n in range(4, 61):
             for d in range(3, n + 1):
                 for k in range(3, n):
                     a = bound_a_check(n, k, d, 2, "weight")

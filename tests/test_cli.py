@@ -27,17 +27,35 @@ from codebounds.cli import main
 from codebounds.exactmath import EnumerationBudgetError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# tests/data/cli_digests.json, read once: the pinned digests per command
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
 
 
-def run(capsys, *argv):
-    rc = main(list(argv))
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
+def run(*argv):
+    """main on argv in this process: (exit code, stdout, stderr), with
+    argparse's SystemExit read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pin(rc, out, err):
+    """A run as tests/data/cli_digests.json pins it: sha256 of stdout and of
+    stderr, and the exit code."""
+    return {"stdout": _digest(out), "stderr": _digest(err), "exit": rc}
 
 
 class TestEval:
-    def test_griesmer_and_a(self, capsys):
-        rc, out, _ = run(capsys, "eval", "--q", "2", "--n", "20", "--d", "4",
+    def test_griesmer_and_a(self):
+        rc, out, _ = run("eval", "--q", "2", "--n", "20", "--d", "4",
                          "--bounds", "griesmer,a")
         assert rc == 0
         lines = out.splitlines()
@@ -46,14 +64,14 @@ class TestEval:
         assert lines[1] == "griesmer k_max=16"
         assert lines[2] == "min k_max=15"
 
-    def test_plotkin_not_applicable(self, capsys):
-        rc, out, _ = run(capsys, "eval", "--q", "2", "--n", "10", "--d", "3",
+    def test_plotkin_not_applicable(self):
+        rc, out, _ = run("eval", "--q", "2", "--n", "10", "--d", "3",
                          "--bounds", "plotkin")
         assert rc == 0
         assert out.splitlines()[0] == "plotkin k_max=n/a"
 
-    def test_invalid_alphabet_exits_2(self, capsys):
-        rc, _, err = run(capsys, "eval", "--q", "1", "--n", "5", "--d", "2")
+    def test_invalid_alphabet_exits_2(self):
+        rc, _, err = run("eval", "--q", "1", "--n", "5", "--d", "2")
         assert rc == 2
         assert "alphabet" in err
 
@@ -61,8 +79,8 @@ class TestEval:
         (("--q", "1", "--n", "3", "--d", "5"), "alphabet size must be at least 2, got q=1"),
         (("--q", "2", "--n=-3", "--d", "3"), "length must be positive, got n=-3"),
     ])
-    def test_invalid_query_message(self, capsys, argv, message):
-        rc, out, err = run(capsys, "eval", *argv)
+    def test_invalid_query_message(self, argv, message):
+        rc, out, err = run("eval", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_usage_error_exits_2(self):
@@ -82,20 +100,20 @@ class TestEval:
 
 
 class TestTable:
-    def test_csv_single_row(self, capsys):
-        rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "20..20",
+    def test_csv_single_row(self):
+        rc, out, _ = run("table", "--q", "2", "--n-range", "20..20",
                          "--d-range", "4..4", "--bounds", "g,a", "--format", "csv")
         assert rc == 0
         assert out == "q,n,d,griesmer,a\n2,20,4,16,15\n"
 
-    def test_csv_ternary_rows(self, capsys):
-        rc, out, _ = run(capsys, "table", "--q", "3", "--n-range", "6..7",
+    def test_csv_ternary_rows(self):
+        rc, out, _ = run("table", "--q", "3", "--n-range", "6..7",
                          "--d-range", "3..3", "--bounds", "g,a", "--format", "csv")
         assert rc == 0
         assert out.splitlines() == ["q,n,d,griesmer,a", "3,6,3,4,3", "3,7,3,5,4"]
 
-    def test_empty_intersection_header_only(self, capsys):
-        rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "3..4",
+    def test_empty_intersection_header_only(self):
+        rc, out, _ = run("table", "--q", "2", "--n-range", "3..4",
                          "--d-range", "5..6", "--bounds", "g", "--format", "csv")
         assert rc == 0
         assert out == "q,n,d,griesmer\n"
@@ -104,10 +122,10 @@ class TestTable:
         (("--q", "1", "--n", "3", "--d", "5"), "alphabet size must be at least 2, got q=1"),
         (("--q", "2", "--n-range=-3..2", "--d", "3"), "length must be positive, got n=-3"),
     ])
-    def test_invalid_query_without_cells_exits_2(self, capsys, argv, message):
+    def test_invalid_query_without_cells_exits_2(self, argv, message):
         # every cell has d > n, so nothing is evaluated, yet the query is
         # rejected with the message eval prints
-        rc, out, err = run(capsys, "table", *argv)
+        rc, out, err = run("table", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,message", [
@@ -135,15 +153,15 @@ class TestTable:
         (("--n", "5", "--d-r", "-1..3"), "distance must satisfy 1 <= d <= n, got d=-1, n=5"),
         (("--n", "5", "--d-ran", "-3..-5"), "--d-range range is empty: -3..-5"),
     ])
-    def test_negative_range_start_reaches_range_check(self, capsys, argv, message):
+    def test_negative_range_start_reaches_range_check(self, argv, message):
         # a value after --n-range or --d-range, or any abbreviation argparse
         # accepts for them, is read as the range even when it starts with
         # "-", as the "--n-range=-3..2" form above is
-        rc, out, err = run(capsys, "table", "--q", "2", *argv)
+        rc, out, err = run("table", "--q", "2", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
-    def test_csv_round_trip(self, capsys):
-        rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "10..12",
+    def test_csv_round_trip(self):
+        rc, out, _ = run("table", "--q", "2", "--n-range", "10..12",
                          "--d-range", "3..4", "--bounds", "hamming,a", "--format", "csv")
         assert rc == 0
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -153,58 +171,58 @@ class TestTable:
             assert 10 <= n <= 12 and d in (3, 4)
             int(rec["hamming"]), int(rec["a"])  # parse cleanly
 
-    def test_rows_ascending(self, capsys):
-        rc, out, _ = run(capsys, "table", "--q", "2", "--n-range", "8..10",
+    def test_rows_ascending(self):
+        rc, out, _ = run("table", "--q", "2", "--n-range", "8..10",
                          "--d-range", "3..5", "--bounds", "a", "--format", "csv")
         keys = [(int(r["n"]), int(r["d"])) for r in csv.DictReader(io.StringIO(out))]
         assert keys == sorted(keys)
 
-    def test_inverted_range_exits_2(self, capsys):
-        rc, _, err = run(capsys, "table", "--q", "2", "--n-range", "9..5",
+    def test_inverted_range_exits_2(self):
+        rc, _, err = run("table", "--q", "2", "--n-range", "9..5",
                          "--d", "3", "--bounds", "a")
         assert rc == 2
         assert "range is empty" in err
 
-    def test_determinism(self, capsys):
+    def test_determinism(self):
         args = ("table", "--q", "5", "--n-range", "10..14", "--d-range", "3..6",
                 "--bounds", "all", "--format", "records")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
+        _, first, _ = run(*args)
+        _, second, _ = run(*args)
         assert first == second
 
 
 class TestTable1:
-    def test_block_g_documented_mismatches(self, capsys):
-        rc, out, _ = run(capsys, "table1", "--block", "g")
+    def test_block_g_documented_mismatches(self):
+        rc, out, _ = run("table1", "--block", "g")
         assert rc == 1
         assert "18 rows checked" in out
         assert "q=2 n=80 d=15: k_g expected 54, computed 55 [documented]" in out
         assert "q=5 n=120 d=16: k_g expected 101, computed 102 [documented]" in out
         assert "mismatches: 0 undocumented, 2 documented" in out
 
-    def test_block_g_with_allowances(self, capsys):
-        rc, _, _ = run(capsys, "table1", "--block", "g", "--allow-documented")
+    def test_block_g_with_allowances(self):
+        rc, _, _ = run("table1", "--block", "g", "--allow-documented")
         assert rc == 0
 
-    def test_block_h(self, capsys):
-        rc, out, _ = run(capsys, "table1", "--block", "h")
+    def test_block_h(self):
+        rc, out, _ = run("table1", "--block", "h")
         assert rc == 1
         assert "q=3 n=76 d=68: k_A expected 8, computed 9 [documented]" in out
         assert "mismatches: 0 undocumented, 1 documented" in out
 
-    def test_blocks_l_and_e_clean(self, capsys):
+    def test_blocks_l_and_e_clean(self):
         for block in ("l", "e"):
-            rc, out, _ = run(capsys, "table1", "--block", block)
+            rc, out, _ = run("table1", "--block", block)
             assert rc == 0, block
             assert "mismatches: 0 undocumented, 0 documented" in out
 
-    def test_all_blocks_with_allowances(self, capsys):
-        rc, out, _ = run(capsys, "table1", "--allow-documented")
+    def test_all_blocks_with_allowances(self):
+        rc, out, _ = run("table1", "--allow-documented")
         assert rc == 0
         assert "72 rows checked" in out
         assert "mismatches: 0 undocumented, 3 documented" in out
 
-    def test_undocumented_cell_listed_first_and_fails(self, capsys, monkeypatch):
+    def test_undocumented_cell_listed_first_and_fails(self, monkeypatch):
         # a cell of the last block, with no allowance, is made to differ: it
         # prints before the documented cells, carries no note, and no flag
         # forgives it
@@ -216,7 +234,7 @@ class TestTable1:
             return (competitor + 1 if row == target else competitor), k_a
 
         monkeypatch.setattr(golden, "recompute_row", skewed)
-        rc, out, _ = run(capsys, "table1", "--allow-documented")
+        rc, out, _ = run("table1", "--allow-documented")
         assert rc == 1
         lines = out.splitlines()
         assert lines[1] == (f"  block e q={target.q} n={target.n} d={target.d}: "
@@ -232,8 +250,8 @@ class TestSharedTable:
 
     @pytest.mark.parametrize("bounds", ["all", "l"])
     @pytest.mark.parametrize("q,n_lo,n_hi", [(2, 3, 40), (3, 3, 24), (4, 3, 18), (5, 3, 16), (7, 3, 12)])
-    def test_table_matches_cells_outside_any_scope(self, capsys, q, n_lo, n_hi, bounds):
-        rc, out, err = run(capsys, "table", "--q", str(q), "--n-range", f"{n_lo}..{n_hi}",
+    def test_table_matches_cells_outside_any_scope(self, q, n_lo, n_hi, bounds):
+        rc, out, err = run("table", "--q", str(q), "--n-range", f"{n_lo}..{n_hi}",
                            "--d-range", f"1..{n_hi}", "--bounds", bounds, "--format", "csv")
         assert (rc, err) == (0, "")
         header, *rows = csv.reader(io.StringIO(out))
@@ -272,34 +290,34 @@ class TestSharedTable:
 
 
 class TestOracleCommands:
-    def test_best_d(self, capsys):
-        rc, out, _ = run(capsys, "oracle", "best-d", "--q", "2", "--n", "7", "--k", "4")
+    def test_best_d(self):
+        rc, out, _ = run("oracle", "best-d", "--q", "2", "--n", "7", "--k", "4")
         assert rc == 0
         assert "best minimum distance for (7, 4) over q=2: 3" in out
         assert "witness tail matrix" in out
 
-    def test_refute_check_confirms(self, capsys):
-        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "3",
+    def test_refute_check_confirms(self):
+        rc, out, _ = run("oracle", "refute-check", "--q", "3",
                          "--n-max", "6", "--k-max", "4", "--d-max", "4")
         assert rc == 0
         assert "0 contradictions" in out
         assert "(n=6, k=4, d=3) refuted: confirmed" in out
 
-    def test_best_d_deeper_than_the_recursion_limit(self, capsys):
+    def test_best_d_deeper_than_the_recursion_limit(self):
         # the search goes one level deeper per tail entry, 1099 here, more
         # than the interpreter's default recursion limit of 1000
-        rc, out, err = run(capsys, "oracle", "best-d", "--q", "2", "--n", "1100", "--k", "1",
+        rc, out, err = run("oracle", "best-d", "--q", "2", "--n", "1100", "--k", "1",
                            "--budget", str(10 ** 400))
         assert (rc, err) == (0, "")
         assert out.splitlines() == ["best minimum distance for (1100, 1) over q=2: 1100",
                                     "witness tail matrix (rows):", "  " + "1" * 1099]
 
-    def test_budget_exceeded_exits_2(self, capsys):
-        rc, _, err = run(capsys, "oracle", "best-d", "--q", "2", "--n", "30", "--k", "15")
+    def test_budget_exceeded_exits_2(self):
+        rc, _, err = run("oracle", "best-d", "--q", "2", "--n", "30", "--k", "15")
         assert rc == 2
         assert "budget" in err
 
-    def test_search_table_over_budget_exits_2(self, capsys, monkeypatch):
+    def test_search_table_over_budget_exits_2(self, monkeypatch):
         # 3**10 codes fit the default budget, but the search's 59 048 x 59 049
         # codeword pairs do not; the search is replaced so that a missing
         # guard fails here instead of running
@@ -307,7 +325,7 @@ class TestOracleCommands:
             raise AssertionError("search ran past the budget guard")
 
         monkeypatch.setattr(oracle, "_first_linear_tail", search)
-        rc, out, err = run(capsys, "oracle", "best-d", "--q", "3", "--n", "11", "--k", "10")
+        rc, out, err = run("oracle", "best-d", "--q", "3", "--n", "11", "--k", "10")
         assert rc == 2
         assert out == ""
         assert "budget" in err
@@ -318,24 +336,24 @@ class TestOracleCommands:
         # a box with no refutation in it
         ("oracle", "refute-check", "--q", "2", "--n-max", "3", "--k-max", "3", "--d-max", "3"),
     ])
-    def test_budget_zero_exits_2(self, capsys, argv):
-        rc, out, err = run(capsys, *argv, "--budget", "0")
+    def test_budget_zero_exits_2(self, argv):
+        rc, out, err = run(*argv, "--budget", "0")
         assert rc == 2
         assert out == ""
         assert err == "error: budget must be at least 1, got 0\n"
 
-    def test_refute_check_alphabet_checked_before_the_box(self, capsys):
+    def test_refute_check_alphabet_checked_before_the_box(self):
         # the box holds no refutation, so no cross-check would reach the
         # search's own alphabet check
-        rc, out, err = run(capsys, "oracle", "refute-check", "--q", "1",
+        rc, out, err = run("oracle", "refute-check", "--q", "1",
                            "--n-max", "3", "--k-max", "2", "--d-max", "2")
         assert (rc, out, err) == (2, "", "error: alphabet size must be at least 2, got q=1\n")
 
     @pytest.mark.parametrize("q,n_max,k_max", [("4", "3", "2"), ("6", "4", "3")])
-    def test_refute_check_nonprime_alphabet_refused_before_the_box(self, capsys, q, n_max, k_max):
+    def test_refute_check_nonprime_alphabet_refused_before_the_box(self, q, n_max, k_max):
         # neither box holds a refutation, so no cross-check would reach the
         # search's own prime test
-        rc, out, err = run(capsys, "oracle", "refute-check", "--q", q,
+        rc, out, err = run("oracle", "refute-check", "--q", q,
                            "--n-max", n_max, "--k-max", k_max, "--d-max", "2")
         assert (rc, out, err) == (2, "", f"error: linear enumeration needs a prime alphabet, got q={q}\n")
 
@@ -350,11 +368,10 @@ class TestOracleCommands:
         # puncturing or shortening, each passing the budget guard once
         (("3", "7", "6", "7"), 33, {"_first_linear_tail": 2}, 8),
     ], ids=["q2", "q3"])
-    def test_refute_check_one_search_per_n_k(self, capsys, monkeypatch, box, refutations, searches,
-                                             implied):
+    def test_refute_check_one_search_per_n_k(self, monkeypatch, box, refutations, searches, implied):
         log = _record_searches(monkeypatch)
         q, n_max, k_max, d_max = box
-        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", q, "--n-max", n_max,
+        rc, out, _ = run("oracle", "refute-check", "--q", q, "--n-max", n_max,
                          "--k-max", k_max, "--d-max", d_max)
         assert rc == 0
         assert out.endswith(f"{refutations} refutations cross-checked, 0 contradictions\n")
@@ -365,27 +382,27 @@ class TestOracleCommands:
         assert len(guards) == len(set(guards)) and searched <= set(guards)
         assert len(set(guards) - searched) == implied
 
-    def test_contradiction_searches_the_next_d(self, capsys, monkeypatch):
+    def test_contradiction_searches_the_next_d(self, monkeypatch):
         # the literal box of test_literal_contradiction_output: (4, 3) is
         # confirmed at d = 3 alone; at (5, 3) the search at d = 3 finds the
         # Reed-Solomon code, and d = 4 follows from (4, 3) at d = 3 by
         # puncturing, and d = 5 from d = 4: 2 searches for 5 refutations,
         # each behind the budget guard
         log = _record_searches(monkeypatch)
-        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "5", "--n-max", "5",
+        rc, out, _ = run("oracle", "refute-check", "--q", "5", "--n-max", "5",
                          "--k-max", "3", "--d-max", "5", "--variant-a", "literal")
         assert rc == 1
         assert out.endswith("5 refutations cross-checked, 1 contradictions\n")
         assert log == [("check_search_budget", 4, 3, 5), ("_first_linear_tail", 4, 3, 3),
                        ("check_search_budget", 5, 3, 5), ("_first_linear_tail", 5, 3, 3)]
 
-    def test_implied_n_k_meets_the_budget_guard(self, capsys, monkeypatch):
+    def test_implied_n_k_meets_the_budget_guard(self, monkeypatch):
         # in the pinned q = 2 box that ends in a budget refusal, (10, 5) is
         # refuted first at d = 6, which follows from (9, 5) at d = 5 by
         # puncturing; no search runs there, but the guard refuses it, as
         # the search would have
         log = _record_searches(monkeypatch)
-        rc, out, err = run(capsys, "oracle", "refute-check", "--q", "2", "--n-max", "12",
+        rc, out, err = run("oracle", "refute-check", "--q", "2", "--n-max", "12",
                            "--k-max", "9", "--d-max", "6")
         assert rc == 2
         assert len(out.splitlines()) == 62
@@ -396,7 +413,7 @@ class TestOracleCommands:
 
     @pytest.mark.parametrize("variant", ["weight", "literal"])
     @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_refute_check_matches_a_search_per_triple(self, capsys, q, variant):
+    def test_refute_check_matches_a_search_per_triple(self, q, variant):
         # the command against a loop that cross-checks every refuted triple
         # of the box on its own; boxes that end in a budget refusal and
         # boxes that hold a contradiction (q = 5 under "literal") are among
@@ -420,19 +437,19 @@ class TestOracleCommands:
             except EnumerationBudgetError:
                 rc = 2
             expected = "".join(line + "\n" for line in lines)
-            got = run(capsys, "oracle", "refute-check", "--q", str(q), "--n-max", str(n_max),
+            got = run("oracle", "refute-check", "--q", str(q), "--n-max", str(n_max),
                       "--k-max", str(k_max), "--d-max", str(d_max), "--variant-a", variant,
                       "--budget", str(budget))
             assert got[:2] == (rc, expected), (n_max, k_max, d_max, budget)
 
-    def test_nonlinear_contradiction_output(self, capsys, monkeypatch):
+    def test_nonlinear_contradiction_output(self, monkeypatch):
         # bound A made unsound at (6, 3, 3) over q = 2, where a code of
         # distance 3 exists; the budget admits all 2**24 systematic codes,
         # so the nonlinear search finds it
         fake = refuting_also(6, 3, 3)
         monkeypatch.setattr(oracle, "bound_a_check", fake)
         monkeypatch.setattr(cli, "bound_a_check", fake)
-        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "2", "--n-max", "6",
+        rc, out, _ = run("oracle", "refute-check", "--q", "2", "--n-max", "6",
                          "--k-max", "3", "--d-max", "3", "--budget", str(2 ** 24))
         assert rc == 1
         assert out == (
@@ -444,7 +461,7 @@ class TestOracleCommands:
 
     @pytest.mark.parametrize("variant", ["weight", "literal"])
     @pytest.mark.parametrize("q", [2, 3])
-    def test_refute_check_scans_every_refuted_triple(self, capsys, monkeypatch, q, variant):
+    def test_refute_check_scans_every_refuted_triple(self, monkeypatch, q, variant):
         # the n scan stops early once a whole (k, d) box is unrefuted; the
         # triples it prints must still be every refutation of a full scan;
         # the search, and the budget guard that an implied (n, k) passes
@@ -454,7 +471,7 @@ class TestOracleCommands:
         for n_max in range(4, 13):
             for k_max in (2, 3, 4, 6, 12):
                 for d_max in (2, 3, 5, 8, 12):
-                    rc, out, _ = run(capsys, "oracle", "refute-check", "--q", str(q),
+                    rc, out, _ = run("oracle", "refute-check", "--q", str(q),
                                      "--n-max", str(n_max), "--k-max", str(k_max),
                                      "--d-max", str(d_max), "--variant-a", variant)
                     expected = [f"(n={n}, k={k}, d={d}) refuted: confirmed"
@@ -466,11 +483,11 @@ class TestOracleCommands:
                     assert out.splitlines() == expected + [
                         f"{len(expected)} refutations cross-checked, 0 contradictions"], (n_max, k_max, d_max)
 
-    def test_literal_contradiction_output(self, capsys):
+    def test_literal_contradiction_output(self):
         # the literal variant refutes k = 3 at (n=5, d=3, q=5), where a
         # [5,3,3]_5 Reed-Solomon code exists; output recorded before the
         # oracle searches were rewritten
-        rc, out, _ = run(capsys, "oracle", "refute-check", "--q", "5", "--n-max", "5",
+        rc, out, _ = run("oracle", "refute-check", "--q", "5", "--n-max", "5",
                          "--k-max", "3", "--d-max", "5", "--variant-a", "literal")
         assert rc == 1
         assert out == (
@@ -503,6 +520,47 @@ def _python(*args, timeout=60):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                            env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
+# What _run_fresh runs after its prelude: main on each command in turn, with
+# output captured and SystemExit read as the exit code.  It prints the runs,
+# each [exit code, stdout, stderr, parsers built so far], the modules loaded
+# since its own imports, and the parsers built; only the _COUNT_PARSERS
+# prelude counts parsers.
+_RUNNER = (
+    "import contextlib, io, json, shlex, sys\n"
+    "before = set(sys.modules)\n"
+    "from codebounds.cli import main\n"
+    "runs = []\n"
+    "for cmd in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        try:\n"
+    "            rc = main(shlex.split(cmd))\n"
+    "        except SystemExit as exc:\n"
+    "            rc = exc.code\n"
+    "    runs.append([rc, out.getvalue(), err.getvalue(), len(built)])\n"
+    "print(json.dumps([runs, sorted(set(sys.modules) - before), len(built)]))\n"
+)
+
+# Preludes: every numpy import fails; every ArgumentParser made, subparsers
+# included, is counted.
+_NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+_COUNT_PARSERS = (
+    "import argparse\n"
+    "init = argparse.ArgumentParser.__init__\n"
+    "def counting(self, *args, **kwargs):\n"
+    "    built.append(1)\n"
+    "    init(self, *args, **kwargs)\n"
+    "argparse.ArgumentParser.__init__ = counting\n"
+)
+
+
+def _run_fresh(commands, prelude=""):
+    """_RUNNER's output for commands, in a fresh interpreter after prelude."""
+    proc = _python("-c", "built = []\n" + prelude + _RUNNER, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestEntryPoints:
@@ -574,20 +632,9 @@ class TestEntryPoints:
         # both oracle commands print their pinned output
         commands = ["oracle best-d --q 2 --n 7 --k 4",
                     "oracle refute-check --q 3 --n-max 6 --k-max 5 --d-max 6"]
-        proc = _python("-c", (
-            "import contextlib, hashlib, io, json, shlex, sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from codebounds.cli import main\n"
-            "runs = []\n"
-            "for cmd in json.loads(sys.argv[1]):\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out):\n"
-            "        rc = main(shlex.split(cmd))\n"
-            "    runs.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest()])\n"
-            "print(json.dumps(runs))\n"), json.dumps(commands))
-        assert proc.returncode == 0, proc.stderr
-        pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
-        assert json.loads(proc.stdout) == [[0, pinned[cmd]["stdout"]] for cmd in commands]
+        runs, _, _ = _run_fresh(commands, _NO_NUMPY)
+        assert [[rc, _digest(out)] for rc, out, *_ in runs] == [
+            [0, PINNED[cmd]["stdout"]] for cmd in commands]
 
     @pytest.mark.parametrize("runs,loaded,unloaded", [
         # start-up and the bound commands load neither the reference table
@@ -621,46 +668,19 @@ class TestEntryPoints:
     def test_commands_load_only_what_they_run(self, runs, loaded, unloaded):
         # each run is (command, key of its pinned stdout or None for no
         # output, exit code); a module already loaded before the CLI is
-        # imported, by site for one, counts as neither loaded nor unloaded
-        proc = _python("-c", (
-            "import contextlib, hashlib, io, json, shlex, sys\n"
-            "before = set(sys.modules)\n"
-            "from codebounds.cli import main\n"
-            "runs = []\n"
-            "for cmd in json.loads(sys.argv[1]):\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
-            "        try:\n"
-            "            rc = main(shlex.split(cmd))\n"
-            "        except SystemExit as exc:\n"
-            "            rc = exc.code\n"
-            "    runs.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest()])\n"
-            "print(json.dumps([runs, sorted(set(sys.modules) - before)]))\n"),
-            json.dumps([cmd for cmd, _, _ in runs]))
-        assert proc.returncode == 0, proc.stderr
-        results, new = json.loads(proc.stdout)
-        pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
-        empty = hashlib.sha256(b"").hexdigest()
-        assert results == [[rc, pinned[key]["stdout"] if key else empty] for _, key, rc in runs]
+        # imported, by site or by the runner itself, counts as neither loaded
+        # nor unloaded
+        results, new, _ = _run_fresh([cmd for cmd, _, _ in runs])
+        assert [[rc, _digest(out)] for rc, out, *_ in results] == [
+            [rc, PINNED[key]["stdout"] if key else _digest("")] for _, key, rc in runs]
         assert [m for m in loaded + unloaded if m in new] == loaded
 
-    def test_python_m_matches_main(self, capsys):
+    def test_python_m_matches_main(self):
         argv = ("eval", "--q", "2", "--n", "20", "--d", "4", "--bounds", "griesmer,a")
         proc = _python("-m", "codebounds", *argv)
-        rc, out, err = run(capsys, *argv)
+        rc, out, err = run(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
 
-
-# Counts every ArgumentParser made in this interpreter, subparsers included.
-_COUNT_PARSERS = (
-    "import argparse\n"
-    "built = []\n"
-    "init = argparse.ArgumentParser.__init__\n"
-    "def counting(self, *args, **kwargs):\n"
-    "    built.append(1)\n"
-    "    init(self, *args, **kwargs)\n"
-    "argparse.ArgumentParser.__init__ = counting\n"
-)
 
 # One process runs these in turn, twice over; each is also run alone.  A
 # usage error, two ValueError exits and literal-variant calls sit between
@@ -684,46 +704,19 @@ _REUSE_COMMANDS = [
 class TestParserReuse:
     def test_import_builds_no_parser(self):
         # start-up pays for no parser: the first call of main builds it
-        proc = _python("-c", _COUNT_PARSERS + "import codebounds.cli\nprint(len(built))")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == b"0\n"
+        assert _run_fresh([], _COUNT_PARSERS)[2] == 0
 
     def test_main_builds_the_parser_once(self):
         # the count after each of ten calls: a well-formed command line
         # builds no parser, the first usage error builds the whole tree, and
         # every later call reuses it
-        proc = _python("-c", _COUNT_PARSERS + (
-            "import contextlib, io, shlex\n"
-            "from codebounds.cli import main\n"
-            "counts = []\n"
-            "for cmd in 5 * ['eval --q 2 --n 20 --d 4', 'table --q 2 --d 3']:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-            "        try:\n"
-            "            main(shlex.split(cmd))\n"
-            "        except SystemExit:\n"
-            "            pass\n"
-            "    counts.append(len(built))\n"
-            "print(counts)\n"))
-        assert proc.returncode == 0, proc.stderr
-        counts = json.loads(proc.stdout)
+        runs, _, _ = _run_fresh(5 * ["eval --q 2 --n 20 --d 4", "table --q 2 --d 3"], _COUNT_PARSERS)
+        counts = [count for *_, count in runs]
         assert counts[0] == 0 and counts[1] > 0 and counts[1:] == counts[1:2] * 9, counts
 
     def test_repeated_calls_match_fresh_runs(self):
-        proc = _python("-c", (
-            "import contextlib, io, json, shlex, sys\n"
-            "from codebounds.cli import main\n"
-            "runs = []\n"
-            "for cmd in 2 * json.loads(sys.argv[1]):\n"
-            "    out, err = io.StringIO(), io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-            "        try:\n"
-            "            rc = main(shlex.split(cmd))\n"
-            "        except SystemExit as exc:\n"
-            "            rc = exc.code\n"
-            "    runs.append([out.getvalue(), err.getvalue(), rc])\n"
-            "print(json.dumps(runs))\n"), json.dumps(_REUSE_COMMANDS))
-        assert proc.returncode == 0, proc.stderr
-        in_process = json.loads(proc.stdout)
+        runs, _, _ = _run_fresh(2 * _REUSE_COMMANDS)
+        in_process = [[out, err, rc] for rc, out, err, _ in runs]
         fresh = []
         for cmd in _REUSE_COMMANDS:
             alone = _python("-m", "codebounds", *shlex.split(cmd))
@@ -731,11 +724,9 @@ class TestParserReuse:
         assert in_process == 2 * fresh
         assert sorted({rc for _, _, rc in fresh}) == [0, 1, 2]
         assert fresh[0][0] != fresh[1][0]  # the variants differ here
-        pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
-        runs = {cmd: {"stdout": hashlib.sha256(out.encode()).hexdigest(),
-                      "stderr": hashlib.sha256(err.encode()).hexdigest(), "exit": rc}
-                for cmd, (out, err, rc) in zip(_REUSE_COMMANDS, fresh) if cmd in pinned}
-        assert len(runs) == 5 and runs == {cmd: pinned[cmd] for cmd in runs}
+        pins = {cmd: _pin(rc, out, err)
+                for cmd, (out, err, rc) in zip(_REUSE_COMMANDS, fresh) if cmd in PINNED}
+        assert len(pins) == 5 and pins == {cmd: PINNED[cmd] for cmd in pins}
 
 
 # help and usage errors, whose text argparse alone writes; recorded before the
@@ -785,19 +776,8 @@ CLI_DIGEST_COMMANDS = [
 def cli_digests():
     """sha256 of stdout and of stderr, and the exit code, per command; help
     and usage text is wrapped at argparse's default 80 columns."""
-    digests = {}
-    for cmd in CLI_DIGEST_COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-            try:
-                rc = main(shlex.split(cmd))
-            except SystemExit as exc:
-                rc = exc.code
-        digests[cmd] = {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-                        "exit": rc}
-    return digests
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        return {cmd: _pin(*run(*shlex.split(cmd))) for cmd in CLI_DIGEST_COMMANDS}
 
 
 def test_outputs_match_pinned_digests():
@@ -825,8 +805,7 @@ def test_outputs_match_pinned_digests():
 
     PYTHONPATH=src:tests python -c 'import json, test_cli; print(json.dumps(test_cli.cli_digests(), indent=1))' > tests/data/cli_digests.json
     """
-    pinned = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
-    assert cli_digests() == pinned
+    assert cli_digests() == PINNED
 
 
 # Fuzzed argvs stay cheap: n <= 24, q <= 13, at most 10 values per range and
@@ -880,12 +859,7 @@ def _argvs():
 def test_fuzzed_arguments_exit_cleanly(argv):
     """Every argv ends in exit 0, 1 or 2, never in a traceback; argparse's
     own usage errors arrive as SystemExit(2)."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-    assert rc in (0, 1, 2), argv
+    assert run(*argv)[0] in (0, 1, 2), argv
 
 
 def _flag_spans(argv):
@@ -965,7 +939,7 @@ def test_strict_reading_takes_the_pinned_and_bench_command_lines():
 
 
 @pytest.mark.parametrize("workload", ["query", "sweep", "gate"])
-def test_bench_pinned_outputs(capsys, workload):
+def test_bench_pinned_outputs(workload):
     # the outputs bench/expected.json pins, through main: each pinned query
     # seed's whole output, every sweep row and each gate query, compared by
     # the digests the bench checks
@@ -983,7 +957,7 @@ def test_bench_pinned_outputs(capsys, workload):
     for key, argvs in runs.items():
         outs = []
         for argv in argvs:
-            rc, out, err = run(capsys, *argv)
+            rc, out, err = run(*argv)
             assert (rc, err) == (0, ""), argv
             outs.append(out)
         assert _WORKLOADS["digest"]("".join(outs)) == pins[key], (workload, key)
