@@ -20,7 +20,7 @@ carried as documented allowances rather than silently patched:
   weight variant counts the full tail mass 2**67 there and yields 9.
 """
 
-from importlib import resources
+import os
 from typing import NamedTuple, Optional
 
 from .bounds import BLOCKS, BOUND_ALIASES, best_upper_k
@@ -87,7 +87,7 @@ DOCUMENTED_ALLOWANCES: dict[tuple, str] = {
 
 def load_table1() -> list[TableRow]:
     """Parse the embedded reference table."""
-    text = resources.files(__package__).joinpath("table1.csv").read_text(encoding="utf-8")
+    text = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "table1.csv")).decode("utf-8")
     header, *lines = text.splitlines()
     # the header names TableRow's fields in order; every field after block is an integer
     expected_header = ",".join(TableRow._fields)

@@ -2,13 +2,15 @@
 
 Each sweep runs once per session and returns, per property it checks, the
 inputs at which the check fails; the unit tests and the acceptance criteria
-that assert a property read the same sweep."""
+that assert a property read the same sweep.  Each small family of
+standard-form codes is walked once too, by linear_family."""
 
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from reference import (
     Code,
@@ -21,6 +23,7 @@ from reference import (
     tail_mass,
     translate_code,
     verify_injection_property,
+    weight,
     weight_count,
 )
 
@@ -173,7 +176,35 @@ def translation_failures():
     return failures
 
 
+class LinearFamily(NamedTuple):
+    """What the tests read of every standard-form code of one (n, k, q), in
+    enumeration order."""
+
+    distances: list  # (minimum distance, least nonzero weight) per code
+    first: dict  # d -> the first code of minimum distance >= d, d = 1..the best
+    injection_checks: Counter  # i -> codes checked at i, every i with 2i + 1 <= d
+    injection_failures: list  # (i, report) of each check that did not pass
+
+
 @cache
+def linear_family(n: int, k: int, q: int) -> LinearFamily:
+    """One walk over every standard-form code of (n, k, q), read by every
+    test of those codes: their count, distances and least weights, the first
+    code per distance, and the injection property at every applicable i."""
+    distances, first, checks, failures = [], {}, Counter(), []
+    for code in enumerate_linear_systematic(n, k, q):
+        d = min_distance(code.words)
+        distances.append((d, min(weight(w) for w in code.words if weight(w))))
+        for reached in range(len(first) + 1, d + 1):
+            first[reached] = code
+        for i in range(1, (d - 1) // 2 + 1):
+            checks[i] += 1
+            outcome = verify_injection_property(code, i)
+            if outcome.status != "pass":
+                failures.append((i, outcome))
+    return LinearFamily(distances, first, checks, failures)
+
+
 def injection_sweep():
     """The injection property on every standard-form code of (n, k, q) =
     (6, 3, 2), (7, 4, 2), (8, 2, 2) and (8, 1, 3), at every i with
@@ -181,11 +212,7 @@ def injection_sweep():
     report) of each that did not pass."""
     checked, failures = Counter(), []
     for n, k, q in [(6, 3, 2), (7, 4, 2), (8, 2, 2), (8, 1, 3)]:
-        for code in enumerate_linear_systematic(n, k, q):
-            d = min_distance(code.words)
-            for i in range(1, (d - 1) // 2 + 1):
-                checked[n, k, q, i] += 1
-                outcome = verify_injection_property(code, i)
-                if outcome.status != "pass":
-                    failures.append((n, k, q, i, outcome))
+        family = linear_family(n, k, q)
+        checked.update({(n, k, q, i): count for i, count in family.injection_checks.items()})
+        failures += [(n, k, q, i, outcome) for i, outcome in family.injection_failures]
     return checked, failures

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import runpy
 import shlex
 import subprocess
@@ -17,8 +18,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from conftest import refuting_also
 
 from codebounds import cli, golden, levenshtein, oracle
@@ -557,8 +556,10 @@ _COUNT_PARSERS = (
 
 
 def _run_fresh(commands, prelude=""):
-    """_RUNNER's output for commands, in a fresh interpreter after prelude."""
-    proc = _python("-c", "built = []\n" + prelude + _RUNNER, json.dumps(commands))
+    """_RUNNER's output for commands, in a fresh interpreter after prelude;
+    run without site, so that no module the host's site preloads escapes the
+    checks of what a command loads."""
+    proc = _python("-S", "-c", "built = []\n" + prelude + _RUNNER, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -644,10 +645,11 @@ class TestEntryPoints:
            "table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv", 0),
           ("eval --q 2", None, 2)],
          [], ["codebounds.golden", "codebounds.oracle", "csv", "dataclasses"]),
-        # table1 splits the reference table's lines itself: it loads neither
-        # csv nor the oracle, nor dataclasses
+        # table1 splits the reference table's lines itself and reads the
+        # file through its module's loader: it loads neither csv nor
+        # importlib.resources, nor the oracle or dataclasses
         ([("table1 --block g --allow-documented", "table1 --block g", 0)],
-         ["codebounds.golden"], ["codebounds.oracle", "csv", "dataclasses"]),
+         ["codebounds.golden"], ["codebounds.oracle", "csv", "dataclasses", "importlib.resources"]),
         # a well-formed command line is read without argparse, hence without
         # the gettext and locale modules its messages need
         ([("eval --q 2 --n 500 --d 95", "eval --q 2 --n 500 --d 95 --bounds all", 0),
@@ -668,8 +670,8 @@ class TestEntryPoints:
     def test_commands_load_only_what_they_run(self, runs, loaded, unloaded):
         # each run is (command, key of its pinned stdout or None for no
         # output, exit code); a module already loaded before the CLI is
-        # imported, by site or by the runner itself, counts as neither loaded
-        # nor unloaded
+        # imported, by the interpreter or by the runner itself, counts as
+        # neither loaded nor unloaded
         results, new, _ = _run_fresh([cmd for cmd, _, _ in runs])
         assert [[rc, _digest(out)] for rc, out, *_ in results] == [
             [rc, PINNED[key]["stdout"] if key else _digest("")] for _, key, rc in runs]
@@ -812,58 +814,95 @@ def test_outputs_match_pinned_digests():
 # a budget of at most 10**4, which the oracle commands always pass.  Each
 # value is drawn as often from its valid small range as from the whole one,
 # so that many argvs get past the input checks.
-_ints = st.one_of(st.integers(1, 8), st.integers(-3, 24)).map(str)
-_alphabets = st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(-2, 13)).map(str)
-_budgets = st.one_of(st.integers(1, 10 ** 4), st.integers(-2, 10 ** 4)).map(str)
-_variants = st.sampled_from(["weight", "literal", "exact"])
-_bound_lists = st.one_of(
-    st.sampled_from(["all", "a", "g,a", "h,all,g,h", "l,e,p,s", ",,", "A, G"]),
-    st.text(alphabet="aeghlps,xy .-", max_size=8),
-)
+def _int(rng):
+    return str(rng.randint(1, 8) if rng.randrange(2) else rng.randint(-3, 24))
 
 
-@st.composite
-def _ranges(draw):
+def _alphabet(rng):
+    return str(rng.choice([2, 3, 5, 7]) if rng.randrange(2) else rng.randint(-2, 13))
+
+
+def _budget(rng):
+    return str(rng.randint(1, 10 ** 4) if rng.randrange(2) else rng.randint(-2, 10 ** 4))
+
+
+def _variant(rng):
+    return rng.choice(["weight", "literal", "exact"])
+
+
+def _bound_list(rng):
+    if rng.randrange(2):
+        return rng.choice(["all", "a", "g,a", "h,all,g,h", "l,e,p,s", ",,", "A, G"])
+    return "".join(rng.choices("aeghlps,xy .-", k=rng.randint(0, 8)))
+
+
+def _range(rng):
     """A LO..HI range of at most 10 values (empty when LO > HI), or junk."""
-    hi = draw(st.integers(-3, 24))
-    lo = draw(st.integers(hi - 9, hi + 2))
-    junk = st.sampled_from(["", "..", "3..", "..4", "3-5", "a..b", "1..2..3", "7", "- 1..2"])
-    return draw(st.one_of(st.just(f"{lo}..{hi}"), junk))
+    if rng.randrange(2):
+        hi = rng.randint(-3, 24)
+        return f"{rng.randint(hi - 9, hi + 2)}..{hi}"
+    return rng.choice(["", "..", "3..", "..4", "3-5", "a..b", "1..2..3", "7", "- 1..2"])
 
 
-def _span_args(flag):
+def _span_args(rng, flag):
     """--x N, --x-range LO..HI, both, or neither."""
-    single = _ints.map(lambda v: [f"--{flag}", v])
-    ranged = _ranges().map(lambda r: [f"--{flag}-range", r])
-    return st.one_of(single, ranged, st.tuples(single, ranged).map(lambda p: p[0] + p[1]), st.just([]))
+    single, ranged = [f"--{flag}", _int(rng)], [f"--{flag}-range", _range(rng)]
+    return rng.choice([single, ranged, single + ranged, []])
 
 
-def _argvs():
-    ev = st.tuples(_alphabets, _ints, _ints, _bound_lists, _variants).map(
-        lambda t: ["eval", "--q", t[0], "--n", t[1], "--d", t[2], "--bounds", t[3], "--variant-a", t[4]])
-    table = st.tuples(_alphabets, _span_args("n"), _span_args("d"), _bound_lists,
-                      st.sampled_from(["csv", "text", "records", "tsv"])).map(
-        lambda t: ["table", "--q", t[0], *t[1], *t[2], "--bounds", t[3], "--format", t[4]])
-    table1 = st.tuples(st.sampled_from(golden.BLOCKS + ("all", "x")), st.booleans()).map(
-        lambda t: ["table1", "--block", t[0]] + (["--allow-documented"] if t[1] else []))
-    best_d = st.tuples(_alphabets, _ints, _ints, _budgets).map(
-        lambda t: ["oracle", "best-d", "--q", t[0], "--n", t[1], "--k", t[2], "--budget", t[3]])
-    refute = st.tuples(_alphabets, _ints, _ints, _ints, _variants, _budgets).map(
-        lambda t: ["oracle", "refute-check", "--q", t[0], "--n-max", t[1], "--k-max", t[2],
-                   "--d-max", t[3], "--variant-a", t[4], "--budget", t[5]])
-    return st.one_of(ev, table, table1, best_d, refute)
+_COMMANDS = ["eval", "table", "table1", "best-d", "refute-check"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_argvs())
-def test_fuzzed_arguments_exit_cleanly(argv):
+def _argv(rng):
+    """A command line of one of _COMMANDS, each as often."""
+    command = rng.choice(_COMMANDS)
+    if command == "eval":
+        return ["eval", "--q", _alphabet(rng), "--n", _int(rng), "--d", _int(rng),
+                "--bounds", _bound_list(rng), "--variant-a", _variant(rng)]
+    if command == "table":
+        return ["table", "--q", _alphabet(rng), *_span_args(rng, "n"), *_span_args(rng, "d"),
+                "--bounds", _bound_list(rng), "--format", rng.choice(["csv", "text", "records", "tsv"])]
+    if command == "table1":
+        return ["table1", "--block", rng.choice(golden.BLOCKS + ("all", "x"))] + (
+            ["--allow-documented"] if rng.randrange(2) else [])
+    if command == "best-d":
+        return ["oracle", "best-d", "--q", _alphabet(rng), "--n", _int(rng), "--k", _int(rng),
+                "--budget", _budget(rng)]
+    return ["oracle", "refute-check", "--q", _alphabet(rng), "--n-max", _int(rng), "--k-max", _int(rng),
+            "--d-max", _int(rng), "--variant-a", _variant(rng), "--budget", _budget(rng)]
+
+
+def _command(argv):
+    """Which of _COMMANDS an argv of _argv runs."""
+    return argv[1] if argv[0] == "oracle" else argv[0]
+
+
+def _failed_draws(failures):
+    """One line per failed draw: its index, its argv and what went wrong."""
+    return "\n".join(f"draw {i}: {shlex.join(argv)}: {what}" for i, argv, what in failures)
+
+
+def test_fuzzed_arguments_exit_cleanly():
     """Every argv ends in exit 0, 1 or 2, never in a traceback; argparse's
-    own usage errors arrive as SystemExit(2)."""
-    assert run(*argv)[0] in (0, 1, 2), argv
+    own usage errors arrive as SystemExit(2).  300 argvs from seed 8110."""
+    rng = random.Random(8110)
+    failures, commands = [], set()
+    for i in range(300):
+        argv = _argv(rng)
+        commands.add(_command(argv))
+        try:
+            rc = run(*argv)[0]
+        except Exception as exc:
+            failures.append((i, argv, f"raised {exc!r}"))
+        else:
+            if rc not in (0, 1, 2):
+                failures.append((i, argv, f"exit {rc!r}"))
+    assert not failures, _failed_draws(failures)
+    assert commands == set(_COMMANDS)
 
 
 def _flag_spans(argv):
-    """(start, end) of each flag and its value in an argv of _argvs()."""
+    """(start, end) of each flag and its value in an argv of _argv."""
     i = 2 if argv[0] == "oracle" else 1
     while i < len(argv):
         end = i + 1 if argv[i] == "--allow-documented" else i + 2
@@ -871,24 +910,25 @@ def _flag_spans(argv):
         i = end
 
 
-@st.composite
-def _mutated_argvs(draw):
-    """An argv of _argvs() with one change the strict reading leaves to
-    argparse (an abbreviated flag, a "--flag=value", a repeated flag, a
-    stray token, "-h", a value that starts with "-"), or with one flag
-    dropped, which may leave it well-formed; with the kind of change."""
-    argv = draw(_argvs())
+_MUTATIONS = ["abbreviate", "equals", "dash", "repeat", "drop", "extra", "help"]
+
+
+def _mutate(rng, argv):
+    """argv with one change the strict reading leaves to argparse (an
+    abbreviated flag, a "--flag=value", a repeated flag, a stray token, "-h",
+    a value that starts with "-"), or with one flag dropped, which may leave
+    it well-formed; with the kind of change, one of _MUTATIONS."""
     spans = list(_flag_spans(argv))
-    start, end = draw(st.sampled_from(spans))
+    start, end = rng.choice(spans)
     flag = argv[start]
     kinds = ["repeat", "drop", "extra", "help"]
     if len(flag) > 3:
         kinds.append("abbreviate")
     if end - start == 2:
         kinds += ["equals", "dash"]
-    kind = draw(st.sampled_from(kinds))
+    kind = rng.choice(kinds)
     if kind == "abbreviate":
-        argv[start] = flag[:draw(st.integers(3, len(flag) - 1))]
+        argv[start] = flag[:rng.randint(3, len(flag) - 1)]
     elif kind == "equals":
         argv[start:end] = [f"{flag}={argv[start + 1]}"]
     elif kind == "dash":
@@ -898,30 +938,38 @@ def _mutated_argvs(draw):
     elif kind == "drop":
         del argv[start:end]
     else:
-        at = draw(st.integers(spans[0][0], len(argv)))
-        argv.insert(at, "-h" if kind == "help" else draw(st.sampled_from(["extra", "5", "eval"])))
+        at = rng.randint(spans[0][0], len(argv))
+        argv.insert(at, "-h" if kind == "help" else rng.choice(["extra", "5", "eval"]))
     return argv, kind
 
 
 _WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_argvs().map(lambda argv: (argv, None)), _mutated_argvs()))
-def test_strict_reading_matches_argparse(argv_kind):
+def test_strict_reading_matches_argparse():
     """main reads the raw command line strictly and gives argparse the one
     with its range values attached.  Wherever it reads without argparse, it
     gets the namespace argparse gives the attached argv; every argv that
     attaching changes is left to argparse, and so is every mutation but a
     dropped flag, unless the abbreviated flag is itself a flag of the
-    command, as --n of --n-range."""
-    argv, kind = argv_kind
-    attached = cli._attach_range_values(argv)
-    args = cli._read_well_formed(argv)
-    if args is not None:
-        assert vars(args) == vars(cli._build_parser().parse_args(attached)), argv
-    if attached != argv or kind in ("equals", "dash", "repeat", "extra", "help"):
-        assert args is None, argv
+    command, as --n of --n-range.  400 argvs from seed 9090, about half of
+    them mutated."""
+    rng = random.Random(9090)
+    failures, commands, kinds = [], set(), set()
+    for i in range(400):
+        argv = _argv(rng)
+        commands.add(_command(argv))
+        argv, kind = _mutate(rng, argv) if rng.randrange(2) else (argv, None)
+        kinds.add(kind)
+        attached = cli._attach_range_values(argv)
+        args = cli._read_well_formed(argv)
+        if args is not None and vars(args) != vars(cli._build_parser().parse_args(attached)):
+            failures.append((i, argv, "read otherwise than by argparse"))
+        if args is not None and (attached != argv or kind in ("equals", "dash", "repeat", "extra", "help")):
+            failures.append((i, argv, f"read without argparse ({kind or 'attached'})"))
+    assert not failures, _failed_draws(failures)
+    assert commands == set(_COMMANDS)
+    assert kinds == {None, *_MUTATIONS}
 
 
 def test_strict_reading_takes_the_pinned_and_bench_command_lines():

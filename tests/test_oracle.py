@@ -11,7 +11,7 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from conftest import injection_sweep, refuting_also, translation_failures
+from conftest import injection_sweep, linear_family, refuting_also, translation_failures
 from reference import (
     Code,
     StandardFormGenerator,
@@ -120,15 +120,16 @@ class TestMinDistance:
         cases = [(n, k, 2) for n in range(3, 7) for k in range(1, n)]
         cases += [(n, k, 3) for n in range(3, 6) for k in range(1, n)]
         for n, k, q in cases:
-            for code in enumerate_linear_systematic(n, k, q):
-                least_weight = min(weight(w) for w in code.words if weight(w))
-                assert min_distance(code.words) == least_weight, (n, k, q)
+            for d, least_weight in linear_family(n, k, q).distances:
+                assert d == least_weight, (n, k, q)
 
 
 class TestEnumerations:
     def test_linear_counts(self):
-        assert sum(1 for _ in enumerate_linear_systematic(3, 2, 2)) == 4
-        assert sum(1 for _ in enumerate_linear_systematic(7, 4, 2)) == 4096
+        assert len(linear_family(3, 2, 2).distances) == 4
+        assert len(linear_family(7, 4, 2).distances) == 4096
+        # counted without the walk: no other test reads these codes, and the
+        # pairwise distances of their 81 words would take seconds
         assert sum(1 for _ in enumerate_linear_systematic(6, 4, 3)) == 6561
 
     def test_linear_budget(self):
@@ -211,7 +212,7 @@ class TestBestLinearD:
         # the independent check of best_linear_d: the best d of every code
         # enumerated is the largest d that the first codes reach
         for n, k, q in _LINEAR_CASES:
-            assert best_linear_d(n, k, q) == len(_first_linear_codes(n, k, q)), (n, k, q)
+            assert best_linear_d(n, k, q) == len(linear_family(n, k, q).first), (n, k, q)
 
     def test_witness_attains_the_optimum(self):
         d, tail = best_linear_d_witness(7, 4, 2)
@@ -221,7 +222,7 @@ class TestBestLinearD:
     def test_witness_is_first_optimal_code_in_enumeration_order(self):
         for n, k, q in _LINEAR_CASES:
             d, tail = best_linear_d_witness(n, k, q)
-            assert tail == _tail_rows(_first_linear_codes(n, k, q)[d]), (n, k, q)
+            assert tail == _tail_rows(linear_family(n, k, q).first[d]), (n, k, q)
 
     @pytest.mark.parametrize("n,k,q", [(7, 5, 3), (8, 2, 3), (5, 3, 5), (5, 3, 7), (4, 2, 11)])
     def test_column_search_matches_decoding_every_tail(self, n, k, q):
@@ -249,11 +250,6 @@ def _first_codes(codes, n):
     return first
 
 
-@cache
-def _first_linear_codes(n, k, q):
-    return _first_codes(enumerate_linear_systematic(n, k, q), n)
-
-
 # every (n, k) over q = 2, n <= 6, and over q = 3, n <= 5, the grid of TestBestLinearD
 _LINEAR_CASES = [(n, k, q) for q, n_hi in ((2, 6), (3, 5)) for n in range(2, n_hi + 1) for k in range(1, n)]
 
@@ -264,7 +260,7 @@ def test_row_search_matches_enumeration_below_the_optimum(q, n_hi):
     # first code at any d, not only at the best one
     for n in range(2, n_hi + 1):
         for k in range(1, n):
-            expected = {d: _tail_rows(code) for d, code in _first_linear_codes(n, k, q).items()}
+            expected = {d: _tail_rows(code) for d, code in linear_family(n, k, q).first.items()}
             for d in range(1, n - k + 3):
                 assert _first_linear_tail(n, k, d, q) == expected.get(d), (n, k, q, d)
 
