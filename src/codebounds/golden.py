@@ -107,8 +107,8 @@ def recompute_row(row: TableRow) -> tuple[int, int]:
     return k_max[competitor], k_max["a"]
 
 
-def diff_table1(blocks: Optional[set[str]] = None) -> tuple[int, list[Mismatch]]:
-    """Recompute every selected row (all blocks when blocks is None).
+def diff_table1(blocks: set[str]) -> tuple[int, list[Mismatch]]:
+    """Recompute every row of the selected blocks.
 
     Returns the number of rows checked and every differing cell: first the
     undocumented ones (note None), then those with a documented allowance,
@@ -118,7 +118,7 @@ def diff_table1(blocks: Optional[set[str]] = None) -> tuple[int, list[Mismatch]]
     rows_checked = 0
     mismatches = []
     for row in load_table1():
-        if blocks is not None and row.block not in blocks:
+        if row.block not in blocks:
             continue
         competitor, k_a = recompute_row(row)
         rows_checked += 1

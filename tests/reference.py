@@ -46,7 +46,6 @@ from codebounds.oracle import (
     _check_prime,
     _check_systematic,
     _nonlinear_within,
-    best_linear_d_witness,
     check_search_budget,
     min_distance,
 )
@@ -266,15 +265,6 @@ def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BU
             yield StandardFormGenerator(q, k, n, _tail_matrix(idx, k, n - k, q)).code()
 
     return gen()
-
-
-def best_linear_d(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Best achievable minimum distance over all standard-form (n, k) codes,
-    as the package's own search finds it: best_linear_d_witness, not an
-    independent reference.  Its independent check is
-    test_oracle.py::TestBestLinearD::test_search_matches_every_code, which
-    enumerates every code."""
-    return best_linear_d_witness(n, k, q, budget)[0]
 
 
 def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:

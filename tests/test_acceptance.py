@@ -34,7 +34,6 @@ from conftest import (
     injection_sweep,
     translation_failures,
 )
-from reference import best_linear_d
 
 from codebounds.bounds import (
     best_upper_k,
@@ -44,6 +43,7 @@ from codebounds.bounds import (
 )
 from codebounds.exactmath import floor_log_q
 from codebounds.golden import DOCUMENTED_ALLOWANCES, load_table1, recompute_row
+from codebounds.oracle import best_linear_d_witness
 
 BUDGET = 10 ** 7
 
@@ -204,7 +204,7 @@ def test_criterion_6_oracle_soundness_sweep():
             for k in range(3, n):
                 if k * (n - k) > floor_log_q(BUDGET, q):
                     continue  # enumeration would exceed the budget
-                best = best_linear_d(n, k, q, budget=BUDGET)
+                best = best_linear_d_witness(n, k, q, BUDGET)[0]
                 for d in range(3, n + 1):
                     if not bound_a_check(n, k, d, q).refuted:
                         continue
@@ -212,7 +212,7 @@ def test_criterion_6_oracle_soundness_sweep():
                     if best >= d:
                         contradictions.append((q, n, k, d, best))
     # the hand-checked anchor: ternary (6, 4) tops out at distance 2
-    anchor_ok = bound_a_check(6, 4, 3, 3).refuted and best_linear_d(6, 4, 3) == 2
+    anchor_ok = bound_a_check(6, 4, 3, 3).refuted and best_linear_d_witness(6, 4, 3)[0] == 2
     elapsed = time.perf_counter() - start
     ok = not contradictions and anchor_ok and elapsed < 300 and confirmed > 0
     _report("criterion-6 (oracle soundness sweep q=2,3 n<=8)", ok,

@@ -147,6 +147,11 @@ class TestBoundACheck:
         with pytest.raises(ValueError):
             bound_a_check(5, 3, 6, 2)
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            bound_a_check(5, 0, 3, 2)
+        assert str(exc.value) == "dimension must be positive, got k=0"
+
     @pytest.mark.parametrize("q", _WALK_QS)
     def test_incremental_matches_naive(self, q):
         # the ratio-update arithmetic against the plain formula, witness,
@@ -174,6 +179,11 @@ class TestBoundAMaxK:
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
             bound_a_max_k(10, 2, 2)
+
+    def test_short_length_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            bound_a_max_k(3, 3, 2)
+        assert str(exc.value) == "bound A needs n >= 4, got n=3"
 
     def test_binary_search_matches_linear_scan(self):
         # on the verdict walk: bound A's answer is where the scan from k = 3

@@ -151,11 +151,13 @@ class TestTable:
         (("--n-rang", "-3..2", "--d", "3"), "length must be positive, got n=-3"),
         (("--n", "5", "--d-r", "-1..3"), "distance must satisfy 1 <= d <= n, got d=-1, n=5"),
         (("--n", "5", "--d-ran", "-3..-5"), "--d-range range is empty: -3..-5"),
+        (("--n-range", "7", "--d", "3"), "--n-range expects LO..HI, got '7'"),
     ])
     def test_negative_range_start_reaches_range_check(self, argv, message):
         # a value after --n-range or --d-range, or any abbreviation argparse
         # accepts for them, is read as the range even when it starts with
-        # "-", as the "--n-range=-3..2" form above is
+        # "-", as the "--n-range=-3..2" form above is; a range without ".."
+        # is refused by the same check
         rc, out, err = run("table", "--q", "2", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
@@ -241,6 +243,20 @@ class TestTable1:
                             f"computed {target.k_competitor + 1}")
         assert lines[2].endswith(" [documented]")
         assert lines[-1] == "mismatches: 1 undocumented, 3 documented"
+
+    def test_unknown_block_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            golden.recompute_row(golden.TableRow("x", 2, 20, 4, 16, 15))
+        assert str(exc.value) == "unknown block 'x'"
+
+    def test_wrong_header_rejected(self, monkeypatch):
+        # the header must name TableRow's fields in order: swapped columns
+        # are refused, not read into the wrong fields
+        monkeypatch.setattr(golden.__spec__.loader, "get_data",
+                            lambda path: b"block,q,n,d,k_A,k_competitor\ng,2,20,4,15,16\n")
+        with pytest.raises(ValueError) as exc:
+            golden.load_table1()
+        assert str(exc.value) == "reference table header must be block,q,n,d,k_competitor,k_A"
 
 
 class TestSharedTable:

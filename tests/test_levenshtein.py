@@ -9,12 +9,13 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from reference import best_linear_d, krawtchouk
+from reference import krawtchouk
 
 from codebounds.exactmath import floor_log_q
 from codebounds import levenshtein
 from codebounds.levenshtein import (_candidates, _coefficients, _kernel_row, _numerators,
                                     _second_negative, levenshtein_max_size)
+from codebounds.oracle import best_linear_d_witness
 
 
 @pytest.mark.parametrize("n,d,q,k_expected", [
@@ -43,7 +44,7 @@ def test_upper_bounds_actual_codes():
     # exhaustive small-scale optima give hard floors for any valid bound
     cases = [(7, 4, 2, 3), (6, 3, 2, 3), (5, 2, 2, 3)]
     for n, k, q, d in cases:
-        assert best_linear_d(n, k, q) == d
+        assert best_linear_d_witness(n, k, q)[0] == d
         assert levenshtein_max_size(n, d, q) >= q ** k
 
 
@@ -389,6 +390,16 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
     drawn.clear()
     assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 0, 0, True)], 9) == 7
     assert drawn == []
+
+
+def test_branch_min_verifies_the_run_left_when_candidates_run_out(monkeypatch):
+    # a real scan has always met a candidate no smaller than its best before
+    # its candidates ran out, so only a stub reaches the check after the
+    # loop: one strictly decreasing run of certified candidates, whose last
+    # value is the branch's minimum
+    run = [(value, c, 1, 1, 1, 0, True) for c, value in enumerate((30, 20, 10))]
+    monkeypatch.setattr(levenshtein, "_candidates", lambda n, m, d, q: iter(run))
+    assert levenshtein._branch_min(10, 9, 3, 2) == 10
 
 
 def _every_degree_reference(n, d, q):

@@ -15,7 +15,6 @@ from conftest import injection_sweep, linear_family, refuting_also, translation_
 from reference import (
     Code,
     StandardFormGenerator,
-    best_linear_d,
     contains,
     contains_zero,
     distance_multiset,
@@ -201,18 +200,18 @@ class TestBestLinearD:
         (6, 2, 2, 4),
     ])
     def test_known_optima(self, n, k, q, expected):
-        assert best_linear_d(n, k, q) == expected
+        assert best_linear_d_witness(n, k, q)[0] == expected
 
     def test_repetition_dimension_one(self):
         for q in (2, 3):
             for n in (3, 5, 7):
-                assert best_linear_d(n, 1, q) == n
+                assert best_linear_d_witness(n, 1, q)[0] == n
 
     def test_search_matches_every_code(self):
-        # the independent check of best_linear_d: the best d of every code
-        # enumerated is the largest d that the first codes reach
+        # the independent check of best_linear_d_witness: the best d of
+        # every code enumerated is the largest d that the first codes reach
         for n, k, q in _LINEAR_CASES:
-            assert best_linear_d(n, k, q) == len(linear_family(n, k, q).first), (n, k, q)
+            assert best_linear_d_witness(n, k, q)[0] == len(linear_family(n, k, q).first), (n, k, q)
 
     def test_witness_attains_the_optimum(self):
         d, tail = best_linear_d_witness(7, 4, 2)
