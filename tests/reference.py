@@ -22,6 +22,12 @@ Enumerations are deterministic (tails in ascending mixed-radix order) and
 guarded by the oracle's budget; a sweep that would exceed it raises rather
 than silently truncating.
 
+nordstrom_robinson builds a nonlinear code that no linear code of its
+length and distance matches, from quadratic forms over GF(2), and
+systematic_coordinates finds by search the coordinates on which a code is
+systematic; together they give truth in bound A's scope beyond what the
+enumerations reach.
+
 Every input rule comes from the package's shared guards, so no rule has a
 second copy here.  Nothing is imported from codebounds.bounds or
 codebounds.levenshtein, the code these definitions are the reference for.
@@ -338,3 +344,92 @@ def verify_injection_property(code: Code, i: int) -> InjectionReport:
             return InjectionReport("counterexample", (seen[tail], w))
         seen[tail] = w
     return InjectionReport("pass")
+
+
+# the entries above the diagonal of an alternating 4 x 4 matrix, in the
+# order a matrix lists them
+_UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _kerdock_set() -> list[tuple[int, ...]]:
+    """Eight alternating 4 x 4 matrices over GF(2), each given by its entries
+    above the diagonal in _UPPER order, the zero matrix included, whose
+    pairwise differences are nonsingular: the first such set in
+    lexicographic order, found by backtracking.  An alternating 4 x 4
+    matrix is nonsingular exactly when its Pfaffian
+    b01 b23 + b02 b13 + b03 b12 is 1."""
+    matrices = list(product((0, 1), repeat=len(_UPPER)))
+    chosen = [matrices[0]]
+
+    def pfaffian(b: tuple[int, ...]) -> int:
+        return (b[0] & b[5]) ^ (b[1] & b[4]) ^ (b[2] & b[3])
+
+    def extend(start: int) -> bool:
+        if len(chosen) == 8:
+            return True
+        for i in range(start, len(matrices)):
+            b = matrices[i]
+            if all(pfaffian(tuple(x ^ y for x, y in zip(b, c))) for c in chosen):
+                chosen.append(b)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(1):
+        raise AssertionError("no Kerdock set of 4 x 4 matrices found")
+    return chosen
+
+
+def nordstrom_robinson() -> Code:
+    """The Nordstrom-Robinson code: 2**8 binary words of length 16 at
+    minimum distance 6, twice the size of the best linear [16, 7, 6] code.
+
+    Each matrix B of _kerdock_set gives the quadratic form
+    Q_B(x) = sum_{i<j} B_ij x_i x_j on GF(2)**4; the code is the union, over
+    the eight forms, of the cosets Q_B + RM(1, 4), a word listing its
+    function's values at the 16 points of GF(2)**4 in lexicographic order.
+    Two words of one coset differ by an affine function, in 8 or 16 places;
+    two words of different cosets by a form of rank 4 plus an affine
+    function, in 6 or 10 (MacWilliams & Sloane, ch. 15).
+    """
+    points = list(product((0, 1), repeat=4))
+    words = []
+    for b in _kerdock_set():
+        form = [sum(bij & x[i] & x[j] for bij, (i, j) in zip(b, _UPPER)) & 1 for x in points]
+        for *a, c in product((0, 1), repeat=5):
+            words.append(tuple((f + c + sum(ai & xi for ai, xi in zip(a, x))) & 1
+                               for f, x in zip(form, points)))
+    return Code(2, 16, tuple(words))
+
+
+def systematic_coordinates(code: Code, k: int) -> Optional[tuple[int, ...]]:
+    """The first k-set of coordinates, in lexicographic order, on which the
+    code's words project onto all q**k words, each once; None if there is
+    none.
+
+    The search runs depth-first over increasing coordinates, and extends a
+    partial set only while every pattern on it is met by the same number of
+    words, as it is on every subset of a systematic set.
+    """
+    if len(code) != code.q ** k:
+        return None
+
+    def balanced(coords: tuple[int, ...]) -> bool:
+        counts: dict[tuple[int, ...], int] = {}
+        for w in code.words:
+            pattern = tuple(w[i] for i in coords)
+            counts[pattern] = counts.get(pattern, 0) + 1
+        return len(counts) == code.q ** len(coords) and len(set(counts.values())) == 1
+
+    def search(coords: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        if len(coords) == k:
+            return coords
+        for i in range(coords[-1] + 1 if coords else 0, code.n - k + len(coords) + 1):
+            if balanced(coords + (i,)):
+                found = search(coords + (i,))
+                if found is not None:
+                    return found
+        return None
+
+    return search(())

@@ -8,7 +8,15 @@ from types import ModuleType
 
 import pytest
 from conftest import ELIAS_WITNESS_POINTS, bound_a_monotonicity, elias_witnesses, linear_family
-from reference import elias_every_radius, tail_mass, weight_count
+from reference import (
+    Code,
+    distance_multiset,
+    elias_every_radius,
+    nordstrom_robinson,
+    systematic_coordinates,
+    tail_mass,
+    weight_count,
+)
 
 import codebounds
 from codebounds import bounds
@@ -463,6 +471,49 @@ def test_every_cap_admits_the_best_linear_codes():
                     if r.size_max is not None:
                         assert r.size_max >= q ** k_star, (q, n, d, r)
     assert searches == 72
+
+
+def _punctured(code, i):
+    """The code with coordinate i deleted from every word."""
+    return Code(code.q, code.n - 1, tuple(w[:i] + w[i + 1:] for w in code.words))
+
+
+def _shortened(code, i):
+    """The words with 0 at coordinate i, with that coordinate deleted."""
+    return _punctured(Code(code.q, code.n, tuple(w for w in code.words if w[i] == 0)), i)
+
+
+def test_nordstrom_robinson_family_under_every_cap():
+    """Truth in bound A's nonlinear scope beyond the oracle's reach.
+
+    The Nordstrom-Robinson code has 2**8 words of length 16 at distance 6,
+    where the best linear code has 2**7.  It and the codes made from it by
+    puncturing a tail coordinate and by shortening on one message
+    coordinate, then on two, are systematic, so bound A and every bound
+    that holds for every code must admit their k.  Pinned: A's cap, and the
+    every-code bounds whose cap k meets.
+    """
+    nr = nordstrom_robinson()
+    first = systematic_coordinates(nr, 8)
+    tail = max(set(range(nr.n)) - set(first))
+    once = _shortened(nr, first[0])
+    twice = _shortened(once, systematic_coordinates(once, 7)[0])
+    family = [
+        (nr, 8, 6, 9, {"elias", "hamming", "levenshtein"}),
+        (_punctured(nr, tail), 8, 5, 9, {"hamming", "levenshtein"}),
+        (once, 7, 6, 8, {"levenshtein"}),
+        (twice, 6, 6, 7, {"levenshtein"}),
+    ]
+    every_code = [b for b, (_, scope, _) in bounds.BOUNDS.items() if scope == bounds.EVERY_CODE]
+    for code, k, d, k_a, met in family:
+        # Code rejected duplicate words when each code was built
+        assert systematic_coordinates(code, k) is not None, (code.n, k, d)
+        assert distance_multiset(code)[0] == d
+        results, _ = best_upper_k(code.n, d, 2, ["a", *every_code])
+        caps = {r.bound_id: r.k_max for r in results if r.k_max is not None}
+        assert caps["a"] == k_a, (code.n, d)
+        assert min(caps.values()) >= k, (code.n, d, caps)
+        assert {b for b, cap in caps.items() if cap == k} == met, (code.n, d, caps)
 
 
 def test_table1_independence_audit():

@@ -9,7 +9,6 @@ import tracemalloc
 from functools import cache
 from itertools import islice, product
 
-import numpy as np
 import pytest
 from conftest import injection_sweep, linear_family, refuting_also, translation_failures
 from reference import (
@@ -410,7 +409,11 @@ class TestRefutationCrosscheck:
 def _best_d_by_decoding(n, k, q):
     """Reference for the linear search: decode every tail matrix from its
     row-major index and weigh every nonzero codeword directly.  Returns
-    (best distance, first attaining index)."""
+    (best distance, first attaining index).  It is the suite's one use of
+    numpy, imported here so that every other test runs without it: up to
+    531 441 tail matrices are decoded, vectorised."""
+    import numpy as np
+
     m = n - k
     msgs = np.array(list(product(range(q), repeat=k))[1:], dtype=np.int64)
     msg_w = np.count_nonzero(msgs, axis=1)

@@ -1,5 +1,5 @@
-"""Package structure: module exports, imports between modules, and the
-names that bench/tracer.py wraps."""
+"""Package structure: module exports, imports between modules, the test
+modules' imports without numpy, and the names that bench/tracer.py wraps."""
 
 import ast
 import importlib
@@ -7,6 +7,8 @@ import io
 import runpy
 import tokenize
 from pathlib import Path
+
+from test_cli import _NO_NUMPY, _python
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "codebounds"
@@ -89,6 +91,21 @@ def test_reference_definitions_stay_outside_the_package():
         assert "reference" not in _imported_modules(path), path.name
     checked = {"codebounds.bounds", "codebounds.levenshtein"}
     assert not _imported_modules(ROOT / "tests" / "reference.py") & checked
+
+
+def test_test_modules_import_without_numpy():
+    # numpy is a test extra for one reference, imported inside the function
+    # that uses it: with every numpy import failing, a fresh interpreter
+    # still imports each test module, so a new top-level numpy import fails
+    # here, not first in CI's run without numpy
+    stems = sorted(path.stem for path in (ROOT / "tests").glob("*.py"))
+    program = _NO_NUMPY + (
+        "import importlib\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "for stem in sys.argv[2:]:\n"
+        "    importlib.import_module(stem)\n")
+    proc = _python("-B", "-c", program, str(ROOT / "tests"), *stems)
+    assert "test_oracle" in stems and proc.returncode == 0, proc.stderr.decode()
 
 
 def test_tracer_wraps_existing_names():
