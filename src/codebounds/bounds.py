@@ -45,6 +45,7 @@ __all__ = [
     "elias_max_size",
     "levenshtein_max_size",
     "best_upper_k",
+    "best_upper_row",
 ]
 
 FEASIBLE = "feasible"
@@ -278,7 +279,7 @@ def _sized(bound_id: str, q: int, size: Optional[int], witness: Optional[int] = 
     """A codeword cap M gives the dimension cap floor(log_q M); a size of
     None, Plotkin's outside its range, gives none."""
     k = None if size is None else floor_log_q(size, q)
-    return BoundResult(bound_id, k, size_max=size, witness=witness)
+    return BoundResult(bound_id, k, size, witness)
 
 
 # id -> (alias, scope, evaluate): the bound's single-letter alias (None for
@@ -308,23 +309,34 @@ BOUND_ALIASES = {alias: bound_id for bound_id, (alias, _, _) in BOUNDS.items() i
 BLOCKS = ("g", "h", "l", "e")
 
 
-def best_upper_k(
-    n: int,
-    d: int,
-    q: int,
-    bounds: Iterable[str] = BOUND_IDS,
-    variant: str = VARIANT_WEIGHT,
-) -> tuple[list[BoundResult], Optional[int]]:
-    """Evaluate each selected bound and report the minimum applicable cap.
+def best_upper_row(n: int, ds: Iterable[int], q: int, bounds: Iterable[str] = BOUND_IDS,
+                   variant: str = VARIANT_WEIGHT) -> list[tuple[list[BoundResult], Optional[int]]]:
+    """best_upper_k at each d of ds in turn, with the bounds resolved once.
+
+    Each d's query is checked, then every selected bound evaluated, before
+    the next d is read, so a bad input raises what the first cell to meet it
+    would raise alone; the bound ids are checked after the first query.
+    """
+    selected = set(bounds)
+    unknown = selected.difference(BOUNDS)
+    evaluators = [evaluate for b, (_, _, evaluate) in BOUNDS.items() if b in selected]
+    row = []
+    for d in ds:
+        check_query(n, d, q)
+        if unknown:
+            raise ValueError(f"unknown bound ids: {sorted(unknown)}")
+        results = [evaluate(n, d, q, variant) for evaluate in evaluators]
+        applicable = [r.k_max for r in results if r.k_max is not None]
+        row.append((results, min(applicable) if applicable else None))
+    return row
+
+
+def best_upper_k(n: int, d: int, q: int, bounds: Iterable[str] = BOUND_IDS,
+                 variant: str = VARIANT_WEIGHT) -> tuple[list[BoundResult], Optional[int]]:
+    """Evaluate each selected bound and report the minimum applicable cap:
+    best_upper_row with the one distance d.
 
     Results come back in the order of BOUNDS, alphabetical by id; a bound
     that does not apply contributes a k_max of None without failing the query.
     """
-    check_query(n, d, q)
-    selected = set(bounds)
-    unknown = selected.difference(BOUNDS)
-    if unknown:
-        raise ValueError(f"unknown bound ids: {sorted(unknown)}")
-    results = [evaluate(n, d, q, variant) for b, (_, _, evaluate) in BOUNDS.items() if b in selected]
-    applicable = [r.k_max for r in results if r.k_max is not None]
-    return results, (min(applicable) if applicable else None)
+    return best_upper_row(n, (d,), q, bounds, variant)[0]

@@ -20,7 +20,7 @@ from functools import cache
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from .bounds import BLOCKS, BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k
+from .bounds import BLOCKS, BOUND_ALIASES, BOUND_IDS, bound_a_check, best_upper_k, best_upper_row
 from .exactmath import (DEFAULT_BUDGET, VARIANTS, VARIANT_WEIGHT, EnumerationBudgetError,
                         check_alphabet, check_query)
 
@@ -106,13 +106,13 @@ def _table_rows(args: SimpleNamespace, bounds: list[str]):
     d_lo, d_hi = _span(args.d, args.d_range, "--d-range")
     # q and the smallest n are checked even when every cell has d > n
     check_query(n_lo, 1, args.q)
-    for n in range(n_lo, n_hi + 1):
-        for d in range(d_lo, d_hi + 1):
-            if d > n:
-                continue
-            results, _ = best_upper_k(n, d, args.q, bounds, args.variant_a)
-            by_id = {r.bound_id: r for r in results}
-            yield n, d, [by_id[b].k_max for b in bounds]
+    order = [b for b in BOUND_IDS if b in bounds]  # the order results come in
+    columns = [order.index(b) for b in bounds]
+    # a cell has d <= n, so a length below d_lo has none and d stops at n
+    for n in range(max(n_lo, d_lo), n_hi + 1):
+        ds = range(d_lo, min(d_hi, n) + 1)
+        for d, (results, _) in zip(ds, best_upper_row(n, ds, args.q, bounds, args.variant_a)):
+            yield n, d, [results[i].k_max for i in columns]
 
 
 def _cmd_table(args: SimpleNamespace) -> int:

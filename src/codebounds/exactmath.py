@@ -58,7 +58,13 @@ def check_distance(n: int, d: int) -> None:
 
 
 def check_query(n: int, d: int, q: int) -> None:
-    """Reject a query (length n, distance d, alphabet q) that no bound takes."""
+    """Reject a query (length n, distance d, alphabet q) that no bound takes.
+
+    A valid query passes one comparison chain; any other meets the checks
+    below in turn, so the first rule it breaks names the message.
+    """
+    if q >= 2 and 1 <= d <= n:
+        return
     check_alphabet(q)
     if n < 1:
         raise ValueError(f"length must be positive, got n={n}")
@@ -90,11 +96,14 @@ def floor_log_q(M: int, q: int) -> int:
     By repeated squaring: the squares q, q**2, q**4, .. up to M are stored,
     and from the largest down each doubles k, plus one where one more factor
     of that square fits under M, so k is read off bit by bit from the top.
-    The loop keeps the call flat, at any size of M.
+    The loop keeps the call flat, at any size of M.  For q = 2**e, k is
+    read off the bit length of M: floor(log2 M) // e.
     """
     check_alphabet(q)
     if M < 1:
         raise ValueError(f"floor_log_q is undefined for M < 1, got M={M}")
+    if not q & (q - 1):
+        return (M.bit_length() - 1) // (q.bit_length() - 1)
     squares = []
     square = q
     while square <= M:

@@ -167,11 +167,11 @@ class Code:
 
     def __post_init__(self) -> None:
         check_alphabet(self.q)
-        for w in self.words:
-            if len(w) != self.n:
-                raise ValueError("all words must share the code's length")
-            if any(not 0 <= s < self.q for s in w):
-                raise ValueError(f"symbols must lie in [0, {self.q})")
+        if not set(map(len, self.words)) <= {self.n}:
+            raise ValueError("all words must share the code's length")
+        # each distinct symbol is checked once
+        if any(not 0 <= s < self.q for s in set().union(*self.words)):
+            raise ValueError(f"symbols must lie in [0, {self.q})")
         if len(set(self.words)) != len(self.words):
             raise ValueError("code contains duplicate words")
         k = self.systematic_k
@@ -204,17 +204,18 @@ class StandardFormGenerator:
         if any(not 0 <= e < self.q for r in self.tail for e in r):
             raise ValueError("tail entries must be residues mod q")
 
-    def encode(self, message: tuple[int, ...]) -> tuple[int, ...]:
-        m = self.n - self.k
-        tail = [0] * m
-        for vi, row in zip(message, self.tail):
-            if vi:
-                for j in range(m):
-                    tail[j] += vi * row[j]
-        return tuple(message) + tuple(t % self.q for t in tail)
-
     def code(self) -> Code:
-        words = tuple(self.encode(msg) for msg in _all_messages(self.k, self.q))
+        """The q**k words in ascending order of their messages, each tail
+        column built for every message at once: a message led by symbol a
+        adds a times the column's first entry to its value at the rest of
+        the message."""
+        columns = []
+        for column in zip(*self.tail):
+            values = [0]
+            for entry in reversed(column):
+                values = [(a * entry + v) % self.q for a in range(self.q) for v in values]
+            columns.append(values)
+        words = tuple(msg + tail for msg, tail in zip(_all_messages(self.k, self.q), zip(*columns)))
         return Code(self.q, self.n, words, systematic_k=self.k)
 
 

@@ -28,6 +28,7 @@ from codebounds.bounds import (
     FeasibilityVerdict,
     _bound_a_cap,
     best_upper_k,
+    best_upper_row,
     bound_a_check,
     bound_a_max_k,
     elias_max_size,
@@ -386,6 +387,46 @@ class TestBestUpperK:
     def test_unknown_bound_rejected(self):
         with pytest.raises(ValueError):
             best_upper_k(10, 3, 2, ["nope"])
+
+
+def _outcome(call):
+    """What call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBestUpperRow:
+    """A row is the cells of best_upper_k at each d in turn: the same
+    results, and the same first error."""
+
+    SELECTIONS = [[b] for b in bounds.BOUND_IDS] + [list(bounds.BOUND_IDS), ["singleton", "a", "elias", "a"]]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+    def test_matches_cell_by_cell(self, q):
+        for n in range(1, 41):
+            for selection in self.SELECTIONS:
+                for variant in ("weight", "literal"):
+                    # every d of the length, and the empty row
+                    for ds in (range(1, n + 1), range(n + 1, n + 1)):
+                        row = best_upper_row(n, ds, q, selection, variant)
+                        assert row == [best_upper_k(n, d, q, selection, variant) for d in ds], (n, ds)
+
+    @pytest.mark.parametrize("n,ds,q,args", [
+        (6, range(-1, 4), 2, ()),
+        (6, range(3, 9), 2, ()),  # d = 7 > n after four good cells
+        (6, range(0, 4), 1, (["nope"],)),
+        (0, range(1, 3), 2, ()),
+        (6, range(0, 4), 2, (["nope"],)),  # the distance before the ids
+        (6, range(3, 5), 2, (["a", "nope"],)),
+        (6, range(2, 5), 2, (["a"], "printed")),  # the variant at d = 3, where A applies
+        (6, range(4, 4), 1, (["nope"],)),  # no cell, no error
+    ])
+    def test_first_error_matches_cell_by_cell(self, n, ds, q, args):
+        row = _outcome(lambda: best_upper_row(n, ds, q, *args))
+        assert row == _outcome(lambda: [best_upper_k(n, d, q, *args) for d in ds])
+        assert row == [] if not ds else row[0] is ValueError
 
 
 class TestMonotonicity:

@@ -161,6 +161,21 @@ class TestTable:
         rc, out, err = run("table", "--q", "2", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv,same,lines", [
+        (("--n", "5", "--d-range", "3..1000000000"), ("--n", "5", "--d-range", "3..5"), 4),
+        (("--n-range", "1..1000000000", "--d", "1000000001"), ("--n", "5", "--d", "6"), 1),
+    ])
+    def test_cost_bounded_by_the_cells(self, argv, same, lines):
+        # a cell has d <= n, so a row ends at d = n and no length below the
+        # smallest d is walked, however far the ranges reach; in a fresh
+        # interpreter under a timeout, so that a walk over the whole range
+        # fails here instead of hanging the suite
+        proc = _python("-B", "-m", "codebounds", "table", "--q", "2", *argv, "--format", "csv",
+                       timeout=5)
+        rc, out, err = run("table", "--q", "2", *same, "--format", "csv")
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (rc, out, err)
+        assert rc == 0 and len(out.splitlines()) == lines
+
     def test_csv_round_trip(self):
         rc, out, _ = run("table", "--q", "2", "--n-range", "10..12",
                          "--d-range", "3..4", "--bounds", "hamming,a", "--format", "csv")

@@ -9,7 +9,7 @@ import pytest
 from conftest import exact_identities
 from reference import binomial, krawtchouk, tail_mass, weight_count
 
-from codebounds.exactmath import floor_log_q, sphere_volume
+from codebounds.exactmath import check_query, floor_log_q, sphere_volume
 
 
 def brute_weight_count(m, j, q):
@@ -177,3 +177,38 @@ class TestFloorLogQ:
     def test_round_trip(self):
         # q**k <= M < q**(k+1) on 500 seeded draws, M up to 2**4000
         assert not exact_identities()["floor_log_q round trip"]
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 32, 1024])
+    def test_power_of_two_alphabet(self, q):
+        # q = 2**e reads k off the bit length; on and either side of every
+        # q**k up to 5000 bits it agrees with a running product of q
+        power, k, got, expected = 1, 0, [], []
+        while (power := power * q).bit_length() <= 5000:
+            k += 1
+            got += [floor_log_q(M, q) for M in (power - 1, power, power + 1)]
+            expected += [k - 1, k, k]
+        assert k == 4999 // (q.bit_length() - 1) and got == expected
+
+
+class TestCheckQuery:
+    ALPHABET = "alphabet size must be at least 2, got q=1"
+
+    @pytest.mark.parametrize("n,d,q,message", [
+        (0, 0, 1, ALPHABET),
+        (3, 4, 1, ALPHABET),
+        (-2, 5, 1, ALPHABET),
+        (0, 0, 2, "length must be positive, got n=0"),
+        (-2, 5, 3, "length must be positive, got n=-2"),
+        (3, 4, 2, "distance must satisfy 1 <= d <= n, got d=4, n=3"),
+        (3, 0, 5, "distance must satisfy 1 <= d <= n, got d=0, n=3"),
+    ])
+    def test_first_broken_rule_names_the_message(self, n, d, q, message):
+        # the alphabet is checked before the length, the length before the
+        # distance, whatever else the query breaks
+        with pytest.raises(ValueError) as exc:
+            check_query(n, d, q)
+        assert str(exc.value) == message
+
+    def test_valid_queries_pass(self):
+        for n, d, q in [(1, 1, 2), (5, 5, 2), (5, 1, 7), (500, 95, 2)]:
+            assert check_query(n, d, q) is None

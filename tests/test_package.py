@@ -44,9 +44,9 @@ def test_code_line_count_pinned():
     # the module that moved; a change that moves it updates the pin and
     # reports the counts before and after
     lines = {path.stem: _code_lines(path) for path in PACKAGE.glob("*.py")}
-    assert lines == {"__init__": 2, "__main__": 3, "bounds": 176, "cli": 269, "exactmath": 61,
+    assert lines == {"__init__": 2, "__main__": 3, "bounds": 179, "cli": 268, "exactmath": 65,
                      "golden": 71, "levenshtein": 106, "oracle": 123}
-    assert sum(lines.values()) == 811
+    assert sum(lines.values()) == 817
 
 
 def test_exported_names_exist():
