@@ -219,19 +219,16 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
     checked = 0
     confirmed = {}  # (n, k) -> the smallest d at which no code was found
     for n in range(4, args.n_max + 1):
-        refuted = {k: [d for d in range(3, min(args.d_max, n) + 1)
-                       if bound_a_check(n, k, d, args.q, args.variant_a).refuted]
-                   for k in range(3, min(args.k_max, n - 1) + 1)}
-        # at fixed (k, d) the tail mass over n - k positions only grows with
-        # n, so once this n has every (k, d) of the box and none is refuted,
-        # no longer n has a refutation either
-        if not any(refuted.values()) and n > args.k_max and n >= args.d_max:
-            break
-        for k, ds in refuted.items():
-            for d in ds:
+        # A's refutation is monotone in k and in d, so the refuted d at each k
+        # are first..min(d_max, n), and first only falls as k grows
+        first = min(args.d_max, n) + 1
+        for k in range(3, min(args.k_max, n - 1) + 1):
+            while first > 3 and bound_a_check(n, k, first - 1, args.q, args.variant_a).refuted:
+                first -= 1
+            for d in range(first, min(args.d_max, n) + 1):
                 implied = (confirmed.get((n, k), d) < d or confirmed.get((n - 1, k), d) < d
                            or confirmed.get((n - 1, k - 1), d + 1) <= d)
-                if implied and d == ds[0]:  # the search's budget guard, once per (n, k)
+                if implied and d == first:  # the search's budget guard, once per (n, k)
                     check_search_budget(n, k, args.q, args.budget)
                 code = None if implied else refutation_crosscheck(n, k, d, args.q, args.variant_a,
                                                                   budget=args.budget)
@@ -243,6 +240,12 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
                     failures += 1
                     print(f"(n={n}, k={k}, d={d}) refuted: CONTRADICTION, "
                           f"oracle found a code with distance >= {d}")
+        # at fixed (k, d) the tail mass over n - k positions only grows with
+        # n, so once this n has every (k, d) of the box and none is refuted,
+        # no longer n has a refutation either; first past d_max after the
+        # largest k, the most refutable one, shows that none is
+        if first > args.d_max and n > args.k_max and n >= args.d_max:
+            break
     print(f"{checked} refutations cross-checked, {failures} contradictions")
     return 1 if failures else 0
 

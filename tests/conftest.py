@@ -27,7 +27,8 @@ from reference import (
     weight_count,
 )
 
-from codebounds.bounds import REFUTED, FeasibilityVerdict, bound_a_check, bound_a_max_k, elias_max_size
+from codebounds.bounds import (BOUNDS, EVERY_CODE, REFUTED, FeasibilityVerdict, best_upper_k, bound_a_check,
+                               bound_a_max_k, elias_max_size)
 from codebounds.exactmath import VARIANT_WEIGHT, floor_log_q, sphere_volume
 from codebounds.oracle import min_distance
 
@@ -57,25 +58,41 @@ def refuting_also(n: int, k: int, d: int):
 
 @cache
 def bound_a_monotonicity():
-    """Bound A on q = 2, 3, 5 and n = 4..60: the (q, n, d, k) where a
-    refuted k is followed by an unrefuted one, and the (q, n, d) where the
-    cap grows with d."""
+    """Bound A on q = 2, 3, 5 and n = 4..60, under both readings: the
+    (q, n, d, k, variant) where a refuted k is followed by an unrefuted one,
+    and the (q, n, d, variant) where the cap grows with d.  oracle
+    refute-check walks the refuted cells of each n as a staircase on both."""
     failed = {"k-monotonicity": [], "d-monotonicity": []}
-    for q in (2, 3, 5):
+    for q, variant in product((2, 3, 5), ("weight", "literal")):
         for n in range(4, 61):
             prev_cap = None
             for d in range(3, n + 1):
                 refuted_seen = False
                 for k in range(3, n):
-                    refuted = bound_a_check(n, k, d, q).refuted
+                    refuted = bound_a_check(n, k, d, q, variant).refuted
                     if refuted_seen and not refuted:
-                        failed["k-monotonicity"].append((q, n, d, k))
+                        failed["k-monotonicity"].append((q, n, d, k, variant))
                     refuted_seen = refuted_seen or refuted
-                cap, _ = bound_a_max_k(n, d, q)
+                cap, _ = bound_a_max_k(n, d, q, variant)
                 if prev_cap is not None and cap > prev_cap:
-                    failed["d-monotonicity"].append((q, n, d))
+                    failed["d-monotonicity"].append((q, n, d, variant))
                 prev_cap = cap
     return failed
+
+
+# q -> largest n of the grid on which bound A meets the every-code caps
+AUDIT_GRID = {2: 60, 3: 40, 4: 34, 5: 40, 7: 30}
+
+
+@cache
+def every_code_caps():
+    """Per q of AUDIT_GRID, the min k_max of the five bounds that hold for
+    every code at each (n, d), 2 <= d <= n.  None of the five reads bound
+    A's variant, so one grid serves every audit."""
+    five = [b for b, (_, scope, _) in BOUNDS.items() if scope == EVERY_CODE]
+    return {q: {(n, d): best_upper_k(n, d, q, five)[1]
+                for n in range(2, n_max + 1) for d in range(2, n + 1)}
+            for q, n_max in AUDIT_GRID.items()}
 
 
 def _floor_log_q_draws():

@@ -3,10 +3,11 @@
 The exact primitives are written here the slow, literal way: binomial and
 weight_count by their counting formulas, tail_mass in both readings of bound
 A's right-hand side, krawtchouk as the explicit alternating sum, and the
-Elias cap over every radius up to r.  The package's fast paths (bound A's
-incremental tail walk, the Krawtchouk recurrences, the coefficient check of
-the Levenshtein bound and the Elias scan that stops at its last admissible
-radius) are compared with them.
+Elias cap over every radius up to r.  johnson_max_size is Johnson's binary
+cap, which the package does not carry; the tests set it beside bound A.
+The package's fast paths (bound A's incremental tail walk, the Krawtchouk
+recurrences, the coefficient check of the Levenshtein bound and the Elias
+scan that stops at its last admissible radius) are compared with them.
 
 The oracle references wrap the oracle's plain answers, where a word is a
 tuple of symbols and a code the tuple of its words, in two validated
@@ -146,6 +147,30 @@ def elias_every_radius(n: int, d: int, q: int) -> tuple[int, int]:
         w += 1
     assert best is not None  # w = 0 always admissible
     return best, best_w
+
+
+def johnson_max_size(n: int, d: int) -> int:
+    """Johnson's (1962) cap on the size of a binary code of length n and
+    minimum distance d (MacWilliams & Sloane ch. 17 §2), in exact integers.
+
+    At d = 2t + 1, with f = n // (t + 1) and V the volume of a radius-t ball,
+    A(n, d) <= 2**n f // (V f + C(n, t+1) - C(d, t) W), where W is an upper
+    bound on the constant-weight A(n, d, d).  Johnson's recursion gives one:
+    W(n, w) = n W(n-1, w-1) // w, with W = 1 at w = t.  A larger W only
+    weakens the cap, and without the floors the recursion gives
+    C(n, t+1) / C(d, t), so the denominator stays at least V f.  At even d,
+    puncturing gives A(n, d) = A(n-1, d-1).
+    """
+    check_query(n, d, 2)
+    if d % 2 == 0:
+        return johnson_max_size(n - 1, d - 1)
+    t = (d - 1) // 2
+    w_cap = 1
+    for w in range(t + 1, d + 1):  # W(n - d + w, w), up from W(n - d + t, t) = 1
+        w_cap = (n - d + w) * w_cap // w
+    f = n // (t + 1)
+    volume = sum(comb(n, i) for i in range(t + 1))
+    return 2 ** n * f // (volume * f + comb(n, t + 1) - comb(d, t) * w_cap)
 
 
 Words = tuple[tuple[int, ...], ...]

@@ -7,11 +7,19 @@ from math import comb
 from types import ModuleType
 
 import pytest
-from conftest import ELIAS_WITNESS_POINTS, bound_a_monotonicity, elias_witnesses, linear_family
+from conftest import (
+    AUDIT_GRID,
+    ELIAS_WITNESS_POINTS,
+    bound_a_monotonicity,
+    elias_witnesses,
+    every_code_caps,
+    linear_family,
+)
 from reference import (
     Code,
     distance_multiset,
     elias_every_radius,
+    johnson_max_size,
     nordstrom_robinson,
     systematic_coordinates,
     tail_mass,
@@ -432,7 +440,8 @@ class TestBestUpperRow:
 class TestMonotonicity:
     """Refutation is monotone: once a dimension is refuted, so is every
     larger one, and growing the distance can only shrink the cap (q = 2, 3,
-    5 and n <= 60, on the sweep criterion 8 reads too)."""
+    5 and n <= 60, under both readings, on the sweep criterion 8 reads
+    too)."""
 
     def test_refutation_monotone_in_k(self):
         assert not bound_a_monotonicity()["k-monotonicity"]
@@ -530,9 +539,9 @@ def test_nordstrom_robinson_family_under_every_cap():
     The Nordstrom-Robinson code has 2**8 words of length 16 at distance 6,
     where the best linear code has 2**7.  It and the codes made from it by
     puncturing a tail coordinate and by shortening on one message
-    coordinate, then on two, are systematic, so bound A and every bound
-    that holds for every code must admit their k.  Pinned: A's cap, and the
-    every-code bounds whose cap k meets.
+    coordinate, then on two, are systematic, so bound A, every bound that
+    holds for every code and Johnson's bound must admit their k.  Pinned:
+    A's cap, and the bounds whose cap k meets: Johnson meets it on all four.
     """
     nr = nordstrom_robinson()
     first = systematic_coordinates(nr, 8)
@@ -540,10 +549,10 @@ def test_nordstrom_robinson_family_under_every_cap():
     once = _shortened(nr, first[0])
     twice = _shortened(once, systematic_coordinates(once, 7)[0])
     family = [
-        (nr, 8, 6, 9, {"elias", "hamming", "levenshtein"}),
-        (_punctured(nr, tail), 8, 5, 9, {"hamming", "levenshtein"}),
-        (once, 7, 6, 8, {"levenshtein"}),
-        (twice, 6, 6, 7, {"levenshtein"}),
+        (nr, 8, 6, 9, {"elias", "hamming", "johnson", "levenshtein"}),
+        (_punctured(nr, tail), 8, 5, 9, {"hamming", "johnson", "levenshtein"}),
+        (once, 7, 6, 8, {"johnson", "levenshtein"}),
+        (twice, 6, 6, 7, {"johnson", "levenshtein"}),
     ]
     every_code = [b for b, (_, scope, _) in bounds.BOUNDS.items() if scope == bounds.EVERY_CODE]
     for code, k, d, k_a, met in family:
@@ -552,9 +561,56 @@ def test_nordstrom_robinson_family_under_every_cap():
         assert distance_multiset(code)[0] == d
         results, _ = best_upper_k(code.n, d, 2, ["a", *every_code])
         caps = {r.bound_id: r.k_max for r in results if r.k_max is not None}
+        caps["johnson"] = floor_log_q(johnson_max_size(code.n, d), 2)
         assert caps["a"] == k_a, (code.n, d)
         assert min(caps.values()) >= k, (code.n, d, caps)
         assert {b for b, cap in caps.items() if cap == k} == met, (code.n, d, caps)
+
+
+def _least_weight(rows):
+    """The least weight of a nonzero word in the binary span of rows,
+    linearly independent bit masks."""
+    span = [0]
+    for row in rows:
+        span += [word ^ row for word in span]
+    return min(bin(word).count("1") for word in span[1:])
+
+
+def test_johnson_never_below_the_codes_the_tests_hold():
+    """Johnson's binary cap against every binary code the tests hold.
+
+    The oracle's best linear k per (n, d), n = 3..6, from the walk over
+    every standard-form code: Johnson admits 2**k and meets it in all 18
+    cells.  The families walked at (7, 4) and (8, 2): it meets the
+    [7, 4, 3] code and allows 5 words for the best [8, 2, 5].  The Hamming
+    codes [3, 1, 3], [7, 4, 3] and [15, 11, 3] and the Golay codes
+    [23, 12, 7] and [24, 12, 8], built here from their generators, with
+    their distances checked on every word: all perfect or extended perfect,
+    and Johnson meets each.  The Nordstrom-Robinson family is checked in
+    the test above.
+    """
+    for n in range(3, 7):
+        best_d = {k: max(d for d, _ in linear_family(n, k, 2).distances) for k in range(1, n)}
+        for d in range(1, n + 1):
+            k_star = max((k for k, reached in best_d.items() if reached >= d), default=0)
+            # the whole space reaches d = 1
+            assert johnson_max_size(n, d) == 2 ** (n if d == 1 else k_star), (n, d)
+    for n, k, best, cap in [(7, 4, 3, 16), (8, 2, 5, 5)]:
+        assert max(d for d, _ in linear_family(n, k, 2).distances) == best
+        assert johnson_max_size(n, best) == cap
+        assert all(johnson_max_size(n, d) >= 2 ** k for d in range(1, best)), (n, k)
+    codes = []
+    for r in (2, 3, 4):
+        # a message bit per column of weight >= 2 in the parity checks
+        tails = [v for v in range(1, 2 ** r) if bin(v).count("1") >= 2]
+        codes.append((len(tails) + r, [(1 << (r + i)) | v for i, v in enumerate(tails)], 3))
+    golay = [0b110001110101 << i for i in range(12)]  # x**11 + x**10 + x**6 + x**5 + x**4 + x**2 + 1
+    codes.append((23, golay, 7))
+    codes.append((24, [row | (bin(row).count("1") & 1) << 23 for row in golay], 8))
+    for n, rows, d in codes:
+        assert _least_weight(rows) == d, n
+        assert johnson_max_size(n, d) == 2 ** len(rows), n
+        assert all(johnson_max_size(n, e) >= 2 ** len(rows) for e in range(1, d)), n
 
 
 def test_table1_independence_audit():
@@ -580,25 +636,22 @@ def test_table1_independence_audit():
     assert lower == [("h", 2, 22, 4, 16, 17), ("h", 2, 30, 4, 24, 25),
                      ("h", 2, 52, 4, 45, 46), ("h", 2, 107, 4, 99, 100)]
     assert (ties, weaker) == (33, 35)
-
-
-# q -> largest n of the second-source grid
-_AUDIT_GRID = {2: 60, 3: 40, 4: 34, 5: 40, 7: 30}
+    # Johnson's bound, which the six leave out, ties A in each of the four
+    assert [floor_log_q(johnson_max_size(n, d), 2) for _, _, n, d, _, _ in lower] == [16, 24, 45, 99]
 
 
 def _below_the_closure(variant):
-    """Cells (q, n, d) of the grid, 3 <= d <= n, where A's cap is below the
-    closed cap of the bounds that hold for every code, and those where it is
-    below their plain min at (n, d).
+    """Cells (q, n, d) of the audit grid, 3 <= d <= n, where A's cap is
+    below the closed cap of the bounds that hold for every code, and those
+    where it is below their plain min at (n, d).
 
     The closed cap is the min of their cap at (n, d), at (n-1, d-1) and 1 +
     their cap at (n-1, d): puncturing gives A_q(n, d) <= A_q(n-1, d-1) and
     shortening A_q(n, d) <= q A_q(n-1, d), for every code.
     """
-    five = [b for b, (_, scope, _) in bounds.BOUNDS.items() if scope == bounds.EVERY_CODE]
     closed, plain = [], []
-    for q, n_max in _AUDIT_GRID.items():
-        cap = {(n, d): best_upper_k(n, d, q, five)[1] for n in range(2, n_max + 1) for d in range(2, n + 1)}
+    for q, n_max in AUDIT_GRID.items():
+        cap = every_code_caps()[q]
         for n in range(4, n_max + 1):
             for d in range(3, n + 1):
                 near = [cap[n, d], cap[n - 1, d - 1], 1 + cap[n - 1, d] if d < n else None]
@@ -625,6 +678,27 @@ def test_second_source_audit():
     closed, _ = _below_the_closure("literal")
     assert Counter(q for q, _, _ in closed) == {3: 116, 4: 149, 5: 256, 7: 172}
     assert (5, 5, 3) in closed
+
+
+def test_johnson_audit():
+    """Bound A against the five every-code caps and Johnson's bound, on the
+    binary part of the audit grid: n <= 60, every 3 <= d <= n.
+
+    A is strictly below the min of the five in 21 cells, those of the
+    second-source audit.  Johnson is below that min in 158 cells, and A is
+    below the min of the five and Johnson in none: on this grid A never
+    beats the best classical cap once Johnson is counted.
+    """
+    cap = every_code_caps()[2]
+    a_below = both_below = johnson_below = 0
+    for n in range(4, AUDIT_GRID[2] + 1):
+        for d in range(3, n + 1):
+            k_a, _ = bound_a_max_k(n, d, 2)
+            k_j = floor_log_q(johnson_max_size(n, d), 2)
+            a_below += k_a < cap[n, d]
+            both_below += k_a < min(cap[n, d], k_j)
+            johnson_below += k_j < cap[n, d]
+    assert (a_below, both_below, johnson_below) == (21, 0, 158)
 
 
 # q -> largest n of the independence floor's grid

@@ -412,6 +412,24 @@ class TestOracleCommands:
         assert len(guards) == len(set(guards)) and searched <= set(guards)
         assert len(set(guards) - searched) == implied
 
+    @pytest.mark.parametrize("box,rc,checks", [
+        (("2", "5", "3", "3"), 0, 2),
+        (("3", "7", "6", "7"), 0, 17),
+        # the box that ends in a budget refusal at (10, 5)
+        (("2", "12", "9", "6"), 2, 33),
+    ], ids=["q2", "q3", "refused"])
+    def test_refute_check_walks_the_refuted_staircase(self, monkeypatch, box, rc, checks):
+        # the refuted d at each (n, k) run from the smallest up to --d-max,
+        # and the smallest only falls as k grows: one bound-A check per step
+        # down and one that ends the steps, where checking every cell of the
+        # last two boxes took 40 and 108
+        calls = []
+        monkeypatch.setattr(cli, "bound_a_check", lambda *args: calls.append(args) or bound_a_check(*args))
+        q, n_max, k_max, d_max = box
+        assert run("oracle", "refute-check", "--q", q, "--n-max", n_max, "--k-max", k_max,
+                   "--d-max", d_max)[0] == rc
+        assert len(calls) == checks
+
     def test_contradiction_searches_the_next_d(self, monkeypatch):
         # the literal box of test_literal_contradiction_output: (4, 3) is
         # confirmed at d = 3 alone; at (5, 3) the search at d = 3 finds the
