@@ -6,15 +6,19 @@ are plain values: a word is a tuple of symbols in [0, q), a code is the
 tuple of its words with their prefixes in ascending order, and a
 standard-form code is given by its tail T, a tuple of k rows.  min_distance
 measures a code, and refutation_crosscheck confirms a bound-A refutation by
-searching every systematic code at its (n, k, q).
+searching every systematic code at its (n, k, q).  No search calls
+min_distance; it stays public because README's examples, tests/reference.py
+and the tests' walks over whole families measure codes with it, and
+bench/tracer.py wraps it.
 
 Searches are deterministic (tails in ascending mixed-radix order) and
 guarded by an explicit budget; a search that would exceed it raises rather
 than silently truncating, so soundness claims never rest on a partial scan.
 The budget must be at least 1.  The alphabet must be prime here
 (vector-space arithmetic mod q); the bound formulas themselves do not care.
-check_linear_alphabet refuses an alphabet larger than the budget before the
-prime test.
+check_linear_alphabet is the one alphabet guard of both oracle commands: it
+refuses q < 2, then an alphabet larger than the budget, then a composite
+one.
 
 The searches build no code per candidate and no table, and both run on one
 loop, _first_leaf: a depth-first walk on its own stack, one level per tail
@@ -69,25 +73,26 @@ __all__ = [
 ]
 
 
-def _check_systematic(n: int, k: int, q: int) -> None:
-    check_alphabet(q)
+def _check_systematic(n: int, k: int) -> None:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
 
 
 def _check_prime(q: int) -> None:
-    """A prime alphabet, for arithmetic mod q."""
-    if q < 2 or any(q % f == 0 for f in range(2, isqrt(q) + 1)):
+    """A prime alphabet, for arithmetic mod q, given q >= 2."""
+    if any(q % f == 0 for f in range(2, isqrt(q) + 1)):
         raise ValueError(f"linear enumeration needs a prime alphabet, got q={q}")
 
 
 def check_linear_alphabet(q: int, budget: int) -> None:
-    """An alphabet that a search over standard-form codes can take.
+    """An alphabet that a search over standard-form codes can take: the one
+    alphabet guard of both oracle commands.
 
-    With 1 <= k < n there are at least q such codes, so an alphabet larger
-    than the budget is refused first, before the prime test's trial division
-    up to sqrt(q).
+    It checks q >= 2 first, as every command does.  With 1 <= k < n there
+    are at least q such codes, so an alphabet larger than the budget is
+    refused next, before the prime test's trial division up to sqrt(q).
     """
+    check_alphabet(q)
     if q > budget:
         check_budget(budget)
         raise EnumerationBudgetError(
@@ -130,7 +135,7 @@ def check_search_budget(n: int, k: int, q: int, budget: int) -> None:
     before it would join the span.
     """
     check_linear_alphabet(q, budget)
-    _check_systematic(n, k, q)
+    _check_systematic(n, k)
     exponent = k * (n - k)
     if exponent > floor_log_q(budget, q):
         raise EnumerationBudgetError(

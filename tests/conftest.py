@@ -12,6 +12,7 @@ from functools import cache
 from itertools import product
 from typing import NamedTuple
 
+import pytest
 from reference import (
     Code,
     binomial,
@@ -27,9 +28,10 @@ from reference import (
     weight_count,
 )
 
-from codebounds.bounds import (BOUNDS, EVERY_CODE, REFUTED, FeasibilityVerdict, best_upper_k, bound_a_check,
-                               bound_a_max_k, elias_max_size)
-from codebounds.exactmath import VARIANT_WEIGHT, floor_log_q, sphere_volume
+from codebounds import bounds
+from codebounds.bounds import (BOUND_IDS, BOUNDS, EVERY_CODE, FEASIBLE, NOT_APPLICABLE, REFUTED, FeasibilityVerdict,
+                               _bound_a_cap, best_upper_k, bound_a_check, elias_max_size)
+from codebounds.exactmath import VARIANT_WEIGHT, VARIANTS, floor_log_q, sphere_volume
 from codebounds.oracle import min_distance
 
 
@@ -56,32 +58,116 @@ def refuting_also(n: int, k: int, d: int):
     return check
 
 
+def record_calls(monkeypatch, module, *names):
+    """The list to which each later call of the named functions of module
+    appends (name, *positional arguments), before the original runs."""
+    log = []
+    for name in names:
+        def logged(*args, _name=name, _original=getattr(module, name), **kwargs):
+            log.append((_name, *args))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logged)
+    return log
+
+
+def naive_verdict(n, k, d, q, variant="weight"):
+    """Straight re-statement of the inequality, no incremental updates."""
+    if k <= 2 or k >= n or d < 3:
+        return FeasibilityVerdict(NOT_APPLICABLE)
+    for i in range(1, (d - 1) // 2 + 1):
+        lhs = weight_count(k, i, q)
+        rhs = tail_mass(n - k, d - i, q, variant, i)
+        if lhs > rhs:
+            return FeasibilityVerdict(REFUTED, i, lhs, rhs)
+    return FeasibilityVerdict(FEASIBLE)
+
+
+# q -> largest n of the bound-A sweep; its walk, the checks that cost more
+# than the verdicts, stops at WALK_N
+BOUND_A_GRID = {2: 60, 3: 60, 4: 40, 5: 60, 7: 40}
+WALK_N = 40
+
+
+class BoundASweep(NamedTuple):
+    failed: dict  # check -> the inputs at which it fails
+    probes: dict  # q -> the bound_a_check calls of each search on the walk
+    cap_two: Counter  # q -> the cells of the walk whose cap is 2
+
+
 @cache
-def bound_a_monotonicity():
-    """Bound A on q = 2, 3, 5 and n = 4..60, under both readings: the
-    (q, n, d, k, variant) where a refuted k is followed by an unrefuted one,
-    and the (q, n, d, variant) where the cap grows with d.  oracle
-    refute-check walks the refuted cells of each n as a staircase on both."""
-    failed = {"k-monotonicity": [], "d-monotonicity": []}
-    for q, variant in product((2, 3, 5), ("weight", "literal")):
-        for n in range(4, 61):
-            prev_cap = None
-            for d in range(3, n + 1):
-                refuted_seen = False
-                for k in range(3, n):
-                    refuted = bound_a_check(n, k, d, q, variant).refuted
-                    if refuted_seen and not refuted:
-                        failed["k-monotonicity"].append((q, n, d, k, variant))
-                    refuted_seen = refuted_seen or refuted
-                cap, _ = bound_a_max_k(n, d, q, variant)
-                if prev_cap is not None and cap > prev_cap:
-                    failed["d-monotonicity"].append((q, n, d, variant))
-                prev_cap = cap
-    return failed
+def bound_a_sweep() -> BoundASweep:
+    """Bound A on every cell (n, d, q, variant) of BOUND_A_GRID, n >= 4 and
+    3 <= d <= n, under both readings.
+
+    Each bound_a_check verdict, k = 3..n-1, is computed once, and bound A's
+    search runs once per cell, through best_upper_k.  On every cell: the
+    refuted k form a suffix (k-monotonicity) and the search stops below its
+    first k (linear) with at most 3 checks (search); its cap does not grow
+    with d (d-monotonicity); its result carries the verdict at k_max + 1
+    (refutation); and at q = 2 the two readings give the same verdicts.  On
+    the walk, n <= WALK_N: every verdict matches naive_verdict, the
+    closed-form cap refutes nothing that bound_a_check admits, a cap of 2
+    is the one check at k = 3, and at q = 2, 3, 5 best_upper_k runs every
+    bound, of which no other result carries a refutation."""
+    failed = {name: [] for name in ("k-monotonicity", "d-monotonicity", "variants at q = 2", "linear",
+                                    "search", "refutation", "naive", "cap", "cap of two")}
+    probes, cap_two = {q: [] for q in BOUND_A_GRID}, Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        # the search's checks, made through the module; the sweep's own
+        # calls use the name imported here and are not recorded
+        checks = record_calls(mp, bounds, "bound_a_check")
+        for q, n_max in BOUND_A_GRID.items():
+            for n in range(4, n_max + 1):
+                walk = n <= WALK_N
+                prev_cap = {}
+                for d in range(3, n + 1):
+                    verdicts = {}
+                    for variant in VARIANTS:
+                        cell = (n, d, q, variant)
+                        v = verdicts[variant] = {k: bound_a_check(n, k, d, q, variant) for k in range(3, n)}
+                        first = next((k for k in v if v[k].refuted), n)
+                        failed["k-monotonicity"] += [(q, n, d, k, variant) for k in range(first, n)
+                                                     if not v[k].refuted]
+                        checks.clear()
+                        selection = BOUND_IDS if walk and q in (2, 3, 5) else ["a"]
+                        (a, *others), _ = best_upper_k(n, d, q, selection, variant)  # A's result first
+                        k_max = a.k_max
+                        if k_max != first - 1:
+                            failed["linear"].append(cell)
+                        if len(checks) > 3:
+                            failed["search"].append(cell)
+                        if k_max > prev_cap.get(variant, k_max):
+                            failed["d-monotonicity"].append((q, n, d, variant))
+                        prev_cap[variant] = k_max
+                        expect = v.get(k_max + 1)
+                        if expect is None or not expect.refuted or a.refutation != expect:
+                            failed["refutation"].append(("a", *cell))
+                        failed["refutation"] += [(r.bound_id, *cell) for r in others if r.refutation is not None]
+                        if not walk:
+                            continue
+                        probes[q].append(len(checks))
+                        naive = {k: naive_verdict(n, k, d, q, variant) for k in range(3, n)}
+                        failed["naive"] += [(n, k, d, q, variant) for k in v if v[k] != naive[k]]
+                        cap = _bound_a_cap(n, d, q, variant)
+                        if not (2 <= cap <= max(2, n - d + 1) <= n - 1
+                                and all(v[k].refuted for k in range(cap + 1, n))):
+                            failed["cap"].append(cell)
+                        # a cap of 2 admits no k >= 3; the one check, at k = 3,
+                        # refutes 3 and the search returns the floor with it
+                        if cap == 2:
+                            cap_two[q] += 1
+                            if (not naive[3].refuted or (k_max, a.refutation) != (2, naive[3])
+                                    or [k for _, _, k, *_ in checks] != [3]):
+                                failed["cap of two"].append(cell)
+                    if q == 2:
+                        failed["variants at q = 2"] += [(n, d, k) for k in verdicts["weight"]
+                                                        if verdicts["weight"][k] != verdicts["literal"][k]]
+    return BoundASweep(failed, probes, cap_two)
 
 
 # q -> largest n of the grid on which bound A meets the every-code caps
-AUDIT_GRID = {2: 60, 3: 40, 4: 34, 5: 40, 7: 30}
+AUDIT_GRID = {2: 120, 3: 40, 4: 34, 5: 40, 7: 30}
 
 
 @cache

@@ -222,8 +222,9 @@ class StandardFormGenerator:
     tail: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        check_alphabet(self.q)
         _check_prime(self.q)
-        _check_systematic(self.n, self.k, self.q)
+        _check_systematic(self.n, self.k)
         if len(self.tail) != self.k or any(len(r) != self.n - self.k for r in self.tail):
             raise ValueError("tail must be a k x (n-k) matrix")
         if any(not 0 <= e < self.q for r in self.tail for e in r):
@@ -301,7 +302,8 @@ def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BU
 
 def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
     """Yield every systematic code: one tail choice per message prefix."""
-    _check_systematic(n, k, q)
+    check_alphabet(q)
+    _check_systematic(n, k)
     check_budget(budget)
     m = n - k
     if not _nonlinear_within(n, k, q, budget):

@@ -2,18 +2,19 @@
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from math import comb
 from types import ModuleType
 
 import pytest
 from conftest import (
     AUDIT_GRID,
+    BOUND_A_GRID,
     ELIAS_WITNESS_POINTS,
-    bound_a_monotonicity,
+    bound_a_sweep,
     elias_witnesses,
     every_code_caps,
     linear_family,
+    record_calls,
 )
 from reference import (
     Code,
@@ -23,7 +24,6 @@ from reference import (
     nordstrom_robinson,
     systematic_coordinates,
     tail_mass,
-    weight_count,
 )
 
 import codebounds
@@ -34,7 +34,6 @@ from codebounds.bounds import (
     REFUTED,
     BoundResult,
     FeasibilityVerdict,
-    _bound_a_cap,
     best_upper_k,
     best_upper_row,
     bound_a_check,
@@ -49,95 +48,6 @@ from codebounds.exactmath import EnumerationBudgetError, floor_log_q
 from codebounds.golden import Mismatch, TableRow, load_table1
 from codebounds.levenshtein import levenshtein_max_size
 from codebounds.oracle import best_linear_d_witness
-
-
-def naive_verdict(n, k, d, q, variant="weight"):
-    """Straight re-statement of the inequality, no incremental updates."""
-    if k <= 2 or k >= n or d < 3:
-        return FeasibilityVerdict(NOT_APPLICABLE)
-    for i in range(1, (d - 1) // 2 + 1):
-        lhs = weight_count(k, i, q)
-        rhs = tail_mass(n - k, d - i, q, variant, i)
-        if lhs > rhs:
-            return FeasibilityVerdict(REFUTED, i, lhs, rhs)
-    return FeasibilityVerdict(FEASIBLE)
-
-
-def _record_checks(monkeypatch):
-    """The list to which each later bound_a_check call on the module
-    appends its k."""
-    checks = []
-
-    def recording(n, k, *args):
-        checks.append(k)
-        return bound_a_check(n, k, *args)
-
-    monkeypatch.setattr(bounds, "bound_a_check", recording)
-    return checks
-
-
-# the alphabets of the bound-A verdict walk
-_WALK_QS = (2, 3, 4, 5, 7)
-
-
-@cache
-def _verdict_walk(q):
-    """One walk over n = 4..40, every d >= 3 and both variants at q.  Every
-    bound_a_check verdict, k = 3..n-1, is computed once and compared with
-    naive_verdict; bound A's search, with the checks it makes, with the scan
-    up from k = 3 over those verdicts; the closed-form cap with the verdicts
-    above it; and, at q = 2, 3, 5, the refutation each result of
-    best_upper_k carries with the verdict at k_max + 1.  Returns, per check, the cells where it fails,
-    and what the tests below pin: the checks per search, and the cells whose
-    cap is 2."""
-    failed = {name: [] for name in ("naive", "linear", "search", "cap", "cap of two", "refutation")}
-    probes, cap_two = [], 0
-    with pytest.MonkeyPatch.context() as mp:
-        # the search's checks, made through the module; the walk's own calls
-        # use the name imported here and are not recorded
-        checks = _record_checks(mp)
-        for n in range(4, 41):
-            for d in range(3, n + 1):
-                for variant in ("weight", "literal"):
-                    cell = (n, d, q, variant)
-                    verdicts = {k: bound_a_check(n, k, d, q, variant) for k in range(3, n)}
-                    naive = {k: naive_verdict(n, k, d, q, variant) for k in range(3, n)}
-                    failed["naive"] += [(n, k, d, q, variant) for k in verdicts if verdicts[k] != naive[k]]
-                    checks.clear()
-                    k_max, blocked = bound_a_max_k(n, d, q, variant)
-                    probes.append(len(checks))
-                    # the scan stops below the first refuted k
-                    if k_max != next((k - 1 for k, v in verdicts.items() if v.refuted), n - 1):
-                        failed["linear"].append(cell)
-                    # no more than 3 checks, and the verdict returned is the
-                    # refutation at k_max + 1
-                    if len(checks) > 3 or not blocked.refuted or blocked != verdicts.get(k_max + 1):
-                        failed["search"].append(cell)
-                    # the closed form refutes nothing that bound_a_check admits
-                    cap = _bound_a_cap(n, d, q, variant)
-                    if not (2 <= cap <= max(2, n - d + 1) <= n - 1
-                            and all(verdicts[k].refuted for k in range(cap + 1, n))):
-                        failed["cap"].append(cell)
-                    # a cap of 2 admits no k >= 3; the one check, at k = 3,
-                    # refutes 3 and the search returns the floor with it
-                    if cap == 2:
-                        cap_two += 1
-                        if not naive[3].refuted or (k_max, blocked) != (2, naive[3]) or checks != [3]:
-                            failed["cap of two"].append(cell)
-                    # best_upper_k runs every bound, so the refutation test
-                    # keeps to its own alphabets
-                    results = best_upper_k(n, d, q, variant=variant)[0] if q in (2, 3, 5) else []
-                    for res in results:
-                        expect = verdicts.get(res.k_max + 1) if res.bound_id == "a" else None
-                        if (res.refutation != expect
-                                or res.bound_id == "a" and (expect is None or not expect.refuted)):
-                            failed["refutation"].append((res.bound_id, *cell))
-    return {**failed, "probes": probes, "cells at cap 2": cap_two}
-
-
-def _walk_failures(check):
-    """The cells of every walk at which check fails."""
-    return [cell for q in _WALK_QS for cell in _verdict_walk(q)[check]]
 
 
 class TestBoundACheck:
@@ -169,12 +79,12 @@ class TestBoundACheck:
             bound_a_check(5, 0, 3, 2)
         assert str(exc.value) == "dimension must be positive, got k=0"
 
-    @pytest.mark.parametrize("q", _WALK_QS)
+    @pytest.mark.parametrize("q", list(BOUND_A_GRID))
     def test_incremental_matches_naive(self, q):
         # the ratio-update arithmetic against the plain formula, witness,
         # lhs and rhs included, at every k of the check's domain
         # 3 <= k <= n - 1, both ends included, both variants, n <= 40
-        failed = _verdict_walk(q)["naive"]
+        failed = [cell for cell in bound_a_sweep().failed["naive"] if cell[3] == q]
         assert not failed, failed[:5]
 
 
@@ -202,44 +112,41 @@ class TestBoundAMaxK:
             bound_a_max_k(3, 3, 2)
         assert str(exc.value) == "bound A needs n >= 4, got n=3"
 
-    def test_binary_search_matches_linear_scan(self):
-        # on the verdict walk: bound A's answer is where the scan from k = 3
-        # up stops
-        assert not _walk_failures("linear")
-
     def test_capped_search_matches_linear_scan(self):
-        # the scan down from the cap against the plain scan from k = 3 up;
-        # the answer is never more than 2 below the cap here, so no call
-        # makes more than 3 checks, and the total over q = 2, 3, 5, 7 pins
-        # the scan's cost
-        assert not _walk_failures("linear") + _walk_failures("search")
-        probes = [p for q in (2, 3, 5, 7) for p in _verdict_walk(q)["probes"]]
+        # the scan down from the cap against the plain scan from k = 3 up, on
+        # the whole sweep; the answer is never more than 2 below the cap
+        # there, so no call makes more than 3 checks, and the total over
+        # q = 2, 3, 5, 7 at n <= 40 pins the scan's cost
+        sweep = bound_a_sweep()
+        assert not sweep.failed["linear"] + sweep.failed["search"]
+        probes = [p for q in (2, 3, 5, 7) for p in sweep.probes[q]]
         assert (len(probes), sum(probes)) == (5920, 11077)
 
     def test_cap_of_two_is_the_pass_at_three(self):
-        # 592 cells over q = 2, 3, 5, 7 have a cap of 2
-        assert not _walk_failures("cap of two")
-        assert sum(_verdict_walk(q)["cells at cap 2"] for q in (2, 3, 5, 7)) == 592
+        # 592 cells over q = 2, 3, 5, 7 at n <= 40 have a cap of 2
+        sweep = bound_a_sweep()
+        assert not sweep.failed["cap of two"]
+        assert sum(sweep.cap_two[q] for q in (2, 3, 5, 7)) == 592
 
     def test_every_dimension_above_the_cap_is_refuted(self):
-        assert not _walk_failures("cap")
+        assert not bound_a_sweep().failed["cap"]
 
     @pytest.mark.parametrize("d", [94, 95, 96])
     def test_gate_query_makes_two_checks(self, monkeypatch, d):
         # bound A's answer at (500, d, 2) is its cap: the search checks the
         # cap, which stands, and then k_max + 1 for the refutation that the
         # result carries
-        checks = _record_checks(monkeypatch)
+        checks = record_calls(monkeypatch, bounds, "bound_a_check")
         results, _ = best_upper_k(500, d, 2)
         (k_max,) = [r.k_max for r in results if r.bound_id == "a"]
-        assert checks == [k_max, k_max + 1], d
+        assert [k for _, _, k, *_ in checks] == [k_max, k_max + 1], d
 
 
 class TestBoundARefutation:
     def test_refutation_blocks_the_next_dimension(self):
         # bound A's result carries the verdict at k_max + 1 wherever A
         # applies (n >= 4, d >= 3); no other result carries one
-        assert not _walk_failures("refutation")
+        assert not bound_a_sweep().failed["refutation"]
 
     def test_small_queries_carry_none(self):
         # d < 3 or n < 4: bound A does not apply, so there is nothing to block
@@ -415,7 +322,8 @@ class TestBestUpperRow:
     def test_matches_cell_by_cell(self, q):
         for n in range(1, 41):
             for selection in self.SELECTIONS:
-                for variant in ("weight", "literal"):
+                # no bound but A reads the reading, and "all" holds A
+                for variant in ("weight", "literal") if "a" in selection else ("weight",):
                     # every d of the length, and the empty row
                     for ds in (range(1, n + 1), range(n + 1, n + 1)):
                         row = best_upper_row(n, ds, q, selection, variant)
@@ -440,23 +348,19 @@ class TestBestUpperRow:
 class TestMonotonicity:
     """Refutation is monotone: once a dimension is refuted, so is every
     larger one, and growing the distance can only shrink the cap (q = 2, 3,
-    5 and n <= 60, under both readings, on the sweep criterion 8 reads
-    too)."""
+    5 at n <= 60 and q = 4, 7 at n <= 40, under both readings, on the sweep
+    criterion 8 reads too)."""
 
     def test_refutation_monotone_in_k(self):
-        assert not bound_a_monotonicity()["k-monotonicity"]
+        assert not bound_a_sweep().failed["k-monotonicity"]
 
     def test_cap_monotone_in_d(self):
-        assert not bound_a_monotonicity()["d-monotonicity"]
+        assert not bound_a_sweep().failed["d-monotonicity"]
 
     def test_variants_agree_at_q2(self):
-        # (q-1)**i and (q-1)**j are both 1, so the verdicts must be identical
-        for n in range(4, 61):
-            for d in range(3, n + 1):
-                for k in range(3, n):
-                    a = bound_a_check(n, k, d, 2, "weight")
-                    b = bound_a_check(n, k, d, 2, "literal")
-                    assert (a.status, a.witness, a.lhs, a.rhs) == (b.status, b.witness, b.lhs, b.rhs)
+        # (q-1)**i and (q-1)**j are both 1, so the verdicts must be
+        # identical, status, witness, lhs and rhs, at n <= 60
+        assert not bound_a_sweep().failed["variants at q = 2"]
 
 
 @pytest.mark.parametrize("n,d,q,message", [
@@ -668,13 +572,14 @@ def test_second_source_audit():
 
     Those five hold for systematic codes too, so each is a second source for
     A's cap.  Under the weight reading A is strictly below their min at
-    (n, d) in 21 binary cells with d = 4, and never below their closed cap.
+    (n, d) in 37 binary cells with n <= 120, all at d = 4, and never below
+    their closed cap.
     The literal reading, unsound for q > 2, falls below the closed cap in
     hundreds of cells, the Reed-Solomon cell (5, 3) at q = 5 among them.
     """
     closed, plain = _below_the_closure("weight")
     assert closed == []
-    assert plain == [(2, n, 4) for n in [*range(22, 31), *range(49, 61)]]
+    assert plain == [(2, n, 4) for n in [*range(22, 31), *range(49, 63), *range(107, 121)]]
     closed, _ = _below_the_closure("literal")
     assert Counter(q for q, _, _ in closed) == {3: 116, 4: 149, 5: 256, 7: 172}
     assert (5, 5, 3) in closed
@@ -682,10 +587,10 @@ def test_second_source_audit():
 
 def test_johnson_audit():
     """Bound A against the five every-code caps and Johnson's bound, on the
-    binary part of the audit grid: n <= 60, every 3 <= d <= n.
+    binary part of the audit grid: n <= 120, every 3 <= d <= n.
 
-    A is strictly below the min of the five in 21 cells, those of the
-    second-source audit.  Johnson is below that min in 158 cells, and A is
+    A is strictly below the min of the five in 37 cells, those of the
+    second-source audit.  Johnson is below that min in 624 cells, and A is
     below the min of the five and Johnson in none: on this grid A never
     beats the best classical cap once Johnson is counted.
     """
@@ -698,7 +603,7 @@ def test_johnson_audit():
             a_below += k_a < cap[n, d]
             both_below += k_a < min(cap[n, d], k_j)
             johnson_below += k_j < cap[n, d]
-    assert (a_below, both_below, johnson_below) == (21, 0, 158)
+    assert (a_below, both_below, johnson_below) == (37, 0, 624)
 
 
 # q -> largest n of the independence floor's grid
@@ -707,7 +612,7 @@ _FLOOR_GRID = {2: 140, 3: 90, 4: 70, 5: 60, 7: 50}
 
 def test_independence_floor():
     """Bound A's cap never falls below three cheap caps that hold for every
-    code, on a grid past the second-source audit's n <= 60.
+    code, on a grid past the second-source audit's.
 
     The floor is min(H(n, d), H(n-1, d-1), n - d + 1), where H is the
     floored sphere-packing cap on k and the middle term is one puncture.

@@ -18,7 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import refuting_also
+from conftest import record_calls, refuting_also
 
 from codebounds import cli, golden, levenshtein, oracle
 from codebounds.bounds import bound_a_check, best_upper_k
@@ -28,6 +28,9 @@ from codebounds.exactmath import EnumerationBudgetError
 SRC = Path(__file__).resolve().parents[1] / "src"
 # tests/data/cli_digests.json, read once: the pinned digests per command
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+# the oracle's two searches, the linear search's caller and the budget guard
+# of every search, which the tests below log
+_SEARCHES = ("_first_linear_tail", "_first_nonlinear_code", "best_linear_d_witness", "check_search_budget")
 
 
 def run(*argv):
@@ -379,6 +382,17 @@ class TestOracleCommands:
                            "--n-max", "3", "--k-max", "2", "--d-max", "2")
         assert (rc, out, err) == (2, "", "error: alphabet size must be at least 2, got q=1\n")
 
+    def test_one_alphabet_message_for_every_command(self):
+        # every command refuses q < 2 with the one message; the two oracle
+        # commands check it in their one guard, before the budget
+        commands = [("eval", "--n", "3", "--d", "2"), ("table", "--n", "3", "--d", "2"),
+                    ("oracle", "best-d", "--n", "3", "--k", "1"),
+                    ("oracle", "refute-check", "--n-max", "3", "--k-max", "2", "--d-max", "2")]
+        for q, budget, argvs in [("1", (), commands), ("0", ("--budget", "0"), commands[2:])]:
+            for argv in argvs:
+                expected = (2, "", f"error: alphabet size must be at least 2, got q={q}\n")
+                assert run(*argv, "--q", q, *budget) == expected, argv
+
     @pytest.mark.parametrize("q,n_max,k_max", [("4", "3", "2"), ("6", "4", "3")])
     def test_refute_check_nonprime_alphabet_refused_before_the_box(self, q, n_max, k_max):
         # neither box holds a refutation, so no cross-check would reach the
@@ -399,14 +413,14 @@ class TestOracleCommands:
         (("3", "7", "6", "7"), 33, {"_first_linear_tail": 2}, 8),
     ], ids=["q2", "q3"])
     def test_refute_check_one_search_per_n_k(self, monkeypatch, box, refutations, searches, implied):
-        log = _record_searches(monkeypatch)
+        log = record_calls(monkeypatch, oracle, *_SEARCHES)
         q, n_max, k_max, d_max = box
         rc, out, _ = run("oracle", "refute-check", "--q", q, "--n-max", n_max,
                          "--k-max", k_max, "--d-max", d_max)
         assert rc == 0
         assert out.endswith(f"{refutations} refutations cross-checked, 0 contradictions\n")
-        guards = [(n, k) for name, n, k, _ in log if name == "check_search_budget"]
-        searched = {(n, k) for name, n, k, _ in log if name != "check_search_budget"}
+        guards = [(n, k) for name, n, k, *_ in log if name == "check_search_budget"]
+        searched = {(n, k) for name, n, k, *_ in log if name != "check_search_budget"}
         assert Counter(name for name, *_ in log if name != "check_search_budget") == searches
         # one guard per (n, k): inside its search, or alone where it is implied
         assert len(guards) == len(set(guards)) and searched <= set(guards)
@@ -423,8 +437,7 @@ class TestOracleCommands:
         # and the smallest only falls as k grows: one bound-A check per step
         # down and one that ends the steps, where checking every cell of the
         # last two boxes took 40 and 108
-        calls = []
-        monkeypatch.setattr(cli, "bound_a_check", lambda *args: calls.append(args) or bound_a_check(*args))
+        calls = record_calls(monkeypatch, cli, "bound_a_check")
         q, n_max, k_max, d_max = box
         assert run("oracle", "refute-check", "--q", q, "--n-max", n_max, "--k-max", k_max,
                    "--d-max", d_max)[0] == rc
@@ -436,28 +449,28 @@ class TestOracleCommands:
         # Reed-Solomon code, and d = 4 follows from (4, 3) at d = 3 by
         # puncturing, and d = 5 from d = 4: 2 searches for 5 refutations,
         # each behind the budget guard
-        log = _record_searches(monkeypatch)
+        log = record_calls(monkeypatch, oracle, *_SEARCHES)
         rc, out, _ = run("oracle", "refute-check", "--q", "5", "--n-max", "5",
                          "--k-max", "3", "--d-max", "5", "--variant-a", "literal")
         assert rc == 1
         assert out.endswith("5 refutations cross-checked, 1 contradictions\n")
-        assert log == [("check_search_budget", 4, 3, 5), ("_first_linear_tail", 4, 3, 3),
-                       ("check_search_budget", 5, 3, 5), ("_first_linear_tail", 5, 3, 3)]
+        assert log == [("check_search_budget", 4, 3, 5, 10 ** 7), ("_first_linear_tail", 4, 3, 3, 5),
+                       ("check_search_budget", 5, 3, 5, 10 ** 7), ("_first_linear_tail", 5, 3, 3, 5)]
 
     def test_implied_n_k_meets_the_budget_guard(self, monkeypatch):
         # in the pinned q = 2 box that ends in a budget refusal, (10, 5) is
         # refuted first at d = 6, which follows from (9, 5) at d = 5 by
         # puncturing; no search runs there, but the guard refuses it, as
         # the search would have
-        log = _record_searches(monkeypatch)
+        log = record_calls(monkeypatch, oracle, *_SEARCHES)
         rc, out, err = run("oracle", "refute-check", "--q", "2", "--n-max", "12",
                            "--k-max", "9", "--d-max", "6")
         assert rc == 2
         assert len(out.splitlines()) == 62
         assert err == ("error: enumerating q**(k(n-k)) = 2**25 standard-form codes exceeds the"
                        " budget of 10000000\n")
-        assert log[-1] == ("check_search_budget", 10, 5, 2)
-        assert ("_first_linear_tail", 10, 5, 6) not in log
+        assert log[-1] == ("check_search_budget", 10, 5, 2, 10 ** 7)
+        assert ("_first_linear_tail", 10, 5, 6, 2) not in log
 
     @pytest.mark.parametrize("variant", ["weight", "literal"])
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -546,21 +559,6 @@ class TestOracleCommands:
             "(n=5, k=3, d=5) refuted: confirmed\n"
             "5 refutations cross-checked, 1 contradictions\n"
         )
-
-
-def _record_searches(monkeypatch):
-    """Log each call of the oracle's two searches as (search, n, k, d), and
-    of best_linear_d_witness and of the budget guard check_search_budget as
-    (name, n, k, q)."""
-    log = []
-    for name in ("_first_linear_tail", "_first_nonlinear_code", "best_linear_d_witness",
-                 "check_search_budget"):
-        def logged(n, k, *args, _name=name, _search=getattr(oracle, name), **kwargs):
-            log.append((_name, n, k, args[0]))
-            return _search(n, k, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, name, logged)
-    return log
 
 
 def _python(*args, timeout=60):

@@ -139,7 +139,8 @@ class TestEnumerations:
             enumerate_linear_systematic(5, 2, 4)
 
     @pytest.mark.parametrize("k,q,message", [
-        *((2, q, f"linear enumeration needs a prime alphabet, got q={q}") for q in (1, 4, 9)),
+        (2, 1, "alphabet size must be at least 2, got q=1"),
+        *((2, q, f"linear enumeration needs a prime alphabet, got q={q}") for q in (4, 9)),
         *((k, 2, f"need 1 <= k < n, got k={k}, n=4") for k in (0, 4)),
     ])
     def test_linear_checks_shared(self, k, q, message):

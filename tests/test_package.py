@@ -8,6 +8,7 @@ import runpy
 import tokenize
 from pathlib import Path
 
+from conftest import record_calls
 from test_cli import _NO_NUMPY, _python
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,9 +45,9 @@ def test_code_line_count_pinned():
     # the module that moved; a change that moves it updates the pin and
     # reports the counts before and after
     lines = {path.stem: _code_lines(path) for path in PACKAGE.glob("*.py")}
-    assert lines == {"__init__": 2, "__main__": 3, "bounds": 179, "cli": 268, "exactmath": 65,
+    assert lines == {"__init__": 2, "__main__": 3, "bounds": 179, "cli": 266, "exactmath": 65,
                      "golden": 71, "levenshtein": 106, "oracle": 123}
-    assert sum(lines.values()) == 817
+    assert sum(lines.values()) == 815
 
 
 def test_exported_names_exist():
@@ -139,13 +140,7 @@ def test_tracer_records_one_levenshtein_span_per_table_cell(capsys, monkeypatch)
     calls = {name: getattr(tracer.stats.get(f"bounds.{name}"), "calls", 0) for name in names}
     assert calls == dict.fromkeys(names, cells)
     bounds = modules["bounds"]
-    checks = []
-
-    def recording(n, k, *args, check=bounds.bound_a_check):
-        checks.append(k)
-        return check(n, k, *args)
-
-    monkeypatch.setattr(bounds, "bound_a_check", recording)
+    checks = record_calls(monkeypatch, bounds, "bound_a_check")
     for n in range(4, 13):
         for d in range(3, min(n, 8) + 1):
             bounds.bound_a_max_k(n, d, 2)
