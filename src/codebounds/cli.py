@@ -228,8 +228,7 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
                            or confirmed.get((n - 1, k - 1), d + 1) <= d)
                 if implied and d == first:  # the search's budget guard, once per (n, k)
                     check_search_budget(n, k, args.q, args.budget)
-                code = None if implied else refutation_crosscheck(n, k, d, args.q, args.variant_a,
-                                                                  budget=args.budget)
+                code = None if implied else refutation_crosscheck(n, k, d, args.q, budget=args.budget)
                 checked += 1
                 if code is None:
                     confirmed.setdefault((n, k), d)

@@ -5,11 +5,13 @@ Codes are systematic: linear ones come from standard-form generator matrices
 are plain values: a word is a tuple of symbols in [0, q), a code is the
 tuple of its words with their prefixes in ascending order, and a
 standard-form code is given by its tail T, a tuple of k rows.  min_distance
-measures a code, and refutation_crosscheck confirms a bound-A refutation by
-searching every systematic code at its (n, k, q).  No search calls
-min_distance; it stays public because README's examples, tests/reference.py
-and the tests' walks over whole families measure codes with it, and
-bench/tracer.py wraps it.
+measures a code, and refutation_crosscheck searches every systematic code
+at an (n, k, q) for one reaching d.  The module imports nothing of the
+bounds: the searches are a source of truth independent of bound A, which
+only oracle refute-check sets beside them.  No search calls min_distance;
+it stays public because README's examples, tests/reference.py and the
+tests' walks over whole families measure codes with it, and bench/tracer.py
+wraps it.
 
 Searches are deterministic (tails in ascending mixed-radix order) and
 guarded by an explicit budget; a search that would exceed it raises rather
@@ -37,12 +39,12 @@ check_search_budget first, which also bounds the span of up to q**(k-1)
 codewords that the linear search checks every candidate row against: the
 k-th row ends the tail before it would join the span.
 
-The cross-check runs one search per refuted triple, chosen by the budget:
-the nonlinear search where all systematic codes fit in it, since every
-standard-form code is one of them, and the linear search at the refuted d
-elsewhere.  It returns None when the search finds no code, else the words
-of the first code it finds.  oracle refute-check confirms a triple by such
-a search, or from a triple it has confirmed: by d-monotonicity (a code
+The cross-check runs one search per triple, chosen by the budget: the
+nonlinear search where all systematic codes fit in it, since every
+standard-form code is one of them, and the linear search at d elsewhere.
+It returns None when the search finds no code, else the words of the first
+code it finds.  oracle refute-check confirms a refuted triple by such a
+search, or from a triple it has confirmed: by d-monotonicity (a code
 reaching d reaches every smaller d), by puncturing (an (n, k) code reaching
 d gives an (n-1, k) code reaching d-1) or by shortening (it gives an
 (n-1, k-1) code reaching d).  The bench's q = 3 box confirms its 33
@@ -54,13 +56,12 @@ from math import isqrt
 from operator import ne
 from typing import Optional
 
-from .bounds import bound_a_check
 from .exactmath import (
     DEFAULT_BUDGET,
-    VARIANT_WEIGHT,
     EnumerationBudgetError,
     check_alphabet,
     check_budget,
+    check_query,
     floor_log_q,
 )
 
@@ -279,33 +280,26 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tupl
     return None if chosen is None else tuple(p + t for p, t in zip(prefixes, chosen))
 
 
-def refutation_crosscheck(
-    n: int,
-    k: int,
-    d: int,
-    q: int,
-    variant: str = VARIANT_WEIGHT,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Exhaustively confirm a refutation: no systematic code can reach d.
+def refutation_crosscheck(n: int, k: int, d: int, q: int, *,
+                          budget: int = DEFAULT_BUDGET) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The words of the first systematic code of length n and dimension k
+    with minimum distance >= d, or None when the search finds none.
 
-    Requires bound_a_check(n, k, d, q, variant) to be a refutation, and the
-    guards of check_search_budget.  Runs one search: where all nonlinear
-    systematic codes fit in the budget, the first of them with minimum
-    distance >= d (every standard-form code is among them); elsewhere the
-    first standard-form code with minimum distance >= d.  The nonlinear
+    The query check of every bound comes first, then the guards of
+    check_search_budget.  Runs one search: where all nonlinear systematic
+    codes fit in the budget, the first of them (every standard-form code is
+    among them); elsewhere the first standard-form code.  The nonlinear
     count fitting implies the linear guards pass, as q**k >= 2k, so running
-    those guards first refuses nothing more.  Returns None when the search
-    finds no code, else the words of the first code in that search's own
-    order, not necessarily a best linear code.
+    those guards first refuses nothing more.  The first code is in that
+    search's own order, not necessarily a best linear code.  Nothing here
+    reads bound A: a None for a triple that A refutes confirms it.
 
-    oracle refute-check calls it only for a triple that it cannot confirm
-    from a triple already confirmed, by d-monotonicity, puncturing or
-    shortening; it runs check_search_budget alone for the first refuted d of
-    an (n, k) that it confirms that way.
+    oracle refute-check calls it only for a refuted triple that it cannot
+    confirm from a triple already confirmed, by d-monotonicity, puncturing
+    or shortening; it runs check_search_budget alone for the first refuted d
+    of an (n, k) that it confirms that way.
     """
-    if not bound_a_check(n, k, d, q, variant).refuted:
-        raise ValueError(f"({n}, {k}, {d}) over q={q} is not refuted; nothing to cross-check")
+    check_query(n, d, q)
     check_search_budget(n, k, q, budget)
     if _nonlinear_within(n, k, q, budget):
         return _first_nonlinear_code(n, k, d, q)

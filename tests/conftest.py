@@ -15,7 +15,6 @@ from typing import NamedTuple
 import pytest
 from reference import (
     Code,
-    binomial,
     contains,
     contains_zero,
     distance_multiset,
@@ -31,7 +30,7 @@ from reference import (
 from codebounds import bounds
 from codebounds.bounds import (BOUND_IDS, BOUNDS, EVERY_CODE, FEASIBLE, NOT_APPLICABLE, REFUTED, FeasibilityVerdict,
                                _bound_a_cap, best_upper_k, bound_a_check, elias_max_size)
-from codebounds.exactmath import VARIANT_WEIGHT, VARIANTS, floor_log_q, sphere_volume
+from codebounds.exactmath import VARIANTS, floor_log_q, sphere_volume
 from codebounds.oracle import min_distance
 
 
@@ -44,18 +43,6 @@ def random_systematic_code(rng: random.Random) -> Code:
     prefixes = list(product(range(q), repeat=k))
     words = tuple(p + tuple(rng.randrange(q) for _ in range(m)) for p in prefixes)
     return Code(q, n, words, systematic_k=k)
-
-
-def refuting_also(n: int, k: int, d: int):
-    """bound_a_check, except that it also refutes (n, k, d), at any q and
-    variant: a stand-in for an unsound bound, to test that the oracle catches
-    it."""
-    def check(n_, k_, d_, q, variant=VARIANT_WEIGHT):
-        if (n_, k_, d_) == (n, k, d):
-            return FeasibilityVerdict(REFUTED, witness=1, lhs=1, rhs=0)
-        return bound_a_check(n_, k_, d_, q, variant)
-
-    return check
 
 
 def record_calls(monkeypatch, module, *names):
@@ -194,11 +181,8 @@ def _floor_log_q_draws():
 def exact_identities():
     """The identities of the exact primitives, each over every input a test
     gives it: per identity, the inputs where it fails."""
-    failed = {name: [] for name in ("Pascal", "completeness", "full sphere", "tail mass edges",
+    failed = {name: [] for name in ("completeness", "full sphere", "tail mass edges",
                                     "orthogonality", "floor_log_q round trip")}
-    # every (m, r) with 1 <= r <= m <= 60
-    failed["Pascal"] = [(m, r) for m in range(1, 61) for r in range(1, m + 1)
-                        if binomial(m, r) != binomial(m - 1, r - 1) + binomial(m - 1, r)]
     for q in (2, 3, 5):
         # the weights of all q**m words partition them
         failed["completeness"] += [(m, q) for m in range(21)

@@ -1,7 +1,7 @@
 """Brute-force reference definitions that the package is checked against.
 
-The exact primitives are written here the slow, literal way: binomial and
-weight_count by their counting formulas, tail_mass in both readings of bound
+The exact primitives are written here the slow, literal way: weight_count
+by its counting formula over math.comb, tail_mass in both readings of bound
 A's right-hand side, krawtchouk as the explicit alternating sum, and the
 Elias cap over every radius up to r.  johnson_max_size is Johnson's binary
 cap, which the package does not carry; the tests set it beside bound A.
@@ -31,7 +31,9 @@ enumerations reach.
 
 Every input rule comes from the package's shared guards, so no rule has a
 second copy here.  Nothing is imported from codebounds.bounds or
-codebounds.levenshtein, the code these definitions are the reference for.
+codebounds.levenshtein, the code these definitions are the reference for,
+and codebounds.oracle, whose guards and helpers are imported here, imports
+nothing from them either.
 """
 
 from dataclasses import dataclass
@@ -56,13 +58,6 @@ from codebounds.oracle import (
     check_search_budget,
     min_distance,
 )
-
-
-def binomial(m: int, r: int) -> int:
-    """C(m, r), with the convention C(m, r) = 0 whenever r > m."""
-    if m < 0 or r < 0:
-        raise ValueError(f"binomial needs nonnegative arguments, got ({m}, {r})")
-    return comb(m, r)
 
 
 def weight_count(m: int, j: int, q: int) -> int:

@@ -3,10 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they execute.
 
-Criteria 1-3 recompute whole blocks of the reference table (table1.csv) and
-compare them against ERRATA where the published table misprints a cell, and
-against the published value everywhere else.  There are three errata, each
-re-derived in this module from ``math.comb`` and integer ceilings alone:
+Criteria 1-4 recompute whole blocks of the reference table (table1.csv),
+both columns, and compare them against ERRATA where the published table
+misprints a cell, and against the published value everywhere else.  There
+are three errata, each re-derived without the package's bound code: the
+Griesmer sums from integer ceilings in this module, and bound A's verdicts
+from ``conftest.naive_verdict``, the suite's straight restatement of A's
+inequality over the counting formulas of tests/reference.py:
 
 * k_g = 55 at (q=2, n=80, d=15) and k_g = 102 at (q=5, n=120, d=16), where
   the table prints 54 and 101.  The Griesmer sum sum_{i<k} ceil(d/q**i)
@@ -25,13 +28,13 @@ errata here must cover exactly golden.DOCUMENTED_ALLOWANCES.
 """
 
 import time
-from math import comb
 
 from conftest import (
     bound_a_sweep,
     elias_witnesses,
     exact_identities,
     injection_sweep,
+    naive_verdict,
     translation_failures,
 )
 
@@ -56,7 +59,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 # (block, q, n, d, column) -> exact value of a misprinted table1.csv cell.
-# _erratum_problems derives each one by hand, without codebounds.bounds.
+# _erratum_problems derives each one without the package's bound code.
 ERRATA = {
     ("g", 2, 80, 15, "k_competitor"): 55,
     ("g", 5, 120, 16, "k_competitor"): 102,
@@ -68,21 +71,6 @@ def _griesmer_sum(k: int, d: int, q: int) -> int:
     return sum(-(-d // q ** i) for i in range(k))
 
 
-def _bound_a_failures(n: int, k: int, d: int, q: int, variant: str) -> list[int]:
-    """Every i in 1..(d-1)//2 at which bound A's inequality fails at k."""
-    m = n - k
-    failures = []
-    for i in range(1, (d - 1) // 2 + 1):
-        tail = range(d - i, m + 1)
-        if variant == "weight":
-            rhs = sum(comb(m, j) * (q - 1) ** j for j in tail)
-        else:
-            rhs = (q - 1) ** i * sum(comb(m, j) for j in tail)
-        if comb(k, i) * (q - 1) ** i > rhs:
-            failures.append(i)
-    return failures
-
-
 def _erratum_problems(key: tuple, k: int) -> list[str]:
     """Why the erratum k at key would be wrong; empty when it holds."""
     block, q, n, d, column = key
@@ -91,9 +79,8 @@ def _erratum_problems(key: tuple, k: int) -> list[str]:
         ok = _griesmer_sum(k, d, q) == n < _griesmer_sum(k + 1, d, q)
     elif column == "k_A":
         # weight admits k and refutes k + 1; literal refutes k at i = 1
-        ok = (not _bound_a_failures(n, k, d, q, "weight")
-              and bool(_bound_a_failures(n, k + 1, d, q, "weight"))
-              and _bound_a_failures(n, k, d, q, "literal")[:1] == [1])
+        ok = (not naive_verdict(n, k, d, q).refuted and naive_verdict(n, k + 1, d, q).refuted
+              and naive_verdict(n, k, d, q, "literal").witness == 1)
     else:
         ok = False
     return [] if ok else [f"erratum {key} = {k} is not derived by hand"]
@@ -163,26 +150,11 @@ def test_criterion_3_elias_block():
 
 
 def test_criterion_4_levenshtein_block():
-    problems = []
-    rows = [r for r in load_table1() if r.block == "l"]
-    undocumented = []
-    for row in rows:
-        competitor, k_a = recompute_row(row)
-        if k_a != row.k_A:
-            problems.append(
-                f"l q={row.q} n={row.n} d={row.d}: k_A expected {row.k_A}, computed {k_a}"
-            )
-        if competitor != row.k_competitor:
-            key = (row.block, row.q, row.n, row.d, "k_competitor")
-            if key not in DOCUMENTED_ALLOWANCES:
-                undocumented.append(f"{key}: computed {competitor}")
-    if undocumented:
-        problems.append("undocumented k_l mismatches: " + "; ".join(undocumented))
-    ok = len(rows) == 18 and not problems
-    _report("criterion-4 (Levenshtein block: k_A exact, k_l mismatches documented)",
-            ok, "; ".join(problems))
-    assert len(rows) == 18
-    assert not problems, "; ".join(problems)
+    checked, problems = _block_mismatches("l")
+    ok = checked == 18 and not problems
+    _report("criterion-4 (Levenshtein block, 18 rows exact, zero allowances)", ok, "; ".join(problems))
+    assert checked == 18
+    assert not problems, "Levenshtein block mismatches: " + "; ".join(problems)
 
 
 def test_criterion_5_variant_discrimination():

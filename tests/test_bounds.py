@@ -47,7 +47,7 @@ from codebounds.bounds import (
 from codebounds.exactmath import EnumerationBudgetError, floor_log_q
 from codebounds.golden import Mismatch, TableRow, load_table1
 from codebounds.levenshtein import levenshtein_max_size
-from codebounds.oracle import best_linear_d_witness
+from codebounds.oracle import best_linear_d_witness, refutation_crosscheck
 
 
 class TestBoundACheck:
@@ -370,11 +370,13 @@ class TestMonotonicity:
     (5, 6, 2, "distance must satisfy 1 <= d <= n, got d=6, n=5"),
 ])
 def test_query_check_shared(n, d, q, message):
-    # one check serves the query, the Levenshtein bound and bound A alike;
-    # Singleton, which takes no alphabet, shares its distance check
+    # one check serves the query, the Levenshtein bound, bound A and the
+    # oracle's search alike; Singleton, which takes no alphabet, shares its
+    # distance check
     calls = [lambda: best_upper_k(n, d, q),
              lambda: levenshtein_max_size(n, d, q),
-             lambda: bound_a_check(n, 3, d, q)]
+             lambda: bound_a_check(n, 3, d, q),
+             lambda: refutation_crosscheck(n, 3, d, q)]
     if message.startswith("distance"):
         calls.append(lambda: singleton_max_k(n, d))
     for call in calls:

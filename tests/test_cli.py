@@ -18,12 +18,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import record_calls, refuting_also
+from conftest import record_calls
 
 from codebounds import cli, golden, levenshtein, oracle
-from codebounds.bounds import bound_a_check, best_upper_k
+from codebounds.bounds import REFUTED, FeasibilityVerdict, bound_a_check, best_upper_k
 from codebounds.cli import main
-from codebounds.exactmath import EnumerationBudgetError
+from codebounds.exactmath import VARIANT_WEIGHT, EnumerationBudgetError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # tests/data/cli_digests.json, read once: the pinned digests per command
@@ -31,6 +31,18 @@ PINNED = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_t
 # the oracle's two searches, the linear search's caller and the budget guard
 # of every search, which the tests below log
 _SEARCHES = ("_first_linear_tail", "_first_nonlinear_code", "best_linear_d_witness", "check_search_budget")
+
+
+def refuting_also(n: int, k: int, d: int):
+    """bound_a_check, except that it also refutes (n, k, d), at any q and
+    variant: a stand-in for an unsound bound, to test that oracle
+    refute-check catches it."""
+    def check(n_, k_, d_, q, variant=VARIANT_WEIGHT):
+        if (n_, k_, d_) == (n, k, d):
+            return FeasibilityVerdict(REFUTED, witness=1, lhs=1, rhs=0)
+        return bound_a_check(n_, k_, d_, q, variant)
+
+    return check
 
 
 def run(*argv):
@@ -488,7 +500,7 @@ class TestOracleCommands:
                     for k in range(3, min(k_max, n - 1) + 1):
                         for d in range(3, min(d_max, n) + 1):
                             if bound_a_check(n, k, d, q, variant).refuted:
-                                code = oracle.refutation_crosscheck(n, k, d, q, variant, budget)
+                                code = oracle.refutation_crosscheck(n, k, d, q, budget=budget)
                                 failures += code is not None
                                 lines.append(f"(n={n}, k={k}, d={d}) refuted: " + (
                                     "confirmed" if code is None else
@@ -507,9 +519,7 @@ class TestOracleCommands:
         # bound A made unsound at (6, 3, 3) over q = 2, where a code of
         # distance 3 exists; the budget admits all 2**24 systematic codes,
         # so the nonlinear search finds it
-        fake = refuting_also(6, 3, 3)
-        monkeypatch.setattr(oracle, "bound_a_check", fake)
-        monkeypatch.setattr(cli, "bound_a_check", fake)
+        monkeypatch.setattr(cli, "bound_a_check", refuting_also(6, 3, 3))
         rc, out, _ = run("oracle", "refute-check", "--q", "2", "--n-max", "6",
                          "--k-max", "3", "--d-max", "3", "--budget", str(2 ** 24))
         assert rc == 1

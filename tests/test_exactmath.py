@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 from conftest import exact_identities
-from reference import binomial, krawtchouk, tail_mass, weight_count
+from reference import krawtchouk, tail_mass, weight_count
 
 from codebounds.exactmath import check_query, floor_log_q, sphere_volume
 
@@ -18,25 +18,6 @@ def brute_weight_count(m, j, q):
         1 for word in product(range(q), repeat=m)
         if sum(1 for s in word if s) == j
     )
-
-
-class TestBinomial:
-    def test_small(self):
-        assert binomial(5, 2) == 10
-        assert binomial(0, 0) == 1
-
-    def test_r_larger_than_m_is_zero(self):
-        assert binomial(4, 5) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 2)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-
-    def test_pascal_identity(self):
-        # every (m, r) with 1 <= r <= m <= 60, on the shared sweep
-        assert not exact_identities()["Pascal"]
 
 
 class TestWeightCount:
@@ -128,7 +109,7 @@ class TestKrawtchouk:
         assert krawtchouk(7, 2, 2, 0) == 21
         for n, q in [(7, 2), (6, 3)]:
             for k in range(n + 1):
-                assert krawtchouk(n, q, k, 0) == binomial(n, k) * (q - 1) ** k
+                assert krawtchouk(n, q, k, 0) == comb(n, k) * (q - 1) ** k
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_orthogonality(self, q):
