@@ -187,9 +187,11 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
 
     A refuted triple is confirmed by a search (refutation_crosscheck) or from
     a triple already confirmed; confirmed[(n, k)] is the smallest d at which
-    no code was found.  What a search at (n, k) finds no code among is every
-    systematic code where the nonlinear search fits the budget, and every
-    standard-form code elsewhere.  A refuted (n, k, d) is confirmed without a
+    no code was found.  The search's budget guard, check_search_budget,
+    returns the search it admits, and what a search at (n, k) finds no code
+    among is every systematic code where the guard returns True (the
+    nonlinear search fits the budget), and every standard-form code where
+    it returns False.  A refuted (n, k, d) is confirmed without a
     search when
     - (n, k) is confirmed at a smaller d: a code reaching d reaches every
       smaller d;
@@ -205,9 +207,10 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
     pair covers every code that a search at (n, k) would, and the verdict is
     the search's.  Such an (n, k) still passes the search's budget guard,
     once, at its first refuted d, so a budget refusal comes at the same line
-    as a search's.  The guard is also the command's cost bound: it ends a box
-    whose refutations all follow from a few small searches, which puncturing
-    would otherwise go on confirming at every n up to --n-max.
+    as a search's; the search the guard names is not needed there.  The
+    guard is also the command's cost bound: it ends a box whose refutations
+    all follow from a few small searches, which puncturing would otherwise
+    go on confirming at every n up to --n-max.
     """
     from .oracle import check_linear_alphabet, check_search_budget
 

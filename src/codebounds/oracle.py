@@ -39,9 +39,11 @@ check_search_budget first, which also bounds the span of up to q**(k-1)
 codewords that the linear search checks every candidate row against: the
 k-th row ends the tail before it would join the span.
 
-The cross-check runs one search per triple, chosen by the budget: the
-nonlinear search where all systematic codes fit in it, since every
-standard-form code is one of them, and the linear search at d elsewhere.
+The guard also returns the search it admits, so the budget is read once
+per search: True where all systematic codes fit in it, and False where only
+the standard-form codes do.  The cross-check runs the search it names: the
+nonlinear search on True, since every standard-form code is one of the
+systematic codes, and the linear search at d on False.
 It returns None when the search finds no code, else the words of the first
 code it finds.  oracle refute-check confirms a refuted triple by such a
 search, or from a triple it has confirmed: by d-monotonicity (a code
@@ -125,20 +127,26 @@ def _encode(tail: tuple[tuple[int, ...], ...], q: int) -> tuple[tuple[int, ...],
                  for v in _all_messages(len(tail), q))
 
 
-def check_search_budget(n: int, k: int, q: int, budget: int) -> None:
-    """The budget guard of every search at (n, k): refuse it unless q passes
+def check_search_budget(n: int, k: int, q: int, budget: int) -> bool:
+    """The budget guard of every search at (n, k), which also names the
+    search it admits: refuse the search unless q passes
     check_linear_alphabet, 1 <= k < n, and the q**(k(n-k)) standard-form
-    codes fit in the budget.
+    codes fit in the budget; then return whether all
+    (q**(n-k))**(q**k) = q**((n-k) q**k) systematic codes fit too, True
+    where the nonlinear search is admitted and False where only the linear
+    one is.
 
     (q**k - 1) x q**k, one per ordered pair of distinct codewords, must fit
     too: the linear search checks each candidate row against the span of the
     rows before it, up to q**(k-1) codewords, as the k-th row ends the tail
-    before it would join the span.
+    before it would join the span.  The exponent (n-k) q**k is larger at
+    (n, k) than at (n-1, k) and at (n-1, k-1), so where the answer is True
+    at (n, k) it is True at both.
     """
     check_linear_alphabet(q, budget)
     _check_systematic(n, k)
-    exponent = k * (n - k)
-    if exponent > floor_log_q(budget, q):
+    exponent, log = k * (n - k), floor_log_q(budget, q)
+    if exponent > log:
         raise EnumerationBudgetError(
             f"enumerating q**(k(n-k)) = {q}**{exponent} standard-form codes exceeds the budget of {budget}"
         )
@@ -146,16 +154,7 @@ def check_search_budget(n: int, k: int, q: int, budget: int) -> None:
         raise EnumerationBudgetError(
             f"the search's {q ** k - 1} x {q ** k} codeword pairs exceed the budget of {budget}"
         )
-
-
-def _nonlinear_within(n: int, k: int, q: int, budget: int) -> bool:
-    """Whether all (q**(n-k))**(q**k) = q**((n-k) q**k) systematic codes fit
-    in the budget, once check_search_budget has passed.
-
-    The exponent (n-k) q**k is larger at (n, k) than at (n-1, k) and at
-    (n-1, k-1), so where the search fits at (n, k) it fits at both.
-    """
-    return (n - k) * q ** k <= floor_log_q(budget, q)
+    return (n - k) * q ** k <= log
 
 
 def _first_leaf(root, children):
@@ -226,7 +225,8 @@ def best_linear_d_witness(n: int, k: int, q: int,
     it.
 
     Counts down from the Singleton bound n - k + 1 to the first d that some
-    code reaches, under the guards of check_search_budget.
+    code reaches, under the guards of check_search_budget; it runs the
+    linear search whatever search the guard admits.
     """
     check_search_budget(n, k, q, budget)
     d = n - k + 1
@@ -261,8 +261,8 @@ def _first_nonlinear_code(n: int, k: int, d: int, q: int) -> Optional[tuple[tupl
     coordinate and symbol permutation, which keeps tail 0, maps it to
     0...01...1, the first tail of weight w; so it is already that tail.
     Hence the search is complete and finds the same first code as one
-    without these restrictions.  No budget check here: callers check
-    _nonlinear_within first.
+    without these restrictions.  No budget check here: callers run it
+    only where check_search_budget returns True.
     """
     m = n - k
     prefixes = _all_messages(k, q)
@@ -286,22 +286,23 @@ def refutation_crosscheck(n: int, k: int, d: int, q: int, *,
     with minimum distance >= d, or None when the search finds none.
 
     The query check of every bound comes first, then the guards of
-    check_search_budget.  Runs one search: where all nonlinear systematic
-    codes fit in the budget, the first of them (every standard-form code is
-    among them); elsewhere the first standard-form code.  The nonlinear
-    count fitting implies the linear guards pass, as q**k >= 2k, so running
-    those guards first refuses nothing more.  The first code is in that
-    search's own order, not necessarily a best linear code.  Nothing here
-    reads bound A: a None for a triple that A refutes confirms it.
+    check_search_budget, and then the one search that the guard's answer
+    names: where it returns True, as all nonlinear systematic codes fit in
+    the budget, the first of them (every standard-form code is among them);
+    where it returns False, the first standard-form code.  The nonlinear
+    count fitting implies the linear guards pass, as q**k >= 2k, so the
+    guard's refusals refuse no nonlinear search that fits.  The first code
+    is in that search's own order, not necessarily a best linear code.
+    Nothing here reads bound A: a None for a triple that A refutes confirms
+    it.
 
     oracle refute-check calls it only for a refuted triple that it cannot
     confirm from a triple already confirmed, by d-monotonicity, puncturing
-    or shortening; it runs check_search_budget alone for the first refuted d
-    of an (n, k) that it confirms that way.
+    or shortening; it runs check_search_budget alone, and ignores the search
+    it names, for the first refuted d of an (n, k) that it confirms that way.
     """
     check_query(n, d, q)
-    check_search_budget(n, k, q, budget)
-    if _nonlinear_within(n, k, q, budget):
+    if check_search_budget(n, k, q, budget):
         return _first_nonlinear_code(n, k, d, q)
     tail = _first_linear_tail(n, k, d, q)
     return None if tail is None else _encode(tail, q)

@@ -30,10 +30,13 @@ systematic; together they give truth in bound A's scope beyond what the
 enumerations reach.
 
 Every input rule comes from the package's shared guards, so no rule has a
-second copy here.  Nothing is imported from codebounds.bounds or
-codebounds.levenshtein, the code these definitions are the reference for,
-and codebounds.oracle, whose guards and helpers are imported here, imports
-nothing from them either.
+second copy here.  The one count stated here is the nonlinear
+enumeration's, q**((n-k) q**k) codes within the budget: it takes any
+alphabet, while check_search_budget returns that answer only past the
+linear search's guards, a prime alphabet among them.  Nothing is imported
+from codebounds.bounds or codebounds.levenshtein, the code these
+definitions are the reference for, and codebounds.oracle, whose guards and
+helpers are imported here, imports nothing from them either.
 """
 
 from dataclasses import dataclass
@@ -49,12 +52,12 @@ from codebounds.exactmath import (
     check_budget,
     check_query,
     check_variant,
+    floor_log_q,
 )
 from codebounds.oracle import (
     _all_messages,
     _check_prime,
     _check_systematic,
-    _nonlinear_within,
     check_search_budget,
     min_distance,
 )
@@ -296,12 +299,13 @@ def enumerate_linear_systematic(n: int, k: int, q: int, budget: int = DEFAULT_BU
 
 
 def enumerate_systematic_nonlinear(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Code]:
-    """Yield every systematic code: one tail choice per message prefix."""
+    """Yield every systematic code: one tail choice per message prefix, all
+    (q**(n-k))**(q**k) = q**((n-k) q**k) of them within the budget."""
     check_alphabet(q)
     _check_systematic(n, k)
     check_budget(budget)
     m = n - k
-    if not _nonlinear_within(n, k, q, budget):
+    if m * q ** k > floor_log_q(budget, q):
         raise EnumerationBudgetError(
             f"enumerating (q**{m})**(q**{k}) systematic codes exceeds the budget of {budget}"
         )

@@ -10,7 +10,7 @@ from functools import cache
 from itertools import islice, product
 
 import pytest
-from conftest import injection_sweep, linear_family, translation_failures
+from conftest import injection_sweep, linear_family, record_calls, translation_failures
 from reference import (
     Code,
     StandardFormGenerator,
@@ -352,6 +352,18 @@ class TestRefutationCrosscheck:
         assert refutation_crosscheck(4, 3, 3, 2) is None
         assert calls == [(4, 3, 3, 2)]
 
+    def test_guard_names_the_search_reading_the_budget_once(self, monkeypatch):
+        # the budget guard returns the search it admits, so a cross-check
+        # reads floor_log_q(budget, q) once: at the bench's (4, 3, 3, 2),
+        # where all 2**8 systematic codes fit, and at (4, 3, 3, 3), where
+        # 3**27 do not and the linear search runs
+        assert oracle.check_search_budget(4, 3, 2, DEFAULT_BUDGET) is True
+        assert oracle.check_search_budget(4, 3, 3, DEFAULT_BUDGET) is False
+        log = record_calls(monkeypatch, oracle, "floor_log_q")
+        assert refutation_crosscheck(4, 3, 3, 2) is None
+        assert refutation_crosscheck(4, 3, 3, 3) is None
+        assert log == [("floor_log_q", DEFAULT_BUDGET, 2), ("floor_log_q", DEFAULT_BUDGET, 3)]
+
     def test_nonlinear_contradiction_returns_its_first_code(self):
         # the search reads no bound: a code of distance 3 exists at (6, 3)
         # over q = 2, and all 2**24 systematic codes fit the budget, so the
@@ -533,7 +545,7 @@ def test_nonlinear_search_memory_follows_the_walk():
     # the default budget admits (10, 1) over q = 2, as (n-k) q**k = 18 <= 23;
     # its 512 tails would give a table of 512 x 512 distances, while the walk
     # holds two prefixes and the tail it tries
-    assert oracle._nonlinear_within(10, 1, 2, DEFAULT_BUDGET)
+    assert oracle.check_search_budget(10, 1, 2, DEFAULT_BUDGET)
     tracemalloc.start()
     try:
         words = _first_nonlinear_code(10, 1, 10, 2)
@@ -545,19 +557,25 @@ def test_nonlinear_search_memory_follows_the_walk():
 
 
 def test_nonlinear_fit_carries_to_the_smaller_pairs():
-    # where all systematic codes fit at (n, k) they fit at (n-1, k) and at
-    # (n-1, k-1), the pairs refute-check confirms (n, k) from by puncturing
-    # and shortening, so their verdicts cover every code a search at (n, k)
-    # would try
-    fits = 0
+    # where the guard admits the nonlinear search at (n, k) it admits it at
+    # (n-1, k) and at (n-1, k-1), the pairs refute-check confirms (n, k)
+    # from by puncturing and shortening, so their verdicts cover every code
+    # a search at (n, k) would try; a refusal counts as no fit
+    def fits(n, k, q, budget):
+        try:
+            return oracle.check_search_budget(n, k, q, budget)
+        except EnumerationBudgetError:
+            return False
+
+    count = 0
     for q, budget in product([2, 3, 5, 7], [1, 2 ** 12, 10 ** 5, 10 ** 7, 10 ** 60]):
         for n in range(3, 60):
             for k in range(2, n):
-                if oracle._nonlinear_within(n, k, q, budget):
-                    fits += 1
-                    assert k == n - 1 or oracle._nonlinear_within(n - 1, k, q, budget), (n, k, q)
-                    assert oracle._nonlinear_within(n - 1, k - 1, q, budget), (n, k, q)
-    assert fits > 50
+                if fits(n, k, q, budget):
+                    count += 1
+                    assert k == n - 1 or fits(n - 1, k, q, budget), (n, k, q)
+                    assert fits(n - 1, k - 1, q, budget), (n, k, q)
+    assert count == 138
 
 
 def _reaches_distance(code, d):
