@@ -313,18 +313,18 @@ def best_upper_row(n: int, ds: Iterable[int], q: int, bounds: Iterable[str] = BO
                    variant: str = VARIANT_WEIGHT) -> list[tuple[list[BoundResult], Optional[int]]]:
     """best_upper_k at each d of ds in turn, with the bounds resolved once.
 
-    Each d's query is checked, then every selected bound evaluated, before
-    the next d is read, so a bad input raises what the first cell to meet it
-    would raise alone; the bound ids are checked after the first query.
+    An unknown bound id is refused once, before any cell, so even an empty
+    row raises for it.  Then each d's query is checked, and every selected
+    bound evaluated, before the next d is read, so a bad query raises what
+    the first cell to meet it would raise alone.
     """
     selected = set(bounds)
-    unknown = selected.difference(BOUNDS)
+    if unknown := selected.difference(BOUNDS):
+        raise ValueError(f"unknown bound ids: {sorted(unknown)}")
     evaluators = [evaluate for b, (_, _, evaluate) in BOUNDS.items() if b in selected]
     row = []
     for d in ds:
         check_query(n, d, q)
-        if unknown:
-            raise ValueError(f"unknown bound ids: {sorted(unknown)}")
         results = [evaluate(n, d, q, variant) for evaluate in evaluators]
         applicable = [r.k_max for r in results if r.k_max is not None]
         row.append((results, min(applicable) if applicable else None))
@@ -338,5 +338,6 @@ def best_upper_k(n: int, d: int, q: int, bounds: Iterable[str] = BOUND_IDS,
 
     Results come back in the order of BOUNDS, alphabetical by id; a bound
     that does not apply contributes a k_max of None without failing the query.
+    An unknown bound id is refused before the query is checked.
     """
     return best_upper_row(n, (d,), q, bounds, variant)[0]

@@ -16,7 +16,6 @@ on its first use.
 
 import sys
 from collections.abc import Callable, Sequence
-from functools import cache
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -169,8 +168,9 @@ def _cmd_best_d(args: SimpleNamespace) -> int:
     d, tail = best_linear_d_witness(args.n, args.k, args.q, budget=args.budget)
     print(f"best minimum distance for ({args.n}, {args.k}) over q={args.q}: {d}")
     print("witness tail matrix (rows):")
+    sep = " " if args.q > 10 else ""  # a symbol of two digits needs a separator
     for row in tail:
-        print("  " + "".join(str(e) for e in row))
+        print("  " + sep.join(map(str, row)))
     return 0
 
 
@@ -301,11 +301,10 @@ _GRAMMAR = {
 _PATH_DESTS = ("command", "oracle_cmd")
 
 
-@cache
 def _build_parser():
-    """The argparse tree of _GRAMMAR, built on the first command line the
-    strict reading in main leaves to it and shared by the later ones: a
-    parse keeps no state in it.  It alone writes help and usage errors."""
+    """The argparse tree of _GRAMMAR, built anew for each command line the
+    strict reading in main leaves to it, so no parser outlives its main
+    call.  It alone writes help and usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(

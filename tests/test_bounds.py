@@ -314,7 +314,8 @@ def _outcome(call):
 
 class TestBestUpperRow:
     """A row is the cells of best_upper_k at each d in turn: the same
-    results, and the same first error."""
+    results, and the same first error.  An unknown bound id is refused
+    before any cell, so an empty row raises for it too."""
 
     SELECTIONS = [[b] for b in bounds.BOUND_IDS] + [list(bounds.BOUND_IDS), ["singleton", "a", "elias", "a"]]
 
@@ -334,15 +335,18 @@ class TestBestUpperRow:
         (6, range(3, 9), 2, ()),  # d = 7 > n after four good cells
         (6, range(0, 4), 1, (["nope"],)),
         (0, range(1, 3), 2, ()),
-        (6, range(0, 4), 2, (["nope"],)),  # the distance before the ids
+        (6, range(0, 4), 2, (["nope"],)),  # the ids before the distance
         (6, range(3, 5), 2, (["a", "nope"],)),
         (6, range(2, 5), 2, (["a"], "printed")),  # the variant at d = 3, where A applies
-        (6, range(4, 4), 1, (["nope"],)),  # no cell, no error
+        (6, range(4, 4), 1, (["nope"],)),  # no cell, and still the ids' error
     ])
     def test_first_error_matches_cell_by_cell(self, n, ds, q, args):
         row = _outcome(lambda: best_upper_row(n, ds, q, *args))
-        assert row == _outcome(lambda: [best_upper_k(n, d, q, *args) for d in ds])
-        assert row == [] if not ds else row[0] is ValueError
+        if ds:
+            assert row == _outcome(lambda: [best_upper_k(n, d, q, *args) for d in ds])
+        assert row[0] is ValueError
+        if args and "nope" in args[0]:  # refused before any query is checked
+            assert row[1] == "unknown bound ids: ['nope']"
 
 
 class TestMonotonicity:
