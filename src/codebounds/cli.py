@@ -219,7 +219,9 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
     failures = 0
     checked = 0
     confirmed = {}  # (n, k) -> the smallest d at which no code was found
-    for n in range(4, args.n_max + 1):
+    # A refutes no k <= 2 and no d <= 2, so a box below 3 in either ends here
+    n_max = args.n_max if min(args.k_max, args.d_max) > 2 else 3
+    for n in range(4, n_max + 1):
         # A's refutation is monotone in k and in d, so the refuted d at each k
         # are first..min(d_max, n), and first only falls as k grows
         first = min(args.d_max, n) + 1
@@ -243,8 +245,9 @@ def _cmd_refute_check(args: SimpleNamespace) -> int:
         # at fixed (k, d) the tail mass over n - k positions only grows with
         # n, so once this n has every (k, d) of the box and none is refuted,
         # no longer n has a refutation either; first past d_max after the
-        # largest k, the most refutable one, shows that none is
-        if first > args.d_max and n > args.k_max and n >= args.d_max:
+        # largest k, the most refutable one, shows that none is, and as
+        # first <= min(d_max, n) + 1 it also shows n >= d_max
+        if first > args.d_max and n > args.k_max:
             break
     print(f"{checked} refutations cross-checked, {failures} contradictions")
     return 1 if failures else 0

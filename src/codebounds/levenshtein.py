@@ -309,17 +309,20 @@ def _coefficients(n: int, m: int, d: int, q: int, candidate: _Candidate) -> Iter
 
 
 def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
-    """Minimum verified bound for one branch, with its kernel system on m."""
+    """Minimum verified bound for one branch, with its kernel system on m.
+
+    A run is resolved only where it ends: at the first candidate not below
+    its last value, where the scan stops if that candidate is not below the
+    best either and else starts the next run with it, or where the
+    candidates run out."""
     best: int | None = None
     run: list[_Candidate] = []  # candidates, values decreasing
     for candidate in _candidates(n, m, d, q):
-        if run and candidate[0] < run[-1][0]:
-            run.append(candidate)
-            continue
-        best = _run_min(n, m, d, q, run, best)
-        if best is not None and candidate[0] >= best:
-            return best
-        run = [candidate]
+        if run and candidate[0] >= run[-1][0]:
+            best, run = _run_min(n, m, d, q, run, best), []
+            if best is not None and candidate[0] >= best:
+                return best
+        run.append(candidate)
     return _run_min(n, m, d, q, run, best)
 
 

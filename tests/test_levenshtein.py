@@ -9,6 +9,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from conftest import record_calls
 from reference import krawtchouk
 
 from codebounds.exactmath import floor_log_q
@@ -400,6 +401,25 @@ def test_branch_min_verifies_the_run_left_when_candidates_run_out(monkeypatch):
     run = [(value, c, 1, 1, 1, 0, True) for c, value in enumerate((30, 20, 10))]
     monkeypatch.setattr(levenshtein, "_candidates", lambda n, m, d, q: iter(run))
     assert levenshtein._branch_min(10, 9, 3, 2) == 10
+
+
+# the cells of levenshtein_pin.json's grid, every d: q -> largest n
+_PINNED_GRID = {2: 90, 3: 50, 4: 34, 5: 30, 7: 22, 8: 16, 9: 16, 11: 12, 13: 10}
+
+
+def test_branch_scan_resolves_one_run_and_never_an_empty_one(monkeypatch):
+    # a run is resolved only where it ends, so no resolution is handed an
+    # empty run; on the pinned grid every scan stops at the candidate that
+    # ends its first run, so each resolves exactly one, 13,598 in all
+    log = record_calls(monkeypatch, levenshtein, "_branch_min", "_run_min")
+    for q, top in _PINNED_GRID.items():
+        for n in range(1, top + 1):
+            for d in range(1, n + 1):
+                levenshtein_max_size(n, d, q)
+    assert sum(top * (top + 1) // 2 for top in _PINNED_GRID.values()) == 7088
+    assert [name for name, *_ in log] == ["_branch_min", "_run_min"] * 13_598
+    # _run_min(n, m, d, q, run, best)
+    assert all(args[4] for name, *args in log if name == "_run_min")
 
 
 def _every_degree_reference(n, d, q):
