@@ -119,18 +119,14 @@ def _cmd_table(args: SimpleNamespace) -> int:
     rows = [[str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks]
             for n, d, ks in _table_rows(args, bounds)]
     if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        lines = [",".join(row) for row in [header, *rows]]
     elif args.format == "records":
-        for row in rows:
-            print(" ".join(f"{h}={v if v else 'n/a'}" for h, v in zip(header, row)))
+        lines = [" ".join(f"{h}={v if v else 'n/a'}" for h, v in zip(header, row)) for row in rows]
     else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
-        print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        lines = ["  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in [header, *rows]]
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -144,17 +140,14 @@ def diff_table1(*args, **kwargs) -> tuple:
 
 
 def _cmd_table1(args: SimpleNamespace) -> int:
-    blocks = set(BLOCKS) if args.block == "all" else {args.block}
+    blocks = BLOCKS if args.block == "all" else (args.block,)
     rows_checked, mismatches = diff_table1(blocks)
-    label = ",".join(b for b in BLOCKS if b in blocks)
-    print(f"blocks {label}: {rows_checked} rows checked")
+    print(f"blocks {','.join(blocks)}: {rows_checked} rows checked")
     for mm in mismatches:
         name = f"k_{mm.row.block}" if mm.column == "k_competitor" else "k_A"
-        tag = "" if mm.note is None else " [documented]"
+        tag = "" if mm.note is None else f" [documented]\n    note: {mm.note}"
         print(f"  block {mm.row.block} q={mm.row.q} n={mm.row.n} d={mm.row.d}: "
               f"{name} expected {mm.expected}, computed {mm.computed}{tag}")
-        if mm.note is not None:
-            print(f"    note: {mm.note}")
     n_doc = sum(mm.note is not None for mm in mismatches)
     n_mm = len(mismatches) - n_doc
     print(f"mismatches: {n_mm} undocumented, {n_doc} documented")

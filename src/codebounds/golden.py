@@ -107,7 +107,7 @@ def recompute_row(row: TableRow) -> tuple[int, int]:
     return k_max[competitor], k_max["a"]
 
 
-def diff_table1(blocks: set[str]) -> tuple[int, list[Mismatch]]:
+def diff_table1(blocks: tuple[str, ...]) -> tuple[int, list[Mismatch]]:
     """Recompute every row of the selected blocks.
 
     Returns the number of rows checked and every differing cell: first the

@@ -149,11 +149,18 @@ class TestTable:
         assert rc == 0
         assert out.splitlines() == ["q,n,d,griesmer,a", "3,6,3,4,3", "3,7,3,5,4"]
 
-    def test_empty_intersection_header_only(self):
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv", "q,n,d,griesmer\n"),
+        ("text", "q  n  d  griesmer\n"),
+        ("records", ""),
+    ], ids=["csv", "text", "records"])
+    def test_empty_intersection_header_only(self, fmt, expected):
+        # every cell has d > n: csv and text write their header line alone,
+        # and records, a line per cell, write nothing
         rc, out, _ = run("table", "--q", "2", "--n-range", "3..4",
-                         "--d-range", "5..6", "--bounds", "g", "--format", "csv")
+                         "--d-range", "5..6", "--bounds", "g", "--format", fmt)
         assert rc == 0
-        assert out == "q,n,d,griesmer\n"
+        assert out == expected
 
     @pytest.mark.parametrize("argv,message", [
         (("--q", "1", "--n", "3", "--d", "5"), "alphabet size must be at least 2, got q=1"),
@@ -815,7 +822,7 @@ class TestParserReuse:
         # start-up pays for no parser: a command line left to argparse builds one
         assert _run_fresh([], _COUNT_PARSERS)[2] == 0
 
-    def test_main_builds_the_parser_once(self):
+    def test_each_usage_error_builds_a_fresh_parser(self):
         # the count after each of ten calls: a well-formed command line
         # builds no parser, and each usage error builds one whole tree, the
         # root and one parser per command path, which no later call reuses

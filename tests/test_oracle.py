@@ -224,7 +224,7 @@ class TestBestLinearD:
             assert tail == _tail_rows(linear_family(n, k, q).first[d]), (n, k, q)
 
     @pytest.mark.parametrize("n,k,q", [(7, 5, 3), (8, 2, 3), (5, 3, 5), (5, 3, 7), (4, 2, 11)])
-    def test_column_search_matches_decoding_every_tail(self, n, k, q):
+    def test_row_search_matches_decoding_every_tail(self, n, k, q):
         # every tail decoded, against the row search: at q = 3 it first
         # fails at the Singleton bound, and at q = 5, 7, 11 it reaches that
         # bound with rows that skip every leading entry but 0 and 1
