@@ -14,6 +14,7 @@ loaded by `table1` alone and the oracle by the `oracle` commands alone, each
 on its first use.
 """
 
+import os
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
@@ -402,4 +403,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:  # None where fd 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:
+        # a failed write to stdout: fd 1 goes to devnull, so that the
+        # interpreter's own flush at exit drops what is left there quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

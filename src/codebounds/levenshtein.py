@@ -326,18 +326,17 @@ def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
     return _run_min(n, m, d, q, run, best)
 
 
-def _second_negative(n: int, m: int, d: int, q: int, candidate: _Candidate) -> bool | None:
+def _second_negative(n: int, m: int, d: int, q: int, candidate: _Candidate) -> bool:
     """Whether the check of the candidate on m would yield a negative second
     coefficient, that of u**(D-1), read off the pair P_c = p and
-    P_{c+1} = p_next alone; None where deg f > n or P_c = 0."""
+    P_{c+1} = p_next alone; False where deg f > n or P_c = 0, where the pair
+    does not decide."""
     _, c, _, _, p, p_next, _ = candidate
     s, e = q - 1, n - 1 - m
     top = 2 * c + 1 + e
-    if top > n or not p:
-        return None
     a = (q * (top * (top - 1) // 2) + s * top * (n - top + 1) + q * (d - e * n)
          - (c + 1) * (2 * q + 2 * s * m + (1 - s) * c))
-    return p * (a * p + 2 * (c + 1) * p_next) > 0
+    return top <= n and p * (a * p + 2 * (c + 1) * p_next) > 0
 
 
 def _run_min(n: int, m: int, d: int, q: int,

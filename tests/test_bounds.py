@@ -399,15 +399,6 @@ def test_variant_check_shared():
         assert str(exc.value) == message
 
 
-def test_hamming_never_below_oracle_truth():
-    # any code the oracle can actually build must fit under the sphere bound
-    cases = [(n, k, 2) for n in range(3, 7) for k in range(1, n)]
-    cases += [(5, k, 3) for k in range(1, 5)]
-    for n, k, q in cases:
-        for d in {d for d, _ in linear_family(n, k, q).distances}:
-            assert q ** k <= hamming_max_size(n, d, q), (n, k, q, d)
-
-
 def test_every_cap_admits_the_best_linear_codes():
     # k* is the largest k whose best standard-form code, found by the oracle
     # wherever its budget guards admit (n, k, q), reaches d; every cap of

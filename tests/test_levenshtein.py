@@ -244,12 +244,16 @@ def _degree_grid_walk(q):
                             or not sums[0] > 0 or any(sums[top + 1:])):
                         failed["coefficients"].append(case)
                     checked += 1
+                    # the two leading coefficients decide where deg f <= n
+                    # and P_c != 0; elsewhere the test refuses nothing
                     second_negative = _second_negative(n, m, d, q, candidate)
-                    if second_negative is not None:
+                    if top == 2 * c + n - m and candidate[4]:
                         if not coefficients[0] > 0 or second_negative != (sums[top - 1] < 0):
                             failed["coefficients"].append(case)
                         decided += 1
                         refused += second_negative
+                    elif second_negative is not False:
+                        failed["coefficients"].append(case)
                     if certified:
                         if min(sums) < 0:
                             failed["certificate"].append(case)
