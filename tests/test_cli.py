@@ -847,7 +847,7 @@ _REUSE_COMMANDS = [
 ]
 
 
-class TestCallsLeaveNothingBehind:
+class TestParserReuse:
     def test_import_builds_no_parser(self):
         # start-up pays for no parser: a command line left to argparse builds one
         assert _run_fresh([], _COUNT_PARSERS)[2] == 0
