@@ -21,8 +21,8 @@ weight w(x) = C(n, x)(q-1)**x:
 
 Both shapes make f(j) <= 0 on d..n automatic, so only the coefficient signs
 need checking; that check is performed exactly (big integers throughout), and
-a candidate degree is used only after it passes, or where a proof (last
-paragraph) shows that it would pass.  The reported bound is the
+a candidate degree is used only after it passes, or where a proof (the
+certificate below) shows that it would pass.  The reported bound is the
 floored minimum over the verified candidates scanned, never exceeding the
 trivial q**n.  Every returned value is therefore a sound upper bound
 regardless of which degrees happen to verify.
@@ -109,11 +109,12 @@ Each branch scans degrees upward and stops at the first candidate whose
 value is not below the best verified one.  Candidates whose values strictly
 decrease form a run, all below the best; a scan that checked each in turn
 would keep the last of the run that verifies, so the run is checked from its
-end backwards and the first that passes ends it.  A check finishes the
-shifted coefficients from the top, i = D down to 1, and stops at the first
-negative one; every degree that sets a value has passed all of them, unless
-it is certified (last paragraph) and not checked at all.  The
-candidates that fail have their negative coefficients near the top, so a
+end backwards and the first that passes ends it.  A scan that runs out of
+candidates returns its best and leaves its last run unchecked (last two
+paragraphs).  A check finishes the shifted coefficients from the top,
+i = D down to 1, and stops at the first negative one; every degree that
+sets a value has passed all of them, unless it is certified (below) and not
+checked at all.  The candidates that fail have their negative coefficients near the top, so a
 shift from i = 0 upwards would finish nearly all of them before it found
 one.  Column j of the shift, for j = D down to 1, is the running sum of
 column j + 1 started at e_j: it takes j + 1 additions, only one column is
@@ -191,6 +192,30 @@ with N now counted on n - 1.
 
 Where the signs of P_0, .., P_{c+1} are mixed, the test on the two leading
 coefficients and the check run as before.
+
+A scan that runs out of candidates can return its best, because its last
+candidate is a point mass worth q**n.  Where d - 1 <= m (the odd branch
+always, the even one for d <= n - 1), the kernel of degree m is the whole
+reproducing kernel of the scheme on m at y = d - 1, so T(x) is 0 at
+x - 1 = 0..m except at x = d, where f has the factor d - x; on the even
+branch x = n lies past that scheme and is a zero of n - x.  So f is f(0) at
+x = 0 and 0 at x = 1..n, F_i = f(0) C(n, i) s**i >= 0, and the value is
+exactly q**n.  It is a candidate: P_{m+1} = 0, so Christoffel-Darboux gives
+
+    T(0) = (m + 1) K_{m+1}(-1) P_m / (q norm_m d),
+
+which is not 0, as K_{m+1} vanishes only at 0..m and
+P_m = (-1)**(d-1) s**(m-d+1).  This candidate either ends the run before
+it, and the scan returns if best <= q**n, or it starts or extends a run
+whose values lie above q**n and below best.  So a scan that runs out holds
+best = None or best > q**n; checking its last run would give q**n, and the
+minimum with q**n in levenshtein_max_size is the same.
+
+At d = n the even branch has no point mass: d - 1 = m + 1 lies outside its
+scheme, and its last value is below q**n (2**n - 2 at q = 2).  There the
+odd branch's degree 0, f = n - x, is certified (P_0 = 1, P_1 = -(n - 1))
+with value q = A_q(n, n), and no verified value lies below A_q(n, d), so
+the bound is q for n >= 3 whatever the even branch returns.
 """
 
 from collections.abc import Iterator
@@ -309,12 +334,14 @@ def _coefficients(n: int, m: int, d: int, q: int, candidate: _Candidate) -> Iter
 
 
 def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
-    """Minimum verified bound for one branch, with its kernel system on m.
+    """Minimum verified bound for one branch, with its kernel system on m,
+    where it lies below q**n.
 
     A run is resolved only where it ends: at the first candidate not below
     its last value, where the scan stops if that candidate is not below the
-    best either and else starts the next run with it, or where the
-    candidates run out."""
+    best either and else starts the next run with it.  A scan that runs out
+    of candidates returns its best, as its last candidate is worth q**n
+    (module docstring)."""
     best: int | None = None
     run: list[_Candidate] = []  # candidates, values decreasing
     for candidate in _candidates(n, m, d, q):
@@ -323,7 +350,7 @@ def _branch_min(n: int, m: int, d: int, q: int) -> int | None:
             if best is not None and candidate[0] >= best:
                 return best
         run.append(candidate)
-    return _run_min(n, m, d, q, run, best)
+    return best
 
 
 def _second_negative(n: int, m: int, d: int, q: int, candidate: _Candidate) -> bool:

@@ -185,6 +185,14 @@ _REFUSAL_COUNTS = {2: (15078, 6363, 724), 3: (13765, 5455, 412), 4: (12868, 4796
                    5: (12314, 4391, 206), 7: (11568, 3880, 154), 8: (11393, 3770, 145),
                    9: (11188, 3644, 129)}
 
+# per q: candidates past a branch's first certified degree with a value below
+# the certified one, over n = 3..30 and every d, as (deg f <= n and some
+# F_i < 0, deg f <= n and every F_i >= 0, deg f > n and some F_i < 0,
+# deg f > n and every F_i >= 0)
+_BELOW_CERTIFIED_COUNTS = {2: (158, 0, 52, 0), 3: (152, 0, 78, 13), 4: (125, 0, 86, 27),
+                           5: (110, 0, 90, 39), 7: (79, 0, 83, 41), 8: (89, 0, 72, 50),
+                           9: (72, 0, 73, 46)}
+
 
 @cache
 def _degree_grid_walk(q):
@@ -192,10 +200,13 @@ def _degree_grid_walk(q):
     against the direct sums F_i = sum_x w(x) f(x) K_i(x), with f = factor *
     kernel**2 from the kernel summed here over one fixed denominator and K_i
     from the explicit sum, each F_i computed once.  Returns, per test below,
-    the (n, d, m, c) where one of its checks fails, and the counts it pins;
-    the three tests read the same walk."""
+    the (n, d, m, c) where one of its checks fails, and the counts and cases
+    it pins; the five tests read the same walk."""
     failed = {"running": [], "coefficients": [], "certificate": []}
     checked = decided = refused = holds = built = 0
+    no_point_mass = []  # (n, d, m, value at c = m) where that f is no point mass worth q**n
+    degree_zero_at_n = []  # (value, certified) of the odd branch's degree 0 at d = n
+    below_certified = [0] * 4  # see _BELOW_CERTIFIED_COUNTS
     rows_asked = []  # (m, last) per _kernel_row call
     kernel_row = levenshtein._kernel_row
 
@@ -210,8 +221,13 @@ def _degree_grid_walk(q):
             rows = _reference_rows(n, q, n, 0)
             for d in range(2, n + 1):
                 candidates = {(m, t[1]): t for m in (n - 1, n - 2) for t in _candidates(n, m, d, q)}
+                if d == n:
+                    first = candidates.get((n - 1, 0))
+                    degree_zero_at_n.append(first and (first[0], first[-1]))
                 for m, factor, c, scale, den, kernel in _reference_kernels(n, d, q):
                     case = (n, d, m, c)
+                    if c == 0:
+                        certified_value = None  # the value of the branch's first certified degree
                     g = [w * f * t * t for w, f, t in zip(weights, factor, kernel)]
                     total = sum(g)
                     direct = g[0] * q ** n // total if g[0] > 0 and total > 0 else None
@@ -231,8 +247,14 @@ def _degree_grid_walk(q):
                     if [v * scale for v in num] != [0 if x in zeros else t * den for x, t in enumerate(kernel)]:
                         failed["running"].append(case)
                     if candidate is None:
+                        if c == m:
+                            no_point_mass.append((n, d, m, None))
                         continue
                     sums = [total] + [sum(map(mul, g, row)) for row in rows[1:]]
+                    # at the last degree f is f(0) at x = 0 and 0 at x = 1..n:
+                    # F_i = F_0 C(n, i) s**i, and the value is q**n
+                    if c == m and (candidate[0] != q ** n or sums != [total * w for w in weights]):
+                        no_point_mass.append((n, d, m, candidate[0]))
                     coefficients = list(_coefficients(n, m, d, q, candidate))
                     top = len(coefficients)
                     # num is den / scale times the kernel, so its gcd up to
@@ -258,9 +280,17 @@ def _degree_grid_walk(q):
                         if min(sums) < 0:
                             failed["certificate"].append(case)
                         holds += 1
+                    if certified_value is None:
+                        if certified:
+                            certified_value = candidate[0]
+                    elif candidate[0] < certified_value:
+                        verifies = all(a >= 0 for a in coefficients)
+                        below_certified[2 * (top < 2 * c + n - m) + verifies] += 1
     return {**failed, "counts": (checked, decided, refused), "holds": holds,
             "rows_asked": (len(rows_asked) - 2 * (checked + built),
-                           sum(last > m for m, last in rows_asked))}
+                           sum(last > m for m, last in rows_asked)),
+            "no_point_mass": no_point_mass, "degree_zero_at_n": degree_zero_at_n,
+            "below_certified": tuple(below_certified)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -304,6 +334,33 @@ def test_certificate_implies_nonnegative_sums(q):
     walk = _degree_grid_walk(q)
     assert not walk["certificate"], walk["certificate"][:5]
     assert walk["holds"] > 800, walk["holds"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_last_degree_is_a_point_mass_worth_q_to_the_n(q):
+    # where d - 1 <= m the last degree, c = m, is a candidate whose f is
+    # f(0) at x = 0 and 0 at x = 1..n, so F_i / F_0 = C(n, i) s**i and its
+    # value is q**n: a scan that runs out of candidates may return its best
+    # (module docstring).  The one exception is the even branch at d = n,
+    # where d - 1 = m + 1 and the last value is below q**n; there the odd
+    # branch's degree 0, f = n - x, is certified with value q = A_q(n, n),
+    # so the bound is q
+    walk = _degree_grid_walk(q)
+    assert [case[:3] for case in walk["no_point_mass"]] == [(n, n, n - 2) for n in range(3, 31)]
+    assert all(value is not None and value < q ** n for n, *_, value in walk["no_point_mass"])
+    assert walk["degree_zero_at_n"] == [(q, True)] * 28
+    assert [levenshtein_max_size(n, n, q) for n in range(3, 31)] == [q] * 28
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_no_candidate_of_degree_at_most_n_verifies_below_the_certified_one(q):
+    # past a branch's first certified degree, a candidate with a smaller
+    # value and deg f <= n never has every F_i >= 0 on this grid, while some
+    # with deg f > n do at q >= 3.  Were this proved, the scan could refuse
+    # those candidates without a check
+    below = _degree_grid_walk(q)["below_certified"]
+    assert below == _BELOW_CERTIFIED_COUNTS[q]
+    assert below[1] == 0
 
 
 def test_gate_builds_few_polynomials(monkeypatch):
@@ -395,16 +452,6 @@ def test_check_reads_every_coefficient_after_the_first(monkeypatch, coefficients
     drawn.clear()
     assert levenshtein._run_min(10, 9, 3, 2, [(7, 0, 1, 1, 0, 0, True)], 9) == 7
     assert drawn == []
-
-
-def test_branch_min_verifies_the_run_left_when_candidates_run_out(monkeypatch):
-    # a real scan has always met a candidate no smaller than its best before
-    # its candidates ran out, so only a stub reaches the check after the
-    # loop: one strictly decreasing run of certified candidates, whose last
-    # value is the branch's minimum
-    run = [(value, c, 1, 1, 1, 0, True) for c, value in enumerate((30, 20, 10))]
-    monkeypatch.setattr(levenshtein, "_candidates", lambda n, m, d, q: iter(run))
-    assert levenshtein._branch_min(10, 9, 3, 2) == 10
 
 
 # the cells of levenshtein_pin.json's grid, every d: q -> largest n
