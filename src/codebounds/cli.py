@@ -43,7 +43,10 @@ def _parse_bounds(text: str) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def _parse_range(text: str, flag: str) -> tuple[int, int]:
+def _span(single: Optional[int], text: Optional[str], flag: str) -> tuple[int, int]:
+    """The range a --x / --x-range pair selects; the command line gives exactly one."""
+    if text is None:
+        return single, single
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"{flag} expects LO..HI, got {text!r}")
@@ -54,11 +57,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     if lo_i > hi_i:
         raise ValueError(f"{flag} range is empty: {text}")
     return lo_i, hi_i
-
-
-def _span(single: Optional[int], text: Optional[str], flag: str) -> tuple[int, int]:
-    """The range a --x / --x-range pair selects; the command line gives exactly one."""
-    return (single, single) if text is None else _parse_range(text, flag)
 
 
 def _fmt_k(k: Optional[int]) -> str:
@@ -100,25 +98,22 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     return 0
 
 
-def _table_rows(args: SimpleNamespace, bounds: list[str]):
+def _cmd_table(args: SimpleNamespace) -> int:
+    bounds = _parse_bounds(args.bounds)
     n_lo, n_hi = _span(args.n, args.n_range, "--n-range")
     d_lo, d_hi = _span(args.d, args.d_range, "--d-range")
     # q and the smallest n are checked even when every cell has d > n
     check_query(n_lo, 1, args.q)
     order = [b for b in BOUND_IDS if b in bounds]  # the order results come in
     columns = [order.index(b) for b in bounds]
+    header = ["q", "n", "d"] + bounds
+    rows = []
     # a cell has d <= n, so a length below d_lo has none and d stops at n
     for n in range(max(n_lo, d_lo), n_hi + 1):
         ds = range(d_lo, min(d_hi, n) + 1)
         for d, (results, _) in zip(ds, best_upper_row(n, ds, args.q, bounds, args.variant_a)):
-            yield n, d, [results[i].k_max for i in columns]
-
-
-def _cmd_table(args: SimpleNamespace) -> int:
-    bounds = _parse_bounds(args.bounds)
-    header = ["q", "n", "d"] + bounds
-    rows = [[str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks]
-            for n, d, ks in _table_rows(args, bounds)]
+            ks = [results[i].k_max for i in columns]
+            rows.append([str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks])
     if args.format == "csv":
         lines = [",".join(row) for row in [header, *rows]]
     elif args.format == "records":
@@ -142,7 +137,10 @@ def diff_table1(*args, **kwargs) -> tuple:
 
 def _cmd_table1(args: SimpleNamespace) -> int:
     blocks = BLOCKS if args.block == "all" else (args.block,)
-    rows_checked, mismatches = diff_table1(blocks)
+    try:
+        rows_checked, mismatches = diff_table1(blocks)
+    except OSError as exc:  # a failed read of the reference table; nothing is written yet
+        raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from None
     print(f"blocks {','.join(blocks)}: {rows_checked} rows checked")
     for mm in mismatches:
         name = f"k_{mm.row.block}" if mm.column == "k_competitor" else "k_A"

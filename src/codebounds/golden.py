@@ -102,9 +102,9 @@ def recompute_row(row: TableRow) -> tuple[int, int]:
     if row.block not in BLOCKS:
         raise ValueError(f"unknown block {row.block!r}")
     competitor = BOUND_ALIASES[row.block]
-    results, _ = best_upper_k(row.n, row.d, row.q, [competitor, "a"])
-    k_max = {r.bound_id: r.k_max for r in results}
-    return k_max[competitor], k_max["a"]
+    # results come in the order of bounds.BOUNDS, which lists A first
+    (a_result, competitor_result), _ = best_upper_k(row.n, row.d, row.q, [competitor, "a"])
+    return competitor_result.k_max, a_result.k_max
 
 
 def diff_table1(blocks: tuple[str, ...]) -> tuple[int, list[Mismatch]]:

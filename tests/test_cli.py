@@ -292,6 +292,15 @@ class TestTable1:
         assert lines[2].endswith(" [documented]")
         assert lines[-1] == "mismatches: 1 undocumented, 3 documented"
 
+    def test_unreadable_reference_table_is_a_resource_error(self, monkeypatch):
+        # a failed read of table1.csv exits 2 with one line that names the
+        # file, and writes nothing to stdout
+        def missing():
+            raise FileNotFoundError(2, "No such file or directory", "missing/table1.csv")
+
+        monkeypatch.setattr(golden, "load_table1", missing)
+        assert run("table1") == (2, "", "error: cannot read missing/table1.csv: No such file or directory\n")
+
     def test_unknown_block_rejected(self):
         with pytest.raises(ValueError) as exc:
             golden.recompute_row(golden.TableRow("x", 2, 20, 4, 16, 15))
@@ -796,6 +805,20 @@ class TestEntryPoints:
         assert [[rc, _digest(out)] for rc, out, *_ in results] == [
             [rc, PINNED[key]["stdout"] if key else _digest("")] for _, key, rc in runs]
         assert [m for m in loaded + unloaded if m in new] == loaded
+
+    def test_unreadable_reference_table_is_no_write_error(self):
+        # entry reports a failed read of the reference table as the command's
+        # own error: only a failed write to stdout is "cannot write output"
+        proc = _python("-c", (
+            "import sys\n"
+            "from codebounds import cli, golden\n"
+            "def missing():\n"
+            "    raise FileNotFoundError(2, 'No such file or directory', 'missing/table1.csv')\n"
+            "golden.load_table1 = missing\n"
+            "sys.argv[1:] = ['table1']\n"
+            "cli.entry()\n"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", b"error: cannot read missing/table1.csv: No such file or directory\n")
 
     def test_closed_pipe_ends_in_one_error_line(self):
         # the reader closes the pipe after 100 bytes of a table far larger
