@@ -385,6 +385,17 @@ def _attach_range_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _error(message: str) -> int:
+    """Write the CLI's error line to stderr and give its exit code, 2.  As
+    with argparse's own messages, a stderr that is missing (None where fd 2
+    was closed at start-up) or cannot be written drops the line."""
+    try:
+        sys.stderr.write(f"error: {message}\n")
+    except (AttributeError, OSError):
+        pass
+    return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the strict reading refuses every argv that _attach_range_values
@@ -392,12 +403,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # only argparse's argv is rewritten
     args = _read_well_formed(argv)
     if args is None:
-        args = SimpleNamespace(**vars(_build_parser().parse_args(_attach_range_values(argv))))
+        args = _build_parser().parse_args(_attach_range_values(argv))
     try:
         return args.func(args)
     except (EnumerationBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
 
 
 def entry() -> None:
@@ -409,6 +419,14 @@ def entry() -> None:
         # a failed write to stdout: fd 1 goes to devnull, so that the
         # interpreter's own flush at exit drops what is left there quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-        code = 2
+        code = _error(f"cannot write output: {exc.strerror}")
+    finally:
+        # a line that stderr could not take, from main or from argparse, stays
+        # in its buffer: fd 2 goes to devnull likewise, as the interpreter's
+        # flush at exit would fail on it and exit 120
+        try:
+            if sys.stderr is not None:
+                sys.stderr.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     sys.exit(code)

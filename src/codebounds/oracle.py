@@ -55,7 +55,7 @@ refutations with 2 searches.
 
 from itertools import combinations, product
 from math import isqrt
-from operator import ne
+from operator import mul, ne
 from typing import Optional
 
 from .exactmath import (
@@ -117,14 +117,6 @@ def min_distance(words: tuple[tuple[int, ...], ...]) -> int:
 
 def _all_messages(k: int, q: int) -> list[tuple[int, ...]]:
     return list(product(range(q), repeat=k))
-
-
-def _encode(tail: tuple[tuple[int, ...], ...], q: int) -> tuple[tuple[int, ...], ...]:
-    """The words (v, v @ tail mod q) of the standard-form code with this
-    tail, one per message v, in ascending order of v."""
-    columns = list(zip(*tail))
-    return tuple(v + tuple(sum(a * b for a, b in zip(v, col)) % q for col in columns)
-                 for v in _all_messages(len(tail), q))
 
 
 def check_search_budget(n: int, k: int, q: int, budget: int) -> bool:
@@ -304,5 +296,8 @@ def refutation_crosscheck(n: int, k: int, d: int, q: int, *,
     check_query(n, d, q)
     if check_search_budget(n, k, q, budget):
         return _first_nonlinear_code(n, k, d, q)
-    tail = _first_linear_tail(n, k, d, q)
-    return None if tail is None else _encode(tail, q)
+    if (tail := _first_linear_tail(n, k, d, q)) is None:
+        return None
+    # the words (v, v @ tail mod q), one per message v, in ascending order of v
+    columns = list(zip(*tail))
+    return tuple(v + tuple(sum(map(mul, v, col)) % q for col in columns) for v in _all_messages(k, q))

@@ -115,6 +115,19 @@ class TestEval:
         rc, out, err = run("eval", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("unwritable", [True, False], ids=["raising", "missing"])
+    def test_unwritable_stderr_drops_the_error_line(self, monkeypatch, unwritable):
+        # a stderr whose write fails, or none at all, loses the error line;
+        # main still returns 2, and writes nothing to stdout in its place
+        class Raising(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", Raising() if unwritable else None)
+        assert (main(["eval", "--q", "1", "--n", "5", "--d", "3"]), out.getvalue()) == (2, "")
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--q", "2"])
@@ -627,6 +640,18 @@ def _python(*args, timeout=60):
 _LONG_TABLE = ["table", "--q", "2", "--n-range", "4..20000", "--d", "3", "--bounds", "s,g"]
 
 
+# Two stderrs that take no error line: fd 2 closed, where the interpreter
+# sets no sys.stderr, and fd 2 open for reading only, where each write fails,
+# as it does when a file opened at start-up takes a closed fd 2.
+_UNWRITABLE_STDERR = ["2>&-", "2</dev/null"]
+
+
+def _with_stderr(redirect, *argv):
+    """The command line of the CLI on argv in a fresh interpreter, with its
+    fd 2 redirected by the shell."""
+    return ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m", "codebounds", *argv]
+
+
 def _buffered_env():
     """_env() with stdout block-buffered, as it is unless PYTHONUNBUFFERED
     is set, so that a failed write leaves output for the interpreter's own
@@ -840,6 +865,28 @@ class TestEntryPoints:
             proc = subprocess.run([sys.executable, "-m", "codebounds", *argv], stdout=full,
                                   stderr=subprocess.PIPE, env=_buffered_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (2, b"error: cannot write output: No space left on device\n")
+
+    @pytest.mark.parametrize("redirect", _UNWRITABLE_STDERR)
+    def test_unwritable_stderr_keeps_exit_2(self, redirect):
+        # the command drops its error line and writes nothing to stdout in
+        # its place; it and an argparse usage error exit 2 as with stderr
+        # open, not 120 from a failed flush of stderr at exit.  (Where there
+        # is no stderr, argparse writes its usage line to stdout.)
+        command = subprocess.run(_with_stderr(redirect, "eval", "--q", "1", "--n", "5", "--d", "3"),
+                                 stdout=subprocess.PIPE, env=_buffered_env(), timeout=60)
+        usage = subprocess.run(_with_stderr(redirect, "eval", "--q", "2"), stdout=subprocess.DEVNULL,
+                               env=_buffered_env(), timeout=60)
+        assert (command.returncode, command.stdout, usage.returncode) == (2, b"", 2)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("redirect", _UNWRITABLE_STDERR)
+    def test_full_device_with_unwritable_stderr_exits_2(self, redirect):
+        # a failed write to stdout is still exit 2 when its error line
+        # cannot be written either
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(_with_stderr(redirect, "eval", "--q", "2", "--n", "5", "--d", "3"),
+                                  stdout=full, env=_buffered_env(), timeout=60)
+        assert proc.returncode == 2
 
     def test_closed_stdout_exits_0_silently(self):
         # with fd 1 closed, as `>&-` leaves it, the interpreter sets no
