@@ -104,16 +104,14 @@ def _cmd_table(args: SimpleNamespace) -> int:
     d_lo, d_hi = _span(args.d, args.d_range, "--d-range")
     # q and the smallest n are checked even when every cell has d > n
     check_query(n_lo, 1, args.q)
-    order = [b for b in BOUND_IDS if b in bounds]  # the order results come in
-    columns = [order.index(b) for b in bounds]
     header = ["q", "n", "d"] + bounds
     rows = []
     # a cell has d <= n, so a length below d_lo has none and d stops at n
     for n in range(max(n_lo, d_lo), n_hi + 1):
         ds = range(d_lo, min(d_hi, n) + 1)
         for d, (results, _) in zip(ds, best_upper_row(n, ds, args.q, bounds, args.variant_a)):
-            ks = [results[i].k_max for i in columns]
-            rows.append([str(args.q), str(n), str(d)] + ["" if k is None else str(k) for k in ks])
+            caps = {r.bound_id: "" if r.k_max is None else str(r.k_max) for r in results}
+            rows.append([str(args.q), str(n), str(d)] + [caps[b] for b in bounds])
     if args.format == "csv":
         lines = [",".join(row) for row in [header, *rows]]
     elif args.format == "records":
@@ -302,7 +300,15 @@ def _build_parser():
     call.  It alone writes help and usage errors."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # with no stderr, print_usage would fall back to stdout; a usage
+            # error writes nothing there, as the CLI's own errors do
+            if sys.stderr is None:
+                self.exit(2)
+            super().error(message)
+
+    parser = Parser(
         prog="codebounds",
         description="Exact dimension bounds for systematic and linear codes.",
     )

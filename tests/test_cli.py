@@ -22,7 +22,7 @@ import pytest
 from conftest import record_calls
 
 from codebounds import cli, golden, levenshtein, oracle
-from codebounds.bounds import REFUTED, FeasibilityVerdict, bound_a_check, best_upper_k
+from codebounds.bounds import BOUNDS, REFUTED, FeasibilityVerdict, bound_a_check, best_upper_k
 from codebounds.cli import main
 from codebounds.exactmath import VARIANT_WEIGHT, EnumerationBudgetError
 
@@ -132,6 +132,21 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--q", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", ["eval --q 2", "bogus", "table --q 2 --n 5 --n-range 3..4 --d 3"])
+    def test_usage_error_without_stderr_writes_nothing(self, monkeypatch, argv):
+        # with no stderr, argparse's print_usage would fall back to stdout;
+        # the usage line is dropped as the CLI's own error lines are, and
+        # help still goes to stdout
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit) as exc:
+            main(shlex.split(argv))
+        assert (exc.value.code, out.getvalue()) == (2, "")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0 and out.getvalue().startswith("usage: codebounds eval")
 
     def test_integers_past_the_digit_limit_written_exactly(self):
         # str refuses more than 4300 digits where the interpreter has a limit,
@@ -870,13 +885,13 @@ class TestEntryPoints:
     def test_unwritable_stderr_keeps_exit_2(self, redirect):
         # the command drops its error line and writes nothing to stdout in
         # its place; it and an argparse usage error exit 2 as with stderr
-        # open, not 120 from a failed flush of stderr at exit.  (Where there
-        # is no stderr, argparse writes its usage line to stdout.)
+        # open, not 120 from a failed flush of stderr at exit; neither
+        # writes to stdout
         command = subprocess.run(_with_stderr(redirect, "eval", "--q", "1", "--n", "5", "--d", "3"),
                                  stdout=subprocess.PIPE, env=_buffered_env(), timeout=60)
-        usage = subprocess.run(_with_stderr(redirect, "eval", "--q", "2"), stdout=subprocess.DEVNULL,
+        usage = subprocess.run(_with_stderr(redirect, "eval", "--q", "2"), stdout=subprocess.PIPE,
                                env=_buffered_env(), timeout=60)
-        assert (command.returncode, command.stdout, usage.returncode) == (2, b"", 2)
+        assert (command.returncode, command.stdout, usage.returncode, usage.stdout) == (2, b"", 2, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize("redirect", _UNWRITABLE_STDERR)
@@ -1034,6 +1049,15 @@ def test_outputs_match_pinned_digests():
     choices without quotes (_quotes_choices), so 3.13.0 keeps the older pin.
     """
     assert cli_digests() == PINNED
+
+
+@pytest.mark.parametrize("cmd", ["table --q 2 --n 12 --d-range 3..5 --bounds h,all,g,h --format csv",
+                                 "table1 --block all --allow-documented"])
+def test_outputs_do_not_depend_on_the_order_of_bounds(monkeypatch, cmd):
+    # results come back in the order of bounds.BOUNDS; table and table1 read
+    # each cap by its bound id, so reversing the table moves no output byte
+    monkeypatch.setattr("codebounds.bounds.BOUNDS", dict(reversed(BOUNDS.items())))
+    assert _pin(*run(*shlex.split(cmd))) == PINNED[cmd]
 
 
 # Fuzzed argvs stay cheap: n <= 24, q <= 13, at most 10 values per range and
