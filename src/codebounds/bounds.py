@@ -242,28 +242,24 @@ def elias_max_size(n: int, d: int, q: int) -> tuple[int, int]:
     admissible when q*w*w - 2*a*w + a*d > 0.  From w to w + 1 that
     denominator changes by q(2w + 1) - 2a < 0 while q(w + 1) <= a, so the
     admissible radii form a prefix of 0..a//q and the scan stops at the
-    first inadmissible one.  The smallest floor is that of the largest x_w,
-    best = a*d*q**n // max x_w, and the x_w that floor to it are exactly those
-    with x_w (best + 1) > a*d*q**n, that is x_w > a*d*q**n // (best + 1): two
-    big divisions in all.
+    first inadmissible one.  Each admissible radius's cap is floored as the
+    scan reaches it, and the first smallest is kept with its w.
     """
     check_query(n, d, q)
     a = (q - 1) * n
     ad_qn = a * d * q ** n
-    xs = []  # x_w for each admissible w
+    best = best_w = None
     volume, term = 0, 1  # V_q(n, w - 1) and C(n, w)(q-1)**w
     for w in range(a // q + 1):
         denom = q * w * w - 2 * a * w + a * d
         if denom <= 0:
             break
         volume += term
-        xs.append(denom * volume)
+        cap = ad_qn // (denom * volume)
+        if best is None or cap < best:
+            best, best_w = cap, w
         term = term * ((n - w) * (q - 1)) // (w + 1)
-    best = ad_qn // max(xs)
-    bar = ad_qn // (best + 1)
-    for w, x in enumerate(xs):
-        if x > bar:
-            return best, w
+    return best, best_w
 
 
 def _bound_a(n: int, d: int, q: int, variant: str) -> BoundResult:
@@ -313,14 +309,16 @@ def best_upper_row(n: int, ds: Iterable[int], q: int, bounds: Iterable[str] = BO
                    variant: str = VARIANT_WEIGHT) -> list[tuple[list[BoundResult], Optional[int]]]:
     """best_upper_k at each d of ds in turn, with the bounds resolved once.
 
-    An unknown bound id is refused once, before any cell, so even an empty
-    row raises for it.  Then each d's query is checked, and every selected
-    bound evaluated, before the next d is read, so a bad query raises what
-    the first cell to meet it would raise alone.
+    An unknown bound id, and then an unknown variant, is refused once,
+    before any cell, so even an empty row raises for it.  Then each d's
+    query is checked, and every selected bound evaluated, before the next d
+    is read, so a bad query raises what the first cell to meet it would
+    raise alone.
     """
     selected = set(bounds)
     if unknown := selected.difference(BOUNDS):
         raise ValueError(f"unknown bound ids: {sorted(unknown)}")
+    check_variant(variant)
     evaluators = [evaluate for b, (_, _, evaluate) in BOUNDS.items() if b in selected]
     row = []
     for d in ds:
@@ -338,6 +336,7 @@ def best_upper_k(n: int, d: int, q: int, bounds: Iterable[str] = BOUND_IDS,
 
     Results come back in the order of BOUNDS, alphabetical by id; a bound
     that does not apply contributes a k_max of None without failing the query.
-    An unknown bound id is refused before the query is checked.
+    An unknown bound id, and then an unknown variant, is refused before the
+    query is checked, whichever bounds are selected.
     """
     return best_upper_row(n, (d,), q, bounds, variant)[0]

@@ -308,6 +308,14 @@ def _build_parser():
                 self.exit(2)
             super().error(message)
 
+        def print_help(self, file=None):
+            # argparse would drop a failed write and fall back to stderr
+            # where there is no stdout: help is written to stdout alone, and
+            # flushed, so a failed write reaches entry as any command's does
+            if sys.stdout is not None:
+                sys.stdout.write(self.format_help())
+                sys.stdout.flush()
+
     parser = Parser(
         prog="codebounds",
         description="Exact dimension bounds for systematic and linear codes.",

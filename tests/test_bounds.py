@@ -259,11 +259,13 @@ class TestElias:
         assert elias_witnesses()[n, d, q] == []
 
     def test_matches_every_radius_reference(self):
-        # stopping at the first inadmissible radius loses no admissible one
-        for q in (2, 3, 5, 7):
-            for n in range(1, 81):
-                for d in range(1, n + 1):
-                    assert elias_max_size(n, d, q) == elias_every_radius(n, d, q), (n, d, q)
+        # stopping at the first inadmissible radius loses no admissible one,
+        # here, at the gate's cells and at a few larger sizes
+        cells = [(n, d, q) for q in (2, 3, 5, 7) for n in range(1, 81) for d in range(1, n + 1)]
+        cells += [(500, 94, 2), (500, 95, 2), (500, 96, 2), (160, 40, 3), (100, 30, 5),
+                  (2000, 3, 2), (2000, 400, 2)]
+        for n, d, q in cells:
+            assert elias_max_size(n, d, q) == elias_every_radius(n, d, q), (n, d, q)
 
 
 class TestBestUpperK:
@@ -337,7 +339,7 @@ class TestBestUpperRow:
         (0, range(1, 3), 2, ()),
         (6, range(0, 4), 2, (["nope"],)),  # the ids before the distance
         (6, range(3, 5), 2, (["a", "nope"],)),
-        (6, range(2, 5), 2, (["a"], "printed")),  # the variant at d = 3, where A applies
+        (6, range(2, 5), 2, (["a"], "printed")),  # the variant before the cells
         (6, range(4, 4), 1, (["nope"],)),  # no cell, and still the ids' error
     ])
     def test_first_error_matches_cell_by_cell(self, n, ds, q, args):
@@ -347,6 +349,16 @@ class TestBestUpperRow:
         assert row[0] is ValueError
         if args and "nope" in args[0]:  # refused before any query is checked
             assert row[1] == "unknown bound ids: ['nope']"
+
+    def test_unknown_variant_refused_before_any_cell(self):
+        # as an unknown id is, whether or not bound A is selected or applies
+        refused = (ValueError, "variant must be one of ('weight', 'literal'), got 'bogus'")
+        assert [_outcome(call) for call in [
+            lambda: best_upper_k(3, 3, 2, ["a"], "bogus"),  # n < 4: A does not apply
+            lambda: best_upper_k(20, 4, 2, ["hamming"], "bogus"),
+            lambda: best_upper_row(20, [], 2, ["a"], "bogus"),
+            lambda: best_upper_k(20, 4, 2, ["a"], "bogus"),
+        ]] == [refused] * 4
 
 
 class TestMonotonicity:

@@ -148,6 +148,17 @@ class TestEval:
             main(["eval", "--help"])
         assert exc.value.code == 0 and out.getvalue().startswith("usage: codebounds eval")
 
+    @pytest.mark.parametrize("argv", ["--help", "eval --help", "table1 --help"])
+    def test_help_without_stdout_writes_nothing(self, monkeypatch, argv):
+        # with no stdout, argparse would write the help to stderr; it is
+        # dropped, as any command's output is
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(SystemExit) as exc:
+            main(shlex.split(argv))
+        assert (exc.value.code, err.getvalue()) == (0, "")
+
     def test_integers_past_the_digit_limit_written_exactly(self):
         # str refuses more than 4300 digits where the interpreter has a limit,
         # so each value is built from its digits 1000 at a time
@@ -881,6 +892,18 @@ class TestEntryPoints:
                                   stderr=subprocess.PIPE, env=_buffered_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (2, b"error: cannot write output: No space left on device\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_help_ends_in_one_error_line(self, unbuffered):
+        # help follows the rules of any command's output: a failed write,
+        # at the flush or (unbuffered) at the write itself, exits 2 with
+        # one line, not 120 from the interpreter's flush at exit, nor 0
+        env = {**_buffered_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "codebounds", "--help"], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stderr.startswith(b"error: cannot write output:"), proc.stderr
+
     @pytest.mark.parametrize("redirect", _UNWRITABLE_STDERR)
     def test_unwritable_stderr_keeps_exit_2(self, redirect):
         # the command drops its error line and writes nothing to stdout in
@@ -908,6 +931,13 @@ class TestEntryPoints:
         # sys.stdout and print writes nothing
         proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "codebounds",
                                "eval", "--q", "2", "--n", "20", "--d", "4"],
+                              stderr=subprocess.PIPE, env=_buffered_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_closed_stdout_help_exits_0_silently(self):
+        # argparse would write the help to stderr where there is no stdout
+        proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "codebounds",
+                               "table1", "--help"],
                               stderr=subprocess.PIPE, env=_buffered_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b"")
 

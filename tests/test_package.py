@@ -45,9 +45,9 @@ def test_code_line_count_pinned():
     # the module that moved; a change that moves it updates the pin and
     # reports the counts before and after
     lines = {path.stem: _code_lines(path) for path in PACKAGE.glob("*.py")}
-    assert lines == {"__init__": 2, "__main__": 3, "bounds": 178, "cli": 282, "exactmath": 65,
+    assert lines == {"__init__": 2, "__main__": 3, "bounds": 177, "cli": 286, "exactmath": 65,
                      "golden": 67, "levenshtein": 102, "oracle": 111}
-    assert sum(lines.values()) == 810
+    assert sum(lines.values()) == 813
 
 
 def test_exported_names_exist():
